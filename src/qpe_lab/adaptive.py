@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import signed_gap, wrap, wrapped_distance
+from .angles import signed_gap, wrap_float, wrapped_distance
 from .model import Circuit, MeasurementRecord, NoiseModel, optimal_depth, sample_outcome
 from .posterior import (
     CircularInterval,
@@ -137,7 +137,7 @@ def choose_center(
     including across the 0/2*pi seam.
     """
     if step_index == 1 or previous is None:
-        return float(wrap(estimate))
+        return wrap_float(estimate)
     new_half_width = np.pi / (2.0 * next_depth)
     if new_half_width > previous.half_width + 1e-12:
         raise InfeasibleIntervalError(
@@ -145,7 +145,7 @@ def choose_center(
         )
     slack = previous.half_width - new_half_width
     gap = float(signed_gap(estimate, previous.center))
-    return float(wrap(previous.center + min(max(gap, -slack), slack)))
+    return wrap_float(previous.center + min(max(gap, -slack), slack))
 
 
 def chernoff_shot_budget(eps_now: float, eps_prev: float, depth: int, noise: NoiseModel) -> float:
@@ -178,7 +178,7 @@ def max_shots_for_step(step_index: int, config: AlgorithmConfig) -> int:
 
 def _tuned_phase(depth: int, target: float) -> float:
     """Phase putting ``target`` on the steepest point of the depth-n fringe."""
-    return float(wrap(np.pi / 2.0 - depth * target))
+    return wrap_float(np.pi / 2.0 - depth * target)
 
 
 def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:

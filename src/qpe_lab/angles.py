@@ -16,6 +16,16 @@ def wrap(theta):
     return np.mod(np.mod(theta, TWO_PI), TWO_PI)
 
 
+def wrap_float(theta) -> float:
+    """wrap() of one real scalar, in plain float arithmetic.
+
+    Python's float ``%`` rounds exactly as ``np.mod`` does, so the result
+    equals ``float(wrap(theta))`` without the numpy call overhead.
+    """
+    theta = float(theta)
+    return (theta % TWO_PI) % TWO_PI
+
+
 def signed_gap(a, b):
     """Signed angular separation a - b, mapped into (-pi, pi]."""
     d = np.mod(a - b, TWO_PI)

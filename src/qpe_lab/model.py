@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, wrap
+from .angles import TWO_PI, wrap, wrap_float
 
 
 class DivergenceError(ValueError):
@@ -63,7 +63,7 @@ class Circuit:
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         object.__setattr__(self, "depth", int(self.depth))
-        object.__setattr__(self, "phase", float(wrap(self.phase)))
+        object.__setattr__(self, "phase", wrap_float(self.phase))
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,8 @@ def sample_outcome(
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:
         return 0
-    p0 = float(np.clip(success_probability(theta_true, circuit, noise), 0.0, 1.0))
-    return int(rng.binomial(shots, p0))
+    p0 = float(success_probability(theta_true, circuit, noise))
+    return int(rng.binomial(shots, min(max(p0, 0.0), 1.0)))
 
 
 def sigma_squared(

@@ -5,6 +5,17 @@ sequential likelihood multiplications never underflow.  Normalisation uses
 the periodic trapezoid rule, which on a uniform circular grid reduces to a
 plain node sum times the cell width.
 
+The adaptive loop runs an update and a mode search after every shot, so
+both do only the work their callers read.  An update normalises the
+log-weights and keeps the exponentiated weights and their sum; the density
+is divided out of them on first read, which the per-shot loop never does.
+Each circuit's per-cell outcome probability is computed once, and each of
+its two log branches only when an outcome needs it.  ``map_estimate`` with
+an interval searches the cells of that arc alone.  The confidence gate
+(``mass_outside``) still integrates over the whole grid: restricting its
+prefix sums to the arc would change their rounding and could flip a gate
+decision.
+
 The grid must stay fine enough to resolve the fastest likelihood
 oscillation: a circuit of depth n modulates the likelihood at angular
 frequency n, and updates enforce at least 32 grid points per period.  When
@@ -22,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import TWO_PI, wrap, wrapped_distance
-from .model import Circuit, MeasurementRecord, NoiseModel, log_binomial_coefficient
+from .angles import TWO_PI, wrap, wrap_float, wrapped_distance
+from .model import Circuit, MeasurementRecord, NoiseModel
 
 MIN_GRID_SIZE = 64
 POINTS_PER_PERIOD = 32
@@ -61,7 +72,7 @@ class CircularInterval:
     def __post_init__(self):
         if not 0.0 < self.half_width <= np.pi:
             raise ValueError(f"half_width must be in (0, pi], got {self.half_width}")
-        object.__setattr__(self, "center", float(wrap(self.center)))
+        object.__setattr__(self, "center", wrap_float(self.center))
         object.__setattr__(self, "half_width", float(self.half_width))
 
     def contains(self, theta) -> bool:
@@ -94,34 +105,75 @@ def _grid_trig(grid_size: int, depth: int):
     return cos_n, sin_n
 
 
+def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float) -> np.ndarray:
+    """Bright-outcome probability p0 of one circuit at every grid node."""
+    cos_n, sin_n = _grid_trig(grid_size, depth)
+    p0 = cos_n * math.cos(phase)
+    p0 -= sin_n * math.sin(phase)
+    p0 *= 0.5 * envelope
+    p0 += 0.5
+    return p0
+
+
+class _CircuitLikelihood:
+    """One circuit's per-cell p0, with log p0 and log(1 - p0) taken on first use.
+
+    A freshly tuned circuit usually sees one outcome, so it pays for one
+    transcendental pass; p0 is dropped once both branches exist.
+    """
+
+    __slots__ = ("_p0", "_log_p", "_log_q")
+
+    def __init__(self, p0: np.ndarray):
+        self._p0 = p0
+        self._log_p = None
+        self._log_q = None
+
+    def log_p(self) -> np.ndarray:
+        if self._log_p is None:
+            with np.errstate(divide="ignore"):
+                self._log_p = np.log(self._p0)
+            self._settle(self._log_p)
+        return self._log_p
+
+    def log_q(self) -> np.ndarray:
+        if self._log_q is None:
+            with np.errstate(divide="ignore"):
+                self._log_q = np.log1p(-self._p0)
+            self._settle(self._log_q)
+        return self._log_q
+
+    def _settle(self, branch: np.ndarray) -> None:
+        branch.setflags(write=False)
+        if self._log_p is not None and self._log_q is not None:
+            self._p0 = None
+
+
 @lru_cache(maxsize=8)
 def _log_prob_components(grid_size: int, depth: int, phase: float, alpha: float, beta: float):
-    """Per-cell log p0 and log(1 - p0) for one circuit, cached.
+    """Per-cell likelihood branches for one circuit, cached.
 
     Gated sampling phases hammer the same circuit for tens of shots; caching
-    these two vectors makes each such update a fused add instead of fresh
+    the branches makes each such update a fused add instead of fresh
     transcendental passes.
     """
-    cos_n, sin_n = _grid_trig(grid_size, depth)
-    envelope = alpha * beta**depth
-    p0 = 0.5 + 0.5 * envelope * (cos_n * math.cos(phase) - sin_n * math.sin(phase))
+    p0 = _grid_p0(grid_size, depth, phase, alpha * beta**depth)
     np.clip(p0, 0.0, 1.0, out=p0)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p0)
-        log_q = np.log1p(-p0)
-    log_p.setflags(write=False)
-    log_q.setflags(write=False)
-    return log_p, log_q
+    return _CircuitLikelihood(p0)
 
 
 @dataclass(eq=False)
 class GridPosterior:
-    """Posterior density on a uniform circular grid, stored in log space."""
+    """Posterior density on a uniform circular grid, stored in log space.
+
+    ``_pending`` holds the exponentiated weights and their sum from the
+    last normalisation until ``density`` divides them out.
+    """
 
     grid_size: int
     log_weights: np.ndarray
-    normalized: bool = True
     _density: np.ndarray | None = field(default=None, repr=False)
+    _pending: tuple[np.ndarray, float] | None = field(default=None, repr=False)
     _cumulative: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -136,19 +188,32 @@ class GridPosterior:
     def density(self) -> np.ndarray:
         """Probability density at the grid nodes (integrates to 1)."""
         if self._density is None:
-            shift = np.max(self.log_weights)
-            if not np.isfinite(shift):
-                raise ImpossibleObservationError("posterior carries no finite weight")
-            w = np.exp(self.log_weights - shift)
-            self._density = w / (w.sum() * self.cell_width)
+            if self._pending is None:
+                _, w, total = _exp_weights(self.log_weights, "posterior carries no finite weight")
+            else:
+                w, total = self._pending
+                self._pending = None
+            w /= total * self.cell_width
+            self._density = w
         return self._density
 
     def clone(self) -> "GridPosterior":
-        return GridPosterior(self.grid_size, self.log_weights.copy(), self.normalized)
+        return GridPosterior(self.grid_size, self.log_weights.copy())
 
     def _invalidate(self):
         self._density = None
+        self._pending = None
         self._cumulative = None
+
+
+def _exp_weights(log_weights: np.ndarray, message: str):
+    """The shift max(log_weights), the weights exp(log_weights - shift), and their sum."""
+    shift = np.max(log_weights)
+    if not np.isfinite(shift):
+        raise ImpossibleObservationError(message)
+    w = log_weights - shift
+    np.exp(w, out=w)
+    return shift, w, w.sum()
 
 
 def uniform_prior(grid_size: int = 4096) -> GridPosterior:
@@ -163,17 +228,12 @@ def uniform_prior(grid_size: int = 4096) -> GridPosterior:
 
 def normalize(posterior: GridPosterior) -> GridPosterior:
     """Rescale log-weights so the trapezoid integral of the density is 1."""
-    shift = np.max(posterior.log_weights)
-    if not np.isfinite(shift):
-        raise ImpossibleObservationError(
-            "cannot normalize: every grid cell has log-weight -inf"
-        )
-    w = np.exp(posterior.log_weights - shift)
-    total = w.sum()
-    posterior.log_weights -= shift + math.log(total) + math.log(posterior.cell_width)
-    posterior.normalized = True
     posterior._invalidate()
-    posterior._density = w / (total * posterior.cell_width)
+    shift, w, total = _exp_weights(
+        posterior.log_weights, "cannot normalize: every grid cell has log-weight -inf"
+    )
+    posterior.log_weights -= shift + math.log(total) + math.log(posterior.cell_width)
+    posterior._pending = (w, total)
     return posterior
 
 
@@ -220,7 +280,7 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
         return posterior
     ensure_resolution(posterior, record.circuit.depth)
 
-    log_p, log_q = _log_prob_components(
+    likelihood = _log_prob_components(
         posterior.grid_size,
         record.circuit.depth,
         record.circuit.phase,
@@ -231,31 +291,22 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     misses = record.shots - x
     lw = posterior.log_weights
     if record.shots == 1 and x == 1.0:
-        lw += log_p
+        lw += likelihood.log_p()
     elif record.shots == 1 and x == 0.0:
-        lw += log_q
+        lw += likelihood.log_q()
     else:
         if x > 0:
-            lw += x * log_p
+            lw += x * likelihood.log_p()
         if misses > 0:
-            lw += misses * log_q
+            lw += misses * likelihood.log_q()
     # The binomial coefficient is constant in theta; normalisation removes
     # it, so it is never added here.
-
-    shift = np.max(lw)
-    if not np.isfinite(shift):
-        posterior.normalized = False
-        posterior._invalidate()
+    try:
+        return normalize(posterior)
+    except ImpossibleObservationError:
         raise ImpossibleObservationError(
             f"record {record} has zero likelihood at every grid cell"
-        )
-    w = np.exp(lw - shift)
-    total = w.sum()
-    lw -= shift + math.log(total) + math.log(posterior.cell_width)
-    posterior.normalized = True
-    posterior._invalidate()
-    posterior._density = w / (total * posterior.cell_width)
-    return posterior
+        ) from None
 
 
 def _cumulative_mass(posterior: GridPosterior) -> np.ndarray:
@@ -266,10 +317,14 @@ def _cumulative_mass(posterior: GridPosterior) -> np.ndarray:
     """
     if posterior._cumulative is None:
         d = posterior.density
-        segments = 0.5 * (d + np.roll(d, -1)) * posterior.cell_width
         cum = np.empty(posterior.grid_size + 1)
         cum[0] = 0.0
-        np.cumsum(segments, out=cum[1:])
+        segments = cum[1:]
+        np.add(d[:-1], d[1:], out=segments[:-1])
+        segments[-1] = d[-1] + d[0]
+        segments *= 0.5
+        segments *= posterior.cell_width
+        np.cumsum(segments, out=segments)
         posterior._cumulative = cum
     return posterior._cumulative
 
@@ -323,31 +378,51 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
 
     Ties go to the smallest grid index.  With ``within`` given, the argmax
     is restricted to cells inside that interval (falling back to the global
-    argmax if the restriction holds no finite weight).
+    argmax if the restriction holds no finite weight); only the cells of
+    the arc are searched.
     """
     lw = posterior.log_weights
     angles = posterior.angles
+    k = None
     if within is not None:
-        inside = wrapped_distance(angles, within.center) <= within.half_width + 1e-12
-        if np.any(inside & np.isfinite(lw)):
-            masked = np.where(inside, lw, -np.inf)
-            k = int(np.argmax(masked))
-        else:
-            k = int(np.argmax(lw))
-    else:
+        cells = _arc_cells(posterior.grid_size, within)
+        arc = lw[cells]
+        inside = wrapped_distance(angles[cells], within.center) <= within.half_width + 1e-12
+        if np.any(inside & np.isfinite(arc)):
+            k = int(cells[np.argmax(np.where(inside, arc, -np.inf))])
+    if k is None:
         k = int(np.argmax(lw))
 
     g = posterior.grid_size
-    left = lw[(k - 1) % g]
-    center = lw[k]
-    right = lw[(k + 1) % g]
+    left = float(lw[(k - 1) % g])
+    center = float(lw[k])
+    right = float(lw[(k + 1) % g])
     offset = 0.0
-    if np.isfinite(left) and np.isfinite(center) and np.isfinite(right):
+    if math.isfinite(left) and math.isfinite(center) and math.isfinite(right):
         curvature = left - 2.0 * center + right
         if curvature < 0.0:
-            offset = 0.5 * (left - right) / curvature
-            offset = float(np.clip(offset, -0.5, 0.5))
-    return float(wrap(angles[k] + offset * posterior.cell_width))
+            offset = min(max(0.5 * (left - right) / curvature, -0.5), 0.5)
+    return wrap_float(float(angles[k]) + offset * posterior.cell_width)
+
+
+def _arc_cells(grid_size: int, interval: CircularInterval) -> np.ndarray:
+    """Ascending indices of the grid cells that can lie inside ``interval``.
+
+    The index range spans center +- half_width with one cell of margin on
+    each side, so rounding in the angle arithmetic never drops a cell; the
+    caller applies the exact membership test to these cells alone.
+    """
+    h = TWO_PI / grid_size
+    lo = math.floor((interval.center - interval.half_width) / h) - 1
+    hi = math.ceil((interval.center + interval.half_width) / h) + 1
+    if hi - lo + 1 >= grid_size:
+        return np.arange(grid_size)
+    cells = np.arange(lo, hi + 1)
+    if lo < 0 or hi >= grid_size:
+        # The arc crosses the seam: wrap the indices and restore ascending order.
+        cells %= grid_size
+        cells.sort()
+    return cells
 
 
 def circular_mean_estimate(posterior: GridPosterior) -> float:
@@ -377,11 +452,7 @@ def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, nois
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     ensure_resolution(posterior, circuit.depth)
-    cos_n, sin_n = _grid_trig(posterior.grid_size, circuit.depth)
-    envelope = noise.contrast(circuit.depth)
-    p0 = 0.5 + 0.5 * envelope * (
-        cos_n * math.cos(circuit.phase) - sin_n * math.sin(circuit.phase)
-    )
+    p0 = _grid_p0(posterior.grid_size, circuit.depth, circuit.phase, noise.contrast(circuit.depth))
     mean_p = float(np.dot(posterior.density, p0)) * posterior.cell_width
     return float(np.clip(shots * mean_p, 0.0, shots))
 

@@ -31,6 +31,7 @@ from qpe_lab.posterior import (
     uniform_prior,
     update,
 )
+from qpe_lab.posterior import _cumulative_mass, _log_prob_components
 
 NOISELESS = NoiseModel()
 
@@ -38,7 +39,6 @@ NOISELESS = NoiseModel()
 def von_mises_posterior(mu, kappa, grid_size=4096):
     post = uniform_prior(grid_size)
     post.log_weights[:] = kappa * np.cos(post.angles - mu)
-    post.normalized = False
     return normalize(post)
 
 
@@ -278,7 +278,6 @@ class TestMapEstimate:
         post.log_weights[:] = np.logaddexp(
             8.0 * np.cos(post.angles - 1.0), 8.0 * np.cos(post.angles - 4.0) + 0.2
         )
-        post.normalized = False
         normalize(post)
         assert abs(map_estimate(post) - 4.0) < 1e-3
         within = CircularInterval(1.0, 0.8)
@@ -291,10 +290,175 @@ class TestMapEstimate:
         dead = wrapped_distance(post.angles, 4.0) < 1.0
         post.log_weights[dead] = -math.inf
         post.log_weights[~dead] = 3.0 * np.cos(post.angles[~dead] - 1.0)
-        post.normalized = False
         normalize(post)
         empty_side = CircularInterval(4.0, 0.5)
         assert map_estimate(post, within=empty_side) == map_estimate(post)
+
+
+def masked_map_reference(posterior, within):
+    """The full-grid masked search that map_estimate(within=...) replaced."""
+    lw = posterior.log_weights
+    angles = posterior.angles
+    inside = wrapped_distance(angles, within.center) <= within.half_width + 1e-12
+    if np.any(inside & np.isfinite(lw)):
+        masked = np.where(inside, lw, -np.inf)
+        k = int(np.argmax(masked))
+    else:
+        k = int(np.argmax(lw))
+
+    g = posterior.grid_size
+    left = lw[(k - 1) % g]
+    center = lw[k]
+    right = lw[(k + 1) % g]
+    offset = 0.0
+    if np.isfinite(left) and np.isfinite(center) and np.isfinite(right):
+        curvature = left - 2.0 * center + right
+        if curvature < 0.0:
+            offset = 0.5 * (left - right) / curvature
+            offset = float(np.clip(offset, -0.5, 0.5))
+    return float(wrap(angles[k] + offset * posterior.cell_width))
+
+
+def log_weight_profile(kind, grid_size, within, seed):
+    """Log-weights of one shape: random, tied plateaus, flat, or dead inside the arc."""
+    rng = np.random.default_rng(seed)
+    angles = TWO_PI * np.arange(grid_size) / grid_size
+    if kind == "random":
+        return rng.normal(size=grid_size) + 40.0 * np.cos(angles - rng.uniform(0, TWO_PI))
+    if kind == "ties":
+        return np.round(rng.normal(size=grid_size))
+    if kind == "flat":
+        return np.full(grid_size, -math.log(TWO_PI))
+    lw = rng.normal(size=grid_size)
+    lw[wrapped_distance(angles, within.center) <= within.half_width + 1e-12] = -math.inf
+    return lw
+
+
+SEAM = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(0.0, 1e-3),
+    st.floats(TWO_PI - 1e-3, TWO_PI, exclude_max=True),
+)
+
+
+@st.composite
+def arcs(draw):
+    grid_size = draw(st.sampled_from([64, 4096, 65536]))
+    cell = TWO_PI / grid_size
+    half_width = draw(st.one_of(
+        st.floats(1e-9, math.pi),
+        st.just(math.pi),
+        st.floats(1e-3 * cell, cell),
+        st.floats(math.pi - cell, math.pi),
+    ))
+    return grid_size, CircularInterval(draw(SEAM), half_width)
+
+
+class TestMapEstimateWithinMatchesFullGrid:
+    @given(arc=arcs(), kind=st.sampled_from(["random", "ties", "flat", "dead"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_masked_search(self, arc, kind, seed):
+        grid_size, within = arc
+        post = GridPosterior(grid_size, log_weight_profile(kind, grid_size, within, seed))
+        assert map_estimate(post, within=within) == masked_map_reference(post, within)
+
+    @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
+    def test_seam_crossing_tie_goes_to_the_smallest_index(self, grid_size):
+        # the arc starts just below 2*pi, but index 0 is the smallest inside
+        post = uniform_prior(grid_size)
+        within = CircularInterval(0.05, 0.3)
+        assert map_estimate(post, within=within) == 0.0 == masked_map_reference(post, within)
+
+    @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
+    def test_full_circle_and_sub_cell_arcs(self, grid_size):
+        post = von_mises_posterior(2.0, 30.0, grid_size)
+        cell = post.cell_width
+        for within in (
+            CircularInterval(5.0, math.pi),
+            CircularInterval(7 * cell, 0.25 * cell),
+            CircularInterval(7.5 * cell, 0.25 * cell),
+            CircularInterval(TWO_PI - 0.5 * cell, 0.75 * cell),
+        ):
+            assert map_estimate(post, within=within) == masked_map_reference(post, within)
+
+    def test_dead_interior_falls_back_to_the_global_argmax(self):
+        post = von_mises_posterior(1.0, 8.0, 4096)
+        within = CircularInterval(TWO_PI - 0.1, 0.4)
+        post.log_weights[wrapped_distance(post.angles, within.center) <= 0.41] = -math.inf
+        assert map_estimate(post, within=within) == map_estimate(post)
+        assert map_estimate(post, within=within) == masked_map_reference(post, within)
+
+
+class TestUpdatePaths:
+    RECORDS = [
+        MeasurementRecord(Circuit(5, 0.77), 1, 1.0),
+        MeasurementRecord(Circuit(5, 0.77), 1, 0.0),
+        MeasurementRecord(Circuit(3, 2.5), 4, 3.0),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_fresh_circuit_matches_the_cached_branches(self, record):
+        noise = NoiseModel(0.95, 0.9)
+        base = von_mises_posterior(0.7, 3.0, 4096)
+        _log_prob_components.cache_clear()
+        fresh = update(base.clone(), record, noise)
+        # Another posterior sees the opposite outcome, so both branches of
+        # this circuit are cached before the same update runs again.
+        opposite = MeasurementRecord(record.circuit, 1, 1.0 - min(record.successes, 1.0))
+        update(base.clone(), opposite, noise)
+        cached = update(base.clone(), record, noise)
+        assert _log_prob_components.cache_info().hits >= 2
+        np.testing.assert_array_equal(fresh.log_weights, cached.log_weights)
+        np.testing.assert_array_equal(fresh.density, cached.density)
+
+    def test_fractional_single_shot_uses_both_branches(self):
+        noise = NoiseModel(0.9, 0.95)
+        circuit = Circuit(4, 1.1)
+        record = MeasurementRecord(circuit, 1, 0.3)
+        _log_prob_components.cache_clear()
+        post = update(uniform_prior(4096), record, noise)
+        p0 = success_probability(post.angles, circuit, noise)
+        ref = np.exp(0.3 * np.log(p0) + 0.7 * np.log1p(-p0))
+        ref /= ref.sum() * post.cell_width
+        np.testing.assert_allclose(post.density, ref, rtol=1e-9)
+
+    def test_one_shot_prediction_is_a_fractional_record(self):
+        post = von_mises_posterior(1.0, 4.0, 4096)
+        circuit = Circuit(8, 0.4)
+        expected = predict_outcome(post, circuit, 1, NOISELESS)
+        assert 0.0 < expected < 1.0
+        hypothetical = update(post.clone(), MeasurementRecord(circuit, 1, expected), NOISELESS)
+        want = expected_loss(hypothetical, map_estimate(hypothetical), LossKind.ABSOLUTE)
+        assert predict_loss(post, circuit, 8, NOISELESS, LossKind.ABSOLUTE) == want
+
+    def test_density_read_late_equals_density_from_log_weights(self):
+        post = update(uniform_prior(4096), MeasurementRecord(Circuit(2, 0.3), 1, 1.0), NOISELESS)
+        update(post, MeasurementRecord(Circuit(2, 1.3), 1, 0.0), NOISELESS)
+        recomputed = GridPosterior(post.grid_size, post.log_weights.copy()).density
+        np.testing.assert_allclose(post.density, recomputed, rtol=1e-12)
+        assert post.density is post.density
+
+    def test_cumulative_mass_matches_the_rolled_trapezoid(self):
+        post = von_mises_posterior(0.3, 12.0, 4096)
+        d = post.density
+        segments = 0.5 * (d + np.roll(d, -1)) * post.cell_width
+        np.testing.assert_array_equal(_cumulative_mass(post), np.concatenate(([0.0], np.cumsum(segments))))
+
+    @pytest.mark.parametrize("read_density", [False, True])
+    def test_impossible_observation_leaves_no_stale_density(self, read_density):
+        # only theta = 0 carries weight, and there depth 1, phase pi has p0 = 0
+        lw = np.full(64, -math.inf)
+        lw[0] = 0.0
+        post = normalize(GridPosterior(64, lw))
+        if read_density:
+            assert post.density[0] > 0.0
+        with pytest.raises(ImpossibleObservationError):
+            update(post, MeasurementRecord(Circuit(1, math.pi), 1, 1.0), NOISELESS)
+        with pytest.raises(ImpossibleObservationError):
+            post.density
+        with pytest.raises(ImpossibleObservationError):
+            mass_outside(post, CircularInterval(0.0, 0.5))
 
 
 class TestCircularMean:
@@ -311,7 +475,6 @@ class TestCircularMean:
         post.log_weights[:] = np.logaddexp(
             5.0 * np.cos(post.angles - 1.0), 5.0 * np.cos(post.angles - 1.0 - math.pi)
         )
-        post.normalized = False
         normalize(post)
         with pytest.raises(UndefinedMeanError):
             circular_mean_estimate(post)
@@ -390,13 +553,11 @@ class TestImpossibleObservation:
     def test_normalize_rejects_an_empty_posterior(self):
         post = uniform_prior(64)
         post.log_weights[:] = -math.inf
-        post.normalized = False
         with pytest.raises(ImpossibleObservationError):
             normalize(post)
 
     def test_density_property_rejects_an_empty_posterior(self):
         post = uniform_prior(64)
         post.log_weights[:] = -math.inf
-        post.normalized = False
         with pytest.raises(ImpossibleObservationError):
             post.density
