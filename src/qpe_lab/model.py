@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, wrap, wrap_float
+from .angles import wrap, wrap_float
 
 
 class DivergenceError(ValueError):
