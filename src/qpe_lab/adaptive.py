@@ -26,7 +26,6 @@ from .model import Circuit, MeasurementRecord, NoiseModel, optimal_depth, sample
 from .posterior import (
     CircularInterval,
     GridPosterior,
-    InsufficientResourcesError,
     LossKind,
     circular_mean_estimate,
     confidence,
@@ -202,12 +201,10 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         return outcome
 
     def predicted(circuit: Circuit) -> float:
+        # predict_loss needs budget // depth >= 1 shots, which this ensures.
         if budget < circuit.depth:
             return math.inf
-        try:
-            return predict_loss(posterior, circuit, budget, noise, kind)
-        except InsufficientResourcesError:
-            return math.inf
+        return predict_loss(posterior, circuit, budget, noise, kind)
 
     probe_a = Circuit(1, 0.0)
     probe_b = Circuit(1, np.pi / 4.0)
@@ -260,118 +257,72 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
 
     # Step 5 loop: gated sampling at each rung, then a stay/deepen choice.
     step_index = 2
-    if decision == "deepen":
+    while decision == "deepen":
+        depth = next_depth(step_index, config)
+        if budget < depth:
+            break
+        deeper = next_depth(step_index + 1, config)
+        estimate = map_estimate(posterior, within=interval)
+        center = choose_center(estimate, interval, deeper, step_index)
+        current = CircularInterval(center, np.pi / (2.0 * deeper))
+        circuit = Circuit(depth, _tuned_phase(depth, center))
+        eps = required_confidence(depth, config)
+        cap = max_shots_for_step(step_index, config)
+        shot_cap = 2 * cap if cap > 0 else None
+
+        shots_used = 0
+        successes = 0
+        gate_passed = False
+        cap_hit = False
         while True:
-            depth = next_depth(step_index, config)
+            if mass_outside(posterior, current) <= eps:
+                gate_passed = True
+                break
+            if shot_cap is not None and shots_used >= shot_cap:
+                cap_hit = True
+                break
             if budget < depth:
                 break
-            deeper = next_depth(step_index + 1, config)
-            estimate = map_estimate(posterior, within=interval)
-            center = choose_center(estimate, interval, deeper, step_index)
-            current = CircularInterval(center, np.pi / (2.0 * deeper))
-            circuit = Circuit(depth, _tuned_phase(depth, center))
-            eps = required_confidence(depth, config)
-            cap = max_shots_for_step(step_index, config)
-            shot_cap = 2 * cap if cap > 0 else None
+            successes += fire(circuit)
+            shots_used += 1
 
-            shots_used = 0
-            successes = 0
-            gate_passed = False
-            cap_hit = False
-            while True:
-                if mass_outside(posterior, current) <= eps:
-                    gate_passed = True
-                    break
-                if shot_cap is not None and shots_used >= shot_cap:
-                    cap_hit = True
-                    break
-                if budget < depth:
-                    break
-                successes += fire(circuit)
-                shots_used += 1
-
-            if not (gate_passed or cap_hit):
-                # Budget died mid-gate; log the partial rung and fall out.
-                steps.append(
-                    StepRecord(
-                        step_index,
-                        circuit,
-                        shots_used,
-                        successes,
-                        current,
-                        confidence(posterior, current),
-                    )
-                )
-                interval = current
-                break
-
+        # A rung whose budget died mid-gate predicts nothing and exhausts.
+        loss_stay = loss_deepen = None
+        decision = "exhaust"
+        if gate_passed or cap_hit:
             estimate = map_estimate(posterior, within=current)
             loss_stay = predicted(Circuit(depth, _tuned_phase(depth, estimate)))
             loss_deepen = predicted(Circuit(deeper, _tuned_phase(deeper, center)))
-            if math.isinf(loss_stay) and math.isinf(loss_deepen):
-                steps.append(
-                    StepRecord(
-                        step_index,
-                        circuit,
-                        shots_used,
-                        successes,
-                        current,
-                        confidence(posterior, current),
-                        loss_stay,
-                        loss_deepen,
-                        "exhaust",
-                        cap_hit,
-                    )
-                )
-                interval = current
-                break
+            if not (math.isinf(loss_stay) and math.isinf(loss_deepen)):
+                # Unlike step 1, a tie stays.  A saturated ladder with an
+                # already-passing gate spends nothing; deepening again
+                # would spin forever.
+                saturated = deeper == depth and shots_used == 0
+                decision = "deepen" if loss_deepen < loss_stay and not saturated else "stay"
 
-            deepen = loss_deepen < loss_stay
-            if deepen and deeper == depth and shots_used == 0:
-                # A saturated ladder with an already-passing gate spends
-                # nothing; deepening again would spin forever.
-                deepen = False
-            if deepen:
-                steps.append(
-                    StepRecord(
-                        step_index,
-                        circuit,
-                        shots_used,
-                        successes,
-                        current,
-                        confidence(posterior, current),
-                        loss_stay,
-                        loss_deepen,
-                        "deepen",
-                        cap_hit,
-                    )
-                )
-                interval = current
-                step_index += 1
-                continue
-
-            # Stay: retune to the running mode after every execution and
-            # spend whatever still pays for this depth.
+        if decision == "stay":
+            # Retune to the running mode after every execution and spend
+            # whatever still pays for this depth.
             while budget >= depth:
                 retuned = Circuit(depth, _tuned_phase(depth, map_estimate(posterior, within=current)))
                 successes += fire(retuned)
                 shots_used += 1
-            steps.append(
-                StepRecord(
-                    step_index,
-                    circuit,
-                    shots_used,
-                    successes,
-                    current,
-                    confidence(posterior, current),
-                    loss_stay,
-                    loss_deepen,
-                    "stay",
-                    cap_hit,
-                )
+        steps.append(
+            StepRecord(
+                step_index,
+                circuit,
+                shots_used,
+                successes,
+                current,
+                confidence(posterior, current),
+                loss_stay,
+                loss_deepen,
+                decision,
+                cap_hit,
             )
-            interval = current
-            break
+        )
+        interval = current
+        step_index += 1
 
     # Step 6: remainder goes to unit-depth circuits at the running estimate.
     if budget >= 1:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adaptive import AlgorithmConfig, AlgorithmTrace, run, validate_trace
+from .adaptive import ESTIMATORS, AlgorithmConfig, AlgorithmTrace, run, validate_trace
 from .baselines import (
     BoundParams,
     InfeasibleBoundError,
@@ -31,8 +31,10 @@ from .baselines import (
 from .harness import (
     AGGREGATE_HEADER,
     RESULTS_HEADER,
+    STRATEGIES,
     SweepConfig,
     aggregate,
+    config_payload,
     iter_sweep,
     read_aggregate_csv,
     read_results_csv,
@@ -75,24 +77,26 @@ def _add_algorithm_arguments(parser: argparse.ArgumentParser) -> None:
         "--loss", choices=[k.value for k in LossKind], default=LossKind.ABSOLUTE.value,
         help="loss function minimised by the estimator",
     )
-    parser.add_argument("--estimator", choices=["map", "circular-mean"], default="map")
+    parser.add_argument("--estimator", choices=ESTIMATORS, default="map")
     parser.add_argument("--grid-size", type=int, default=4096, help="initial posterior grid size")
 
 
+def _algorithm_fields(args) -> dict:
+    """Config fields that ``run`` and ``sweep`` both take from their flags."""
+    return dict(
+        noise=_noise(args),
+        depth_limit=args.depth_limit,
+        epsilon_exponent=args.epsilon_exponent,
+        epsilon_scale=args.epsilon_scale,
+        loss_kind=LossKind(args.loss),
+        estimator=args.estimator,
+        grid_size=args.grid_size,
+    )
+
+
 def trace_to_payload(trace: AlgorithmTrace, theta_true: float) -> dict:
-    cfg = trace.config
     return {
-        "config": {
-            "total_resources": cfg.total_resources,
-            "noise": {"alpha": cfg.noise.alpha, "beta": cfg.noise.beta},
-            "depth_limit": cfg.depth_limit,
-            "epsilon_exponent": cfg.epsilon_exponent,
-            "epsilon_scale": cfg.epsilon_scale,
-            "loss_kind": cfg.loss_kind.value,
-            "estimator": cfg.estimator,
-            "grid_size": cfg.grid_size,
-            "seed": cfg.seed,
-        },
+        "config": config_payload(trace.config),
         "theta_true": float(theta_true),
         "final_estimate": float(trace.final_estimate),
         "final_expected_loss": float(trace.final_expected_loss),
@@ -119,17 +123,7 @@ def trace_to_payload(trace: AlgorithmTrace, theta_true: float) -> dict:
 
 
 def cmd_run(args) -> int:
-    config = AlgorithmConfig(
-        total_resources=args.n_tot,
-        noise=_noise(args),
-        depth_limit=args.depth_limit,
-        epsilon_exponent=args.epsilon_exponent,
-        epsilon_scale=args.epsilon_scale,
-        loss_kind=LossKind(args.loss),
-        estimator=args.estimator,
-        grid_size=args.grid_size,
-        seed=args.seed,
-    )
+    config = AlgorithmConfig(total_resources=args.n_tot, seed=args.seed, **_algorithm_fields(args))
     trace = run(config, args.theta)
     validate_trace(trace)
     with open(args.out, "w") as handle:
@@ -147,15 +141,9 @@ def cmd_sweep(args) -> int:
         resource_ladder=args.ladder,
         theta_count=args.thetas,
         repetitions=args.reps,
-        noise=_noise(args),
-        depth_limit=args.depth_limit,
-        epsilon_exponent=args.epsilon_exponent,
-        epsilon_scale=args.epsilon_scale,
-        loss_kind=LossKind(args.loss),
-        estimator=args.estimator,
-        grid_size=args.grid_size,
         shots_per_depth=args.shots_per_depth,
         master_seed=args.seed,
+        **_algorithm_fields(args),
     )
     os.makedirs(args.out_dir, exist_ok=True)
     results = []
@@ -318,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo benchmark over strategies and budgets")
     p_sweep.add_argument(
-        "--strategies", default="adaptive,classical,nonadaptive-doubling,qpea",
+        "--strategies", default=",".join(STRATEGIES),
         help="comma-separated strategy names",
     )
     p_sweep.add_argument("--ladder", type=_parse_int_list, required=True, help="comma-separated budgets")

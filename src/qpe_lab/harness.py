@@ -5,7 +5,8 @@ strategy, budget, phase index, repetition), so any cell can be reproduced
 in isolation and removing cells never perturbs the others.  Failures are
 captured per cell rather than aborting the sweep.
 
-Persisted CSVs render floats with 17 significant digits and are fully
+Persisted CSVs take their columns from the fields of ``SweepCellResult``
+and ``AggregateRow``, render floats with 17 significant digits, and are fully
 determined by the sweep configuration: rerunning the same config yields
 byte-identical files.  For that reason the runtime_ms column is pinned to
 0.0; wall-clock jitter has no place in reproducible result sets (see the
@@ -15,19 +16,22 @@ package notes on determinism).
 from __future__ import annotations
 
 import csv
+import enum
 import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
 from .adaptive import AlgorithmConfig, run, validate_trace
 from .angles import TWO_PI, wrapped_distance
 from .baselines import (
+    MAX_REGISTER_SIZE,
+    BaselineResult,
     QpeaConfig,
     run_classical,
     run_nonadaptive_doubling,
@@ -36,14 +40,7 @@ from .baselines import (
 from .model import NoiseModel
 from .posterior import LossKind
 
-STRATEGIES = ("adaptive", "classical", "nonadaptive-doubling", "qpea")
 WORKER_ENV_VAR = "QPE_LAB_THREADS"
-
-RESULTS_HEADER = (
-    "strategy,n_tot,theta_index,theta_true,rep,abs_error,sq_error,"
-    "expected_loss,resources_spent,max_depth,runtime_ms"
-)
-AGGREGATE_HEADER = "strategy,n_tot,mae_mean,mae_median,mae_min,mae_max,mse_mean,count"
 
 
 class EmptyGroupError(ValueError):
@@ -142,7 +139,58 @@ def derive_cell_seed(master_seed: int, strategy: str, n_tot: int, theta_index: i
 
 def _qpea_register_size(n_tot: int) -> int:
     # Largest register whose 2**m - 1 applications fit the budget.
-    return min(24, (n_tot + 1).bit_length() - 1)
+    return min(MAX_REGISTER_SIZE, (n_tot + 1).bit_length() - 1)
+
+
+# Fields a sweep passes through unchanged to each adaptive run.
+_SHARED_ALGORITHM_FIELDS = tuple(
+    f.name for f in fields(AlgorithmConfig) if f.name in SweepConfig.__dataclass_fields__
+)
+
+
+# Each runner returns (estimate, resources spent, max depth, expected loss).
+# The runs are called by their module-level names so that patching this
+# module (as a call tracer does) reaches every cell.
+def _run_adaptive(config: SweepConfig, n_tot: int, theta: float, seed: int):
+    shared = {name: getattr(config, name) for name in _SHARED_ALGORITHM_FIELDS}
+    trace = run(AlgorithmConfig(total_resources=n_tot, seed=seed, **shared), theta)
+    validate_trace(trace)
+    return trace.final_estimate, trace.resources_spent, trace.max_depth_used, trace.final_expected_loss
+
+
+def _baseline_outcome(res: BaselineResult):
+    return res.estimate, res.resources_spent, res.max_depth, res.posterior_expected_loss
+
+
+def _run_classical(config: SweepConfig, n_tot: int, theta: float, seed: int):
+    return _baseline_outcome(
+        run_classical(
+            n_tot, theta, config.noise, np.random.default_rng(seed),
+            config.grid_size, config.loss_kind,
+        )
+    )
+
+
+def _run_nonadaptive_doubling(config: SweepConfig, n_tot: int, theta: float, seed: int):
+    res, _ = run_nonadaptive_doubling(
+        n_tot, theta, config.noise, config.shots_per_depth,
+        np.random.default_rng(seed), config.grid_size, config.loss_kind,
+    )
+    return _baseline_outcome(res)
+
+
+def _run_qpea(config: SweepConfig, n_tot: int, theta: float, seed: int):
+    qpea = QpeaConfig(_qpea_register_size(n_tot), config.noise)
+    return _baseline_outcome(run_qpea(theta, qpea, np.random.default_rng(seed)))
+
+
+_RUNNERS = {
+    "adaptive": _run_adaptive,
+    "classical": _run_classical,
+    "nonadaptive-doubling": _run_nonadaptive_doubling,
+    "qpea": _run_qpea,
+}
+STRATEGIES = tuple(_RUNNERS)
 
 
 def run_cell(config: SweepConfig, strategy: str, n_tot: int, theta_index: int, rep: int) -> SweepCellResult:
@@ -150,48 +198,9 @@ def run_cell(config: SweepConfig, strategy: str, n_tot: int, theta_index: int, r
     theta = config.theta_of(theta_index)
     seed = derive_cell_seed(config.master_seed, strategy, n_tot, theta_index, rep)
     try:
-        if strategy == "adaptive":
-            algo = AlgorithmConfig(
-                total_resources=n_tot,
-                noise=config.noise,
-                depth_limit=config.depth_limit,
-                epsilon_exponent=config.epsilon_exponent,
-                epsilon_scale=config.epsilon_scale,
-                loss_kind=config.loss_kind,
-                estimator=config.estimator,
-                grid_size=config.grid_size,
-                seed=seed,
-            )
-            trace = run(algo, theta)
-            validate_trace(trace)
-            estimate = trace.final_estimate
-            resources = trace.resources_spent
-            max_depth = trace.max_depth_used
-            loss = trace.final_expected_loss
-        elif strategy == "classical":
-            res = run_classical(
-                n_tot, theta, config.noise, np.random.default_rng(seed),
-                config.grid_size, config.loss_kind,
-            )
-            estimate, resources, max_depth, loss = (
-                res.estimate, res.resources_spent, res.max_depth, res.posterior_expected_loss,
-            )
-        elif strategy == "nonadaptive-doubling":
-            res, _ = run_nonadaptive_doubling(
-                n_tot, theta, config.noise, config.shots_per_depth,
-                np.random.default_rng(seed), config.grid_size, config.loss_kind,
-            )
-            estimate, resources, max_depth, loss = (
-                res.estimate, res.resources_spent, res.max_depth, res.posterior_expected_loss,
-            )
-        elif strategy == "qpea":
-            qpea = QpeaConfig(_qpea_register_size(n_tot), config.noise)
-            res = run_qpea(theta, qpea, np.random.default_rng(seed))
-            estimate, resources, max_depth, loss = (
-                res.estimate, res.resources_spent, res.max_depth, res.posterior_expected_loss,
-            )
-        else:
+        if strategy not in _RUNNERS:
             raise ValueError(f"unknown strategy {strategy!r}")
+        estimate, resources, max_depth, loss = _RUNNERS[strategy](config, n_tot, theta, seed)
     except Exception as exc:
         return SweepCellResult(
             strategy, n_tot, theta_index, theta, rep,
@@ -315,114 +324,71 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return float(slope), float(intercept), float(np.sqrt(np.mean(residuals**2)))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _csv_columns(row_type) -> tuple[tuple[str, type], ...]:
+    """(name, type) of every field of a row dataclass but ``error``."""
+    hints = get_type_hints(row_type)
+    return tuple((f.name, hints[f.name]) for f in fields(row_type) if f.name != "error")
+
+
+_RESULTS_COLUMNS = _csv_columns(SweepCellResult)
+_AGGREGATE_COLUMNS = _csv_columns(AggregateRow)
+RESULTS_HEADER = ",".join(name for name, _ in _RESULTS_COLUMNS)
+AGGREGATE_HEADER = ",".join(name for name, _ in _AGGREGATE_COLUMNS)
+
+
+def _fmt(value, kind: type):
+    return format(float(value), ".17g") if kind is float else value
+
+
+def _write_csv(rows, columns, path: str) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([name for name, _ in columns])
+        for row in rows:
+            writer.writerow([_fmt(getattr(row, name), kind) for name, kind in columns])
+
+
+def _read_csv(row_type, columns, path: str) -> list:
+    with open(path, newline="") as handle:
+        return [
+            row_type(**{name: kind(raw[name]) for name, kind in columns})
+            for raw in csv.DictReader(handle)
+        ]
 
 
 def write_results_csv(results: Iterable[SweepCellResult], path: str) -> None:
     ordered = sorted(results, key=lambda c: (c.strategy, c.n_tot, c.theta_index, c.rep))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER.split(","))
-        for c in ordered:
-            writer.writerow(
-                [
-                    c.strategy,
-                    c.n_tot,
-                    c.theta_index,
-                    _fmt(c.theta_true),
-                    c.rep,
-                    _fmt(c.abs_error),
-                    _fmt(c.sq_error),
-                    _fmt(c.expected_loss),
-                    c.resources_spent,
-                    c.max_depth,
-                    _fmt(c.runtime_ms),
-                ]
-            )
+    _write_csv(ordered, _RESULTS_COLUMNS, path)
 
 
 def read_results_csv(path: str) -> list[SweepCellResult]:
-    out = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            out.append(
-                SweepCellResult(
-                    strategy=row["strategy"],
-                    n_tot=int(row["n_tot"]),
-                    theta_index=int(row["theta_index"]),
-                    theta_true=float(row["theta_true"]),
-                    rep=int(row["rep"]),
-                    abs_error=float(row["abs_error"]),
-                    sq_error=float(row["sq_error"]),
-                    expected_loss=float(row["expected_loss"]),
-                    resources_spent=int(row["resources_spent"]),
-                    max_depth=int(row["max_depth"]),
-                    runtime_ms=float(row["runtime_ms"]),
-                )
-            )
-    return out
+    return _read_csv(SweepCellResult, _RESULTS_COLUMNS, path)
 
 
 def write_aggregate_csv(rows: Iterable[AggregateRow], path: str) -> None:
-    ordered = sorted(rows, key=lambda r: (r.strategy, r.n_tot))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER.split(","))
-        for r in ordered:
-            writer.writerow(
-                [
-                    r.strategy,
-                    r.n_tot,
-                    _fmt(r.mae_mean),
-                    _fmt(r.mae_median),
-                    _fmt(r.mae_min),
-                    _fmt(r.mae_max),
-                    _fmt(r.mse_mean),
-                    r.count,
-                ]
-            )
+    _write_csv(sorted(rows, key=lambda r: (r.strategy, r.n_tot)), _AGGREGATE_COLUMNS, path)
 
 
 def read_aggregate_csv(path: str) -> list[AggregateRow]:
-    out = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            out.append(
-                AggregateRow(
-                    strategy=row["strategy"],
-                    n_tot=int(row["n_tot"]),
-                    mae_mean=float(row["mae_mean"]),
-                    mae_median=float(row["mae_median"]),
-                    mae_min=float(row["mae_min"]),
-                    mae_max=float(row["mae_max"]),
-                    mse_mean=float(row["mse_mean"]),
-                    count=int(row["count"]),
-                )
-            )
-    return out
+    return _read_csv(AggregateRow, _AGGREGATE_COLUMNS, path)
+
+
+def config_payload(value):
+    """JSON-ready form of a config dataclass.
+
+    Nested dataclasses become dicts, enums their values, and tuples lists.
+    """
+    if is_dataclass(value):
+        return {f.name: config_payload(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [config_payload(item) for item in value]
+    return value
 
 
 def manifest_payload(config: SweepConfig, version: str) -> dict:
-    return {
-        "artifact": "qpe-lab",
-        "version": version,
-        "sweep": {
-            "strategies": list(config.strategies),
-            "resource_ladder": list(config.resource_ladder),
-            "theta_count": config.theta_count,
-            "repetitions": config.repetitions,
-            "noise": {"alpha": config.noise.alpha, "beta": config.noise.beta},
-            "depth_limit": config.depth_limit,
-            "epsilon_exponent": config.epsilon_exponent,
-            "epsilon_scale": config.epsilon_scale,
-            "loss_kind": config.loss_kind.value,
-            "estimator": config.estimator,
-            "grid_size": config.grid_size,
-            "shots_per_depth": config.shots_per_depth,
-            "master_seed": config.master_seed,
-        },
-    }
+    return {"artifact": "qpe-lab", "version": version, "sweep": config_payload(config)}
 
 
 def write_manifest(config: SweepConfig, path: str, version: str) -> None:

@@ -341,36 +341,42 @@ def _mass_up_to(posterior: GridPosterior, x: float) -> float:
     return float(cum[k] + h * (d_lo * t + 0.5 * (d_hi - d_lo) * t * t))
 
 
-def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
-    """Posterior mass inside the interval, by trapezoid integration."""
+def _arc_masses(posterior: GridPosterior, interval: CircularInterval) -> tuple[float, float]:
+    """Posterior mass inside and outside the interval, each clamped to [0, 1].
+
+    The arc that does not cross the 0/2*pi seam is integrated as a
+    difference of two prefix integrals; its complement is the total minus
+    that difference.
+    """
     if interval.half_width >= np.pi:
-        return 1.0
+        return 1.0, 0.0
     total = float(_cumulative_mass(posterior)[-1])
     lo = interval.lower
     hi = interval.upper
     if lo <= hi:
-        mass = _mass_up_to(posterior, hi) - _mass_up_to(posterior, lo)
+        inside = _mass_up_to(posterior, hi) - _mass_up_to(posterior, lo)
+        outside = total - inside
     else:
-        mass = total - (_mass_up_to(posterior, lo) - _mass_up_to(posterior, hi))
-    return float(min(max(mass, 0.0), 1.0))
+        outside = _mass_up_to(posterior, lo) - _mass_up_to(posterior, hi)
+        inside = total - outside
+    return float(min(max(inside, 0.0), 1.0)), float(min(max(outside, 0.0), 1.0))
+
+
+def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
+    """Posterior mass inside the interval, by trapezoid integration."""
+    return _arc_masses(posterior, interval)[0]
 
 
 def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
     """Posterior mass in the complement arc, integrated directly.
 
-    Computing the complement head-on keeps tiny tail masses accurate where
-    1 - confidence(...) would lose every significant digit to cancellation.
+    This is not ``1 - confidence(...)``: the confidence gate compares tiny
+    tail masses against tiny allowances, and the subtraction would lose
+    every significant digit to cancellation.  It stays a separate function
+    from ``confidence`` because the gate check and the recorded confidence
+    are separate steps of the loop, each called and profiled by name.
     """
-    if interval.half_width >= np.pi:
-        return 0.0
-    lo = interval.lower
-    hi = interval.upper
-    total = float(_cumulative_mass(posterior)[-1])
-    if lo <= hi:
-        mass = total - (_mass_up_to(posterior, hi) - _mass_up_to(posterior, lo))
-    else:
-        mass = _mass_up_to(posterior, lo) - _mass_up_to(posterior, hi)
-    return float(min(max(mass, 0.0), 1.0))
+    return _arc_masses(posterior, interval)[1]
 
 
 def map_estimate(posterior: GridPosterior, within: CircularInterval | None = None) -> float:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpe_lab.adaptive as adaptive
 from qpe_lab.adaptive import (
     AlgorithmConfig,
     InfeasibleIntervalError,
@@ -281,3 +282,89 @@ class TestValidateTrace:
         bad = dataclasses.replace(trace, steps=trace.steps[:-1] + [hacked])
         with pytest.raises(ValueError):
             validate_trace(bad)
+
+
+class TestDecisionPaths:
+    """The stay/deepen/exhaust choice on each path through the rung loop.
+
+    ``predict_loss``, ``required_confidence`` and ``max_shots_for_step`` are
+    replaced where ``run`` looks them up, so each path is forced without
+    depending on the sampled outcomes.
+    """
+
+    @staticmethod
+    def losses(monkeypatch, values):
+        """Make predict_loss return ``values(call_number)``, counting from 0."""
+        calls = []
+
+        def fake(posterior, circuit, budget, noise, kind):
+            calls.append(circuit)
+            if len(calls) > 100:
+                raise AssertionError("the rung loop does not terminate")
+            return values(len(calls) - 1)
+
+        monkeypatch.setattr(adaptive, "predict_loss", fake)
+        return calls
+
+    @staticmethod
+    def gate(monkeypatch, eps_by_depth, shot_cap):
+        real = adaptive.required_confidence
+        monkeypatch.setattr(
+            adaptive, "required_confidence",
+            lambda depth, config: eps_by_depth(depth, real(depth, config)),
+        )
+        monkeypatch.setattr(adaptive, "max_shots_for_step", lambda step_index, config: shot_cap)
+
+    def test_equal_losses_deepen_at_step_one_and_stay_at_a_rung(self, monkeypatch):
+        self.losses(monkeypatch, lambda k: 1.0)
+        trace = run(AlgorithmConfig(total_resources=256, seed=3), 1.2)
+        validate_trace(trace)
+        assert {s.decision for s in trace.steps if s.step_index == 1} == {"deepen"}
+        rung = trace.steps[2]
+        assert rung.step_index == 2
+        assert rung.decision == "stay"
+        assert rung.predicted_loss_stay == rung.predicted_loss_deepen == 1.0
+
+    def test_infinite_losses_exhaust_the_rung_and_keep_its_cap_hit(self, monkeypatch):
+        # Step 1 deepens; the rung's gate never passes, so it stops at its
+        # shot cap of 2 and both of its predictions are infinite.
+        self.losses(monkeypatch, lambda k: 1.0 if k < 2 else math.inf)
+        self.gate(monkeypatch, lambda depth, eps: eps if depth == 1 else -1.0, shot_cap=1)
+        trace = run(AlgorithmConfig(total_resources=256, seed=3), 1.2)
+        validate_trace(trace)
+        rung = trace.steps[2]
+        assert rung.step_index == 2
+        assert rung.decision == "exhaust"
+        assert rung.cap_hit
+        assert rung.shots_used == 2
+        assert math.isinf(rung.predicted_loss_stay) and math.isinf(rung.predicted_loss_deepen)
+        assert trace.resources_spent == 256
+
+    def test_budget_running_out_mid_gate_exhausts_without_predictions(self, monkeypatch):
+        calls = self.losses(monkeypatch, lambda k: 1.0)
+        self.gate(monkeypatch, lambda depth, eps: eps if depth == 1 else -1.0, shot_cap=0)
+        trace = run(AlgorithmConfig(total_resources=256, seed=3), 1.2)
+        validate_trace(trace)
+        rungs = [s for s in trace.steps if s.circuit.depth > 1]
+        assert [s.step_index for s in rungs] == [2]
+        rung = rungs[-1]
+        assert rung.decision == "exhaust"
+        assert rung.predicted_loss_stay is None and rung.predicted_loss_deepen is None
+        assert not rung.cap_hit
+        assert len(calls) == 2  # step 1 only
+        assert trace.resources_spent == 256
+
+    def test_saturated_ladder_with_a_passing_gate_stays(self, monkeypatch):
+        # depth_limit 2 makes rung 2 its own successor; an always-passing
+        # gate and a cheaper "deepen" would otherwise loop forever.
+        self.losses(monkeypatch, lambda k: 0.5 if k % 2 else 1.0)
+        self.gate(monkeypatch, lambda depth, eps: 1.0, shot_cap=0)
+        trace = run(AlgorithmConfig(total_resources=64, depth_limit=2, seed=3), 1.2)
+        validate_trace(trace)
+        rung = trace.steps[2]
+        assert rung.step_index == 2
+        assert rung.circuit.depth == 2
+        assert rung.decision == "stay"
+        assert rung.predicted_loss_deepen < rung.predicted_loss_stay
+        assert [s.step_index for s in trace.steps] == [1, 1, 2, 3]
+        assert trace.resources_spent == 64

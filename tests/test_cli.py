@@ -7,7 +7,8 @@ import pytest
 import qpe_lab.cli as cli
 from qpe_lab import __version__
 from qpe_lab.baselines import BoundParams, appendix_loss_bound, default_step_count
-from qpe_lab.harness import AGGREGATE_HEADER, RESULTS_HEADER
+from qpe_lab.adaptive import AlgorithmConfig
+from qpe_lab.harness import AGGREGATE_HEADER, RESULTS_HEADER, STRATEGIES, SweepConfig
 from qpe_lab.model import NoiseModel
 from qpe_lab.posterior import LossKind
 
@@ -229,6 +230,33 @@ class TestBoundsCommand:
         code = run_cli("bounds", "--ladder", "10", "--steps", "8")
         assert code == 1
         assert "qpe-lab: error:" in capsys.readouterr().err
+
+
+class TestParserDefaults:
+    """Flags left unset build the same config as the dataclass defaults."""
+
+    def test_run_defaults_match_algorithm_config(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        real_run = cli.run
+
+        def capture(config, theta):
+            seen.append(config)
+            return real_run(config, theta)
+
+        monkeypatch.setattr(cli, "run", capture)
+        assert run_cli("run", "--n-tot", "16", "--theta", "1.0", "--out", str(tmp_path / "t.json")) == 0
+        assert seen == [AlgorithmConfig(total_resources=16)]
+
+    def test_sweep_defaults_match_sweep_config(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def capture(config, workers=None):
+            seen.append(config)
+            return iter(())
+
+        monkeypatch.setattr(cli, "iter_sweep", capture)
+        assert run_cli("sweep", "--ladder", "8,16", "--out-dir", str(tmp_path)) == 0
+        assert seen == [SweepConfig(strategies=STRATEGIES, resource_ladder=(8, 16))]
 
 
 class TestTopLevel:

@@ -12,8 +12,16 @@ import pytest
 import qpe_lab.cli as cli
 
 SWEEP_DIGESTS = {
-    "noiseless": "f6b913f1f7f65d6145aa564b539294afabe69ccf0ff681c8d552fd071e533fd5",
-    "beta-0.9": "893a7ac44dd56614a5474dce1c00b9e45f2448148252e02495a3d3b31a61627c",
+    "noiseless": {
+        "results.csv": "f6b913f1f7f65d6145aa564b539294afabe69ccf0ff681c8d552fd071e533fd5",
+        "aggregate.csv": "8e96de10c60ac7062c14446940c36f4b181b68a194b6793a124fd2dca2c64b38",
+        "manifest.json": "375faf8cd5b66dbfaf38080a17f5286c0d7692d5d321e84b3b42ee6f1a7ce53c",
+    },
+    "beta-0.9": {
+        "results.csv": "893a7ac44dd56614a5474dce1c00b9e45f2448148252e02495a3d3b31a61627c",
+        "aggregate.csv": "1dcda6b931771c2917d18191d004e51fac604c5a38b5544455978173bf82e75e",
+        "manifest.json": "82ffe83b9043a216373fa12e0e7c6f74736f55ff52469dd11d799817ff415ed6",
+    },
 }
 
 RUN_DIGESTS = {
@@ -52,7 +60,8 @@ def test_sweep_results_csv_digest(tmp_path, capsys, noise):
     ])
     assert code == 0
     assert "failed=0" in capsys.readouterr().out
-    assert sha256_of(tmp_path / "results.csv") == SWEEP_DIGESTS[noise]
+    digests = {name: sha256_of(tmp_path / name) for name in SWEEP_DIGESTS[noise]}
+    assert digests == SWEEP_DIGESTS[noise]
 
 
 @pytest.mark.parametrize("noise", sorted(NOISE_ARGS))

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import qpe_lab.harness as harness
 from qpe_lab.harness import (
     AGGREGATE_HEADER,
     RESULTS_HEADER,
@@ -119,6 +120,42 @@ class TestRunCell:
         for strategy in STRATEGIES:
             cell = run_cell(config, strategy, 32, 0, 1)
             assert cell.resources_spent <= 32
+
+
+RUNNER_NAMES = {
+    "adaptive": "run",
+    "classical": "run_classical",
+    "nonadaptive-doubling": "run_nonadaptive_doubling",
+    "qpea": "run_qpea",
+}
+
+
+class TestDispatch:
+    def test_every_strategy_has_a_runner(self):
+        assert set(RUNNER_NAMES) == set(STRATEGIES)
+
+    @pytest.mark.parametrize("strategy", sorted(RUNNER_NAMES))
+    def test_calls_the_harness_level_name(self, strategy, monkeypatch):
+        # Callers that patch the harness module (such as a call tracer)
+        # must see every run, so the name is looked up at call time.
+        name = RUNNER_NAMES[strategy]
+        real = getattr(harness, name)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recording)
+        cell = run_cell(small_config(strategies=STRATEGIES), strategy, 16, 1, 0)
+        assert cell.error is None
+        assert len(calls) == 1
+
+    def test_unknown_strategy_becomes_an_error_record(self):
+        cell = run_cell(small_config(), "simulated-annealing", 16, 0, 0)
+        assert cell.error.startswith("ValueError: unknown strategy")
+        assert math.isnan(cell.abs_error)
+        assert cell.resources_spent == 0
 
 
 class TestIterSweep:

@@ -104,6 +104,16 @@ class TestSuccessProbability:
         p = success_probability(theta, Circuit(depth, phase), NoiseModel(alpha, beta))
         assert 0.0 <= p <= 1.0
 
+    @pytest.mark.parametrize("depth", [1, 3, 64, 1024, 1 << 15])
+    def test_fringe_extremes_stay_in_unit_interval(self, depth):
+        # At the dark and bright fringes of a noiseless circuit p0 is 0 or 1
+        # up to rounding; the angle-addition form dips to -1.1e-16 here.
+        for phase in np.linspace(0.0, TWO_PI, 300, endpoint=False):
+            circuit = Circuit(depth, float(phase))
+            for theta in ((math.pi - circuit.phase) / depth, -circuit.phase / depth):
+                p = success_probability(theta, circuit, NoiseModel())
+                assert 0.0 <= p <= 1.0, (phase, theta, p)
+
 
 class TestLogLikelihood:
     def test_balanced_binomial_value(self):

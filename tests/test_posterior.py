@@ -31,7 +31,7 @@ from qpe_lab.posterior import (
     uniform_prior,
     update,
 )
-from qpe_lab.posterior import _cumulative_mass, _log_prob_components
+from qpe_lab.posterior import _cumulative_mass, _grid_angles, _grid_p0, _log_prob_components
 
 NOISELESS = NoiseModel()
 
@@ -504,6 +504,27 @@ class TestExpectedLoss:
     def test_loss_kind_values(self):
         assert LossKind("absolute-error") is LossKind.ABSOLUTE
         assert LossKind("squared-error") is LossKind.SQUARED
+
+
+class TestGridOutcomeLawMatchesModel:
+    """The grid's angle-addition form of p0 against ``success_probability``.
+
+    The grid reuses cached cos(n*theta) and sin(n*theta), so it differs
+    from the direct cosine by rounding alone: a few ulp of the argument
+    2*pi*n (0.5625 ulp measured over these cases).
+    """
+
+    @pytest.mark.parametrize("depth", [1, 3, 64, 1024, 1 << 15])
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.999)], ids=["noiseless", "beta-0.999"])
+    def test_within_a_few_ulp(self, depth, noise):
+        grid_size = required_grid_size(depth)
+        angles = _grid_angles(grid_size)
+        tolerance = 4 * np.spacing(TWO_PI * depth)
+        for phase in np.linspace(0.0, TWO_PI, 7, endpoint=False):
+            circuit = Circuit(depth, float(phase))
+            grid = _grid_p0(grid_size, depth, circuit.phase, noise.contrast(depth))
+            direct = success_probability(angles, circuit, noise)
+            assert np.max(np.abs(grid - direct)) <= tolerance
 
 
 class TestPredictOutcome:
