@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Per-call cost of the posterior operations the adaptive loop runs per shot.
+
+Times, at grid sizes 4096 and 65536, one call each of:
+
+- ``update`` with a cached circuit (the same circuit every call) and with a
+  fresh circuit (a new phase every call, so its likelihood is computed anew);
+- ``mass_outside`` (the gate check) right after a cached update, as the
+  gated rung runs it;
+- ``map_estimate(within=...)`` on the gate's interval;
+- ``predict_loss`` of spending 64 shots' worth of budget at the grid's depth.
+
+The grid size sets the depth: G // 32, the deepest circuit the grid
+resolves.  Every operation starts from the same posterior, a von Mises
+bump of width 1 / (2 * depth) around a fixed phase, and the gate interval
+is the one the loop uses at that depth, of half-width pi / (4 * depth).
+Each call is timed with ``time.perf_counter_ns``; the report gives the
+median (robust to the odd preempted call) and the mean.
+
+Usage, from the repository root:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_layers.py LABEL
+
+writes ``BENCH_LABEL.json`` at the repository root, with the machine,
+Python and numpy versions.  Pin the BLAS to one thread as above, since
+``predict_loss`` takes dot products over the grid.
+"""
+
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel  # noqa: E402
+from qpe_lab.posterior import (  # noqa: E402
+    CircularInterval,
+    LossKind,
+    map_estimate,
+    mass_outside,
+    normalize,
+    predict_loss,
+    uniform_prior,
+    update,
+)
+
+GRID_SIZES = (4096, 65536)
+# Calls per operation at each grid size: (cheap operations, predict_loss).
+CALLS = {4096: (2000, 200), 65536: (500, 30)}
+THETA = 2.2
+NOISE = NoiseModel()
+
+
+def base_posterior(grid_size: int, depth: int):
+    post = uniform_prior(grid_size)
+    kappa = (2.0 * depth) ** 2
+    post.log_weights[:] = kappa * (np.cos(post.angles - THETA) - 1.0)
+    return normalize(post)
+
+
+def summary(samples_ns: list[int]) -> dict:
+    return {
+        "median_us": statistics.median(samples_ns) / 1e3,
+        "mean_us": statistics.fmean(samples_ns) / 1e3,
+        "calls": len(samples_ns),
+    }
+
+
+def timed(fn, *args, **kwargs) -> int:
+    t0 = time.perf_counter_ns()
+    fn(*args, **kwargs)
+    return time.perf_counter_ns() - t0
+
+
+def bench_grid(grid_size: int) -> dict:
+    depth = grid_size // 32
+    calls, predict_calls = CALLS[grid_size]
+    rng = np.random.default_rng(grid_size)
+    outcomes = rng.integers(0, 2, size=calls).tolist()
+    # Tuned so that p0 = 1/2 at the true phase, as the loop's circuits are.
+    circuit = Circuit(depth, math.pi / 2.0 - depth * THETA)
+    interval = CircularInterval(THETA, math.pi / (4.0 * depth))
+
+    post = base_posterior(grid_size, depth)
+    update(post.clone(), MeasurementRecord(circuit, 1, 1.0), NOISE)
+    update(post.clone(), MeasurementRecord(circuit, 1, 0.0), NOISE)
+
+    work = post.clone()
+    cached = [timed(update, work, MeasurementRecord(circuit, 1, x), NOISE) for x in outcomes]
+
+    work = post.clone()
+    fresh = [
+        timed(update, work, MeasurementRecord(Circuit(depth, circuit.phase + 1e-3 * (i + 1)), 1, x), NOISE)
+        for i, x in enumerate(outcomes)
+    ]
+
+    work = post.clone()
+    gate = []
+    for x in outcomes:
+        update(work, MeasurementRecord(circuit, 1, x), NOISE)
+        gate.append(timed(mass_outside, work, interval))
+
+    work = post.clone()
+    update(work, MeasurementRecord(circuit, 1, 1.0), NOISE)
+    within = [timed(map_estimate, work, within=interval) for _ in range(calls)]
+
+    predict = [
+        timed(predict_loss, work, circuit, 64 * depth, NOISE, LossKind.ABSOLUTE)
+        for _ in range(predict_calls)
+    ]
+    return {
+        "depth": depth,
+        "gate_half_width": interval.half_width,
+        "update_cached": summary(cached),
+        "update_fresh": summary(fresh),
+        "mass_outside_after_update": summary(gate),
+        "map_estimate_within": summary(within),
+        "predict_loss": summary(predict),
+    }
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    label = argv[0]
+    report = {
+        "label": label,
+        "command": f"OPENBLAS_NUM_THREADS=1 python3 scripts/bench_layers.py {label}",
+        "machine": {
+            "platform": platform.platform(),
+            "arch": platform.machine(),
+            "cpu_model": cpu_model(),
+            "cpu_count": os.cpu_count(),
+        },
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "timer": "time.perf_counter_ns around each call",
+        "per_call": {str(g): bench_grid(g) for g in GRID_SIZES},
+    }
+    path = os.path.join(ROOT, f"BENCH_{label}.json")
+    with open(path, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    for g, ops in report["per_call"].items():
+        for op, stats in ops.items():
+            if isinstance(stats, dict):
+                print(f"G={g:>6} {op:<26} {stats['median_us']:9.1f} us median  {stats['mean_us']:9.1f} us mean")
+    print(f"wrote {os.path.normpath(path)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

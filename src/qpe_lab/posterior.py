@@ -5,16 +5,18 @@ sequential likelihood multiplications never underflow.  Normalisation uses
 the periodic trapezoid rule, which on a uniform circular grid reduces to a
 plain node sum times the cell width.
 
-The adaptive loop runs an update and a mode search after every shot, so
-both do only the work their callers read.  An update normalises the
-log-weights and keeps the exponentiated weights and their sum; the density
-is divided out of them on first read, which the per-shot loop never does.
-Each circuit's per-cell outcome probability is computed once, and each of
-its two log branches only when an outcome needs it.  ``map_estimate`` with
-an interval searches the cells of that arc alone.  The confidence gate
-(``mass_outside``) still integrates over the whole grid: restricting its
-prefix sums to the arc would change their rounding and could flip a gate
-decision.
+The adaptive loop runs an update, a gate check and a mode search after
+every shot, so each does only the work its caller reads.  An update
+normalises the log-weights and keeps the exponentiated weights and their
+sum; the density is divided out of them only when it is read, which the
+per-shot loop never does.  Each circuit's per-cell outcome probability is
+computed once, and each of its two log branches only when an outcome needs
+it.  Interval masses (``confidence`` and the gate check ``mass_outside``)
+integrate the kept weights over the arc they report, one or two slice sums
+plus a closed-form partial cell at each end, so a tiny tail mass is summed
+directly instead of being left over from a difference of O(1) sums.
+``map_estimate`` with an interval takes the argmax over the one circular
+run of cells inside the arc.
 
 The grid must stay fine enough to resolve the fastest likelihood
 oscillation: a circuit of depth n modulates the likelihood at angular
@@ -81,11 +83,11 @@ class CircularInterval:
     @property
     def lower(self) -> float:
         """Counterclockwise start of the arc (may exceed ``upper`` mod 2*pi)."""
-        return float(wrap(self.center - self.half_width))
+        return wrap_float(self.center - self.half_width)
 
     @property
     def upper(self) -> float:
-        return float(wrap(self.center + self.half_width))
+        return wrap_float(self.center + self.half_width)
 
 
 @lru_cache(maxsize=16)
@@ -158,7 +160,8 @@ def _log_prob_components(grid_size: int, depth: int, phase: float, alpha: float,
     transcendental passes.
     """
     p0 = _grid_p0(grid_size, depth, phase, alpha * beta**depth)
-    np.clip(p0, 0.0, 1.0, out=p0)
+    np.minimum(p0, 1.0, out=p0)
+    np.maximum(p0, 0.0, out=p0)
     return _CircuitLikelihood(p0)
 
 
@@ -166,15 +169,15 @@ def _log_prob_components(grid_size: int, depth: int, phase: float, alpha: float,
 class GridPosterior:
     """Posterior density on a uniform circular grid, stored in log space.
 
-    ``_pending`` holds the exponentiated weights and their sum from the
-    last normalisation until ``density`` divides them out.
+    ``_weights`` holds the exponentiated weights and their sum from the
+    last normalisation; the density and the interval masses are read from
+    them.
     """
 
     grid_size: int
     log_weights: np.ndarray
     _density: np.ndarray | None = field(default=None, repr=False)
-    _pending: tuple[np.ndarray, float] | None = field(default=None, repr=False)
-    _cumulative: np.ndarray | None = field(default=None, repr=False)
+    _weights: tuple[np.ndarray, float] | None = field(default=None, repr=False)
 
     @property
     def cell_width(self) -> float:
@@ -188,32 +191,33 @@ class GridPosterior:
     def density(self) -> np.ndarray:
         """Probability density at the grid nodes (integrates to 1)."""
         if self._density is None:
-            if self._pending is None:
-                _, w, total = _exp_weights(self.log_weights, "posterior carries no finite weight")
-            else:
-                w, total = self._pending
-                self._pending = None
-            w /= total * self.cell_width
-            self._density = w
+            w, total = self._kept_weights()
+            self._density = w / (total * self.cell_width)
         return self._density
+
+    def _kept_weights(self) -> tuple[np.ndarray, float]:
+        """Unnormalised node weights and their sum, rebuilt if none are kept."""
+        if self._weights is None:
+            _, w, total = _exp_weights(self.log_weights, "posterior carries no finite weight")
+            self._weights = (w, total)
+        return self._weights
 
     def clone(self) -> "GridPosterior":
         return GridPosterior(self.grid_size, self.log_weights.copy())
 
     def _invalidate(self):
         self._density = None
-        self._pending = None
-        self._cumulative = None
+        self._weights = None
 
 
 def _exp_weights(log_weights: np.ndarray, message: str):
     """The shift max(log_weights), the weights exp(log_weights - shift), and their sum."""
-    shift = np.max(log_weights)
-    if not np.isfinite(shift):
+    shift = log_weights.max()
+    if not math.isfinite(shift):
         raise ImpossibleObservationError(message)
     w = log_weights - shift
     np.exp(w, out=w)
-    return shift, w, w.sum()
+    return shift, w, float(w.sum())
 
 
 def uniform_prior(grid_size: int = 4096) -> GridPosterior:
@@ -233,7 +237,7 @@ def normalize(posterior: GridPosterior) -> GridPosterior:
         posterior.log_weights, "cannot normalize: every grid cell has log-weight -inf"
     )
     posterior.log_weights -= shift + math.log(total) + math.log(posterior.cell_width)
-    posterior._pending = (w, total)
+    posterior._weights = (w, total)
     return posterior
 
 
@@ -309,74 +313,69 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
         ) from None
 
 
-def _cumulative_mass(posterior: GridPosterior) -> np.ndarray:
-    """Trapezoid cumulative integral of the density at cell boundaries.
+def _segment_part(w: np.ndarray, k: int, t0: float, t1: float) -> float:
+    """Integral of the linear interpolant of w over [k + t0, k + t1], 0 <= t0 <= t1 <= 1.
 
-    Entry k is the integral from angle 0 to angle k * cell_width; the last
-    entry is the full-circle mass (1 up to rounding).
+    Written as the width times a convex mix of the two node values, so no
+    term cancels when one node is far smaller than the other.
     """
-    if posterior._cumulative is None:
-        d = posterior.density
-        cum = np.empty(posterior.grid_size + 1)
-        cum[0] = 0.0
-        segments = cum[1:]
-        np.add(d[:-1], d[1:], out=segments[:-1])
-        segments[-1] = d[-1] + d[0]
-        segments *= 0.5
-        segments *= posterior.cell_width
-        np.cumsum(segments, out=segments)
-        posterior._cumulative = cum
-    return posterior._cumulative
+    v0 = w.item(k)
+    v1 = w.item((k + 1) % w.size)
+    return (t1 - t0) * (v0 * (0.5 * ((1.0 - t0) + (1.0 - t1))) + v1 * (0.5 * (t0 + t1)))
 
 
-def _mass_up_to(posterior: GridPosterior, x: float) -> float:
-    """Integral of the piecewise-linear density from angle 0 to x."""
-    h = posterior.cell_width
-    cum = _cumulative_mass(posterior)
-    d = posterior.density
-    k = min(int(x / h), posterior.grid_size - 1)
-    t = x / h - k
-    d_lo = d[k]
-    d_hi = d[(k + 1) % posterior.grid_size]
-    return float(cum[k] + h * (d_lo * t + 0.5 * (d_hi - d_lo) * t * t))
+def _span_integral(w: np.ndarray, a: float, b: float) -> float:
+    """Integral of the periodic linear interpolant of w from a to b, 0 <= a <= b <= w.size.
 
-
-def _arc_masses(posterior: GridPosterior, interval: CircularInterval) -> tuple[float, float]:
-    """Posterior mass inside and outside the interval, each clamped to [0, 1].
-
-    The arc that does not cross the 0/2*pi seam is integrated as a
-    difference of two prefix integrals; its complement is the total minus
-    that difference.
+    ``a`` and ``b`` are in cell units.  The whole segments between the two
+    partial end cells come from one slice sum of the nodes they span.
     """
-    if interval.half_width >= np.pi:
-        return 1.0, 0.0
-    total = float(_cumulative_mass(posterior)[-1])
-    lo = interval.lower
-    hi = interval.upper
-    if lo <= hi:
-        inside = _mass_up_to(posterior, hi) - _mass_up_to(posterior, lo)
-        outside = total - inside
+    last = w.size - 1
+    ka = min(int(a), last)
+    kb = min(int(b), last)
+    if ka == kb:
+        return _segment_part(w, ka, a - ka, b - kb)
+    whole = float(w[ka + 1:kb + 1].sum()) - 0.5 * (w.item(ka + 1) + w.item(kb))
+    return _segment_part(w, ka, a - ka, 1.0) + whole + _segment_part(w, kb, 0.0, b - kb)
+
+
+def _arc_mass(posterior: GridPosterior, start: float, end: float) -> float:
+    """Posterior mass of the arc running counterclockwise from angle start to end.
+
+    The arc is integrated head-on from the kept weights, in two slices
+    where it crosses the 0/2*pi seam, and divided by the weights' periodic
+    trapezoid total; the result is clamped to [0, 1].
+    """
+    w, total = posterior._kept_weights()
+    a = start / posterior.cell_width
+    b = end / posterior.cell_width
+    if a <= b:
+        mass = _span_integral(w, a, b)
     else:
-        outside = _mass_up_to(posterior, lo) - _mass_up_to(posterior, hi)
-        inside = total - outside
-    return float(min(max(inside, 0.0), 1.0)), float(min(max(outside, 0.0), 1.0))
+        mass = _span_integral(w, a, posterior.grid_size) + _span_integral(w, 0.0, b)
+    return min(max(mass / total, 0.0), 1.0)
 
 
 def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
     """Posterior mass inside the interval, by trapezoid integration."""
-    return _arc_masses(posterior, interval)[0]
+    if interval.half_width >= np.pi:
+        return 1.0
+    return _arc_mass(posterior, interval.lower, interval.upper)
 
 
 def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
     """Posterior mass in the complement arc, integrated directly.
 
-    This is not ``1 - confidence(...)``: the confidence gate compares tiny
-    tail masses against tiny allowances, and the subtraction would lose
-    every significant digit to cancellation.  It stays a separate function
-    from ``confidence`` because the gate check and the recorded confidence
-    are separate steps of the loop, each called and profiled by name.
+    The gate check of every gated shot.  It is not ``1 - confidence(...)``:
+    the gate compares tail masses down to ~1e-15 against allowances as
+    small, and the subtraction would lose every significant digit to
+    cancellation.  The complement arc is summed over its own cells
+    instead, so the cost is one pass over the cells outside the interval,
+    with no prefix array and no density.
     """
-    return _arc_masses(posterior, interval)[1]
+    if interval.half_width >= np.pi:
+        return 0.0
+    return _arc_mass(posterior, interval.upper, interval.lower)
 
 
 def map_estimate(posterior: GridPosterior, within: CircularInterval | None = None) -> float:
@@ -391,11 +390,7 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
     angles = posterior.angles
     k = None
     if within is not None:
-        cells = _arc_cells(posterior.grid_size, within)
-        arc = lw[cells]
-        inside = wrapped_distance(angles[cells], within.center) <= within.half_width + 1e-12
-        if np.any(inside & np.isfinite(arc)):
-            k = int(cells[np.argmax(np.where(inside, arc, -np.inf))])
+        k = _arc_argmax(lw, angles, within)
     if k is None:
         k = int(np.argmax(lw))
 
@@ -411,24 +406,49 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
     return wrap_float(float(angles[k]) + offset * posterior.cell_width)
 
 
-def _arc_cells(grid_size: int, interval: CircularInterval) -> np.ndarray:
-    """Ascending indices of the grid cells that can lie inside ``interval``.
+def _in_arc(angle: float, interval: CircularInterval) -> bool:
+    """Scalar form of ``wrapped_distance(angle, center) <= half_width + 1e-12``."""
+    gap = (angle - interval.center) % TWO_PI
+    if gap > np.pi:
+        gap -= TWO_PI
+    return abs(gap) <= interval.half_width + 1e-12
 
-    The index range spans center +- half_width with one cell of margin on
-    each side, so rounding in the angle arithmetic never drops a cell; the
-    caller applies the exact membership test to these cells alone.
+
+def _arc_argmax(lw: np.ndarray, angles: np.ndarray, interval: CircularInterval) -> int | None:
+    """Smallest index of the largest log-weight among the cells inside ``interval``.
+
+    Those cells form one circular run.  Its index range is center +-
+    half_width with one cell of margin per side, so rounding in the angle
+    arithmetic never drops a cell; the exact membership test then trims
+    each end.  A range that wraps all the way round is cut next to the
+    antipode instead, where any cells outside the arc lie.  Returns None
+    when no cell inside holds a finite weight.
     """
-    h = TWO_PI / grid_size
+    g = lw.size
+    h = TWO_PI / g
     lo = math.floor((interval.center - interval.half_width) / h) - 1
     hi = math.ceil((interval.center + interval.half_width) / h) + 1
-    if hi - lo + 1 >= grid_size:
-        return np.arange(grid_size)
-    cells = np.arange(lo, hi + 1)
-    if lo < 0 or hi >= grid_size:
-        # The arc crosses the seam: wrap the indices and restore ascending order.
-        cells %= grid_size
-        cells.sort()
-    return cells
+    if hi - lo + 1 >= g:
+        lo = math.floor((interval.center + np.pi) / h) + 1
+        hi = lo + g - 1
+    while lo <= hi and not _in_arc(float(angles[lo % g]), interval):
+        lo += 1
+    while hi >= lo and not _in_arc(float(angles[hi % g]), interval):
+        hi -= 1
+    if lo > hi:
+        return None
+    start = lo % g
+    stop = start + hi - lo + 1
+    if stop <= g:
+        k = start + int(np.argmax(lw[start:stop]))
+    else:
+        # The run crosses the seam: the low-index slice goes first, so a tie
+        # still goes to the smallest grid index.
+        k = int(np.argmax(lw[:stop - g]))
+        k_high = start + int(np.argmax(lw[start:]))
+        if lw[k_high] > lw[k]:
+            k = k_high
+    return k if math.isfinite(lw[k]) else None
 
 
 def circular_mean_estimate(posterior: GridPosterior) -> float:
@@ -460,7 +480,7 @@ def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, nois
     ensure_resolution(posterior, circuit.depth)
     p0 = _grid_p0(posterior.grid_size, circuit.depth, circuit.phase, noise.contrast(circuit.depth))
     mean_p = float(np.dot(posterior.density, p0)) * posterior.cell_width
-    return float(np.clip(shots * mean_p, 0.0, shots))
+    return min(max(shots * mean_p, 0.0), float(shots))
 
 
 def predict_loss(

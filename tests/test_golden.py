@@ -25,8 +25,8 @@ SWEEP_DIGESTS = {
 }
 
 RUN_DIGESTS = {
-    "noiseless": "66717be286cefc78708947c0629f92d9acf4a14a5a08c2a6dc14b39d69894b63",
-    "beta-0.9": "2850491d524b7470e105ad4946b468fc96c076ad0ed13091c8c17ce480c62ec3",
+    "noiseless": "13c5ce4393eedb286f11d99fa4dc7a8b3474cdd809151a8d35384377c940bf7f",
+    "beta-0.9": "265fc7240dcceef1fc91c8ff67753c6104cbac1345b53b4b270ced77c66d915a",
 }
 
 NOISE_ARGS = {

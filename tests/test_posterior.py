@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from qpe_lab.posterior import (
     uniform_prior,
     update,
 )
-from qpe_lab.posterior import _cumulative_mass, _grid_angles, _grid_p0, _log_prob_components
+from qpe_lab.posterior import _grid_angles, _grid_p0, _log_prob_components, _span_integral
 
 NOISELESS = NoiseModel()
 
@@ -245,15 +246,17 @@ class TestConfidenceAndMass:
 
     def test_tiny_mass_outside_is_accurate(self):
         # complement-side integration keeps precision where 1 - conf
-        # would lose it to cancellation
+        # would lose it to cancellation; the tails are 1.4e-38 and 1.3e-13.
+        # rel is about twice the grid's own discretisation error on them,
+        # measured against quad at 4096 cells: 5.8e-4 and 5.1e-4 relative.
         post = von_mises_posterior(3.0, 60.0)
-        iv = CircularInterval(3.0, 2.0)
-        out = mass_outside(post, iv)
-        exact = 2 * integrate.quad(
-            lambda t: math.exp(60.0 * math.cos(t)), 2.0, math.pi,
-        )[0] / (TWO_PI * special.i0(60.0))
-        assert out == pytest.approx(exact, rel=5e-3)
-        assert out < 1e-10
+        for half_width in (2.0, 1.0):
+            out = mass_outside(post, CircularInterval(3.0, half_width))
+            exact = 2 * integrate.quad(
+                lambda t: math.exp(60.0 * math.cos(t)), half_width, math.pi,
+            )[0] / (TWO_PI * special.i0(60.0))
+            assert out == pytest.approx(exact, rel=1e-3, abs=0)
+            assert out < 1e-10
 
     @given(center=st.floats(0, TWO_PI), hw=st.floats(0.01, math.pi))
     @settings(max_examples=40, deadline=None)
@@ -261,6 +264,108 @@ class TestConfidenceAndMass:
         post = von_mises_posterior(1.0, 3.0, grid_size=256)
         c = confidence(post, CircularInterval(center, hw))
         assert -1e-12 <= c <= 1.0 + 1e-12
+
+
+def interpolant_integral(w, a, b):
+    """Integral of the periodic linear interpolant of node weights w over [a, b].
+
+    a <= b are exact Fractions in cell units and b may pass w.size.  Whole
+    segments are summed by math.fsum over halved node values (halving is
+    exact), the partial end segments in rational arithmetic.
+    """
+    g = w.size
+    whole = np.arange(math.ceil(a), math.floor(b)) % g
+    total = Fraction(math.fsum(np.concatenate((0.5 * w[whole], 0.5 * w[(whole + 1) % g])).tolist()))
+    for k in sorted({math.floor(a), math.floor(b)}):
+        t0 = max(a, k) - k
+        t1 = min(b, k + 1) - k
+        if t1 > t0 and not (t0 == 0 and t1 == 1):
+            v0 = Fraction(float(w[k % g]))
+            v1 = Fraction(float(w[(k + 1) % g]))
+            total += (t1 - t0) * (v0 + (v1 - v0) * (t0 + t1) / 2)
+    return total
+
+
+def arc_mass_reference(w, start, end):
+    """Mass of the arc from angle start counterclockwise to end, under the interpolant of w."""
+    h = TWO_PI / w.size
+    a = Fraction(start / h)
+    b = Fraction(end / h)
+    if b < a:
+        b += w.size
+    return float(interpolant_integral(w, a, b) / Fraction(math.fsum(w.tolist())))
+
+
+@st.composite
+def node_arcs(draw):
+    """Arcs whose ends fall on grid nodes, up to the rounding of center +- half_width."""
+    grid_size = draw(st.sampled_from([64, 4096, 65536]))
+    cell = TWO_PI / grid_size
+    center = draw(st.integers(0, grid_size - 1)) * cell
+    return grid_size, CircularInterval(center, draw(st.integers(1, grid_size // 2)) * cell)
+
+
+@st.composite
+def weighted_arcs(draw):
+    """A grid, an interval on it, and von Mises-like log-weights near or far from it."""
+    grid_size, interval = draw(st.one_of(arcs(), node_arcs()))
+    kappa = 10.0 ** draw(st.floats(-2.0, math.log10((grid_size / 16) ** 2)))
+    mu = interval.center + draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = TWO_PI * np.arange(grid_size) / grid_size
+    lw = kappa * np.cos(angles - mu) + 0.5 * rng.normal(size=grid_size)
+    return grid_size, interval, lw
+
+
+class TestArcMassesMatchTheInterpolant:
+    @given(case=weighted_arcs())
+    @settings(max_examples=200, deadline=None)
+    def test_inside_and_outside_match_the_fsum_reference(self, case):
+        grid_size, iv, lw = case
+        # normalize keeps exactly these weights
+        w = np.exp(lw - lw.max())
+        post = normalize(GridPosterior(grid_size, lw))
+        if iv.half_width >= math.pi:
+            assert (confidence(post, iv), mass_outside(post, iv)) == (1.0, 0.0)
+            return
+        inside = min(arc_mass_reference(w, iv.lower, iv.upper), 1.0)
+        outside = min(arc_mass_reference(w, iv.upper, iv.lower), 1.0)
+        assert confidence(post, iv) == pytest.approx(inside, rel=1e-12, abs=0)
+        assert mass_outside(post, iv) == pytest.approx(outside, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("grid_size, kappa, center, half_width", [
+        (65536, 1e5, 1.0, 0.025),
+        (65536, 1e5, 0.01, 0.025),
+        (4096, 400.0, 6.2, 0.42),
+        (64, 30.0, 0.1, 1.75),
+    ])
+    def test_gate_sized_tails(self, grid_size, kappa, center, half_width):
+        angles = TWO_PI * np.arange(grid_size) / grid_size
+        lw = kappa * np.cos(angles - center)
+        w = np.exp(lw - lw.max())
+        post = normalize(GridPosterior(grid_size, lw))
+        iv = CircularInterval(center, half_width)
+        outside = mass_outside(post, iv)
+        assert 1e-17 < outside < 1e-13
+        assert outside == pytest.approx(arc_mass_reference(w, iv.upper, iv.lower), rel=1e-12, abs=0)
+        assert confidence(post, iv) == pytest.approx(arc_mass_reference(w, iv.lower, iv.upper), rel=1e-12)
+
+    @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
+    def test_node_to_node_spans(self, grid_size):
+        rng = np.random.default_rng(grid_size)
+        w = np.exp(rng.normal(scale=5.0, size=grid_size))
+        for a, b in [(0, 0), (0, 1), (3, 4), (3, 5), (0, grid_size), (grid_size - 1, grid_size),
+                     (7, grid_size // 2), (grid_size, grid_size)]:
+            want = float(interpolant_integral(w, Fraction(a), Fraction(b)))
+            assert _span_integral(w, float(a), float(b)) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_sub_cell_span_next_to_a_vanishing_node(self):
+        # the mass sits near the far end of a cell whose other node is 1e-12
+        # times smaller; no term of the partial cell may cancel
+        w = np.array([1.0, 1e-12, 1.0, 1.0])
+        a, b = 0.999999, 0.9999995
+        want = float(interpolant_integral(w, Fraction(a), Fraction(b)))
+        assert _span_integral(w, a, b) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestMapEstimate:
@@ -382,6 +487,66 @@ class TestMapEstimateWithinMatchesFullGrid:
         ):
             assert map_estimate(post, within=within) == masked_map_reference(post, within)
 
+    @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
+    @pytest.mark.parametrize("nudge", [-1e-12, 0.0, 1e-12])
+    def test_membership_boundary_at_a_node(self, grid_size, nudge):
+        # the tolerance edge half_width + 1e-12 falls on a node, or 1e-12 to
+        # either side, and that node holds the largest weight
+        rng = np.random.default_rng(grid_size)
+        angles = _grid_angles(grid_size)
+        for center_cell, reach in [(5, 3), (grid_size - 2, 4), (grid_size // 2, grid_size // 4)]:
+            center = float(angles[center_cell])
+            for edge in ((center_cell - reach) % grid_size, (center_cell + reach) % grid_size):
+                distance = float(wrapped_distance(angles[edge], center))
+                within = CircularInterval(center, distance - 1e-12 + nudge)
+                lw = rng.normal(size=grid_size)
+                lw[edge] = 10.0
+                post = GridPosterior(grid_size, lw)
+                assert map_estimate(post, within=within) == masked_map_reference(post, within)
+
+    @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
+    def test_equal_maxima_on_both_sides_of_the_seam(self, grid_size):
+        angles = _grid_angles(grid_size)
+        lw = np.zeros(grid_size)
+        lw[2] = lw[grid_size - 2] = 5.0
+        post = GridPosterior(grid_size, lw)
+        within = CircularInterval(0.0, 4 * post.cell_width)
+        assert map_estimate(post, within=within) == masked_map_reference(post, within) == angles[2]
+
+    @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
+    @pytest.mark.parametrize("center", [1.0, 0.0, TWO_PI - 1e-9])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_only_one_end_cell_of_the_arc_is_alive(self, grid_size, center, end):
+        within = CircularInterval(center, 0.3)
+        angles = _grid_angles(grid_size)
+        inside = wrapped_distance(angles, within.center) <= within.half_width + 1e-12
+        if end == "first":
+            alive = int(np.flatnonzero(inside & ~np.roll(inside, 1))[0])
+        else:
+            alive = int(np.flatnonzero(inside & ~np.roll(inside, -1))[0])
+        lw = np.random.default_rng(grid_size).normal(size=grid_size)
+        lw[inside] = -math.inf
+        lw[alive] = -10.0
+        post = GridPosterior(grid_size, lw)
+        assert map_estimate(post, within=within) == masked_map_reference(post, within) == angles[alive]
+
+    @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
+    @pytest.mark.parametrize("cells_short", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_arcs_that_nearly_wrap_around(self, grid_size, cells_short):
+        # the index range spans G - 2 cells or more; the cells outside the
+        # arc sit by the antipode and hold the largest weights
+        cell = TWO_PI / grid_size
+        angles = _grid_angles(grid_size)
+        for center in (0.0, 1.3, float(angles[7]) + 0.5 * cell, TWO_PI - 0.3 * cell):
+            within = CircularInterval(center, math.pi - cells_short * cell)
+            antipode = round(wrap(center + math.pi) / cell)
+            for kind in ("random", "ties", "flat"):
+                lw = log_weight_profile(kind, grid_size, within, grid_size)
+                for offset in (-2, -1, 0, 1, 2):
+                    lw[(antipode + offset) % grid_size] = 10.0 - abs(offset)
+                post = GridPosterior(grid_size, lw)
+                assert map_estimate(post, within=within) == masked_map_reference(post, within)
+
     def test_dead_interior_falls_back_to_the_global_argmax(self):
         post = von_mises_posterior(1.0, 8.0, 4096)
         within = CircularInterval(TWO_PI - 0.1, 0.4)
@@ -439,11 +604,17 @@ class TestUpdatePaths:
         np.testing.assert_allclose(post.density, recomputed, rtol=1e-12)
         assert post.density is post.density
 
-    def test_cumulative_mass_matches_the_rolled_trapezoid(self):
-        post = von_mises_posterior(0.3, 12.0, 4096)
-        d = post.density
-        segments = 0.5 * (d + np.roll(d, -1)) * post.cell_width
-        np.testing.assert_array_equal(_cumulative_mass(post), np.concatenate(([0.0], np.cumsum(segments))))
+    def test_reading_the_density_first_leaves_interval_masses_alone(self):
+        records = [MeasurementRecord(Circuit(4, 0.3), 1, 1.0), MeasurementRecord(Circuit(8, 1.9), 1, 0.0)]
+        read, unread = uniform_prior(4096), uniform_prior(4096)
+        for record in records:
+            update(read, record, NOISELESS)
+            update(unread, record, NOISELESS)
+        assert read.density[0] >= 0.0
+        for iv in (CircularInterval(1.0, 0.2), CircularInterval(0.05, 0.4)):
+            assert mass_outside(read, iv) == mass_outside(unread, iv)
+            assert confidence(read, iv) == confidence(unread, iv)
+        np.testing.assert_array_equal(read.density, unread.density)
 
     @pytest.mark.parametrize("read_density", [False, True])
     def test_impossible_observation_leaves_no_stale_density(self, read_density):
@@ -451,14 +622,19 @@ class TestUpdatePaths:
         lw = np.full(64, -math.inf)
         lw[0] = 0.0
         post = normalize(GridPosterior(64, lw))
+        iv = CircularInterval(0.0, 0.5)
         if read_density:
             assert post.density[0] > 0.0
+        # the kept weights are in use before the failed update
+        assert confidence(post, iv) == 1.0
         with pytest.raises(ImpossibleObservationError):
             update(post, MeasurementRecord(Circuit(1, math.pi), 1, 1.0), NOISELESS)
         with pytest.raises(ImpossibleObservationError):
             post.density
         with pytest.raises(ImpossibleObservationError):
-            mass_outside(post, CircularInterval(0.0, 0.5))
+            mass_outside(post, iv)
+        with pytest.raises(ImpossibleObservationError):
+            confidence(post, iv)
 
 
 class TestCircularMean:
