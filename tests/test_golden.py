@@ -1,11 +1,20 @@
-"""Behaviour digests: sha256 of seeded CLI outputs, pinned byte for byte.
+"""Behaviour digests: sha256 of seeded CLI outputs.
 
-A refactor or speed-up that keeps the algorithm must leave every digest
-unchanged.  A change that alters behaviour on purpose re-pins the moved
-digests and says why in CHANGES.md.
+Two kinds are pinned.  Byte digests cover whole output files.  Path
+digests cover only the integer decisions of the same outputs: each sweep
+cell's shots and deepest depth, and each run step's depth, shots,
+outcomes and decision.  A refactor or speed-up that keeps the algorithm
+must leave every digest unchanged.  A change that moves floats by
+rounding alone may re-pin the byte digests, but not the path digests,
+and says why in CHANGES.md; a change that alters behaviour on purpose
+re-pins what moved and says why.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
+import json
 
 import pytest
 
@@ -29,6 +38,22 @@ RUN_DIGESTS = {
     "beta-0.9": "265fc7240dcceef1fc91c8ff67753c6104cbac1345b53b4b270ced77c66d915a",
 }
 
+# sha256 of the decision columns of results.csv, one line per row.
+PATH_COLUMNS = ("strategy", "n_tot", "theta_index", "rep", "resources_spent", "max_depth")
+# sha256 of the JSON list of these fields of every step of a run trace.
+STEP_FIELDS = ("step_index", "depth", "shots_used", "successes", "decision", "cap_hit")
+
+PATH_DIGESTS = {
+    "sweep": {
+        "noiseless": "c779e93fea8f55480790a025f7bf75fef2a6492edfabfb06d7becc1ae132409c",
+        "beta-0.9": "e289ef26028f41b7b79082b0405d724996b94b3c1ba46712d38773c6cf05e74c",
+    },
+    "run": {
+        "noiseless": "871147f5dcbe73668d511108b8c6da3c39a5834ccec144ac7868f2b1c672a688",
+        "beta-0.9": "2464cd76342381ce39e75a76f6c6bdfac243cc141f2a31fb5f753bafce366185",
+    },
+}
+
 NOISE_ARGS = {
     "noiseless": (),
     "beta-0.9": ("--beta", "0.9"),
@@ -45,28 +70,36 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("noise", sorted(NOISE_ARGS))
-def test_sweep_results_csv_digest(tmp_path, capsys, noise):
-    code = cli.main([
-        "sweep",
-        "--strategies", SWEEP_STRATEGIES[noise],
-        "--ladder", "64,512,4096",
-        "--thetas", "3",
-        "--reps", "1",
-        *NOISE_ARGS[noise],
-        "--seed", "11",
-        "--workers", "1",
-        "--out-dir", str(tmp_path),
-    ])
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module", params=sorted(NOISE_ARGS))
+def sweep(request, tmp_path_factory):
+    noise = request.param
+    out_dir = tmp_path_factory.mktemp(f"sweep-{noise}")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main([
+            "sweep",
+            "--strategies", SWEEP_STRATEGIES[noise],
+            "--ladder", "64,512,4096",
+            "--thetas", "3",
+            "--reps", "1",
+            *NOISE_ARGS[noise],
+            "--seed", "11",
+            "--workers", "1",
+            "--out-dir", str(out_dir),
+        ])
     assert code == 0
-    assert "failed=0" in capsys.readouterr().out
-    digests = {name: sha256_of(tmp_path / name) for name in SWEEP_DIGESTS[noise]}
-    assert digests == SWEEP_DIGESTS[noise]
+    assert "failed=0" in stdout.getvalue()
+    return noise, out_dir
 
 
-@pytest.mark.parametrize("noise", sorted(NOISE_ARGS))
-def test_run_trace_digest(tmp_path, noise):
-    out = tmp_path / "trace.json"
+@pytest.fixture(scope="module", params=sorted(NOISE_ARGS))
+def run_trace(request, tmp_path_factory):
+    noise = request.param
+    out = tmp_path_factory.mktemp(f"run-{noise}") / "trace.json"
     code = cli.main([
         "run",
         "--n-tot", "4096",
@@ -76,4 +109,29 @@ def test_run_trace_digest(tmp_path, noise):
         "--out", str(out),
     ])
     assert code == 0
+    return noise, out
+
+
+def test_sweep_results_csv_digest(sweep):
+    noise, out_dir = sweep
+    digests = {name: sha256_of(out_dir / name) for name in SWEEP_DIGESTS[noise]}
+    assert digests == SWEEP_DIGESTS[noise]
+
+
+def test_sweep_decision_path_digest(sweep):
+    noise, out_dir = sweep
+    with open(out_dir / "results.csv", newline="") as handle:
+        rows = [",".join(row[c] for c in PATH_COLUMNS) for row in csv.DictReader(handle)]
+    assert sha256_text("\n".join(rows)) == PATH_DIGESTS["sweep"][noise]
+
+
+def test_run_trace_digest(run_trace):
+    noise, out = run_trace
     assert sha256_of(out) == RUN_DIGESTS[noise]
+
+
+def test_run_decision_path_digest(run_trace):
+    noise, out = run_trace
+    steps = json.loads(out.read_text())["steps"]
+    path = [[step[f] for f in STEP_FIELDS] for step in steps]
+    assert sha256_text(json.dumps(path)) == PATH_DIGESTS["run"][noise]
