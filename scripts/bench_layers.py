@@ -22,8 +22,8 @@ Usage, from the repository root:
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_layers.py LABEL
 
 writes ``BENCH_LABEL.json`` at the repository root, with the machine,
-Python and numpy versions.  Pin the BLAS to one thread as above, since
-``predict_loss`` takes dot products over the grid.
+Python and numpy versions.  Pin the BLAS to one thread as above, so that
+no timing depends on how many threads numpy's BLAS starts.
 """
 
 import json
@@ -61,7 +61,7 @@ NOISE = NoiseModel()
 def base_posterior(grid_size: int, depth: int):
     post = uniform_prior(grid_size)
     kappa = (2.0 * depth) ** 2
-    post.log_weights[:] = kappa * (np.cos(post.angles - THETA) - 1.0)
+    post.weights[:] = np.exp(kappa * (np.cos(post.angles - THETA) - 1.0))
     return normalize(post)
 
 

@@ -1,18 +1,23 @@
 """Grid-based Bayesian posterior over a phase on the circle [0, 2*pi).
 
-The posterior is held as log-weights on a uniform grid so that thousands of
-sequential likelihood multiplications never underflow.  Normalisation uses
-the periodic trapezoid rule, which on a uniform circular grid reduces to a
-plain node sum times the cell width.
+The posterior is held as unnormalised linear weights on a uniform grid and
+their sum.  Normalisation uses the periodic trapezoid rule, which on a
+uniform circular grid reduces to a plain node sum times the cell width.
 
 The adaptive loop runs an update, a gate check and a mode search after
-every shot, so each does only the work its caller reads.  An update
-normalises the log-weights and keeps the exponentiated weights and their
-sum; the density is divided out of them only when it is read, which the
-per-shot loop never does.  Each circuit's per-cell outcome probability is
-computed once, and each of its two log branches only when an outcome needs
-it.  Interval masses (``confidence`` and the gate check ``mass_outside``)
-integrate the kept weights over the arc they report, one or two slice sums
+every shot, so each does only the work its caller reads.  A single shot
+multiplies the weights in place by the per-cell probability of its
+outcome, p0 or 1 - p0, and takes one sum: the sequential Monte Carlo
+update w <- w * Pr(d | theta) (Granade et al., New J. Phys. 14, 103013,
+2012) on the grid, with no log or exp pass.  The sum shrinks geometrically
+over many shots, so once it falls below RESCALE_FLOOR the weights are
+divided by it; a cell that falls too far below the peak for a float
+flushes to 0 and stays there.  Other records (multi-shot batches and
+fractional expected counts) go through log space once.  Each circuit's
+p0 is computed once and cached, 1 - p0 only when a miss needs it, and the
+density is divided out only when it is read, which the per-shot loop never
+does.  Interval masses (``confidence`` and the gate check ``mass_outside``)
+integrate the weights over the arc they report, one or two slice sums
 plus a closed-form partial cell at each end, so a tiny tail mass is summed
 directly instead of being left over from a difference of O(1) sums.
 ``map_estimate`` with an interval takes the argmax over the one circular
@@ -22,8 +27,8 @@ The grid must stay fine enough to resolve the fastest likelihood
 oscillation: a circuit of depth n modulates the likelihood at angular
 frequency n, and updates enforce at least 32 grid points per period.  When
 an incoming record is too deep for the current grid the posterior doubles
-its resolution in place, carrying existing log-weights over by midpoint
-interpolation, up to a hard memory cap.
+its resolution in place, giving each new midpoint the geometric mean of its
+neighbours (the midpoint of the log-weights), up to a hard memory cap.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ from .model import Circuit, MeasurementRecord, NoiseModel
 MIN_GRID_SIZE = 64
 POINTS_PER_PERIOD = 32
 MAX_GRID_SIZE = 1 << 22
+# Weights summing to less than this are divided by their sum, which happens
+# every few hundred shots and long before the largest weight nears underflow.
+RESCALE_FLOOR = 2.0**-256
 
 
 class GridTooCoarseError(ValueError):
@@ -48,7 +56,7 @@ class GridTooCoarseError(ValueError):
 
 
 class ImpossibleObservationError(ValueError):
-    """Raised when an update wipes out every grid cell (all weights -inf)."""
+    """Raised when an update wipes out every grid cell (all weights 0)."""
 
 
 class UndefinedMeanError(ValueError):
@@ -118,46 +126,28 @@ def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float) -> np.nd
 
 
 class _CircuitLikelihood:
-    """One circuit's per-cell p0, with log p0 and log(1 - p0) taken on first use.
+    """One circuit's per-cell p0, with q0 = 1 - p0 taken on first use."""
 
-    A freshly tuned circuit usually sees one outcome, so it pays for one
-    transcendental pass; p0 is dropped once both branches exist.
-    """
-
-    __slots__ = ("_p0", "_log_p", "_log_q")
+    __slots__ = ("p0", "_q0")
 
     def __init__(self, p0: np.ndarray):
-        self._p0 = p0
-        self._log_p = None
-        self._log_q = None
+        p0.setflags(write=False)
+        self.p0 = p0
+        self._q0 = None
 
-    def log_p(self) -> np.ndarray:
-        if self._log_p is None:
-            with np.errstate(divide="ignore"):
-                self._log_p = np.log(self._p0)
-            self._settle(self._log_p)
-        return self._log_p
-
-    def log_q(self) -> np.ndarray:
-        if self._log_q is None:
-            with np.errstate(divide="ignore"):
-                self._log_q = np.log1p(-self._p0)
-            self._settle(self._log_q)
-        return self._log_q
-
-    def _settle(self, branch: np.ndarray) -> None:
-        branch.setflags(write=False)
-        if self._log_p is not None and self._log_q is not None:
-            self._p0 = None
+    def q0(self) -> np.ndarray:
+        if self._q0 is None:
+            self._q0 = 1.0 - self.p0
+            self._q0.setflags(write=False)
+        return self._q0
 
 
 @lru_cache(maxsize=8)
 def _log_prob_components(grid_size: int, depth: int, phase: float, alpha: float, beta: float):
-    """Per-cell likelihood branches for one circuit, cached.
+    """Per-cell outcome probabilities of one circuit, clamped to [0, 1] and cached.
 
     Gated sampling phases hammer the same circuit for tens of shots; caching
-    the branches makes each such update a fused add instead of fresh
-    transcendental passes.
+    p0 (and 1 - p0) makes each such update one multiply and one sum.
     """
     p0 = _grid_p0(grid_size, depth, phase, alpha * beta**depth)
     np.minimum(p0, 1.0, out=p0)
@@ -167,17 +157,18 @@ def _log_prob_components(grid_size: int, depth: int, phase: float, alpha: float,
 
 @dataclass(eq=False)
 class GridPosterior:
-    """Posterior density on a uniform circular grid, stored in log space.
+    """Posterior on a uniform circular grid, as unnormalised linear weights.
 
-    ``_weights`` holds the exponentiated weights and their sum from the
-    last normalisation; the density and the interval masses are read from
-    them.
+    ``weights`` are non-negative node weights and ``total`` is their sum;
+    the density and the interval masses are read from the two.  A posterior
+    whose total is 0 carries no probability and raises
+    ImpossibleObservationError when either is read.
     """
 
     grid_size: int
-    log_weights: np.ndarray
+    weights: np.ndarray
+    total: float
     _density: np.ndarray | None = field(default=None, repr=False)
-    _weights: tuple[np.ndarray, float] | None = field(default=None, repr=False)
 
     @property
     def cell_width(self) -> float:
@@ -191,33 +182,18 @@ class GridPosterior:
     def density(self) -> np.ndarray:
         """Probability density at the grid nodes (integrates to 1)."""
         if self._density is None:
-            w, total = self._kept_weights()
-            self._density = w / (total * self.cell_width)
+            self._density = self.weights / (_live_total(self) * self.cell_width)
         return self._density
 
-    def _kept_weights(self) -> tuple[np.ndarray, float]:
-        """Unnormalised node weights and their sum, rebuilt if none are kept."""
-        if self._weights is None:
-            _, w, total = _exp_weights(self.log_weights, "posterior carries no finite weight")
-            self._weights = (w, total)
-        return self._weights
-
     def clone(self) -> "GridPosterior":
-        return GridPosterior(self.grid_size, self.log_weights.copy())
-
-    def _invalidate(self):
-        self._density = None
-        self._weights = None
+        return GridPosterior(self.grid_size, self.weights.copy(), self.total)
 
 
-def _exp_weights(log_weights: np.ndarray, message: str):
-    """The shift max(log_weights), the weights exp(log_weights - shift), and their sum."""
-    shift = log_weights.max()
-    if not math.isfinite(shift):
-        raise ImpossibleObservationError(message)
-    w = log_weights - shift
-    np.exp(w, out=w)
-    return shift, w, float(w.sum())
+def _live_total(posterior: GridPosterior) -> float:
+    """The weight sum, or ImpossibleObservationError if no weight is left."""
+    if not posterior.total > 0.0:
+        raise ImpossibleObservationError("posterior carries no weight")
+    return posterior.total
 
 
 def uniform_prior(grid_size: int = 4096) -> GridPosterior:
@@ -226,31 +202,40 @@ def uniform_prior(grid_size: int = 4096) -> GridPosterior:
         raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
     if grid_size > MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
-    lw = np.full(grid_size, -math.log(TWO_PI))
-    return GridPosterior(grid_size, lw)
+    return GridPosterior(grid_size, np.ones(grid_size), float(grid_size))
 
 
 def normalize(posterior: GridPosterior) -> GridPosterior:
-    """Rescale log-weights so the trapezoid integral of the density is 1."""
-    posterior._invalidate()
-    shift, w, total = _exp_weights(
-        posterior.log_weights, "cannot normalize: every grid cell has log-weight -inf"
-    )
-    posterior.log_weights -= shift + math.log(total) + math.log(posterior.cell_width)
-    posterior._weights = (w, total)
+    """Recompute ``total`` from the weights, dividing them by it below RESCALE_FLOOR.
+
+    Raises ImpossibleObservationError, with ``total`` set to 0, when no
+    weight is left.
+    """
+    posterior._density = None
+    total = float(posterior.weights.sum())
+    if not total > 0.0:
+        posterior.total = 0.0
+        raise ImpossibleObservationError("cannot normalize: every grid cell has weight 0")
+    if total < RESCALE_FLOOR:
+        posterior.weights /= total
+        total = float(posterior.weights.sum())
+    posterior.total = total
     return posterior
 
 
 def _refine_once(posterior: GridPosterior):
-    """Double the grid, interpolating log-weights at the new midpoints."""
-    lw = posterior.log_weights
-    mid = 0.5 * (lw + np.roll(lw, -1))
-    doubled = np.empty(2 * lw.size)
-    doubled[0::2] = lw
-    doubled[1::2] = mid
-    posterior.log_weights = doubled
-    posterior.grid_size = 2 * lw.size
-    posterior._invalidate()
+    """Double the grid, putting sqrt(w_k) * sqrt(w_k+1) between each pair of neighbours.
+
+    That is exp of the midpoint of their log-weights; taking the roots
+    first keeps the product of two tiny weights from underflowing.
+    """
+    w = posterior.weights
+    root = np.sqrt(w)
+    doubled = np.empty(2 * w.size)
+    doubled[0::2] = w
+    np.multiply(root, np.roll(root, -1), out=doubled[1::2])
+    posterior.weights = doubled
+    posterior.grid_size = doubled.size
 
 
 def required_grid_size(depth: int) -> int:
@@ -276,9 +261,12 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
 def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel) -> GridPosterior:
     """Multiply in the likelihood of ``record`` and renormalize, in place.
 
-    Zero-shot records leave the posterior untouched.  If the observation is
-    impossible everywhere on the grid, ImpossibleObservationError is raised
-    and the posterior is left unnormalized; discard it.
+    A single shot multiplies the weights by p0 or q0 = 1 - p0.  Any other
+    record is added to the log-weights as x * log p0 + (shots - x) * log q0;
+    the binomial coefficient is constant in theta, so normalisation removes
+    it and it is never added.  Zero-shot records leave the posterior
+    untouched.  If the observation is impossible everywhere on the grid,
+    ImpossibleObservationError is raised; discard the posterior.
     """
     if record.shots == 0:
         return posterior
@@ -293,18 +281,19 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     )
     x = record.successes
     misses = record.shots - x
-    lw = posterior.log_weights
-    if record.shots == 1 and x == 1.0:
-        lw += likelihood.log_p()
-    elif record.shots == 1 and x == 0.0:
-        lw += likelihood.log_q()
+    if record.shots == 1 and x in (0.0, 1.0):
+        posterior.weights *= likelihood.p0 if x == 1.0 else likelihood.q0()
     else:
-        if x > 0:
-            lw += x * likelihood.log_p()
-        if misses > 0:
-            lw += misses * likelihood.log_q()
-    # The binomial coefficient is constant in theta; normalisation removes
-    # it, so it is never added here.
+        with np.errstate(divide="ignore"):
+            lw = np.log(posterior.weights)
+            if x > 0:
+                lw += x * np.log(likelihood.p0)
+            if misses > 0:
+                lw += misses * np.log(likelihood.q0())
+        shift = lw.max()
+        if math.isfinite(shift):
+            lw -= shift
+        posterior.weights = np.exp(lw, out=lw)
     try:
         return normalize(posterior)
     except ImpossibleObservationError:
@@ -342,11 +331,11 @@ def _span_integral(w: np.ndarray, a: float, b: float) -> float:
 def _arc_mass(posterior: GridPosterior, start: float, end: float) -> float:
     """Posterior mass of the arc running counterclockwise from angle start to end.
 
-    The arc is integrated head-on from the kept weights, in two slices
+    The arc is integrated head-on from the weights, in two slices
     where it crosses the 0/2*pi seam, and divided by the weights' periodic
     trapezoid total; the result is clamped to [0, 1].
     """
-    w, total = posterior._kept_weights()
+    w, total = posterior.weights, _live_total(posterior)
     a = start / posterior.cell_width
     b = end / posterior.cell_width
     if a <= b:
@@ -357,10 +346,15 @@ def _arc_mass(posterior: GridPosterior, start: float, end: float) -> float:
 
 
 def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
-    """Posterior mass inside the interval, by trapezoid integration."""
-    if interval.half_width >= np.pi:
+    """Posterior mass inside the interval, by trapezoid integration.
+
+    An interval whose two ends round to one angle covers the whole circle
+    but a rounding error, so it holds all the mass, as at half_width = pi.
+    """
+    lower, upper = interval.lower, interval.upper
+    if interval.half_width >= np.pi or lower == upper:
         return 1.0
-    return _arc_mass(posterior, interval.lower, interval.upper)
+    return _arc_mass(posterior, lower, upper)
 
 
 def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
@@ -371,11 +365,13 @@ def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
     small, and the subtraction would lose every significant digit to
     cancellation.  The complement arc is summed over its own cells
     instead, so the cost is one pass over the cells outside the interval,
-    with no prefix array and no density.
+    with no prefix array and no density.  Ends that round to one angle
+    leave no mass outside, as in ``confidence``.
     """
-    if interval.half_width >= np.pi:
+    lower, upper = interval.lower, interval.upper
+    if interval.half_width >= np.pi or lower == upper:
         return 0.0
-    return _arc_mass(posterior, interval.upper, interval.lower)
+    return _arc_mass(posterior, upper, lower)
 
 
 def map_estimate(posterior: GridPosterior, within: CircularInterval | None = None) -> float:
@@ -383,23 +379,25 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
 
     Ties go to the smallest grid index.  With ``within`` given, the argmax
     is restricted to cells inside that interval (falling back to the global
-    argmax if the restriction holds no finite weight); only the cells of
-    the arc are searched.
+    argmax if every cell inside has weight 0); only the cells of
+    the arc are searched.  The parabola is fitted to the log-weights of
+    the peak cell and its two neighbours, and skipped if any of them is 0.
     """
-    lw = posterior.log_weights
+    w = posterior.weights
     angles = posterior.angles
     k = None
     if within is not None:
-        k = _arc_argmax(lw, angles, within)
+        k = _arc_argmax(w, angles, within)
     if k is None:
-        k = int(np.argmax(lw))
+        k = int(np.argmax(w))
 
     g = posterior.grid_size
-    left = float(lw[(k - 1) % g])
-    center = float(lw[k])
-    right = float(lw[(k + 1) % g])
+    left = w.item((k - 1) % g)
+    center = w.item(k)
+    right = w.item((k + 1) % g)
     offset = 0.0
-    if math.isfinite(left) and math.isfinite(center) and math.isfinite(right):
+    if left > 0.0 and center > 0.0 and right > 0.0:
+        left, center, right = math.log(left), math.log(center), math.log(right)
         curvature = left - 2.0 * center + right
         if curvature < 0.0:
             offset = min(max(0.5 * (left - right) / curvature, -0.5), 0.5)
@@ -414,17 +412,17 @@ def _in_arc(angle: float, interval: CircularInterval) -> bool:
     return abs(gap) <= interval.half_width + 1e-12
 
 
-def _arc_argmax(lw: np.ndarray, angles: np.ndarray, interval: CircularInterval) -> int | None:
-    """Smallest index of the largest log-weight among the cells inside ``interval``.
+def _arc_argmax(w: np.ndarray, angles: np.ndarray, interval: CircularInterval) -> int | None:
+    """Smallest index of the largest weight among the cells inside ``interval``.
 
     Those cells form one circular run.  Its index range is center +-
     half_width with one cell of margin per side, so rounding in the angle
     arithmetic never drops a cell; the exact membership test then trims
     each end.  A range that wraps all the way round is cut next to the
     antipode instead, where any cells outside the arc lie.  Returns None
-    when no cell inside holds a finite weight.
+    when every cell inside has weight 0.
     """
-    g = lw.size
+    g = w.size
     h = TWO_PI / g
     lo = math.floor((interval.center - interval.half_width) / h) - 1
     hi = math.ceil((interval.center + interval.half_width) / h) + 1
@@ -440,15 +438,15 @@ def _arc_argmax(lw: np.ndarray, angles: np.ndarray, interval: CircularInterval) 
     start = lo % g
     stop = start + hi - lo + 1
     if stop <= g:
-        k = start + int(np.argmax(lw[start:stop]))
+        k = start + int(np.argmax(w[start:stop]))
     else:
         # The run crosses the seam: the low-index slice goes first, so a tie
         # still goes to the smallest grid index.
-        k = int(np.argmax(lw[:stop - g]))
-        k_high = start + int(np.argmax(lw[start:]))
-        if lw[k_high] > lw[k]:
+        k = int(np.argmax(w[:stop - g]))
+        k_high = start + int(np.argmax(w[start:]))
+        if w[k_high] > w[k]:
             k = k_high
-    return k if math.isfinite(lw[k]) else None
+    return k if w[k] > 0.0 else None
 
 
 def circular_mean_estimate(posterior: GridPosterior) -> float:
@@ -456,8 +454,8 @@ def circular_mean_estimate(posterior: GridPosterior) -> float:
     d = posterior.density
     angles = posterior.angles
     h = posterior.cell_width
-    re = float(np.dot(d, np.cos(angles))) * h
-    im = float(np.dot(d, np.sin(angles))) * h
+    re = float((d * np.cos(angles)).sum()) * h
+    im = float((d * np.sin(angles)).sum()) * h
     if math.hypot(re, im) <= 1e-12:
         raise UndefinedMeanError(
             f"resultant length {math.hypot(re, im):.3e} leaves the circular mean undefined"
@@ -470,7 +468,7 @@ def expected_loss(posterior: GridPosterior, estimate: float, kind: LossKind) -> 
     d = wrapped_distance(posterior.angles, estimate)
     if kind is LossKind.SQUARED:
         d = d * d
-    return float(max(np.dot(posterior.density, d) * posterior.cell_width, 0.0))
+    return float(max((posterior.density * d).sum() * posterior.cell_width, 0.0))
 
 
 def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, noise: NoiseModel) -> float:
@@ -479,7 +477,7 @@ def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, nois
         raise ValueError(f"shots must be >= 0, got {shots}")
     ensure_resolution(posterior, circuit.depth)
     p0 = _grid_p0(posterior.grid_size, circuit.depth, circuit.phase, noise.contrast(circuit.depth))
-    mean_p = float(np.dot(posterior.density, p0)) * posterior.cell_width
+    mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
     return min(max(shots * mean_p, 0.0), float(shots))
 
 

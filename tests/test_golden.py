@@ -22,20 +22,20 @@ import qpe_lab.cli as cli
 
 SWEEP_DIGESTS = {
     "noiseless": {
-        "results.csv": "f6b913f1f7f65d6145aa564b539294afabe69ccf0ff681c8d552fd071e533fd5",
-        "aggregate.csv": "8e96de10c60ac7062c14446940c36f4b181b68a194b6793a124fd2dca2c64b38",
+        "results.csv": "82d019828f0f1767d2b048bed7e2dd88ef54a1ce15244728ad4e78309d8f3845",
+        "aggregate.csv": "5e602af61e42a06070ecc079e4b37c275535a18ec2b320454e4bb180a7b6fe75",
         "manifest.json": "375faf8cd5b66dbfaf38080a17f5286c0d7692d5d321e84b3b42ee6f1a7ce53c",
     },
     "beta-0.9": {
-        "results.csv": "893a7ac44dd56614a5474dce1c00b9e45f2448148252e02495a3d3b31a61627c",
-        "aggregate.csv": "1dcda6b931771c2917d18191d004e51fac604c5a38b5544455978173bf82e75e",
+        "results.csv": "bd3cb9bf9fcd03263f9ad87bc60261b1cdc891603d4fa224d1feb78fb934f51c",
+        "aggregate.csv": "2609145e5e998c59143093ff1cd9c2843deef6e419918cd22e812047ae63e4af",
         "manifest.json": "82ffe83b9043a216373fa12e0e7c6f74736f55ff52469dd11d799817ff415ed6",
     },
 }
 
 RUN_DIGESTS = {
-    "noiseless": "13c5ce4393eedb286f11d99fa4dc7a8b3474cdd809151a8d35384377c940bf7f",
-    "beta-0.9": "265fc7240dcceef1fc91c8ff67753c6104cbac1345b53b4b270ced77c66d915a",
+    "noiseless": "d132006166173d83f4c7e89acfac062eea1faef5e430f156507ff1652e18e08c",
+    "beta-0.9": "9673c189103856b699c9a4ccf2de4495bdb71f7e18517695b662a9b826dbed68",
 }
 
 # sha256 of the decision columns of results.csv, one line per row.

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+import qpe_lab
 from qpe_lab.angles import TWO_PI, wrap, wrapped_distance
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, success_probability
 from qpe_lab.posterior import (
     MAX_GRID_SIZE,
     MIN_GRID_SIZE,
+    RESCALE_FLOOR,
     CircularInterval,
     GridPosterior,
     GridTooCoarseError,
@@ -37,10 +42,15 @@ from qpe_lab.posterior import _grid_angles, _grid_p0, _log_prob_components, _spa
 NOISELESS = NoiseModel()
 
 
+def posterior_from_log_weights(lw):
+    """The posterior with weights exp(lw), scaled so that the largest is 1 (or all 0)."""
+    top = np.max(lw)
+    w = np.exp(lw - top) if np.isfinite(top) else np.zeros(lw.size)
+    return GridPosterior(lw.size, w, float(w.sum()))
+
+
 def von_mises_posterior(mu, kappa, grid_size=4096):
-    post = uniform_prior(grid_size)
-    post.log_weights[:] = kappa * np.cos(post.angles - mu)
-    return normalize(post)
+    return posterior_from_log_weights(kappa * np.cos(_grid_angles(grid_size) - mu))
 
 
 def brute_force_density(records, noise, grid_size):
@@ -195,6 +205,25 @@ class TestRefinement:
         assert post.grid_size == 2048
         assert abs(map_estimate(post) - coarse_map) < TWO_PI / 256
 
+    def test_new_midpoints_are_the_midpoints_of_the_log_weights(self):
+        rng = np.random.default_rng(5)
+        lw = rng.normal(scale=30.0, size=64)
+        # dead pairs, a dead cell between live ones, a dead cell at the seam,
+        # and two neighbours whose product would underflow
+        lw[[3, 4, 10, 63]] = -math.inf
+        lw[[20, 21]] = lw.max() - 700.0
+        post = posterior_from_log_weights(lw)
+        w = post.weights.copy()
+        ensure_resolution(post, 4)
+        assert post.grid_size == 128
+        with np.errstate(divide="ignore"):
+            lw = np.log(w)
+        want = np.exp(0.5 * (lw + np.roll(lw, -1)))
+        np.testing.assert_array_equal(post.weights[0::2], w)
+        np.testing.assert_allclose(post.weights[1::2], want, rtol=1e-12, atol=0)
+        assert post.weights[41] > 0.0
+        assert post.total == float(post.weights.sum())
+
     def test_depth_beyond_cap_raises(self):
         post = uniform_prior(64)
         with pytest.raises(GridTooCoarseError):
@@ -235,6 +264,19 @@ class TestConfidenceAndMass:
         iv = CircularInterval(0.7, math.pi)
         assert confidence(post, iv) == pytest.approx(1.0, abs=1e-12)
         assert mass_outside(post, iv) == pytest.approx(0.0, abs=1e-12)
+
+    def test_ends_that_round_to_one_angle_cover_the_circle(self):
+        # half_width one ulp below pi: the wrapped ends coincide for some
+        # centres, and the interval still holds all but a sliver of the mass
+        post = uniform_prior(4096)
+        half_width = math.nextafter(math.pi, 0.0)
+        merged = 0
+        for center in np.linspace(0.0, TWO_PI, 1000, endpoint=False):
+            iv = CircularInterval(float(center), half_width)
+            merged += iv.lower == iv.upper
+            assert confidence(post, iv) == pytest.approx(1.0, abs=1e-12)
+            assert mass_outside(post, iv) == pytest.approx(0.0, abs=1e-12)
+        assert merged > 0
 
     def test_seam_crossing_interval(self):
         post = von_mises_posterior(0.0, 5.0)
@@ -322,9 +364,8 @@ class TestArcMassesMatchTheInterpolant:
     @settings(max_examples=200, deadline=None)
     def test_inside_and_outside_match_the_fsum_reference(self, case):
         grid_size, iv, lw = case
-        # normalize keeps exactly these weights
-        w = np.exp(lw - lw.max())
-        post = normalize(GridPosterior(grid_size, lw))
+        post = posterior_from_log_weights(lw)
+        w = post.weights
         if iv.half_width >= math.pi:
             assert (confidence(post, iv), mass_outside(post, iv)) == (1.0, 0.0)
             return
@@ -341,9 +382,8 @@ class TestArcMassesMatchTheInterpolant:
     ])
     def test_gate_sized_tails(self, grid_size, kappa, center, half_width):
         angles = TWO_PI * np.arange(grid_size) / grid_size
-        lw = kappa * np.cos(angles - center)
-        w = np.exp(lw - lw.max())
-        post = normalize(GridPosterior(grid_size, lw))
+        post = posterior_from_log_weights(kappa * np.cos(angles - center))
+        w = post.weights
         iv = CircularInterval(center, half_width)
         outside = mass_outside(post, iv)
         assert 1e-17 < outside < 1e-13
@@ -379,11 +419,10 @@ class TestMapEstimate:
         assert map_estimate(post) == 0.0
 
     def test_masked_argmax_selects_the_lobe(self):
-        post = uniform_prior(4096)
-        post.log_weights[:] = np.logaddexp(
-            8.0 * np.cos(post.angles - 1.0), 8.0 * np.cos(post.angles - 4.0) + 0.2
+        angles = _grid_angles(4096)
+        post = posterior_from_log_weights(
+            np.logaddexp(8.0 * np.cos(angles - 1.0), 8.0 * np.cos(angles - 4.0) + 0.2)
         )
-        normalize(post)
         assert abs(map_estimate(post) - 4.0) < 1e-3
         within = CircularInterval(1.0, 0.8)
         assert abs(map_estimate(post, within=within) - 1.0) < 1e-3
@@ -391,32 +430,30 @@ class TestMapEstimate:
     def test_mask_without_mass_falls_back_to_global(self):
         # hard zeros (not merely small mass) inside the window trigger the
         # global fallback
-        post = uniform_prior(1024)
-        dead = wrapped_distance(post.angles, 4.0) < 1.0
-        post.log_weights[dead] = -math.inf
-        post.log_weights[~dead] = 3.0 * np.cos(post.angles[~dead] - 1.0)
-        normalize(post)
+        angles = _grid_angles(1024)
+        lw = 3.0 * np.cos(angles - 1.0)
+        lw[wrapped_distance(angles, 4.0) < 1.0] = -math.inf
+        post = posterior_from_log_weights(lw)
         empty_side = CircularInterval(4.0, 0.5)
         assert map_estimate(post, within=empty_side) == map_estimate(post)
 
 
 def masked_map_reference(posterior, within):
     """The full-grid masked search that map_estimate(within=...) replaced."""
-    lw = posterior.log_weights
+    w = posterior.weights
     angles = posterior.angles
     inside = wrapped_distance(angles, within.center) <= within.half_width + 1e-12
-    if np.any(inside & np.isfinite(lw)):
-        masked = np.where(inside, lw, -np.inf)
+    if np.any(inside & (w > 0)):
+        masked = np.where(inside, w, -1.0)
         k = int(np.argmax(masked))
     else:
-        k = int(np.argmax(lw))
+        k = int(np.argmax(w))
 
     g = posterior.grid_size
-    left = lw[(k - 1) % g]
-    center = lw[k]
-    right = lw[(k + 1) % g]
+    left, center, right = (float(w[i % g]) for i in (k - 1, k, k + 1))
     offset = 0.0
-    if np.isfinite(left) and np.isfinite(center) and np.isfinite(right):
+    if left > 0 and center > 0 and right > 0:
+        left, center, right = math.log(left), math.log(center), math.log(right)
         curvature = left - 2.0 * center + right
         if curvature < 0.0:
             offset = 0.5 * (left - right) / curvature
@@ -465,7 +502,7 @@ class TestMapEstimateWithinMatchesFullGrid:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_masked_search(self, arc, kind, seed):
         grid_size, within = arc
-        post = GridPosterior(grid_size, log_weight_profile(kind, grid_size, within, seed))
+        post = posterior_from_log_weights(log_weight_profile(kind, grid_size, within, seed))
         assert map_estimate(post, within=within) == masked_map_reference(post, within)
 
     @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
@@ -501,7 +538,7 @@ class TestMapEstimateWithinMatchesFullGrid:
                 within = CircularInterval(center, distance - 1e-12 + nudge)
                 lw = rng.normal(size=grid_size)
                 lw[edge] = 10.0
-                post = GridPosterior(grid_size, lw)
+                post = posterior_from_log_weights(lw)
                 assert map_estimate(post, within=within) == masked_map_reference(post, within)
 
     @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
@@ -509,7 +546,7 @@ class TestMapEstimateWithinMatchesFullGrid:
         angles = _grid_angles(grid_size)
         lw = np.zeros(grid_size)
         lw[2] = lw[grid_size - 2] = 5.0
-        post = GridPosterior(grid_size, lw)
+        post = posterior_from_log_weights(lw)
         within = CircularInterval(0.0, 4 * post.cell_width)
         assert map_estimate(post, within=within) == masked_map_reference(post, within) == angles[2]
 
@@ -527,7 +564,7 @@ class TestMapEstimateWithinMatchesFullGrid:
         lw = np.random.default_rng(grid_size).normal(size=grid_size)
         lw[inside] = -math.inf
         lw[alive] = -10.0
-        post = GridPosterior(grid_size, lw)
+        post = posterior_from_log_weights(lw)
         assert map_estimate(post, within=within) == masked_map_reference(post, within) == angles[alive]
 
     @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
@@ -544,15 +581,78 @@ class TestMapEstimateWithinMatchesFullGrid:
                 lw = log_weight_profile(kind, grid_size, within, grid_size)
                 for offset in (-2, -1, 0, 1, 2):
                     lw[(antipode + offset) % grid_size] = 10.0 - abs(offset)
-                post = GridPosterior(grid_size, lw)
+                post = posterior_from_log_weights(lw)
                 assert map_estimate(post, within=within) == masked_map_reference(post, within)
 
     def test_dead_interior_falls_back_to_the_global_argmax(self):
         post = von_mises_posterior(1.0, 8.0, 4096)
         within = CircularInterval(TWO_PI - 0.1, 0.4)
-        post.log_weights[wrapped_distance(post.angles, within.center) <= 0.41] = -math.inf
+        post.weights[wrapped_distance(post.angles, within.center) <= 0.41] = 0.0
+        normalize(post)
         assert map_estimate(post, within=within) == map_estimate(post)
         assert map_estimate(post, within=within) == masked_map_reference(post, within)
+
+
+GRID_64 = required_grid_size(64)
+
+
+@st.composite
+def shot_sequences(draw):
+    """Single shots at depths 1-64 on a 64-deep grid, outcomes drawn at a true phase.
+
+    Phases 0 and pi put exact zeros of p0 or 1 - p0 on grid nodes (dark
+    fringes), and the sequence is long enough for the weight sum to fall
+    below RESCALE_FLOOR.
+    """
+    noise = draw(st.one_of(st.just(NOISELESS), st.floats(0.9, 0.999).map(lambda b: NoiseModel(1.0, b))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(0.0, TWO_PI)
+    records = []
+    for _ in range(draw(st.integers(1200, 1500))):
+        phase = [0.0, math.pi, rng.uniform(0.0, TWO_PI)][rng.integers(3)]
+        circuit = Circuit(int(rng.integers(1, 65)), float(phase))
+        outcome = float(rng.random() < success_probability(theta, circuit, noise))
+        records.append(MeasurementRecord(circuit, 1, outcome))
+    return noise, records
+
+
+def log_space_reference(records, noise, grid_size):
+    """Per-cell log-weights of a shot sequence, each the math.fsum of its log-likelihoods.
+
+    Also returns each cell's lowest log-weight relative to the log-sum of
+    all cells along the way, and that log-sum after every shot.
+    """
+    terms = np.empty((len(records), grid_size))
+    for row, rec in zip(terms, records):
+        depth = rec.circuit.depth
+        p0 = np.clip(_grid_p0(grid_size, depth, rec.circuit.phase, noise.contrast(depth)), 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            row[:] = np.log(p0 if rec.successes == 1.0 else 1.0 - p0)
+    lw = np.array([math.fsum(column) for column in terms.T.tolist()])
+    running = np.cumsum(terms, axis=0, out=terms)
+    log_sums = special.logsumexp(running, axis=1)
+    running -= log_sums[:, None]
+    return lw, running.min(axis=0), log_sums
+
+
+class TestSingleShotUpdate:
+    @given(case=shot_sequences())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_the_log_space_reference(self, case):
+        noise, records = case
+        post = uniform_prior(GRID_64)
+        for rec in records:
+            update(post, rec, noise)
+        lw, lowest, log_sums = log_space_reference(records, noise, GRID_64)
+        # the weight sum fell below the floor, so the update rescaled
+        assert log_sums.min() < math.log(RESCALE_FLOOR)
+        dead = np.isneginf(lw)
+        assert dead.any() == (noise is NOISELESS)
+        assert np.all(post.weights[dead] == 0.0)
+        # cells that never fell below e^-500 of the sum stayed normal floats
+        live = lowest > -500.0
+        want = np.exp(lw[live] - special.logsumexp(lw))
+        np.testing.assert_allclose(post.weights[live] / post.total, want, rtol=1e-12, atol=0)
 
 
 class TestUpdatePaths:
@@ -574,7 +674,7 @@ class TestUpdatePaths:
         update(base.clone(), opposite, noise)
         cached = update(base.clone(), record, noise)
         assert _log_prob_components.cache_info().hits >= 2
-        np.testing.assert_array_equal(fresh.log_weights, cached.log_weights)
+        np.testing.assert_array_equal(fresh.weights, cached.weights)
         np.testing.assert_array_equal(fresh.density, cached.density)
 
     def test_fractional_single_shot_uses_both_branches(self):
@@ -597,10 +697,10 @@ class TestUpdatePaths:
         want = expected_loss(hypothetical, map_estimate(hypothetical), LossKind.ABSOLUTE)
         assert predict_loss(post, circuit, 8, NOISELESS, LossKind.ABSOLUTE) == want
 
-    def test_density_read_late_equals_density_from_log_weights(self):
+    def test_density_read_late_equals_density_from_the_weights(self):
         post = update(uniform_prior(4096), MeasurementRecord(Circuit(2, 0.3), 1, 1.0), NOISELESS)
         update(post, MeasurementRecord(Circuit(2, 1.3), 1, 0.0), NOISELESS)
-        recomputed = GridPosterior(post.grid_size, post.log_weights.copy()).density
+        recomputed = GridPosterior(post.grid_size, post.weights.copy(), post.total).density
         np.testing.assert_allclose(post.density, recomputed, rtol=1e-12)
         assert post.density is post.density
 
@@ -619,16 +719,17 @@ class TestUpdatePaths:
     @pytest.mark.parametrize("read_density", [False, True])
     def test_impossible_observation_leaves_no_stale_density(self, read_density):
         # only theta = 0 carries weight, and there depth 1, phase pi has p0 = 0
-        lw = np.full(64, -math.inf)
-        lw[0] = 0.0
-        post = normalize(GridPosterior(64, lw))
+        w = np.zeros(64)
+        w[0] = 1.0
+        post = GridPosterior(64, w, 1.0)
         iv = CircularInterval(0.0, 0.5)
         if read_density:
             assert post.density[0] > 0.0
-        # the kept weights are in use before the failed update
+        # the weights and their sum are read before the failed update
         assert confidence(post, iv) == 1.0
         with pytest.raises(ImpossibleObservationError):
             update(post, MeasurementRecord(Circuit(1, math.pi), 1, 1.0), NOISELESS)
+        assert post.total == 0.0
         with pytest.raises(ImpossibleObservationError):
             post.density
         with pytest.raises(ImpossibleObservationError):
@@ -647,16 +748,34 @@ class TestCircularMean:
             circular_mean_estimate(uniform_prior(256))
 
     def test_antipodal_bimodal_has_no_mean(self):
-        post = uniform_prior(1024)
-        post.log_weights[:] = np.logaddexp(
-            5.0 * np.cos(post.angles - 1.0), 5.0 * np.cos(post.angles - 1.0 - math.pi)
+        angles = _grid_angles(1024)
+        post = posterior_from_log_weights(
+            np.logaddexp(5.0 * np.cos(angles - 1.0), 5.0 * np.cos(angles - 1.0 - math.pi))
         )
-        normalize(post)
         with pytest.raises(UndefinedMeanError):
             circular_mean_estimate(post)
 
 
 class TestExpectedLoss:
+    def test_independent_of_the_blas_thread_count(self):
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel; "
+            "from qpe_lab.posterior import LossKind, expected_loss, uniform_prior, update; "
+            "post = uniform_prior(1 << 18); "
+            "update(post, MeasurementRecord(Circuit(4096, 0.3), 5, 2.0), NoiseModel()); "
+            "print(repr(expected_loss(post, 1.0, LossKind.ABSOLUTE)))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qpe_lab.__file__)))
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env.pop("OMP_NUM_THREADS", None)
+            done = subprocess.run([sys.executable, "-c", script, src], env=env,
+                                  capture_output=True, text=True, check=True)
+            printed.append(done.stdout)
+        assert printed[0] == printed[1]
+
     def test_uniform_squared_loss(self):
         post = uniform_prior(4096)
         assert expected_loss(post, 1.3, LossKind.SQUARED) == pytest.approx(math.pi**2 / 3, rel=1e-6)
@@ -748,13 +867,11 @@ class TestPredictLoss:
 
 class TestImpossibleObservation:
     def test_normalize_rejects_an_empty_posterior(self):
-        post = uniform_prior(64)
-        post.log_weights[:] = -math.inf
+        post = GridPosterior(64, np.zeros(64), 1.0)
         with pytest.raises(ImpossibleObservationError):
             normalize(post)
 
     def test_density_property_rejects_an_empty_posterior(self):
-        post = uniform_prior(64)
-        post.log_weights[:] = -math.inf
+        post = GridPosterior(64, np.zeros(64), 0.0)
         with pytest.raises(ImpossibleObservationError):
             post.density
