@@ -17,7 +17,7 @@ pay for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .posterior import (
     CircularInterval,
     GridPosterior,
     LossKind,
+    check_grid_size,
     circular_mean_estimate,
     confidence,
     expected_loss,
@@ -44,11 +45,10 @@ class InfeasibleIntervalError(ValueError):
     """Raised when a requested interval cannot nest inside its predecessor."""
 
 
-@dataclass(frozen=True)
-class AlgorithmConfig:
-    """Tunable knobs for one adaptive estimation run."""
+@dataclass(frozen=True, kw_only=True)
+class RunSettings:
+    """Settings an adaptive run and a sweep share; keyword-only, so subclasses list their own fields first."""
 
-    total_resources: int
     noise: NoiseModel = NoiseModel()
     depth_limit: int = 1 << 20
     epsilon_exponent: float = 3.0
@@ -56,11 +56,8 @@ class AlgorithmConfig:
     loss_kind: LossKind = LossKind.ABSOLUTE
     estimator: str = "map"
     grid_size: int = 4096
-    seed: int = 0
 
     def __post_init__(self):
-        if self.total_resources < 2:
-            raise ValueError(f"total_resources must be >= 2, got {self.total_resources}")
         if self.depth_limit < 1:
             raise ValueError(f"depth_limit must be >= 1, got {self.depth_limit}")
         if self.epsilon_exponent < 0:
@@ -69,6 +66,20 @@ class AlgorithmConfig:
             raise ValueError(f"epsilon_scale must be in (0, 1], got {self.epsilon_scale}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        check_grid_size(self.grid_size)
+
+
+@dataclass(frozen=True)
+class AlgorithmConfig(RunSettings):
+    """Tunable knobs for one adaptive estimation run."""
+
+    total_resources: int
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.total_resources < 2:
+            raise ValueError(f"total_resources must be >= 2, got {self.total_resources}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,25 @@ def _largest_power_of_two_at_most(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
+def _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind):
+    """Fold each (depth, phase, shots) block's sample into a flat prior; return the scored mode and records."""
+    posterior = uniform_prior(grid_size)
+    records = []
+    for depth, phase, shots in blocks:
+        circuit = Circuit(depth, phase)
+        record = MeasurementRecord(circuit, shots, sample_outcome(circuit, shots, theta_true, noise, rng))
+        update(posterior, record, noise)
+        records.append(record)
+    estimate = map_estimate(posterior)
+    result = BaselineResult(
+        estimate=estimate,
+        resources_spent=sum(r.circuit.depth * r.shots for r in records),
+        max_depth=max(r.circuit.depth for r in records),
+        posterior_expected_loss=expected_loss(posterior, estimate, loss_kind),
+    )
+    return result, records
+
+
 def run_nonadaptive_doubling(
     total_resources: int,
     theta_true: float,
@@ -134,23 +153,12 @@ def run_nonadaptive_doubling(
         )
     if shots_per_depth < 1:
         raise ValueError(f"shots_per_depth must be >= 1, got {shots_per_depth}")
-    posterior = uniform_prior(grid_size)
-    records: list[MeasurementRecord] = []
+    blocks = []
     budget = total_resources
-
-    def sample_block(depth: int, phase: float, shots: int):
-        nonlocal budget
-        circuit = Circuit(depth, phase)
-        got = sample_outcome(circuit, shots, theta_true, noise, rng)
-        record = MeasurementRecord(circuit, shots, got)
-        update(posterior, record, noise)
-        records.append(record)
-        budget -= depth * shots
-
     depth = 1
     while budget >= 2 * depth * shots_per_depth:
-        sample_block(depth, 0.0, shots_per_depth)
-        sample_block(depth, np.pi / 2.0, shots_per_depth)
+        blocks += [(depth, 0.0, shots_per_depth), (depth, np.pi / 2.0, shots_per_depth)]
+        budget -= 2 * depth * shots_per_depth
         depth *= 2
 
     deepest = min(depth, _largest_power_of_two_at_most(budget)) if budget >= 1 else 1
@@ -158,18 +166,11 @@ def run_nonadaptive_doubling(
         depth = min(deepest, _largest_power_of_two_at_most(budget))
         affordable = budget // depth
         first = affordable - affordable // 2
-        sample_block(depth, 0.0, first)
+        blocks.append((depth, 0.0, first))
         if affordable - first > 0:
-            sample_block(depth, np.pi / 2.0, affordable - first)
-
-    estimate = map_estimate(posterior)
-    result = BaselineResult(
-        estimate=estimate,
-        resources_spent=total_resources - budget,
-        max_depth=max(r.circuit.depth for r in records),
-        posterior_expected_loss=expected_loss(posterior, estimate, loss_kind),
-    )
-    return result, records
+            blocks.append((depth, np.pi / 2.0, affordable - first))
+        budget -= depth * affordable
+    return _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind)
 
 
 def run_classical(
@@ -185,20 +186,8 @@ def run_classical(
         raise InsufficientResourcesError(
             f"budget {total_resources} cannot pay one shot at each probe phase"
         )
-    posterior = uniform_prior(grid_size)
-    shots_cos = total_resources - total_resources // 2
-    shots_sin = total_resources // 2
-    for phase, shots in ((0.0, shots_cos), (np.pi / 2.0, shots_sin)):
-        circuit = Circuit(1, phase)
-        got = sample_outcome(circuit, shots, theta_true, noise, rng)
-        update(posterior, MeasurementRecord(circuit, shots, got), noise)
-    estimate = map_estimate(posterior)
-    return BaselineResult(
-        estimate=estimate,
-        resources_spent=total_resources,
-        max_depth=1,
-        posterior_expected_loss=expected_loss(posterior, estimate, loss_kind),
-    )
+    blocks = [(1, 0.0, total_resources - total_resources // 2), (1, np.pi / 2.0, total_resources // 2)]
+    return _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind)[0]
 
 
 def limit_curves(total_resources: int, noise: NoiseModel) -> dict[str, float]:

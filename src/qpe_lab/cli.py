@@ -16,11 +16,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .adaptive import ESTIMATORS, AlgorithmConfig, AlgorithmTrace, run, validate_trace
+from .adaptive import ESTIMATORS, AlgorithmConfig, AlgorithmTrace, RunSettings, run, validate_trace
 from .baselines import (
     BoundParams,
     InfeasibleBoundError,
@@ -65,33 +66,36 @@ def _noise(args) -> NoiseModel:
 
 
 def _add_noise_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=1.0, help="state preparation fidelity in (0, 1]")
-    parser.add_argument("--beta", type=float, default=1.0, help="per-application coherence factor in (0, 1]")
+    noise = NoiseModel()
+    parser.add_argument("--alpha", type=float, default=noise.alpha, help="state preparation fidelity in (0, 1]")
+    parser.add_argument("--beta", type=float, default=noise.beta, help="per-application coherence factor in (0, 1]")
+
+
+def _add_schedule_arguments(parser: argparse.ArgumentParser) -> None:
+    """The depth cap and confidence schedule flags, shared by ``run``, ``sweep`` and ``bounds``."""
+    parser.add_argument("--depth-limit", type=int, default=RunSettings.depth_limit, help="hard cap on circuit depth")
+    parser.add_argument(
+        "--epsilon-scale", type=float, default=RunSettings.epsilon_scale, help="confidence schedule prefactor"
+    )
+    parser.add_argument(
+        "--epsilon-exponent", type=float, default=RunSettings.epsilon_exponent, help="confidence schedule exponent"
+    )
 
 
 def _add_algorithm_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--depth-limit", type=int, default=1 << 20, help="hard cap on circuit depth")
-    parser.add_argument("--epsilon-scale", type=float, default=1.0, help="confidence schedule prefactor")
-    parser.add_argument("--epsilon-exponent", type=float, default=3.0, help="confidence schedule exponent")
+    _add_schedule_arguments(parser)
     parser.add_argument(
-        "--loss", choices=[k.value for k in LossKind], default=LossKind.ABSOLUTE.value,
+        "--loss", choices=[k.value for k in LossKind], default=RunSettings.loss_kind.value,
         help="loss function minimised by the estimator",
     )
-    parser.add_argument("--estimator", choices=ESTIMATORS, default="map")
-    parser.add_argument("--grid-size", type=int, default=4096, help="initial posterior grid size")
+    parser.add_argument("--estimator", choices=ESTIMATORS, default=RunSettings.estimator)
+    parser.add_argument("--grid-size", type=int, default=RunSettings.grid_size, help="initial posterior grid size")
 
 
-def _algorithm_fields(args) -> dict:
-    """Config fields that ``run`` and ``sweep`` both take from their flags."""
-    return dict(
-        noise=_noise(args),
-        depth_limit=args.depth_limit,
-        epsilon_exponent=args.epsilon_exponent,
-        epsilon_scale=args.epsilon_scale,
-        loss_kind=LossKind(args.loss),
-        estimator=args.estimator,
-        grid_size=args.grid_size,
-    )
+def _run_settings(args) -> dict:
+    """The ``RunSettings`` fields from the flags, each flag named after its field but the noise and the loss."""
+    derived = {"noise": _noise(args), "loss_kind": LossKind(args.loss)}
+    return {f.name: derived[f.name] if f.name in derived else getattr(args, f.name) for f in fields(RunSettings)}
 
 
 def trace_to_payload(trace: AlgorithmTrace, theta_true: float) -> dict:
@@ -123,7 +127,7 @@ def trace_to_payload(trace: AlgorithmTrace, theta_true: float) -> dict:
 
 
 def cmd_run(args) -> int:
-    config = AlgorithmConfig(total_resources=args.n_tot, seed=args.seed, **_algorithm_fields(args))
+    config = AlgorithmConfig(total_resources=args.n_tot, seed=args.seed, **_run_settings(args))
     trace = run(config, args.theta)
     validate_trace(trace)
     with open(args.out, "w") as handle:
@@ -143,7 +147,7 @@ def cmd_sweep(args) -> int:
         repetitions=args.reps,
         shots_per_depth=args.shots_per_depth,
         master_seed=args.seed,
-        **_algorithm_fields(args),
+        **_run_settings(args),
     )
     os.makedirs(args.out_dir, exist_ok=True)
     results = []
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--theta", type=float, required=True, help="true phase in radians")
     _add_noise_arguments(p_run)
     _add_algorithm_arguments(p_run)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=AlgorithmConfig.seed)
     p_run.add_argument("--out", default="trace.json", help="trace output path")
     p_run.set_defaults(func=cmd_run)
 
@@ -310,12 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated strategy names",
     )
     p_sweep.add_argument("--ladder", type=_parse_int_list, required=True, help="comma-separated budgets")
-    p_sweep.add_argument("--thetas", type=int, default=20, help="number of evenly spaced true phases")
-    p_sweep.add_argument("--reps", type=int, default=10, help="repetitions per phase")
+    p_sweep.add_argument(
+        "--thetas", type=int, default=SweepConfig.theta_count, help="number of evenly spaced true phases"
+    )
+    p_sweep.add_argument("--reps", type=int, default=SweepConfig.repetitions, help="repetitions per phase")
     _add_noise_arguments(p_sweep)
     _add_algorithm_arguments(p_sweep)
-    p_sweep.add_argument("--shots-per-depth", type=int, default=32, help="doubling baseline block size")
-    p_sweep.add_argument("--seed", type=int, default=0, help="master seed for the whole sweep")
+    p_sweep.add_argument(
+        "--shots-per-depth", type=int, default=SweepConfig.shots_per_depth, help="doubling baseline block size"
+    )
+    p_sweep.add_argument(
+        "--seed", type=int, default=SweepConfig.master_seed, help="master seed for the whole sweep"
+    )
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="process count (default: $QPE_LAB_THREADS, else all cores)")
     p_sweep.add_argument("--out-dir", required=True, help="directory for results.csv, aggregate.csv, manifest.json")
@@ -333,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--ladder", type=_parse_int_list, required=True, help="comma-separated budgets")
     p_bounds.add_argument("--steps", type=int, default=None, help="fixed step count (default: auto per budget)")
     _add_noise_arguments(p_bounds)
-    p_bounds.add_argument("--epsilon-scale", type=float, default=1.0)
-    p_bounds.add_argument("--epsilon-exponent", type=float, default=3.0)
-    p_bounds.add_argument("--depth-limit", type=int, default=1 << 20)
+    _add_schedule_arguments(p_bounds)
     p_bounds.add_argument("--out", default=None, help="write the table here instead of stdout")
     p_bounds.set_defaults(func=cmd_bounds)
 

@@ -8,9 +8,9 @@ captured per cell rather than aborting the sweep.
 Persisted CSVs take their columns from the fields of ``SweepCellResult``
 and ``AggregateRow``, render floats with 17 significant digits, and are fully
 determined by the sweep configuration: rerunning the same config yields
-byte-identical files.  For that reason the runtime_ms column is pinned to
-0.0; wall-clock jitter has no place in reproducible result sets (see the
-package notes on determinism).
+byte-identical files.  For that reason the runtime_ms column is always
+written as 0: a measured wall time would differ between two runs of one
+config, and so would the files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .adaptive import AlgorithmConfig, run, validate_trace
+from .adaptive import AlgorithmConfig, RunSettings, run, validate_trace
 from .angles import TWO_PI, wrapped_distance
 from .baselines import (
     MAX_REGISTER_SIZE,
@@ -37,8 +37,6 @@ from .baselines import (
     run_nonadaptive_doubling,
     run_qpea,
 )
-from .model import NoiseModel
-from .posterior import LossKind
 
 WORKER_ENV_VAR = "QPE_LAB_THREADS"
 
@@ -52,20 +50,13 @@ class DegenerateInputError(ValueError):
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Full description of one benchmark sweep."""
+class SweepConfig(RunSettings):
+    """Full description of one benchmark sweep; every adaptive cell runs with its run settings."""
 
     strategies: tuple[str, ...]
     resource_ladder: tuple[int, ...]
     theta_count: int = 20
     repetitions: int = 10
-    noise: NoiseModel = NoiseModel()
-    depth_limit: int = 1 << 20
-    epsilon_exponent: float = 3.0
-    epsilon_scale: float = 1.0
-    loss_kind: LossKind = LossKind.ABSOLUTE
-    estimator: str = "map"
-    grid_size: int = 4096
     shots_per_depth: int = 32
     master_seed: int = 0
 
@@ -89,6 +80,9 @@ class SweepConfig:
             raise ValueError(f"theta_count must be >= 1, got {self.theta_count}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        super().__post_init__()
+        if self.shots_per_depth < 1:
+            raise ValueError(f"shots_per_depth must be >= 1, got {self.shots_per_depth}")
 
     def theta_of(self, theta_index: int) -> float:
         return TWO_PI * theta_index / self.theta_count
@@ -142,17 +136,11 @@ def _qpea_register_size(n_tot: int) -> int:
     return min(MAX_REGISTER_SIZE, (n_tot + 1).bit_length() - 1)
 
 
-# Fields a sweep passes through unchanged to each adaptive run.
-_SHARED_ALGORITHM_FIELDS = tuple(
-    f.name for f in fields(AlgorithmConfig) if f.name in SweepConfig.__dataclass_fields__
-)
-
-
 # Each runner returns (estimate, resources spent, max depth, expected loss).
 # The runs are called by their module-level names so that patching this
 # module (as a call tracer does) reaches every cell.
 def _run_adaptive(config: SweepConfig, n_tot: int, theta: float, seed: int):
-    shared = {name: getattr(config, name) for name in _SHARED_ALGORITHM_FIELDS}
+    shared = {f.name: getattr(config, f.name) for f in fields(RunSettings)}
     trace = run(AlgorithmConfig(total_resources=n_tot, seed=seed, **shared), theta)
     validate_trace(trace)
     return trace.final_estimate, trace.resources_spent, trace.max_depth_used, trace.final_expected_loss
@@ -163,12 +151,8 @@ def _baseline_outcome(res: BaselineResult):
 
 
 def _run_classical(config: SweepConfig, n_tot: int, theta: float, seed: int):
-    return _baseline_outcome(
-        run_classical(
-            n_tot, theta, config.noise, np.random.default_rng(seed),
-            config.grid_size, config.loss_kind,
-        )
-    )
+    rng = np.random.default_rng(seed)
+    return _baseline_outcome(run_classical(n_tot, theta, config.noise, rng, config.grid_size, config.loss_kind))
 
 
 def _run_nonadaptive_doubling(config: SweepConfig, n_tot: int, theta: float, seed: int):

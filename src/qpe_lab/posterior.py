@@ -15,8 +15,8 @@ divided by it; a cell that falls too far below the peak for a float
 flushes to 0 and stays there.  Other records (multi-shot batches and
 fractional expected counts) go through log space once.  Each circuit's
 p0 is computed once and cached, 1 - p0 only when a miss needs it, and the
-density is divided out only when it is read, which the per-shot loop never
-does.  Interval masses (``confidence`` and the gate check ``mass_outside``)
+density is divided out on each read, which the per-shot loop never makes.
+Interval masses (``confidence`` and the gate check ``mass_outside``)
 integrate the weights over the arc they report, one or two slice sums
 plus a closed-form partial cell at each end, so a tiny tail mass is summed
 directly instead of being left over from a difference of O(1) sums.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -168,7 +168,6 @@ class GridPosterior:
     grid_size: int
     weights: np.ndarray
     total: float
-    _density: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def cell_width(self) -> float:
@@ -181,9 +180,7 @@ class GridPosterior:
     @property
     def density(self) -> np.ndarray:
         """Probability density at the grid nodes (integrates to 1)."""
-        if self._density is None:
-            self._density = self.weights / (_live_total(self) * self.cell_width)
-        return self._density
+        return self.weights / (_live_total(self) * self.cell_width)
 
     def clone(self) -> "GridPosterior":
         return GridPosterior(self.grid_size, self.weights.copy(), self.total)
@@ -196,12 +193,17 @@ def _live_total(posterior: GridPosterior) -> float:
     return posterior.total
 
 
-def uniform_prior(grid_size: int = 4096) -> GridPosterior:
-    """Flat prior 1/(2*pi) on a grid of at least MIN_GRID_SIZE cells."""
+def check_grid_size(grid_size: int) -> None:
+    """Raise ValueError unless MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE."""
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
     if grid_size > MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
+
+
+def uniform_prior(grid_size: int = 4096) -> GridPosterior:
+    """Flat prior 1/(2*pi) on a grid of at least MIN_GRID_SIZE cells."""
+    check_grid_size(grid_size)
     return GridPosterior(grid_size, np.ones(grid_size), float(grid_size))
 
 
@@ -211,7 +213,6 @@ def normalize(posterior: GridPosterior) -> GridPosterior:
     Raises ImpossibleObservationError, with ``total`` set to 0, when no
     weight is left.
     """
-    posterior._density = None
     total = float(posterior.weights.sum())
     if not total > 0.0:
         posterior.total = 0.0
@@ -258,6 +259,12 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
     return posterior
 
 
+def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -> _CircuitLikelihood:
+    """Refine the grid in place to resolve ``circuit``, then look up its cached p0."""
+    ensure_resolution(posterior, circuit.depth)
+    return _log_prob_components(posterior.grid_size, circuit.depth, circuit.phase, noise.alpha, noise.beta)
+
+
 def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel) -> GridPosterior:
     """Multiply in the likelihood of ``record`` and renormalize, in place.
 
@@ -270,15 +277,7 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     """
     if record.shots == 0:
         return posterior
-    ensure_resolution(posterior, record.circuit.depth)
-
-    likelihood = _log_prob_components(
-        posterior.grid_size,
-        record.circuit.depth,
-        record.circuit.phase,
-        noise.alpha,
-        noise.beta,
-    )
+    likelihood = _likelihood(posterior, record.circuit, noise)
     x = record.successes
     misses = record.shots - x
     if record.shots == 1 and x in (0.0, 1.0):
@@ -472,11 +471,13 @@ def expected_loss(posterior: GridPosterior, estimate: float, kind: LossKind) -> 
 
 
 def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, noise: NoiseModel) -> float:
-    """Expected bright-outcome count: shots times the posterior mean of p0."""
+    """Expected bright-outcome count: shots times the posterior mean of p0.
+
+    Refines the caller's posterior in place to resolve ``circuit``, and reads the clamped, cached p0 of update.
+    """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    ensure_resolution(posterior, circuit.depth)
-    p0 = _grid_p0(posterior.grid_size, circuit.depth, circuit.phase, noise.contrast(circuit.depth))
+    p0 = _likelihood(posterior, circuit, noise).p0
     mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
     return min(max(shots * mean_p, 0.0), float(shots))
 
@@ -492,7 +493,8 @@ def predict_loss(
 
     The whole remaining budget is converted into shots at this depth, the
     expected (generally fractional) outcome is folded into a cloned
-    posterior, and the loss of the updated mode is reported.
+    posterior, and the loss of the updated mode is reported.  The caller's
+    posterior is refined in place first, as in ``predict_outcome``.
     """
     shots = int(resources_left // circuit.depth)
     if shots < 1:

@@ -124,6 +124,32 @@ class TestSweepCommand:
         assert code == 1
         assert "qpe-lab: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epsilon-scale", "2"), ("--epsilon-exponent", "-1"), ("--grid-size", "16"), ("--depth-limit", "0")],
+    )
+    def test_invalid_run_setting_fails_as_run_does(self, tmp_path, capsys, flag, value):
+        run_code = run_cli("run", "--n-tot", "64", "--theta", "1.0", flag, value, "--out", str(tmp_path / "t.json"))
+        run_err = capsys.readouterr().err
+        out = tmp_path / "x"
+        code = run_cli(
+            "sweep", "--ladder", "8,16", "--thetas", "1", "--reps", "1", "--workers", "1",
+            flag, value, "--out-dir", str(out),
+        )
+        assert (run_code, code) == (1, 1)
+        assert capsys.readouterr().err == run_err
+        assert not out.exists()
+
+    def test_zero_shots_per_depth_fails_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli(
+            "sweep", "--strategies", "nonadaptive-doubling", "--ladder", "8,16",
+            "--shots-per-depth", "0", "--workers", "1", "--out-dir", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "qpe-lab: error: shots_per_depth must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_interrupt_flushes_partial_rows(self, tmp_path, capsys, monkeypatch):
         real_iter = cli.iter_sweep
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qpe_lab.harness as harness
+from qpe_lab.adaptive import AlgorithmConfig
 from qpe_lab.harness import (
     AGGREGATE_HEADER,
     RESULTS_HEADER,
@@ -30,6 +31,7 @@ from qpe_lab.harness import (
     write_results_csv,
 )
 from qpe_lab.model import NoiseModel
+from qpe_lab.posterior import MAX_GRID_SIZE
 
 
 def small_config(**overrides):
@@ -67,6 +69,29 @@ class TestSweepConfig:
     def test_rejects_malformed_plans(self, overrides):
         with pytest.raises(ValueError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"epsilon_scale": 2.0},
+            {"epsilon_scale": 0.0},
+            {"epsilon_exponent": -1.0},
+            {"depth_limit": 0},
+            {"estimator": "median"},
+            {"grid_size": 16},
+            {"grid_size": 2 * MAX_GRID_SIZE},
+        ],
+    )
+    def test_rejects_a_run_setting_as_the_run_config_does(self, overrides):
+        with pytest.raises(ValueError) as from_run:
+            AlgorithmConfig(total_resources=16, **overrides)
+        with pytest.raises(ValueError) as from_sweep:
+            small_config(**overrides)
+        assert str(from_sweep.value) == str(from_run.value)
+
+    def test_rejects_zero_shots_per_depth(self):
+        with pytest.raises(ValueError, match="shots_per_depth must be >= 1, got 0"):
+            small_config(shots_per_depth=0)
 
     def test_all_known_strategies_accepted(self):
         config = small_config(strategies=STRATEGIES)

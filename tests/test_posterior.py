@@ -702,7 +702,6 @@ class TestUpdatePaths:
         update(post, MeasurementRecord(Circuit(2, 1.3), 1, 0.0), NOISELESS)
         recomputed = GridPosterior(post.grid_size, post.weights.copy(), post.total).density
         np.testing.assert_allclose(post.density, recomputed, rtol=1e-12)
-        assert post.density is post.density
 
     def test_reading_the_density_first_leaves_interval_masses_alone(self):
         records = [MeasurementRecord(Circuit(4, 0.3), 1, 1.0), MeasurementRecord(Circuit(8, 1.9), 1, 0.0)]
@@ -839,12 +838,45 @@ class TestPredictOutcome:
         x = predict_outcome(post, Circuit(1, 0.0), 10, NOISELESS)
         assert 0.0 <= x <= 10.0
 
+    def test_dark_fringe_reads_the_clamped_cached_p0(self):
+        # The angle-addition p0 of this circuit dips to -1.1e-16 at one node.
+        circuit = Circuit(7, 15 * math.pi / 16)
+        raw = _grid_p0(256, circuit.depth, circuit.phase, 1.0)
+        k = int(np.argmin(raw))
+        assert raw[k] < 0.0
+        w = np.zeros(256)
+        w[k] = 1.0
+        w[k + 1] = 1e-3
+        post = normalize(GridPosterior(256, w, 1.0))
+
+        def trapezoid_count(p0):
+            return 1000 * (float((post.density * p0).sum()) * post.cell_width)
+
+        _log_prob_components.cache_clear()
+        expected = predict_outcome(post, circuit, 1000, NOISELESS)
+        assert expected == trapezoid_count(np.clip(raw, 0.0, 1.0))
+        assert expected != trapezoid_count(raw)
+        # the hypothetical update of predict_loss then finds the circuit cached
+        update(post.clone(), MeasurementRecord(circuit, 1000, expected), NOISELESS)
+        info = _log_prob_components.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
 
 class TestPredictLoss:
     def test_budget_below_depth_is_infeasible(self):
         post = uniform_prior(256)
         with pytest.raises(InsufficientResourcesError):
             predict_loss(post, Circuit(8, 0.0), 7, NOISELESS, LossKind.ABSOLUTE)
+
+    def test_a_deeper_circuit_refines_the_callers_posterior(self):
+        # Later updates and gate checks run on the refined grid, so the
+        # decision paths depend on this side effect.
+        post = von_mises_posterior(1.0, 20.0, 256)
+        want = ensure_resolution(post.clone(), 64)
+        predict_loss(post, Circuit(64, 0.3), 640, NOISELESS, LossKind.ABSOLUTE)
+        assert post.grid_size == required_grid_size(64) == 2048
+        np.testing.assert_array_equal(post.weights, want.weights)
+        assert post.total == want.total
 
     def test_does_not_mutate_the_posterior(self):
         post = von_mises_posterior(1.0, 2.0)
