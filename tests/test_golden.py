@@ -1,9 +1,11 @@
 """Behaviour digests: sha256 of seeded CLI outputs.
 
-Two kinds are pinned.  Byte digests cover whole output files.  Path
-digests cover only the integer decisions of the same outputs: each sweep
-cell's shots and deepest depth, and each run step's depth, shots,
-outcomes and decision.  A refactor or speed-up that keeps the algorithm
+Two kinds are pinned.  Byte digests cover whole outputs: the sweep and
+run files, the ``bounds`` tables, the plots with reference curves and the
+bound-regimes script's table and figure.  Path digests cover only the
+integer decisions of the sweep and run outputs: each sweep cell's shots
+and deepest depth, and each run step's depth, shots, outcomes and
+decision.  A refactor or speed-up that keeps the algorithm
 must leave every digest unchanged.  A change that moves floats by
 rounding alone may re-pin the byte digests, but not the path digests,
 and says why in CHANGES.md; a change that alters behaviour on purpose
@@ -13,8 +15,10 @@ re-pins what moved and says why.
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,34 @@ NOISE_ARGS = {
     "noiseless": (),
     "beta-0.9": ("--beta", "0.9"),
 }
+
+# sha256 of the stdout of `bounds --ladder 1024,4096,65536` in the three
+# schedule regimes of acceptance criterion 9.
+BOUNDS_ARGS = {
+    "steep": (),
+    "flat": ("--epsilon-scale", "0.01", "--epsilon-exponent", "0"),
+    "beta-0.9": ("--beta", "0.9", "--epsilon-scale", "1e-8"),
+}
+BOUNDS_DIGESTS = {
+    "steep": "3788ef0afaf91cc6d4951fbcf042ffeec10fd00f60fc1e591db1c9a9a233fe3b",
+    "flat": "9b81276218f7369e612559ffb28c84c249a1d18cd8fbc920d5cb46f5320ad852",
+    "beta-0.9": "464d34f9e67126ebfa57c4de9edeeba7db762f65f3753aaaa7e6f00ebe18607c",
+}
+
+# sha256 of the SVG `plot --refs sql,hl,appendix_bound` draws from each
+# golden sweep's aggregate.csv, under that sweep's noise.
+PLOT_DIGESTS = {
+    "noiseless": "887ff2a73f355a0361e6dee03c3d1d82429b4bf2e5940baf99b9931ee2128e80",
+    "beta-0.9": "7ec3011d875a1586915df0a42f46b9d83a90f5e904efcf109450fb5c12cfa069",
+}
+
+# sha256 of the table scripts/plot_bound_regimes.py prints for budgets
+# 2**8..2**12, and of the SVG it writes.
+SCRIPT_DIGESTS = {
+    "table": "34f68dca88983fc1b2666d2a464d9312283a04ee846b8c78d05df37881b03963",
+    "svg": "f06480dfb302b25a8e4286965675738c04284174652dfb718009c126b90cc8fe",
+}
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "plot_bound_regimes.py"
 
 # The textbook qpea outcome law holds only without noise.
 SWEEP_STRATEGIES = {
@@ -135,3 +167,42 @@ def test_run_decision_path_digest(run_trace):
     steps = json.loads(out.read_text())["steps"]
     path = [[step[f] for f in STEP_FIELDS] for step in steps]
     assert sha256_text(json.dumps(path)) == PATH_DIGESTS["run"][noise]
+
+
+def test_plot_with_references_digest(sweep, tmp_path):
+    noise, out_dir = sweep
+    out = tmp_path / "plot.svg"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([
+            "plot",
+            "--results", str(out_dir / "aggregate.csv"),
+            "--refs", "sql,hl,appendix_bound",
+            *NOISE_ARGS[noise],
+            "--out", str(out),
+        ])
+    assert code == 0
+    assert sha256_of(out) == PLOT_DIGESTS[noise]
+
+
+@pytest.mark.parametrize("regime", sorted(BOUNDS_ARGS))
+def test_bounds_table_digest(regime):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["bounds", "--ladder", "1024,4096,65536", *BOUNDS_ARGS[regime]])
+    assert code == 0
+    assert sha256_text(stdout.getvalue()) == BOUNDS_DIGESTS[regime]
+
+
+def test_bound_regimes_script_digest(tmp_path):
+    spec = importlib.util.spec_from_file_location("plot_bound_regimes", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "regimes.svg"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = script.main(["--min-exp", "8", "--max-exp", "12", "--out", str(out)])
+    assert code == 0
+    *table, last = stdout.getvalue().splitlines(keepends=True)
+    assert last == f"wrote {out}\n"
+    assert sha256_text("".join(table)) == SCRIPT_DIGESTS["table"]
+    assert sha256_of(out) == SCRIPT_DIGESTS["svg"]
