@@ -18,22 +18,21 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qpe_lab import (  # noqa: E402
-    BoundParams,
     InfeasibleBoundError,
     LossKind,
     NoiseModel,
     ReferenceLine,
+    RunSettings,
     Series,
     appendix_loss_bound,
-    default_step_count,
     limit_curves,
     render_loglog,
 )
 
 REGIMES = (
-    ("steep schedule, no decay", NoiseModel(), 1.0, 3.0),
-    ("flat schedule, no decay", NoiseModel(), 0.01, 0.0),
-    ("steep schedule, beta=0.9", NoiseModel(1.0, 0.9), 1e-8, 3.0),
+    ("steep schedule, no decay", RunSettings()),
+    ("flat schedule, no decay", RunSettings(epsilon_scale=0.01, epsilon_exponent=0.0)),
+    ("steep schedule, beta=0.9", RunSettings(noise=NoiseModel(1.0, 0.9), epsilon_scale=1e-8)),
 )
 
 
@@ -50,18 +49,13 @@ def main(argv=None):
     budgets = [1 << k for k in range(args.min_exp, args.max_exp + 1)]
 
     series = []
-    print(f"{'N':>8}  " + "  ".join(f"{label:>28}" for label, *_ in REGIMES))
+    print(f"{'N':>8}  " + "  ".join(f"{label:>28}" for label, _ in REGIMES))
     table = {n: [] for n in budgets}
-    for label, noise, eps, p in REGIMES:
+    for label, settings in REGIMES:
         points = []
         for n in budgets:
             try:
-                steps = default_step_count(n, noise, 1 << 20, eps, p)
-                params = BoundParams(
-                    step_count=steps, total_resources=n, noise=noise,
-                    epsilon_scale=eps, exponent=p,
-                )
-                bound = appendix_loss_bound(params, LossKind.ABSOLUTE)
+                bound = appendix_loss_bound(n, settings, LossKind.ABSOLUTE)
             except InfeasibleBoundError:
                 table[n].append(None)
                 continue

@@ -6,6 +6,10 @@ depth-doubling schedule, and a unit-depth classical strategy.  Alongside
 them sit closed-form envelopes (standard quantum limit, Heisenberg limit,
 decoherence floor) and an evaluator for the Chernoff-chain loss bound that
 motivates the confidence schedule.
+
+The baselines and the bound read the noise, grid size, loss, depth limit
+and confidence schedule from the ``RunSettings`` an adaptive run uses, so
+every strategy in a comparison runs with one set of settings.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .model import (
     sample_outcome,
 )
 from .posterior import (
-    GridPosterior,
+    MAX_GRID_SIZE,
+    POINTS_PER_PERIOD,
     InsufficientResourcesError,
     LossKind,
     expected_loss,
@@ -33,7 +38,7 @@ from .posterior import (
     uniform_prior,
     update,
 )
-from .adaptive import chernoff_shot_budget
+from .adaptive import RunSettings, chernoff_shot_budget
 
 MAX_REGISTER_SIZE = 24
 MAE_OF_STD = math.sqrt(2.0 / math.pi)
@@ -51,29 +56,6 @@ class BaselineResult:
     resources_spent: int
     max_depth: int
     posterior_expected_loss: float | None
-
-
-@dataclass(frozen=True)
-class QpeaConfig:
-    """Register size for the textbook estimator; resources are 2**m - 1."""
-
-    register_size: int
-    noise: NoiseModel = NoiseModel()
-
-    def __post_init__(self):
-        if not 1 <= self.register_size <= MAX_REGISTER_SIZE:
-            raise ValueError(
-                f"register_size must be in [1, {MAX_REGISTER_SIZE}], got {self.register_size}"
-            )
-        if not self.noise.noiseless:
-            raise ValueError(
-                "the textbook outcome law holds only without noise; "
-                f"got alpha={self.noise.alpha}, beta={self.noise.beta}"
-            )
-
-    @property
-    def resources(self) -> int:
-        return (1 << self.register_size) - 1
 
 
 def qpea_outcome_distribution(theta: float, register_size: int) -> np.ndarray:
@@ -96,15 +78,26 @@ def qpea_outcome_distribution(theta: float, register_size: int) -> np.ndarray:
     return probs
 
 
-def run_qpea(theta_true: float, config: QpeaConfig, rng: np.random.Generator) -> BaselineResult:
-    """Draw one register readout and return its phase estimate."""
-    m_size = 1 << config.register_size
-    probs = qpea_outcome_distribution(theta_true, config.register_size)
+def run_qpea(
+    total_resources: int, theta_true: float, settings: RunSettings, rng: np.random.Generator
+) -> BaselineResult:
+    """Draw one readout of the largest register whose 2**m - 1 applications fit the budget."""
+    if total_resources < 1:
+        raise InsufficientResourcesError(f"budget {total_resources} cannot pay one register application")
+    noise = settings.noise
+    if not noise.noiseless:
+        raise ValueError(
+            "the textbook outcome law holds only without noise; "
+            f"got alpha={noise.alpha}, beta={noise.beta}"
+        )
+    register_size = min(MAX_REGISTER_SIZE, (total_resources + 1).bit_length() - 1)
+    m_size = 1 << register_size
+    probs = qpea_outcome_distribution(theta_true, register_size)
     k = int(rng.choice(m_size, p=probs / probs.sum()))
     return BaselineResult(
         estimate=TWO_PI * k / m_size,
-        resources_spent=config.resources,
-        max_depth=1 << (config.register_size - 1),
+        resources_spent=m_size - 1,
+        max_depth=m_size >> 1,
         posterior_expected_loss=None,
     )
 
@@ -113,9 +106,10 @@ def _largest_power_of_two_at_most(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind):
+def _run_schedule(blocks, theta_true, settings: RunSettings, rng):
     """Fold each (depth, phase, shots) block's sample into a flat prior; return the scored mode and records."""
-    posterior = uniform_prior(grid_size)
+    noise = settings.noise
+    posterior = uniform_prior(settings.grid_size)
     records = []
     for depth, phase, shots in blocks:
         circuit = Circuit(depth, phase)
@@ -127,7 +121,7 @@ def _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind):
         estimate=estimate,
         resources_spent=sum(r.circuit.depth * r.shots for r in records),
         max_depth=max(r.circuit.depth for r in records),
-        posterior_expected_loss=expected_loss(posterior, estimate, loss_kind),
+        posterior_expected_loss=expected_loss(posterior, estimate, settings.loss_kind),
     )
     return result, records
 
@@ -135,17 +129,17 @@ def _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind):
 def run_nonadaptive_doubling(
     total_resources: int,
     theta_true: float,
-    noise: NoiseModel,
+    settings: RunSettings,
     shots_per_depth: int,
     rng: np.random.Generator,
-    grid_size: int = 4096,
-    loss_kind: LossKind = LossKind.ABSOLUTE,
 ) -> tuple[BaselineResult, list[MeasurementRecord]]:
     """Fixed schedule: shots_per_depth at each of (n,0) and (n,pi/2), n doubling.
 
-    Once the next full block no longer fits, the leftover budget is spent at
-    the deepest power-of-two depth it can still pay for, split between the
-    same two phases.
+    Doubling stops once the next full block no longer fits, or once n would
+    pass the depth limit or the deepest depth the grid cap resolves.  The
+    leftover budget is spent at the deepest power-of-two depth it can still
+    pay for, up to the next doubling depth and never past those caps, split
+    between the same two phases.
     """
     if total_resources < 2:
         raise InsufficientResourcesError(
@@ -153,15 +147,16 @@ def run_nonadaptive_doubling(
         )
     if shots_per_depth < 1:
         raise ValueError(f"shots_per_depth must be >= 1, got {shots_per_depth}")
+    top = _largest_power_of_two_at_most(min(settings.depth_limit, MAX_GRID_SIZE // POINTS_PER_PERIOD))
     blocks = []
     budget = total_resources
     depth = 1
-    while budget >= 2 * depth * shots_per_depth:
+    while depth <= top and budget >= 2 * depth * shots_per_depth:
         blocks += [(depth, 0.0, shots_per_depth), (depth, np.pi / 2.0, shots_per_depth)]
         budget -= 2 * depth * shots_per_depth
         depth *= 2
 
-    deepest = min(depth, _largest_power_of_two_at_most(budget)) if budget >= 1 else 1
+    deepest = min(depth, top)
     while budget >= 1:
         depth = min(deepest, _largest_power_of_two_at_most(budget))
         affordable = budget // depth
@@ -170,16 +165,11 @@ def run_nonadaptive_doubling(
         if affordable - first > 0:
             blocks.append((depth, np.pi / 2.0, affordable - first))
         budget -= depth * affordable
-    return _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind)
+    return _run_schedule(blocks, theta_true, settings, rng)
 
 
 def run_classical(
-    total_resources: int,
-    theta_true: float,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    grid_size: int = 4096,
-    loss_kind: LossKind = LossKind.ABSOLUTE,
+    total_resources: int, theta_true: float, settings: RunSettings, rng: np.random.Generator
 ) -> BaselineResult:
     """Unit-depth strategy: split the budget between phases 0 and pi/2."""
     if total_resources < 2:
@@ -187,7 +177,7 @@ def run_classical(
             f"budget {total_resources} cannot pay one shot at each probe phase"
         )
     blocks = [(1, 0.0, total_resources - total_resources // 2), (1, np.pi / 2.0, total_resources // 2)]
-    return _run_schedule(blocks, theta_true, noise, rng, grid_size, loss_kind)[0]
+    return _run_schedule(blocks, theta_true, settings, rng)[0]
 
 
 def limit_curves(total_resources: int, noise: NoiseModel) -> dict[str, float]:
@@ -211,66 +201,51 @@ def limit_curves(total_resources: int, noise: NoiseModel) -> dict[str, float]:
     return curves
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs to the Chernoff-chain loss bound.
-
-    The chain uses pure depth doubling n_i = 2**(i-1) for i = 1..step_count
-    and the confidence profile eps_i = epsilon_scale * (n_i / n_m)**exponent.
-    """
-
-    step_count: int
-    total_resources: int
-    noise: NoiseModel = NoiseModel()
-    epsilon_scale: float = 1.0
-    exponent: float = 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon_scale <= 1.0:
-            raise ValueError(f"epsilon_scale must be in (0, 1], got {self.epsilon_scale}")
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
-        if self.step_count < 2:
-            raise ValueError(f"step_count must be >= 2, got {self.step_count}")
-        if self.total_resources < 1:
-            raise ValueError(f"total_resources must be >= 1, got {self.total_resources}")
-
-
-def _chernoff_chain(params: BoundParams):
+def _chernoff_chain(total_resources: int, settings: RunSettings, step_count: int):
     """Depths, confidence allowances, and shot counts for the bound chain.
 
+    The chain uses pure depth doubling n_i = 2**(i-1) for i = 1..step_count
+    and the confidence profile eps_i = epsilon_scale * (n_i / n_m)**epsilon_exponent.
     Shot counts for rungs 1..m-1 come from the Chernoff budget; the last
     rung absorbs whatever the resource identity leaves over.
     """
-    m = params.step_count
-    depths = [1 << (i - 1) for i in range(1, m + 1)]
+    if step_count < 2:
+        raise ValueError(f"step_count must be >= 2, got {step_count}")
+    if total_resources < 1:
+        raise ValueError(f"total_resources must be >= 1, got {total_resources}")
+    depths = [1 << (i - 1) for i in range(1, step_count + 1)]
     top = depths[-1]
-    eps = [params.epsilon_scale * (d / top) ** params.exponent for d in depths]
+    eps = [settings.epsilon_scale * (d / top) ** settings.epsilon_exponent for d in depths]
     shots = []
-    for i in range(m - 1):
+    for i in range(step_count - 1):
         eps_prev = 2.0 if i == 0 else eps[i - 1]
-        shots.append(chernoff_shot_budget(eps[i], eps_prev, depths[i], params.noise))
+        shots.append(chernoff_shot_budget(eps[i], eps_prev, depths[i], settings.noise))
     spent = sum(d * s for d, s in zip(depths, shots))
-    last_shots = (params.total_resources - spent) / top
+    last_shots = (total_resources - spent) / top
     if last_shots < 0.0:
         raise InfeasibleBoundError(
             f"chain needs {spent:.1f} resources before the last rung, "
-            f"budget is {params.total_resources}"
+            f"budget is {total_resources}"
         )
     shots.append(last_shots)
     return depths, eps, shots
 
 
-def appendix_loss_bound(params: BoundParams, kind: LossKind) -> float:
-    """Worst-case expected loss of the gated ladder under ``params``.
+def appendix_loss_bound(
+    total_resources: int, settings: RunSettings, kind: LossKind, step_count: int | None = None
+) -> float:
+    """Worst-case expected loss of the gated ladder over ``step_count`` rungs.
 
     The bound has three parts: a catastrophic term from the first rung
     failing, interval-escape terms from the middle rungs, and the terminal
     posterior width.  Values are clipped at the trivial wrapped maximum
-    (pi for absolute error, pi**2 for squared).
+    (pi for absolute error, pi**2 for squared).  Without ``step_count`` the
+    chain is ``default_step_count`` rungs long.
     """
-    depths, eps, shots = _chernoff_chain(params)
-    noise = params.noise
+    if step_count is None:
+        step_count = default_step_count(total_resources, settings)
+    depths, eps, shots = _chernoff_chain(total_resources, settings, step_count)
+    noise = settings.noise
     top = depths[-1]
     sigma_inv_sq = (8.0 * top**2 / math.pi**2) * math.log(2.0 / eps[-2])
     sigma_inv_sq += noise.alpha**2 * noise.beta ** (2 * top) * top**2 * shots[-1]
@@ -289,22 +264,14 @@ def appendix_loss_bound(params: BoundParams, kind: LossKind) -> float:
     return min(value, math.pi**2)
 
 
-def default_step_count(
-    total_resources: int,
-    noise: NoiseModel,
-    depth_limit: int = 1 << 20,
-    epsilon_scale: float = 1.0,
-    exponent: float = 3.0,
-) -> int:
+def default_step_count(total_resources: int, settings: RunSettings) -> int:
     """Deepest feasible chain length whose top depth respects the caps."""
-    cap = optimal_depth(noise, depth_limit)
+    cap = optimal_depth(settings.noise, settings.depth_limit)
     best = 0
     m = 2
     while (1 << (m - 1)) <= cap:
         try:
-            _chernoff_chain(
-                BoundParams(m, total_resources, noise, epsilon_scale, exponent)
-            )
+            _chernoff_chain(total_resources, settings, m)
         except InfeasibleBoundError:
             break
         best = m

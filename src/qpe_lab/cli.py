@@ -22,13 +22,7 @@ import numpy as np
 
 from . import __version__
 from .adaptive import ESTIMATORS, AlgorithmConfig, AlgorithmTrace, RunSettings, run, validate_trace
-from .baselines import (
-    BoundParams,
-    InfeasibleBoundError,
-    appendix_loss_bound,
-    default_step_count,
-    limit_curves,
-)
+from .baselines import InfeasibleBoundError, appendix_loss_bound, default_step_count, limit_curves
 from .harness import (
     AGGREGATE_HEADER,
     RESULTS_HEADER,
@@ -195,6 +189,7 @@ def _reference_lines(names: tuple[str, ...], budgets: list[int], noise: NoiseMod
     grid = np.unique(
         np.round(np.geomspace(min(budgets), max(budgets), 48)).astype(int)
     )
+    settings = RunSettings(noise=noise)
     lines = []
     for name in names:
         points = []
@@ -202,9 +197,7 @@ def _reference_lines(names: tuple[str, ...], budgets: list[int], noise: NoiseMod
             n = int(n)
             if name == "appendix_bound":
                 try:
-                    steps = default_step_count(n, noise)
-                    params = BoundParams(step_count=steps, total_resources=n, noise=noise)
-                    points.append((n, appendix_loss_bound(params, LossKind.ABSOLUTE)))
+                    points.append((n, appendix_loss_bound(n, settings, LossKind.ABSOLUTE)))
                 except InfeasibleBoundError:
                     continue
             else:
@@ -262,24 +255,17 @@ def cmd_plot(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    noise = _noise(args)
+    settings = RunSettings(
+        noise=_noise(args),
+        depth_limit=args.depth_limit,
+        epsilon_scale=args.epsilon_scale,
+        epsilon_exponent=args.epsilon_exponent,
+    )
     lines = ["n_tot,step_count,mae_bound,mse_bound"]
     for n_tot in args.ladder:
-        if args.steps is not None:
-            steps = args.steps
-        else:
-            steps = default_step_count(
-                n_tot, noise, args.depth_limit, args.epsilon_scale, args.epsilon_exponent,
-            )
-        params = BoundParams(
-            epsilon_scale=args.epsilon_scale,
-            exponent=args.epsilon_exponent,
-            step_count=steps,
-            total_resources=n_tot,
-            noise=noise,
-        )
-        mae = appendix_loss_bound(params, LossKind.ABSOLUTE)
-        mse = appendix_loss_bound(params, LossKind.SQUARED)
+        steps = default_step_count(n_tot, settings) if args.steps is None else args.steps
+        mae = appendix_loss_bound(n_tot, settings, LossKind.ABSOLUTE, steps)
+        mse = appendix_loss_bound(n_tot, settings, LossKind.SQUARED, steps)
         lines.append(f"{n_tot},{steps},{mae:.17g},{mse:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -326,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--seed", type=int, default=SweepConfig.master_seed, help="master seed for the whole sweep"
     )
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="process count (default: $QPE_LAB_THREADS, else all cores)")
+    p_sweep.add_argument("--workers", type=int, default=None, help="process count (default: all cores)")
     p_sweep.add_argument("--out-dir", required=True, help="directory for results.csv, aggregate.csv, manifest.json")
     p_sweep.set_defaults(func=cmd_sweep)
 

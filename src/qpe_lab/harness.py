@@ -29,16 +29,7 @@ import numpy as np
 
 from .adaptive import AlgorithmConfig, RunSettings, run, validate_trace
 from .angles import TWO_PI, wrapped_distance
-from .baselines import (
-    MAX_REGISTER_SIZE,
-    BaselineResult,
-    QpeaConfig,
-    run_classical,
-    run_nonadaptive_doubling,
-    run_qpea,
-)
-
-WORKER_ENV_VAR = "QPE_LAB_THREADS"
+from .baselines import BaselineResult, run_classical, run_nonadaptive_doubling, run_qpea
 
 
 class EmptyGroupError(ValueError):
@@ -131,41 +122,27 @@ def derive_cell_seed(master_seed: int, strategy: str, n_tot: int, theta_index: i
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def _qpea_register_size(n_tot: int) -> int:
-    # Largest register whose 2**m - 1 applications fit the budget.
-    return min(MAX_REGISTER_SIZE, (n_tot + 1).bit_length() - 1)
-
-
-# Each runner returns (estimate, resources spent, max depth, expected loss).
 # The runs are called by their module-level names so that patching this
 # module (as a call tracer does) reaches every cell.
-def _run_adaptive(config: SweepConfig, n_tot: int, theta: float, seed: int):
+def _run_adaptive(config: SweepConfig, n_tot: int, theta: float, seed: int) -> BaselineResult:
     shared = {f.name: getattr(config, f.name) for f in fields(RunSettings)}
     trace = run(AlgorithmConfig(total_resources=n_tot, seed=seed, **shared), theta)
     validate_trace(trace)
-    return trace.final_estimate, trace.resources_spent, trace.max_depth_used, trace.final_expected_loss
-
-
-def _baseline_outcome(res: BaselineResult):
-    return res.estimate, res.resources_spent, res.max_depth, res.posterior_expected_loss
-
-
-def _run_classical(config: SweepConfig, n_tot: int, theta: float, seed: int):
-    rng = np.random.default_rng(seed)
-    return _baseline_outcome(run_classical(n_tot, theta, config.noise, rng, config.grid_size, config.loss_kind))
-
-
-def _run_nonadaptive_doubling(config: SweepConfig, n_tot: int, theta: float, seed: int):
-    res, _ = run_nonadaptive_doubling(
-        n_tot, theta, config.noise, config.shots_per_depth,
-        np.random.default_rng(seed), config.grid_size, config.loss_kind,
+    return BaselineResult(
+        trace.final_estimate, trace.resources_spent, trace.max_depth_used, trace.final_expected_loss
     )
-    return _baseline_outcome(res)
 
 
-def _run_qpea(config: SweepConfig, n_tot: int, theta: float, seed: int):
-    qpea = QpeaConfig(_qpea_register_size(n_tot), config.noise)
-    return _baseline_outcome(run_qpea(theta, qpea, np.random.default_rng(seed)))
+def _run_classical(config: SweepConfig, n_tot: int, theta: float, seed: int) -> BaselineResult:
+    return run_classical(n_tot, theta, config, np.random.default_rng(seed))
+
+
+def _run_nonadaptive_doubling(config: SweepConfig, n_tot: int, theta: float, seed: int) -> BaselineResult:
+    return run_nonadaptive_doubling(n_tot, theta, config, config.shots_per_depth, np.random.default_rng(seed))[0]
+
+
+def _run_qpea(config: SweepConfig, n_tot: int, theta: float, seed: int) -> BaselineResult:
+    return run_qpea(n_tot, theta, config, np.random.default_rng(seed))
 
 
 _RUNNERS = {
@@ -184,14 +161,15 @@ def run_cell(config: SweepConfig, strategy: str, n_tot: int, theta_index: int, r
     try:
         if strategy not in _RUNNERS:
             raise ValueError(f"unknown strategy {strategy!r}")
-        estimate, resources, max_depth, loss = _RUNNERS[strategy](config, n_tot, theta, seed)
+        result = _RUNNERS[strategy](config, n_tot, theta, seed)
     except Exception as exc:
         return SweepCellResult(
             strategy, n_tot, theta_index, theta, rep,
             math.nan, math.nan, math.nan, 0, 0,
             error=f"{type(exc).__name__}: {exc}",
         )
-    abs_error = float(wrapped_distance(estimate, theta))
+    abs_error = float(wrapped_distance(result.estimate, theta))
+    loss = result.posterior_expected_loss
     return SweepCellResult(
         strategy=strategy,
         n_tot=n_tot,
@@ -201,8 +179,8 @@ def run_cell(config: SweepConfig, strategy: str, n_tot: int, theta_index: int, r
         abs_error=abs_error,
         sq_error=abs_error * abs_error,
         expected_loss=math.nan if loss is None else float(loss),
-        resources_spent=int(resources),
-        max_depth=int(max_depth),
+        resources_spent=int(result.resources_spent),
+        max_depth=int(result.max_depth),
     )
 
 
@@ -215,21 +193,10 @@ def _cell_args(config: SweepConfig):
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else the env var, else all cores."""
-    if explicit is None:
-        raw = os.environ.get(WORKER_ENV_VAR)
-        if raw is None:
-            explicit = 0
-        else:
-            try:
-                explicit = int(raw)
-            except ValueError as exc:
-                raise ValueError(f"{WORKER_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if explicit < 0:
+    """Worker count: the explicit value, where 0 or None means all cores."""
+    if explicit is not None and explicit < 0:
         raise ValueError(f"worker count must be >= 0, got {explicit}")
-    if explicit == 0:
-        explicit = os.cpu_count() or 1
-    return explicit
+    return explicit or os.cpu_count() or 1
 
 
 def _run_cell_star(packed):

@@ -250,12 +250,8 @@ def test_criterion_08_textbook_estimator(qpea_sweep, capsys):
 
 def test_criterion_09_analytic_bound_regimes(capsys):
     def bound(n, noise, eps, p):
-        steps = q.default_step_count(n, noise, 1 << 20, eps, p)
-        params = q.BoundParams(
-            step_count=steps, total_resources=n, noise=noise,
-            epsilon_scale=eps, exponent=p,
-        )
-        return q.appendix_loss_bound(params, q.LossKind.ABSOLUTE)
+        settings = q.RunSettings(noise=noise, epsilon_scale=eps, epsilon_exponent=p)
+        return q.appendix_loss_bound(n, settings, q.LossKind.ABSOLUTE)
 
     halving = [bound(1 << k, NOISELESS, 1.0, 3.0) for k in range(13, 18)]
     halving_ratios = [b / a for a, b in zip(halving, halving[1:])]

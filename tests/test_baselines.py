@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpe_lab.baselines as baselines
+import qpe_lab.posterior as posterior
+from qpe_lab.adaptive import RunSettings
 from qpe_lab.angles import TWO_PI, signed_gap, wrapped_distance
 from qpe_lab.baselines import (
-    BoundParams,
     InfeasibleBoundError,
-    QpeaConfig,
     appendix_loss_bound,
     default_step_count,
     limit_curves,
@@ -22,27 +24,16 @@ from qpe_lab.model import NoiseModel
 from qpe_lab.posterior import InsufficientResourcesError, LossKind
 
 NOISELESS = NoiseModel()
-
-
-class TestQpeaConfig:
-    def test_resources_follow_register_size(self):
-        assert QpeaConfig(1).resources == 1
-        assert QpeaConfig(5).resources == 31
-        assert QpeaConfig(12).resources == 4095
-
-    @pytest.mark.parametrize("m", [0, 25])
-    def test_register_size_range(self, m):
-        with pytest.raises(ValueError):
-            QpeaConfig(m)
-
-    def test_noise_is_rejected(self):
-        with pytest.raises(ValueError):
-            QpeaConfig(4, NoiseModel(0.9, 1.0))
-        with pytest.raises(ValueError):
-            QpeaConfig(4, NoiseModel(1.0, 0.99))
+SETTINGS = RunSettings()
+DECAY = RunSettings(noise=NoiseModel(1.0, 0.9))
 
 
 class TestQpeaDistribution:
+    @pytest.mark.parametrize("m", [0, 25])
+    def test_register_size_range(self, m):
+        with pytest.raises(ValueError):
+            qpea_outcome_distribution(1.0, m)
+
     @pytest.mark.parametrize("m,k", [(3, 0), (3, 5), (8, 17), (12, 4000)])
     def test_dyadic_phase_is_read_exactly(self, m, k):
         probs = qpea_outcome_distribution(TWO_PI * k / (1 << m), m)
@@ -75,10 +66,30 @@ class TestQpeaDistribution:
 
 
 class TestRunQpea:
+    @pytest.mark.parametrize("n_tot,spent", [(1, 1), (31, 31), (62, 31), (4095, 4095), (4096, 4095)])
+    def test_largest_register_that_fits_the_budget(self, n_tot, spent):
+        res = run_qpea(n_tot, 0.4, SETTINGS, np.random.default_rng(0))
+        assert res.resources_spent == spent
+        assert res.max_depth == (spent + 1) // 2
+
+    def test_register_size_is_capped(self, monkeypatch):
+        monkeypatch.setattr(baselines, "MAX_REGISTER_SIZE", 4)
+        res = run_qpea(1000, 0.4, SETTINGS, np.random.default_rng(0))
+        assert (res.resources_spent, res.max_depth) == (15, 8)
+
+    def test_budget_below_one_is_infeasible(self):
+        with pytest.raises(InsufficientResourcesError):
+            run_qpea(0, 0.4, SETTINGS, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("alpha,beta", [(0.9, 1.0), (1.0, 0.99)])
+    def test_noise_is_rejected(self, alpha, beta):
+        message = f"the textbook outcome law holds only without noise; got alpha={alpha}, beta={beta}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_qpea(15, 0.4, RunSettings(noise=NoiseModel(alpha, beta)), np.random.default_rng(0))
+
     def test_exact_at_dyadic_phases(self):
-        config = QpeaConfig(6)
         rng = np.random.default_rng(0)
-        res = run_qpea(TWO_PI * 17 / 64, config, rng)
+        res = run_qpea(63, TWO_PI * 17 / 64, SETTINGS, rng)
         assert res.estimate == pytest.approx(TWO_PI * 17 / 64, abs=1e-12)
         assert res.resources_spent == 63
         assert res.max_depth == 32
@@ -89,43 +100,63 @@ class TestRunQpea:
         theta = 2.2340811
         for m in (4, 6, 8):
             errors = [
-                wrapped_distance(run_qpea(theta, QpeaConfig(m), rng).estimate, theta)
+                wrapped_distance(run_qpea((1 << m) - 1, theta, SETTINGS, rng).estimate, theta)
                 for _ in range(60)
             ]
             assert np.mean(errors) < 4 * TWO_PI / (1 << m)
 
     def test_seeded_reproducibility(self):
-        res_a = run_qpea(1.1, QpeaConfig(5), np.random.default_rng(9))
-        res_b = run_qpea(1.1, QpeaConfig(5), np.random.default_rng(9))
+        res_a = run_qpea(31, 1.1, SETTINGS, np.random.default_rng(9))
+        res_b = run_qpea(31, 1.1, SETTINGS, np.random.default_rng(9))
         assert res_a.estimate == res_b.estimate
 
 
 class TestRunNonadaptiveDoubling:
     def test_budget_below_two_is_infeasible(self):
         with pytest.raises(InsufficientResourcesError):
-            run_nonadaptive_doubling(1, 0.5, NOISELESS, 32, np.random.default_rng(0))
+            run_nonadaptive_doubling(1, 0.5, SETTINGS, 32, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n_tot,deepest", [(100, 2), (257, 4), (2048, 32)])
     def test_spends_everything(self, n_tot, deepest):
-        res, records = run_nonadaptive_doubling(n_tot, 2.2, NOISELESS, 32, np.random.default_rng(0))
+        res, records = run_nonadaptive_doubling(n_tot, 2.2, SETTINGS, 32, np.random.default_rng(0))
         assert res.resources_spent == n_tot
         assert res.max_depth == deepest
         assert sum(r.circuit.depth * r.shots for r in records) == n_tot
 
+    @pytest.mark.parametrize("depth_limit,deepest", [(1, 1), (8, 8), (12, 8)])
+    def test_depth_limit_caps_the_schedule(self, depth_limit, deepest):
+        settings = RunSettings(depth_limit=depth_limit)
+        res, records = run_nonadaptive_doubling(4096, 2.2, settings, 32, np.random.default_rng(0))
+        assert res.resources_spent == 4096
+        assert res.max_depth == deepest
+        assert sum(r.circuit.depth * r.shots for r in records) == 4096
+
+    def test_grid_cap_stops_the_doubling(self):
+        # With one shot per depth the doubling alone would reach 2**18,
+        # which the posterior grid cap cannot resolve.
+        try:
+            res, _ = run_nonadaptive_doubling(1 << 20, 1.3, SETTINGS, 1, np.random.default_rng(0))
+        finally:
+            # The per-grid caches now hold about 0.5 GB of 2**22-cell arrays.
+            for cache in (posterior._grid_trig, posterior._log_prob_components, posterior._grid_angles):
+                cache.cache_clear()
+        assert res.resources_spent == 1 << 20
+        assert res.max_depth == posterior.MAX_GRID_SIZE // posterior.POINTS_PER_PERIOD == 1 << 17
+
     def test_depths_are_powers_of_two(self):
-        _, records = run_nonadaptive_doubling(1000, 1.0, NOISELESS, 16, np.random.default_rng(3))
+        _, records = run_nonadaptive_doubling(1000, 1.0, SETTINGS, 16, np.random.default_rng(3))
         for r in records:
             assert r.circuit.depth & (r.circuit.depth - 1) == 0
 
     def test_converges_on_generous_budgets(self):
         errors = []
         for seed in range(6):
-            res, _ = run_nonadaptive_doubling(2048, 2.2, NOISELESS, 32, np.random.default_rng(seed))
+            res, _ = run_nonadaptive_doubling(2048, 2.2, SETTINGS, 32, np.random.default_rng(seed))
             errors.append(wrapped_distance(res.estimate, 2.2))
         assert np.median(errors) < 0.05
 
     def test_expected_loss_is_reported(self):
-        res, _ = run_nonadaptive_doubling(512, 0.3, NOISELESS, 32, np.random.default_rng(1))
+        res, _ = run_nonadaptive_doubling(512, 0.3, SETTINGS, 32, np.random.default_rng(1))
         assert res.posterior_expected_loss is not None
         assert res.posterior_expected_loss >= 0.0
 
@@ -133,18 +164,18 @@ class TestRunNonadaptiveDoubling:
 class TestRunClassical:
     def test_spends_everything_at_depth_one(self):
         for n_tot in (2, 3, 101, 1024):
-            res = run_classical(n_tot, 1.7, NOISELESS, np.random.default_rng(0))
+            res = run_classical(n_tot, 1.7, SETTINGS, np.random.default_rng(0))
             assert res.resources_spent == n_tot
             assert res.max_depth == 1
 
     def test_error_shrinks_like_root_n(self):
         rng = np.random.default_rng(7)
         errors_small = [
-            wrapped_distance(run_classical(64, 2.9, NOISELESS, rng).estimate, 2.9)
+            wrapped_distance(run_classical(64, 2.9, SETTINGS, rng).estimate, 2.9)
             for _ in range(30)
         ]
         errors_large = [
-            wrapped_distance(run_classical(4096, 2.9, NOISELESS, rng).estimate, 2.9)
+            wrapped_distance(run_classical(4096, 2.9, SETTINGS, rng).estimate, 2.9)
             for _ in range(30)
         ]
         assert np.mean(errors_large) < np.mean(errors_small) / 3
@@ -153,7 +184,7 @@ class TestRunClassical:
         rng = np.random.default_rng(21)
         for theta in (0.3, 2.0, 4.4, 6.0):
             gaps = [
-                signed_gap(run_classical(2000, theta, NOISELESS, rng).estimate, theta)
+                signed_gap(run_classical(2000, theta, SETTINGS, rng).estimate, theta)
                 for _ in range(20)
             ]
             assert abs(np.mean(gaps)) < 0.05
@@ -178,22 +209,18 @@ class TestLimitCurves:
         assert b["hl"] < a["hl"]
 
 
-class TestBoundParams:
+class TestBoundArguments:
     @pytest.mark.parametrize(
-        "kwargs",
+        "total_resources,step_count,message",
         [
-            {"step_count": 1},
-            {"total_resources": 0},
-            {"epsilon_scale": 0.0},
-            {"epsilon_scale": 1.2},
-            {"exponent": -0.5},
+            (100, 1, "step_count must be >= 2, got 1"),
+            (0, 3, "total_resources must be >= 1, got 0"),
+            (0, None, "total_resources must be >= 1, got 0"),
         ],
     )
-    def test_validation(self, kwargs):
-        base = {"step_count": 3, "total_resources": 100}
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            BoundParams(**base)
+    def test_validation(self, total_resources, step_count, message):
+        with pytest.raises(ValueError, match=message):
+            appendix_loss_bound(total_resources, SETTINGS, LossKind.ABSOLUTE, step_count)
 
 
 class TestAppendixLossBound:
@@ -202,42 +229,36 @@ class TestAppendixLossBound:
         nu1 = 32 / math.pi**2 * math.log(2 / eps1)
         inv_var = 32 / math.pi**2 * math.log(2 / eps1) + 4 * (n_tot - nu1) / 2
         by_hand = 1.5 * math.pi * eps1 + math.sqrt(2 / (math.pi * inv_var))
-        assert appendix_loss_bound(BoundParams(2, n_tot), LossKind.ABSOLUTE) == pytest.approx(
-            by_hand, rel=1e-14
-        )
+        assert appendix_loss_bound(n_tot, SETTINGS, LossKind.ABSOLUTE, 2) == pytest.approx(by_hand, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_default_chain_is_the_default_step_count(self, kind):
+        for settings in (SETTINGS, DECAY):
+            m = default_step_count(4096, settings)
+            assert appendix_loss_bound(4096, settings, kind) == appendix_loss_bound(4096, settings, kind, m)
 
     def test_noiseless_bound_halves_per_doubling(self):
         prev = None
         for k in (14, 15, 16):
             n = 1 << k
-            m = default_step_count(n, NOISELESS)
-            b = appendix_loss_bound(BoundParams(m, n), LossKind.ABSOLUTE)
+            b = appendix_loss_bound(n, SETTINGS, LossKind.ABSOLUTE)
             if prev is not None:
                 assert 0.45 <= b / prev <= 0.55
             prev = b
 
     def test_constant_profile_plateaus(self):
-        values = []
-        for k in (14, 15, 16, 17):
-            n = 1 << k
-            m = default_step_count(n, NOISELESS, epsilon_scale=0.01, exponent=0.0)
-            values.append(
-                appendix_loss_bound(
-                    BoundParams(m, n, epsilon_scale=0.01, exponent=0.0), LossKind.ABSOLUTE
-                )
-            )
+        flat = RunSettings(epsilon_scale=0.01, epsilon_exponent=0.0)
+        values = [appendix_loss_bound(1 << k, flat, LossKind.ABSOLUTE) for k in (14, 15, 16, 17)]
         floor = 1.5 * math.pi * 0.01
         for a, b in zip(values, values[1:]):
             assert 0.95 <= b / a <= 1.0 + 1e-12
         assert all(v >= floor for v in values)
 
     def test_decay_limits_scaling_to_root_n(self):
-        noise = NoiseModel(1.0, 0.9)
+        settings = RunSettings(noise=NoiseModel(1.0, 0.9), epsilon_scale=1e-8)
         prev = None
         for k in (12, 13, 14):
-            n = 1 << k
-            m = default_step_count(n, noise, epsilon_scale=1e-8)
-            b = appendix_loss_bound(BoundParams(m, n, noise, epsilon_scale=1e-8), LossKind.ABSOLUTE)
+            b = appendix_loss_bound(1 << k, settings, LossKind.ABSOLUTE)
             if prev is not None:
                 assert 2**-0.5 * 0.9 <= b / prev <= 2**-0.5 * 1.1
             prev = b
@@ -245,52 +266,51 @@ class TestAppendixLossBound:
     def test_bound_is_monotone_in_budget(self):
         prev = math.inf
         for k in range(8, 17):
-            n = 1 << k
-            m = default_step_count(n, NOISELESS)
-            b = appendix_loss_bound(BoundParams(m, n), LossKind.ABSOLUTE)
+            b = appendix_loss_bound(1 << k, SETTINGS, LossKind.ABSOLUTE)
             assert b <= prev + 1e-15
             prev = b
 
     def test_mse_is_clipped_at_pi_squared(self):
         # with the constant profile at eps = 1 the first term alone
         # exceeds the worst possible squared error
-        assert appendix_loss_bound(
-            BoundParams(4, 10**6, exponent=0.0), LossKind.SQUARED
-        ) == pytest.approx(math.pi**2)
+        flat = RunSettings(epsilon_exponent=0.0)
+        assert appendix_loss_bound(10**6, flat, LossKind.SQUARED, 4) == pytest.approx(math.pi**2)
 
     def test_mae_is_clipped_at_pi(self):
-        assert appendix_loss_bound(
-            BoundParams(4, 10**6, exponent=0.0), LossKind.ABSOLUTE
-        ) == pytest.approx(math.pi)
+        flat = RunSettings(epsilon_exponent=0.0)
+        assert appendix_loss_bound(10**6, flat, LossKind.ABSOLUTE, 4) == pytest.approx(math.pi)
 
     def test_overcommitted_chain_is_infeasible(self):
         with pytest.raises(InfeasibleBoundError):
-            appendix_loss_bound(BoundParams(8, 10), LossKind.ABSOLUTE)
+            appendix_loss_bound(10, SETTINGS, LossKind.ABSOLUTE, 8)
 
     def test_mse_beats_mae_squared_relationship(self):
         # both bounds exist and the MSE bound exceeds the square of a
         # typical error, sanity anchoring their magnitudes
         n = 1 << 14
-        m = default_step_count(n, NOISELESS)
-        mae = appendix_loss_bound(BoundParams(m, n), LossKind.ABSOLUTE)
-        mse = appendix_loss_bound(BoundParams(m, n), LossKind.SQUARED)
+        mae = appendix_loss_bound(n, SETTINGS, LossKind.ABSOLUTE)
+        mse = appendix_loss_bound(n, SETTINGS, LossKind.SQUARED)
         assert 0 < mse < mae < 1
 
 
 class TestDefaultStepCount:
     def test_grows_with_budget(self):
-        counts = [default_step_count(1 << k, NOISELESS) for k in range(8, 15)]
+        counts = [default_step_count(1 << k, SETTINGS) for k in range(8, 15)]
         assert counts == sorted(counts)
         assert counts[-1] > counts[0]
 
     def test_known_values(self):
-        assert default_step_count(1 << 13, NOISELESS) == 10
-        assert default_step_count(1 << 12, NoiseModel(1.0, 0.9), epsilon_scale=1e-8) == 3
+        assert default_step_count(1 << 13, SETTINGS) == 10
+        assert default_step_count(1 << 12, RunSettings(noise=NoiseModel(1.0, 0.9), epsilon_scale=1e-8)) == 3
 
     def test_decay_caps_the_chain(self):
         # top depth must respect the depth optimum of 5, i.e. 2**(m-1) <= 5
-        assert default_step_count(10**6, NoiseModel(1.0, 0.9)) == 3
+        assert default_step_count(10**6, DECAY) == 3
+
+    def test_depth_limit_caps_the_chain(self):
+        # top depth 2**(m-1) <= 8
+        assert default_step_count(1 << 13, RunSettings(depth_limit=8)) == 4
 
     def test_tiny_budget_is_infeasible(self):
         with pytest.raises(InfeasibleBoundError):
-            default_step_count(7, NoiseModel(1.0, 0.5))
+            default_step_count(7, RunSettings(noise=NoiseModel(1.0, 0.5)))

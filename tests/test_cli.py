@@ -6,11 +6,15 @@ import pytest
 
 import qpe_lab.cli as cli
 from qpe_lab import __version__
-from qpe_lab.baselines import BoundParams, appendix_loss_bound, default_step_count
-from qpe_lab.adaptive import AlgorithmConfig
+from qpe_lab.baselines import appendix_loss_bound, default_step_count
+from qpe_lab.adaptive import AlgorithmConfig, RunSettings
 from qpe_lab.harness import AGGREGATE_HEADER, RESULTS_HEADER, STRATEGIES, SweepConfig
-from qpe_lab.model import NoiseModel
 from qpe_lab.posterior import LossKind
+
+
+# Invalid values of the depth cap and confidence schedule flags that
+# ``run``, ``sweep`` and ``bounds`` share.
+SCHEDULE_FLAGS = [("--epsilon-scale", "2"), ("--epsilon-exponent", "-1"), ("--depth-limit", "0")]
 
 
 def run_cli(*argv):
@@ -125,17 +129,20 @@ class TestSweepCommand:
         assert "qpe-lab: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--epsilon-scale", "2"), ("--epsilon-exponent", "-1"), ("--grid-size", "16"), ("--depth-limit", "0")],
+        "command, flag, value",
+        [pytest.param("sweep", f, v, id=f"{f}-{v}") for f, v in SCHEDULE_FLAGS + [("--grid-size", "16")]]
+        + [pytest.param("bounds", f, v, id=f"bounds{f}-{v}") for f, v in SCHEDULE_FLAGS],
     )
-    def test_invalid_run_setting_fails_as_run_does(self, tmp_path, capsys, flag, value):
+    def test_invalid_run_setting_fails_as_run_does(self, tmp_path, capsys, command, flag, value):
         run_code = run_cli("run", "--n-tot", "64", "--theta", "1.0", flag, value, "--out", str(tmp_path / "t.json"))
         run_err = capsys.readouterr().err
         out = tmp_path / "x"
-        code = run_cli(
-            "sweep", "--ladder", "8,16", "--thetas", "1", "--reps", "1", "--workers", "1",
-            flag, value, "--out-dir", str(out),
-        )
+        argv = {
+            "sweep": ["sweep", "--ladder", "8,16", "--thetas", "1", "--reps", "1", "--workers", "1", "--out-dir"],
+            # A fixed step count skips default_step_count, the only reader of the depth limit.
+            "bounds": ["bounds", "--ladder", "64", "--steps", "3", "--out"],
+        }[command]
+        code = run_cli(*argv, str(out), flag, value)
         assert (run_code, code) == (1, 1)
         assert capsys.readouterr().err == run_err
         assert not out.exists()
@@ -229,14 +236,12 @@ class TestBoundsCommand:
         for line, n_tot in zip(lines[1:], (1024, 4096)):
             fields = line.split(",")
             assert int(fields[0]) == n_tot
-            steps = default_step_count(n_tot, NoiseModel())
-            assert int(fields[1]) == steps
-            params = BoundParams(step_count=steps, total_resources=n_tot)
+            assert int(fields[1]) == default_step_count(n_tot, RunSettings())
             assert float(fields[2]) == pytest.approx(
-                appendix_loss_bound(params, LossKind.ABSOLUTE), rel=1e-15
+                appendix_loss_bound(n_tot, RunSettings(), LossKind.ABSOLUTE), rel=1e-15
             )
             assert float(fields[3]) == pytest.approx(
-                appendix_loss_bound(params, LossKind.SQUARED), rel=1e-15
+                appendix_loss_bound(n_tot, RunSettings(), LossKind.SQUARED), rel=1e-15
             )
 
     def test_writes_to_file_on_request(self, tmp_path, capsys):

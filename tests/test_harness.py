@@ -11,7 +11,6 @@ from qpe_lab.harness import (
     AGGREGATE_HEADER,
     RESULTS_HEADER,
     STRATEGIES,
-    WORKER_ENV_VAR,
     AggregateRow,
     DegenerateInputError,
     EmptyGroupError,
@@ -199,27 +198,12 @@ class TestIterSweep:
 
 
 class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKER_ENV_VAR, "7")
+    def test_explicit_wins(self):
         assert resolve_workers(3) == 3
 
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(WORKER_ENV_VAR, "3")
-        assert resolve_workers(None) == 3
-
-    def test_env_zero_means_all_cores(self, monkeypatch):
-        monkeypatch.setenv(WORKER_ENV_VAR, "0")
+    def test_default_uses_all_cores(self):
         assert resolve_workers(None) == os.cpu_count()
-
-    def test_default_uses_all_cores(self, monkeypatch):
-        monkeypatch.delenv(WORKER_ENV_VAR, raising=False)
-        assert resolve_workers(None) == os.cpu_count()
-
-    @pytest.mark.parametrize("value", ["x", "-2", "1.5"])
-    def test_garbage_env_is_rejected(self, value, monkeypatch):
-        monkeypatch.setenv(WORKER_ENV_VAR, value)
-        with pytest.raises(ValueError):
-            resolve_workers(None)
+        assert resolve_workers(0) == os.cpu_count()
 
     def test_negative_explicit_rejected(self):
         with pytest.raises(ValueError):
