@@ -39,7 +39,7 @@ import numpy as np
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel  # noqa: E402
+from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, tuned_circuit  # noqa: E402
 from qpe_lab.posterior import (  # noqa: E402
     CircularInterval,
     LossKind,
@@ -85,7 +85,7 @@ def bench_grid(grid_size: int) -> dict:
     rng = np.random.default_rng(grid_size)
     outcomes = rng.integers(0, 2, size=calls).tolist()
     # Tuned so that p0 = 1/2 at the true phase, as the loop's circuits are.
-    circuit = Circuit(depth, math.pi / 2.0 - depth * THETA)
+    circuit = tuned_circuit(depth, THETA)
     interval = CircularInterval(THETA, math.pi / (4.0 * depth))
 
     post = base_posterior(grid_size, depth)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import signed_gap, wrap_float, wrapped_distance
-from .model import Circuit, MeasurementRecord, NoiseModel, optimal_depth, sample_outcome
+from .model import Circuit, MeasurementRecord, NoiseModel, optimal_depth, sample_outcome, tuned_circuit
 from .posterior import (
     CircularInterval,
     GridPosterior,
@@ -67,6 +67,11 @@ class RunSettings:
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         check_grid_size(self.grid_size)
+
+    @property
+    def depth_cap(self) -> int:
+        """The top of the depth ladder: the noise-optimal depth within the depth limit."""
+        return optimal_depth(self.noise, self.depth_limit)
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,8 @@ def next_depth(step_index: int, config: AlgorithmConfig) -> int:
     """Ladder depth at a 1-based step: min(2**(i-1), optimal, limit)."""
     if step_index < 1:
         raise ValueError(f"step_index must be >= 1, got {step_index}")
-    cap = optimal_depth(config.noise, config.depth_limit)
-    doubling = 1 << (step_index - 1) if step_index - 1 < cap.bit_length() + 1 else cap
-    return min(doubling, cap)
+    cap = config.depth_cap
+    return min(1 << min(step_index - 1, cap.bit_length()), cap)
 
 
 def choose_center(
@@ -186,11 +190,6 @@ def max_shots_for_step(step_index: int, config: AlgorithmConfig) -> int:
     return int(math.ceil(raw))
 
 
-def _tuned_phase(depth: int, target: float) -> float:
-    """Phase putting ``target`` on the steepest point of the depth-n fringe."""
-    return wrap_float(np.pi / 2.0 - depth * target)
-
-
 def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     """Execute one adaptive estimation and return its full trace."""
     rng = np.random.default_rng(config.seed)
@@ -211,11 +210,14 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         tally[1] += outcome
         return outcome
 
-    def predicted(circuit: Circuit) -> float:
-        # predict_loss needs budget // depth >= 1 shots, which this ensures.
-        if budget < circuit.depth:
-            return math.inf
-        return predict_loss(posterior, circuit, budget, noise, kind)
+    def predict(depth: int, deeper: int, interval: CircularInterval) -> list[float]:
+        """Predicted losses of staying, tuned to the mode in the interval, and of deepening, tuned to its center."""
+        stay = tuned_circuit(depth, map_estimate(posterior, within=interval))
+        # A circuit the budget cannot pay for once predicts an infinite loss.
+        return [
+            predict_loss(posterior, c, budget, noise, kind) if budget >= c.depth else math.inf
+            for c in (stay, tuned_circuit(deeper, interval.center))
+        ]
 
     probe_a = Circuit(1, 0.0)
     probe_b = Circuit(1, np.pi / 4.0)
@@ -241,9 +243,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     loss_stay = loss_deepen = None
     decision = "exhaust"
     if gate_passed:
-        estimate = map_estimate(posterior, within=interval)
-        loss_stay = predicted(Circuit(1, _tuned_phase(1, estimate)))
-        loss_deepen = predicted(Circuit(n2, _tuned_phase(n2, interval.center)))
+        loss_stay, loss_deepen = predict(1, n2, interval)
         if math.isinf(loss_stay) and math.isinf(loss_deepen):
             decision = "exhaust"
         elif loss_stay < loss_deepen:
@@ -276,7 +276,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         estimate = map_estimate(posterior, within=interval)
         center = choose_center(estimate, interval, deeper, step_index)
         current = CircularInterval(center, np.pi / (2.0 * deeper))
-        circuit = Circuit(depth, _tuned_phase(depth, center))
+        circuit = tuned_circuit(depth, center)
         eps = required_confidence(depth, config)
         cap = max_shots_for_step(step_index, config)
         shot_cap = 2 * cap if cap > 0 else None
@@ -301,9 +301,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         loss_stay = loss_deepen = None
         decision = "exhaust"
         if gate_passed or cap_hit:
-            estimate = map_estimate(posterior, within=current)
-            loss_stay = predicted(Circuit(depth, _tuned_phase(depth, estimate)))
-            loss_deepen = predicted(Circuit(deeper, _tuned_phase(deeper, center)))
+            loss_stay, loss_deepen = predict(depth, deeper, current)
             if not (math.isinf(loss_stay) and math.isinf(loss_deepen)):
                 # Unlike step 1, a tie stays.  A saturated ladder with an
                 # already-passing gate spends nothing; deepening again
@@ -315,8 +313,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             # Retune to the running mode after every execution and spend
             # whatever still pays for this depth.
             while budget >= depth:
-                retuned = Circuit(depth, _tuned_phase(depth, map_estimate(posterior, within=current)))
-                successes += fire(retuned)
+                successes += fire(tuned_circuit(depth, map_estimate(posterior, within=current)))
                 shots_used += 1
         steps.append(
             StepRecord(
@@ -337,8 +334,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
 
     # Step 6: remainder goes to unit-depth circuits at the running estimate.
     if budget >= 1:
-        estimate = map_estimate(posterior, within=interval)
-        closer = Circuit(1, _tuned_phase(1, estimate))
+        closer = tuned_circuit(1, map_estimate(posterior, within=interval))
         shots_used = 0
         successes = 0
         while budget >= 1:

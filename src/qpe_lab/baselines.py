@@ -25,12 +25,10 @@ from .model import (
     MeasurementRecord,
     NoiseModel,
     minimum_achievable_variance,
-    optimal_depth,
     sample_outcome,
 )
 from .posterior import (
-    MAX_GRID_SIZE,
-    POINTS_PER_PERIOD,
+    MAX_DEPTH,
     InsufficientResourcesError,
     LossKind,
     expected_loss,
@@ -42,6 +40,7 @@ from .adaptive import RunSettings, chernoff_shot_budget
 
 MAX_REGISTER_SIZE = 24
 MAE_OF_STD = math.sqrt(2.0 / math.pi)
+Schedule = list[tuple[int, float, int]]  # (depth, phase, shots) blocks
 
 
 class InfeasibleBoundError(ValueError):
@@ -106,24 +105,61 @@ def _largest_power_of_two_at_most(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def _run_schedule(blocks, theta_true, settings: RunSettings, rng):
-    """Fold each (depth, phase, shots) block's sample into a flat prior; return the scored mode and records."""
+def _check_probe_budget(total_resources: int) -> None:
+    if total_resources < 2:
+        raise InsufficientResourcesError(f"budget {total_resources} cannot pay one shot at each probe phase")
+
+
+def _probe_pair(depth: int, shots: int) -> Schedule:
+    """Blocks splitting the shots at this depth between phases 0 and pi/2, the odd one at 0."""
+    return [(depth, phase, n) for phase, n in ((0.0, shots - shots // 2), (np.pi / 2.0, shots // 2)) if n > 0]
+
+
+def _run_schedule(blocks: Schedule, theta_true, settings: RunSettings, rng) -> BaselineResult:
+    """Fold each block's sample into a flat prior and score the mode."""
     noise = settings.noise
     posterior = uniform_prior(settings.grid_size)
-    records = []
     for depth, phase, shots in blocks:
         circuit = Circuit(depth, phase)
-        record = MeasurementRecord(circuit, shots, sample_outcome(circuit, shots, theta_true, noise, rng))
-        update(posterior, record, noise)
-        records.append(record)
+        outcome = sample_outcome(circuit, shots, theta_true, noise, rng)
+        update(posterior, MeasurementRecord(circuit, shots, outcome), noise)
     estimate = map_estimate(posterior)
-    result = BaselineResult(
+    return BaselineResult(
         estimate=estimate,
-        resources_spent=sum(r.circuit.depth * r.shots for r in records),
-        max_depth=max(r.circuit.depth for r in records),
+        resources_spent=sum(depth * shots for depth, _, shots in blocks),
+        max_depth=max(depth for depth, _, _ in blocks),
         posterior_expected_loss=expected_loss(posterior, estimate, settings.loss_kind),
     )
-    return result, records
+
+
+def doubling_schedule(total_resources: int, settings: RunSettings, shots_per_depth: int) -> Schedule:
+    """Blocks of shots_per_depth at each of (n,0) and (n,pi/2), n doubling.
+
+    Doubling stops once the next full block no longer fits, or once n would
+    pass the depth limit or MAX_DEPTH.  The leftover budget is spent at the
+    deepest power-of-two depth it can still pay for, up to the next
+    doubling depth and never past those caps, split between the same two
+    phases.
+    """
+    _check_probe_budget(total_resources)
+    if shots_per_depth < 1:
+        raise ValueError(f"shots_per_depth must be >= 1, got {shots_per_depth}")
+    top = _largest_power_of_two_at_most(min(settings.depth_limit, MAX_DEPTH))
+    blocks = []
+    budget = total_resources
+    depth = 1
+    while depth <= top and budget >= 2 * depth * shots_per_depth:
+        blocks += _probe_pair(depth, 2 * shots_per_depth)
+        budget -= 2 * depth * shots_per_depth
+        depth *= 2
+
+    deepest = min(depth, top)
+    while budget >= 1:
+        depth = min(deepest, _largest_power_of_two_at_most(budget))
+        affordable = budget // depth
+        blocks += _probe_pair(depth, affordable)
+        budget -= depth * affordable
+    return blocks
 
 
 def run_nonadaptive_doubling(
@@ -132,52 +168,17 @@ def run_nonadaptive_doubling(
     settings: RunSettings,
     shots_per_depth: int,
     rng: np.random.Generator,
-) -> tuple[BaselineResult, list[MeasurementRecord]]:
-    """Fixed schedule: shots_per_depth at each of (n,0) and (n,pi/2), n doubling.
-
-    Doubling stops once the next full block no longer fits, or once n would
-    pass the depth limit or the deepest depth the grid cap resolves.  The
-    leftover budget is spent at the deepest power-of-two depth it can still
-    pay for, up to the next doubling depth and never past those caps, split
-    between the same two phases.
-    """
-    if total_resources < 2:
-        raise InsufficientResourcesError(
-            f"budget {total_resources} cannot pay one shot at each probe phase"
-        )
-    if shots_per_depth < 1:
-        raise ValueError(f"shots_per_depth must be >= 1, got {shots_per_depth}")
-    top = _largest_power_of_two_at_most(min(settings.depth_limit, MAX_GRID_SIZE // POINTS_PER_PERIOD))
-    blocks = []
-    budget = total_resources
-    depth = 1
-    while depth <= top and budget >= 2 * depth * shots_per_depth:
-        blocks += [(depth, 0.0, shots_per_depth), (depth, np.pi / 2.0, shots_per_depth)]
-        budget -= 2 * depth * shots_per_depth
-        depth *= 2
-
-    deepest = min(depth, top)
-    while budget >= 1:
-        depth = min(deepest, _largest_power_of_two_at_most(budget))
-        affordable = budget // depth
-        first = affordable - affordable // 2
-        blocks.append((depth, 0.0, first))
-        if affordable - first > 0:
-            blocks.append((depth, np.pi / 2.0, affordable - first))
-        budget -= depth * affordable
-    return _run_schedule(blocks, theta_true, settings, rng)
+) -> BaselineResult:
+    """Non-adaptive baseline: sample the ``doubling_schedule`` and score the posterior mode."""
+    return _run_schedule(doubling_schedule(total_resources, settings, shots_per_depth), theta_true, settings, rng)
 
 
 def run_classical(
     total_resources: int, theta_true: float, settings: RunSettings, rng: np.random.Generator
 ) -> BaselineResult:
     """Unit-depth strategy: split the budget between phases 0 and pi/2."""
-    if total_resources < 2:
-        raise InsufficientResourcesError(
-            f"budget {total_resources} cannot pay one shot at each probe phase"
-        )
-    blocks = [(1, 0.0, total_resources - total_resources // 2), (1, np.pi / 2.0, total_resources // 2)]
-    return _run_schedule(blocks, theta_true, settings, rng)[0]
+    _check_probe_budget(total_resources)
+    return _run_schedule(_probe_pair(1, total_resources), theta_true, settings, rng)
 
 
 def limit_curves(total_resources: int, noise: NoiseModel) -> dict[str, float]:
@@ -266,10 +267,9 @@ def appendix_loss_bound(
 
 def default_step_count(total_resources: int, settings: RunSettings) -> int:
     """Deepest feasible chain length whose top depth respects the caps."""
-    cap = optimal_depth(settings.noise, settings.depth_limit)
     best = 0
     m = 2
-    while (1 << (m - 1)) <= cap:
+    while (1 << (m - 1)) <= settings.depth_cap:
         try:
             _chernoff_chain(total_resources, settings, m)
         except InfeasibleBoundError:

@@ -55,10 +55,6 @@ def _parse_str_list(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-def _noise(args) -> NoiseModel:
-    return NoiseModel(alpha=args.alpha, beta=args.beta)
-
-
 def _add_noise_arguments(parser: argparse.ArgumentParser) -> None:
     noise = NoiseModel()
     parser.add_argument("--alpha", type=float, default=noise.alpha, help="state preparation fidelity in (0, 1]")
@@ -87,9 +83,11 @@ def _add_algorithm_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_settings(args) -> dict:
-    """The ``RunSettings`` fields from the flags, each flag named after its field but the noise and the loss."""
-    derived = {"noise": _noise(args), "loss_kind": LossKind(args.loss)}
-    return {f.name: derived[f.name] if f.name in derived else getattr(args, f.name) for f in fields(RunSettings)}
+    """The ``RunSettings`` fields a subcommand's flags set; each flag is named after its field but noise and loss."""
+    flags = {**vars(args), "noise": NoiseModel(alpha=args.alpha, beta=args.beta)}
+    if "loss" in flags:
+        flags["loss_kind"] = LossKind(flags["loss"])
+    return {f.name: flags[f.name] for f in fields(RunSettings) if f.name in flags}
 
 
 def trace_to_payload(trace: AlgorithmTrace, theta_true: float) -> dict:
@@ -182,14 +180,14 @@ def _sniff_aggregate(path: str) -> bool:
     raise ValueError(f"{path} is neither a results nor an aggregate CSV (header {header!r})")
 
 
-def _reference_lines(names: tuple[str, ...], budgets: list[int], noise: NoiseModel) -> list[ReferenceLine]:
+def _reference_lines(names: tuple[str, ...], budgets: list[int], settings: RunSettings) -> list[ReferenceLine]:
     unknown = set(names) - set(REFERENCE_CHOICES)
     if unknown:
         raise ValueError(f"unknown reference curves {sorted(unknown)}; pick from {REFERENCE_CHOICES}")
     grid = np.unique(
         np.round(np.geomspace(min(budgets), max(budgets), 48)).astype(int)
     )
-    settings = RunSettings(noise=noise)
+    noise = settings.noise
     lines = []
     for name in names:
         points = []
@@ -239,7 +237,7 @@ def cmd_plot(args) -> int:
     references = []
     if args.refs:
         budgets = sorted({r.n_tot for r in rows})
-        references = _reference_lines(_parse_str_list(args.refs), budgets, _noise(args))
+        references = _reference_lines(_parse_str_list(args.refs), budgets, RunSettings(**_run_settings(args)))
 
     document = render_loglog(
         series,
@@ -255,12 +253,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    settings = RunSettings(
-        noise=_noise(args),
-        depth_limit=args.depth_limit,
-        epsilon_scale=args.epsilon_scale,
-        epsilon_exponent=args.epsilon_exponent,
-    )
+    settings = RunSettings(**_run_settings(args))
     lines = ["n_tot,step_count,mae_bound,mse_bound"]
     for n_tot in args.ladder:
         steps = default_step_count(n_tot, settings) if args.steps is None else args.steps

@@ -138,7 +138,7 @@ def _run_classical(config: SweepConfig, n_tot: int, theta: float, seed: int) -> 
 
 
 def _run_nonadaptive_doubling(config: SweepConfig, n_tot: int, theta: float, seed: int) -> BaselineResult:
-    return run_nonadaptive_doubling(n_tot, theta, config, config.shots_per_depth, np.random.default_rng(seed))[0]
+    return run_nonadaptive_doubling(n_tot, theta, config, config.shots_per_depth, np.random.default_rng(seed))
 
 
 def _run_qpea(config: SweepConfig, n_tot: int, theta: float, seed: int) -> BaselineResult:

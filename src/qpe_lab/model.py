@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import wrap, wrap_float
+from .angles import wrap_float
 
 
 class DivergenceError(ValueError):
@@ -184,14 +184,14 @@ def optimal_depth(noise: NoiseModel, depth_limit: int) -> int:
     return min(depth_limit, max(1, math.floor(continuous + 0.5)))
 
 
-def optimal_circuit(noise: NoiseModel, theta_guess: float, depth_limit: int) -> Circuit:
-    """Circuit tuned to measure most sharply around ``theta_guess``.
+def tuned_circuit(depth: int, target: float) -> Circuit:
+    """Depth-n circuit with ``target`` at p0 = 1/2 on its falling slope: phase = pi/2 - depth * target."""
+    return Circuit(depth, np.pi / 2.0 - depth * target)
 
-    The phase shift puts the guess on the steepest point of the fringe:
-    phase = pi/2 - depth * theta_guess (mod 2*pi).
-    """
-    depth = optimal_depth(noise, depth_limit)
-    return Circuit(depth, wrap(np.pi / 2.0 - depth * theta_guess))
+
+def optimal_circuit(noise: NoiseModel, theta_guess: float, depth_limit: int) -> Circuit:
+    """Circuit of the optimal depth tuned to measure most sharply around ``theta_guess``."""
+    return tuned_circuit(optimal_depth(noise, depth_limit), theta_guess)
 
 
 def minimum_achievable_variance(noise: NoiseModel, total_resources: float) -> float:

@@ -46,9 +46,11 @@ from .model import Circuit, MeasurementRecord, NoiseModel
 MIN_GRID_SIZE = 64
 POINTS_PER_PERIOD = 32
 MAX_GRID_SIZE = 1 << 22
+MAX_DEPTH = MAX_GRID_SIZE // POINTS_PER_PERIOD  # the deepest circuit a capped grid resolves
 # Weights summing to less than this are divided by their sum, which happens
 # every few hundred shots and long before the largest weight nears underflow.
 RESCALE_FLOOR = 2.0**-256
+TINY_MASS = 2.0**-900
 
 
 class GridTooCoarseError(ValueError):
@@ -85,8 +87,12 @@ class CircularInterval:
         object.__setattr__(self, "center", wrap_float(self.center))
         object.__setattr__(self, "half_width", float(self.half_width))
 
-    def contains(self, theta) -> bool:
-        return bool(np.all(wrapped_distance(theta, self.center) <= self.half_width + 1e-12))
+    def contains(self, theta: float) -> bool:
+        """Whether ``wrapped_distance(theta, center) <= half_width + 1e-12``, in float arithmetic."""
+        gap = (theta - self.center) % TWO_PI
+        if gap > np.pi:
+            gap -= TWO_PI
+        return abs(gap) <= self.half_width + 1e-12
 
     @property
     def lower(self) -> float:
@@ -165,9 +171,12 @@ class GridPosterior:
     ImpossibleObservationError when either is read.
     """
 
-    grid_size: int
     weights: np.ndarray
     total: float
+
+    @property
+    def grid_size(self) -> int:
+        return self.weights.size
 
     @property
     def cell_width(self) -> float:
@@ -183,7 +192,7 @@ class GridPosterior:
         return self.weights / (_live_total(self) * self.cell_width)
 
     def clone(self) -> "GridPosterior":
-        return GridPosterior(self.grid_size, self.weights.copy(), self.total)
+        return GridPosterior(self.weights.copy(), self.total)
 
 
 def _live_total(posterior: GridPosterior) -> float:
@@ -204,7 +213,7 @@ def check_grid_size(grid_size: int) -> None:
 def uniform_prior(grid_size: int = 4096) -> GridPosterior:
     """Flat prior 1/(2*pi) on a grid of at least MIN_GRID_SIZE cells."""
     check_grid_size(grid_size)
-    return GridPosterior(grid_size, np.ones(grid_size), float(grid_size))
+    return GridPosterior(np.ones(grid_size), float(grid_size))
 
 
 def normalize(posterior: GridPosterior) -> GridPosterior:
@@ -236,7 +245,6 @@ def _refine_once(posterior: GridPosterior):
     doubled[0::2] = w
     np.multiply(root, np.roll(root, -1), out=doubled[1::2])
     posterior.weights = doubled
-    posterior.grid_size = doubled.size
 
 
 def required_grid_size(depth: int) -> int:
@@ -246,7 +254,7 @@ def required_grid_size(depth: int) -> int:
 def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
     """Grow the grid until it resolves oscillations of the given depth."""
     required = required_grid_size(depth)
-    if required > MAX_GRID_SIZE:
+    if depth > MAX_DEPTH:
         raise GridTooCoarseError(
             f"depth {depth} needs {required} cells, above the cap {MAX_GRID_SIZE}"
         )
@@ -313,11 +321,14 @@ def _segment_part(w: np.ndarray, k: int, t0: float, t1: float) -> float:
 
 
 def _span_integral(w: np.ndarray, a: float, b: float) -> float:
-    """Integral of the periodic linear interpolant of w from a to b, 0 <= a <= b <= w.size.
+    """Integral of the periodic linear interpolant of w from a to b, 0 <= a, b <= w.size.
 
-    ``a`` and ``b`` are in cell units.  The whole segments between the two
-    partial end cells come from one slice sum of the nodes they span.
+    ``a`` and ``b`` are in cell units, and a > b runs across the 0/2*pi
+    seam in two slices.  The whole segments between the two partial end
+    cells come from one slice sum of the nodes they span.
     """
+    if a > b:
+        return _span_integral(w, a, w.size) + _span_integral(w, 0.0, b)
     last = w.size - 1
     ka = min(int(a), last)
     kb = min(int(b), last)
@@ -330,17 +341,20 @@ def _span_integral(w: np.ndarray, a: float, b: float) -> float:
 def _arc_mass(posterior: GridPosterior, start: float, end: float) -> float:
     """Posterior mass of the arc running counterclockwise from angle start to end.
 
-    The arc is integrated head-on from the weights, in two slices
-    where it crosses the 0/2*pi seam, and divided by the weights' periodic
-    trapezoid total; the result is clamped to [0, 1].
+    The arc is integrated head-on from the weights and divided by the
+    weights' periodic trapezoid total; the result is clamped to [0, 1].
+    Products of subnormal weights round to an absolute 2**-1075, so a mass
+    below TINY_MASS is integrated again on the weights scaled by
+    1 / TINY_MASS, an exact power of two; no weight exceeds 1, so none
+    overflows.
     """
     w, total = posterior.weights, _live_total(posterior)
     a = start / posterior.cell_width
     b = end / posterior.cell_width
-    if a <= b:
-        mass = _span_integral(w, a, b)
-    else:
-        mass = _span_integral(w, a, posterior.grid_size) + _span_integral(w, 0.0, b)
+    mass = _span_integral(w, a, b)
+    if mass < TINY_MASS:
+        mass = _span_integral(w / TINY_MASS, a, b)
+        total /= TINY_MASS
     return min(max(mass / total, 0.0), 1.0)
 
 
@@ -403,14 +417,6 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
     return wrap_float(float(angles[k]) + offset * posterior.cell_width)
 
 
-def _in_arc(angle: float, interval: CircularInterval) -> bool:
-    """Scalar form of ``wrapped_distance(angle, center) <= half_width + 1e-12``."""
-    gap = (angle - interval.center) % TWO_PI
-    if gap > np.pi:
-        gap -= TWO_PI
-    return abs(gap) <= interval.half_width + 1e-12
-
-
 def _arc_argmax(w: np.ndarray, angles: np.ndarray, interval: CircularInterval) -> int | None:
     """Smallest index of the largest weight among the cells inside ``interval``.
 
@@ -428,9 +434,9 @@ def _arc_argmax(w: np.ndarray, angles: np.ndarray, interval: CircularInterval) -
     if hi - lo + 1 >= g:
         lo = math.floor((interval.center + np.pi) / h) + 1
         hi = lo + g - 1
-    while lo <= hi and not _in_arc(float(angles[lo % g]), interval):
+    while lo <= hi and not interval.contains(angles.item(lo % g)):
         lo += 1
-    while hi >= lo and not _in_arc(float(angles[hi % g]), interval):
+    while hi >= lo and not interval.contains(angles.item(hi % g)):
         hi -= 1
     if lo > hi:
         return None

@@ -10,6 +10,7 @@ import qpe_lab.adaptive as adaptive
 from qpe_lab.adaptive import (
     AlgorithmConfig,
     InfeasibleIntervalError,
+    RunSettings,
     chernoff_shot_budget,
     choose_center,
     max_shots_for_step,
@@ -19,7 +20,7 @@ from qpe_lab.adaptive import (
     validate_trace,
 )
 from qpe_lab.angles import TWO_PI, wrapped_distance
-from qpe_lab.model import NoiseModel
+from qpe_lab.model import NoiseModel, optimal_depth
 from qpe_lab.posterior import CircularInterval
 
 
@@ -78,6 +79,17 @@ class TestNextDepth:
     def test_step_index_starts_at_one(self):
         with pytest.raises(ValueError):
             next_depth(0, AlgorithmConfig(total_resources=10))
+
+
+class TestDepthCap:
+    @pytest.mark.parametrize("beta", [1.0, 0.99, 0.9, 0.5, 0.05])
+    @pytest.mark.parametrize("depth_limit", [1, 3, 6, 1 << 20])
+    def test_is_the_optimal_depth_within_the_limit(self, beta, depth_limit):
+        noise = NoiseModel(1.0, beta)
+        settings = RunSettings(noise=noise, depth_limit=depth_limit)
+        assert settings.depth_cap == optimal_depth(noise, depth_limit)
+        config = AlgorithmConfig(total_resources=64, noise=noise, depth_limit=depth_limit)
+        assert config.depth_cap == settings.depth_cap == next_depth(10_000, config)
 
 
 class TestChooseCenter:

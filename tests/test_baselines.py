@@ -14,6 +14,7 @@ from qpe_lab.baselines import (
     InfeasibleBoundError,
     appendix_loss_bound,
     default_step_count,
+    doubling_schedule,
     limit_curves,
     qpea_outcome_distribution,
     run_classical,
@@ -111,6 +112,65 @@ class TestRunQpea:
         assert res_a.estimate == res_b.estimate
 
 
+def is_power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
+class TestDoublingSchedule:
+    def test_budget_below_two_is_infeasible(self):
+        with pytest.raises(InsufficientResourcesError):
+            doubling_schedule(1, SETTINGS, 32)
+
+    def test_shots_per_depth_must_be_positive(self):
+        with pytest.raises(ValueError):
+            doubling_schedule(64, SETTINGS, 0)
+
+    @pytest.mark.parametrize("n_tot,deepest", [(100, 2), (257, 4), (2048, 32)])
+    def test_spends_everything(self, n_tot, deepest):
+        blocks = doubling_schedule(n_tot, SETTINGS, 32)
+        assert sum(depth * shots for depth, _, shots in blocks) == n_tot
+        assert max(depth for depth, _, _ in blocks) == deepest
+
+    @given(
+        n_tot=st.integers(2, 1 << 21),
+        shots_per_depth=st.integers(1, 64),
+        depth_limit=st.integers(1, 1 << 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_spends_the_budget_exactly_at_capped_powers_of_two(self, n_tot, shots_per_depth, depth_limit):
+        blocks = doubling_schedule(n_tot, RunSettings(depth_limit=depth_limit), shots_per_depth)
+        assert sum(depth * shots for depth, _, shots in blocks) == n_tot
+        for depth, phase, shots in blocks:
+            assert is_power_of_two(depth)
+            assert depth <= min(depth_limit, posterior.MAX_DEPTH)
+            assert phase in (0.0, math.pi / 2)
+            assert shots >= 1
+
+    def test_odd_leftover_shot_goes_to_phase_zero(self):
+        # A full pair at depth 1 leaves 7, too few for a pair at depth 2:
+        # three shots at depth 2, then one at depth 1.
+        assert doubling_schedule(11, SETTINGS, 2) == [
+            (1, 0.0, 2), (1, math.pi / 2, 2), (2, 0.0, 2), (2, math.pi / 2, 1), (1, 0.0, 1)
+        ]
+
+    @pytest.mark.parametrize("depth_limit,deepest", [(1, 1), (8, 8), (12, 8)])
+    def test_depth_limit_caps_the_schedule(self, depth_limit, deepest):
+        blocks = doubling_schedule(4096, RunSettings(depth_limit=depth_limit), 32)
+        assert sum(depth * shots for depth, _, shots in blocks) == 4096
+        assert max(depth for depth, _, _ in blocks) == deepest
+
+    def test_max_depth_stops_the_doubling(self):
+        # With one shot per depth the doubling alone would reach 2**18,
+        # which the posterior grid cap cannot resolve.
+        blocks = doubling_schedule(1 << 20, SETTINGS, 1)
+        assert sum(depth * shots for depth, _, shots in blocks) == 1 << 20
+        assert max(depth for depth, _, _ in blocks) == posterior.MAX_DEPTH == 1 << 17
+
+    def test_depths_are_powers_of_two(self):
+        for depth, _, _ in doubling_schedule(1000, SETTINGS, 16):
+            assert is_power_of_two(depth)
+
+
 class TestRunNonadaptiveDoubling:
     def test_budget_below_two_is_infeasible(self):
         with pytest.raises(InsufficientResourcesError):
@@ -118,45 +178,38 @@ class TestRunNonadaptiveDoubling:
 
     @pytest.mark.parametrize("n_tot,deepest", [(100, 2), (257, 4), (2048, 32)])
     def test_spends_everything(self, n_tot, deepest):
-        res, records = run_nonadaptive_doubling(n_tot, 2.2, SETTINGS, 32, np.random.default_rng(0))
+        res = run_nonadaptive_doubling(n_tot, 2.2, SETTINGS, 32, np.random.default_rng(0))
         assert res.resources_spent == n_tot
         assert res.max_depth == deepest
-        assert sum(r.circuit.depth * r.shots for r in records) == n_tot
 
     @pytest.mark.parametrize("depth_limit,deepest", [(1, 1), (8, 8), (12, 8)])
     def test_depth_limit_caps_the_schedule(self, depth_limit, deepest):
         settings = RunSettings(depth_limit=depth_limit)
-        res, records = run_nonadaptive_doubling(4096, 2.2, settings, 32, np.random.default_rng(0))
+        res = run_nonadaptive_doubling(4096, 2.2, settings, 32, np.random.default_rng(0))
         assert res.resources_spent == 4096
         assert res.max_depth == deepest
-        assert sum(r.circuit.depth * r.shots for r in records) == 4096
 
     def test_grid_cap_stops_the_doubling(self):
         # With one shot per depth the doubling alone would reach 2**18,
         # which the posterior grid cap cannot resolve.
         try:
-            res, _ = run_nonadaptive_doubling(1 << 20, 1.3, SETTINGS, 1, np.random.default_rng(0))
+            res = run_nonadaptive_doubling(1 << 20, 1.3, SETTINGS, 1, np.random.default_rng(0))
         finally:
             # The per-grid caches now hold about 0.5 GB of 2**22-cell arrays.
             for cache in (posterior._grid_trig, posterior._log_prob_components, posterior._grid_angles):
                 cache.cache_clear()
         assert res.resources_spent == 1 << 20
-        assert res.max_depth == posterior.MAX_GRID_SIZE // posterior.POINTS_PER_PERIOD == 1 << 17
-
-    def test_depths_are_powers_of_two(self):
-        _, records = run_nonadaptive_doubling(1000, 1.0, SETTINGS, 16, np.random.default_rng(3))
-        for r in records:
-            assert r.circuit.depth & (r.circuit.depth - 1) == 0
+        assert res.max_depth == posterior.MAX_DEPTH == 1 << 17
 
     def test_converges_on_generous_budgets(self):
         errors = []
         for seed in range(6):
-            res, _ = run_nonadaptive_doubling(2048, 2.2, SETTINGS, 32, np.random.default_rng(seed))
+            res = run_nonadaptive_doubling(2048, 2.2, SETTINGS, 32, np.random.default_rng(seed))
             errors.append(wrapped_distance(res.estimate, 2.2))
         assert np.median(errors) < 0.05
 
     def test_expected_loss_is_reported(self):
-        res, _ = run_nonadaptive_doubling(512, 0.3, SETTINGS, 32, np.random.default_rng(1))
+        res = run_nonadaptive_doubling(512, 0.3, SETTINGS, 32, np.random.default_rng(1))
         assert res.posterior_expected_loss is not None
         assert res.posterior_expected_loss >= 0.0
 

@@ -2,7 +2,10 @@
 
 Two kinds are pinned.  Byte digests cover whole outputs: the sweep and
 run files, the ``bounds`` tables, the plots with reference curves and the
-bound-regimes script's table and figure.  Path digests cover only the
+bound-regimes script's table and figure.  Besides the two noise models, a
+run under squared loss with the circular-mean estimate, a ``bounds`` table
+whose depth limit sits below the noise optimum, and a sweep whose capped
+doubling blocks leave budget over are pinned.  Path digests cover only the
 integer decisions of the sweep and run outputs: each sweep cell's shots
 and deepest depth, and each run step's depth, shots, outcomes and
 decision.  A refactor or speed-up that keeps the algorithm
@@ -35,11 +38,17 @@ SWEEP_DIGESTS = {
         "aggregate.csv": "2609145e5e998c59143093ff1cd9c2843deef6e419918cd22e812047ae63e4af",
         "manifest.json": "82ffe83b9043a216373fa12e0e7c6f74736f55ff52469dd11d799817ff415ed6",
     },
+    "capped": {
+        "results.csv": "7ee6b52f34a168c5661cc2d01123c55ec1c9af3fe48c47eeedc93ab4e54e424b",
+        "aggregate.csv": "c57c6a44851904de0bcdb9aa67013a7a45f50cb63018ed83a2f81dc0bddbd873",
+        "manifest.json": "840e5414f4e1eb370822627ae1f90a037144d1d5cda467bfd9cf4db40a3d5188",
+    },
 }
 
 RUN_DIGESTS = {
     "noiseless": "d132006166173d83f4c7e89acfac062eea1faef5e430f156507ff1652e18e08c",
     "beta-0.9": "9673c189103856b699c9a4ccf2de4495bdb71f7e18517695b662a9b826dbed68",
+    "squared-circular-mean": "8b1865260e9bac14a9d2dcc6f2bf78c2bc0110880937732bb1edaf28bf194aa5",
 }
 
 # sha256 of the decision columns of results.csv, one line per row.
@@ -51,10 +60,12 @@ PATH_DIGESTS = {
     "sweep": {
         "noiseless": "c779e93fea8f55480790a025f7bf75fef2a6492edfabfb06d7becc1ae132409c",
         "beta-0.9": "e289ef26028f41b7b79082b0405d724996b94b3c1ba46712d38773c6cf05e74c",
+        "capped": "ab21bfe6cd759cca37064ba3282494f669660c75302356055393ccbaa7baa233",
     },
     "run": {
         "noiseless": "871147f5dcbe73668d511108b8c6da3c39a5834ccec144ac7868f2b1c672a688",
         "beta-0.9": "2464cd76342381ce39e75a76f6c6bdfac243cc141f2a31fb5f753bafce366185",
+        "squared-circular-mean": "871147f5dcbe73668d511108b8c6da3c39a5834ccec144ac7868f2b1c672a688",
     },
 }
 
@@ -62,18 +73,30 @@ NOISE_ARGS = {
     "noiseless": (),
     "beta-0.9": ("--beta", "0.9"),
 }
+# The flags of each pinned run, and the noise and other flags of each pinned sweep.
+RUN_ARGS = {
+    **NOISE_ARGS,
+    "squared-circular-mean": ("--loss", "squared-error", "--estimator", "circular-mean"),
+}
+SWEEP_ARGS = {
+    "noiseless": ("noiseless", ()),
+    "beta-0.9": ("beta-0.9", ()),
+    "capped": ("noiseless", ("--shots-per-depth", "4", "--depth-limit", "16")),
+}
 
 # sha256 of the stdout of `bounds --ladder 1024,4096,65536` in the three
-# schedule regimes of acceptance criterion 9.
+# schedule regimes of acceptance criterion 9, and with the ladder capped at 8.
 BOUNDS_ARGS = {
     "steep": (),
     "flat": ("--epsilon-scale", "0.01", "--epsilon-exponent", "0"),
     "beta-0.9": ("--beta", "0.9", "--epsilon-scale", "1e-8"),
+    "depth-limit-8": ("--depth-limit", "8"),
 }
 BOUNDS_DIGESTS = {
     "steep": "3788ef0afaf91cc6d4951fbcf042ffeec10fd00f60fc1e591db1c9a9a233fe3b",
     "flat": "9b81276218f7369e612559ffb28c84c249a1d18cd8fbc920d5cb46f5320ad852",
     "beta-0.9": "464d34f9e67126ebfa57c4de9edeeba7db762f65f3753aaaa7e6f00ebe18607c",
+    "depth-limit-8": "9442ffa894dfd67079fad8ad61097719413ad44d7737bd4ebfac8692854e251e",
 }
 
 # sha256 of the SVG `plot --refs sql,hl,appendix_bound` draws from each
@@ -81,6 +104,7 @@ BOUNDS_DIGESTS = {
 PLOT_DIGESTS = {
     "noiseless": "887ff2a73f355a0361e6dee03c3d1d82429b4bf2e5940baf99b9931ee2128e80",
     "beta-0.9": "7ec3011d875a1586915df0a42f46b9d83a90f5e904efcf109450fb5c12cfa069",
+    "capped": "eb9b2147e1028e739ae85bb281a5fb1a44bc7954cb19ee4d3bcf9cad36123c97",
 }
 
 # sha256 of the table scripts/plot_bound_regimes.py prints for budgets
@@ -95,6 +119,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "plot_bound_regimes.p
 SWEEP_STRATEGIES = {
     "noiseless": "adaptive,classical,nonadaptive-doubling,qpea",
     "beta-0.9": "adaptive,classical,nonadaptive-doubling",
+    "capped": "adaptive,classical,nonadaptive-doubling",
 }
 
 
@@ -106,82 +131,84 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module", params=sorted(NOISE_ARGS))
+@pytest.fixture(scope="module", params=sorted(SWEEP_ARGS))
 def sweep(request, tmp_path_factory):
-    noise = request.param
-    out_dir = tmp_path_factory.mktemp(f"sweep-{noise}")
+    name = request.param
+    noise, extra = SWEEP_ARGS[name]
+    out_dir = tmp_path_factory.mktemp(f"sweep-{name}")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main([
             "sweep",
-            "--strategies", SWEEP_STRATEGIES[noise],
+            "--strategies", SWEEP_STRATEGIES[name],
             "--ladder", "64,512,4096",
             "--thetas", "3",
             "--reps", "1",
             *NOISE_ARGS[noise],
+            *extra,
             "--seed", "11",
             "--workers", "1",
             "--out-dir", str(out_dir),
         ])
     assert code == 0
     assert "failed=0" in stdout.getvalue()
-    return noise, out_dir
+    return name, out_dir
 
 
-@pytest.fixture(scope="module", params=sorted(NOISE_ARGS))
+@pytest.fixture(scope="module", params=sorted(RUN_ARGS))
 def run_trace(request, tmp_path_factory):
-    noise = request.param
-    out = tmp_path_factory.mktemp(f"run-{noise}") / "trace.json"
+    name = request.param
+    out = tmp_path_factory.mktemp(f"run-{name}") / "trace.json"
     code = cli.main([
         "run",
         "--n-tot", "4096",
         "--theta", "2.2",
-        *NOISE_ARGS[noise],
+        *RUN_ARGS[name],
         "--seed", "7",
         "--out", str(out),
     ])
     assert code == 0
-    return noise, out
+    return name, out
 
 
 def test_sweep_results_csv_digest(sweep):
-    noise, out_dir = sweep
-    digests = {name: sha256_of(out_dir / name) for name in SWEEP_DIGESTS[noise]}
-    assert digests == SWEEP_DIGESTS[noise]
+    variant, out_dir = sweep
+    digests = {name: sha256_of(out_dir / name) for name in SWEEP_DIGESTS[variant]}
+    assert digests == SWEEP_DIGESTS[variant]
 
 
 def test_sweep_decision_path_digest(sweep):
-    noise, out_dir = sweep
+    variant, out_dir = sweep
     with open(out_dir / "results.csv", newline="") as handle:
         rows = [",".join(row[c] for c in PATH_COLUMNS) for row in csv.DictReader(handle)]
-    assert sha256_text("\n".join(rows)) == PATH_DIGESTS["sweep"][noise]
+    assert sha256_text("\n".join(rows)) == PATH_DIGESTS["sweep"][variant]
 
 
 def test_run_trace_digest(run_trace):
-    noise, out = run_trace
-    assert sha256_of(out) == RUN_DIGESTS[noise]
+    variant, out = run_trace
+    assert sha256_of(out) == RUN_DIGESTS[variant]
 
 
 def test_run_decision_path_digest(run_trace):
-    noise, out = run_trace
+    variant, out = run_trace
     steps = json.loads(out.read_text())["steps"]
     path = [[step[f] for f in STEP_FIELDS] for step in steps]
-    assert sha256_text(json.dumps(path)) == PATH_DIGESTS["run"][noise]
+    assert sha256_text(json.dumps(path)) == PATH_DIGESTS["run"][variant]
 
 
 def test_plot_with_references_digest(sweep, tmp_path):
-    noise, out_dir = sweep
+    variant, out_dir = sweep
     out = tmp_path / "plot.svg"
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([
             "plot",
             "--results", str(out_dir / "aggregate.csv"),
             "--refs", "sql,hl,appendix_bound",
-            *NOISE_ARGS[noise],
+            *NOISE_ARGS[SWEEP_ARGS[variant][0]],
             "--out", str(out),
         ])
     assert code == 0
-    assert sha256_of(out) == PLOT_DIGESTS[noise]
+    assert sha256_of(out) == PLOT_DIGESTS[variant]
 
 
 @pytest.mark.parametrize("regime", sorted(BOUNDS_ARGS))

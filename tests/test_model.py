@@ -18,6 +18,7 @@ from qpe_lab.model import (
     sample_outcome,
     sigma_squared,
     success_probability,
+    tuned_circuit,
 )
 from qpe_lab.angles import TWO_PI, wrap
 
@@ -259,6 +260,20 @@ class TestOptimalCircuit:
     def test_phase_reduction(self):
         circ = optimal_circuit(NoiseModel(1.0, 0.9), 2.0, 10**6)
         assert circ.phase == pytest.approx(wrap(math.pi / 2 - 5 * 2.0))
+
+
+class TestTunedCircuit:
+    @pytest.mark.parametrize("depth", [1, 3, 64, 1 << 15])
+    @pytest.mark.parametrize("target", [0.0, 1.234, 2.2, 6.1])
+    def test_target_sits_on_the_falling_slope(self, depth, target):
+        circuit = tuned_circuit(depth, target)
+        assert circuit.depth == depth
+        assert 0.0 <= circuit.phase < TWO_PI
+        # the phase n * target rounds to about 1e-11 at the deepest circuit
+        assert success_probability(target, circuit, NoiseModel()) == pytest.approx(0.5, abs=1e-9)
+        step = 0.01 / depth
+        assert success_probability(target - step, circuit, NoiseModel()) > 0.5
+        assert success_probability(target + step, circuit, NoiseModel()) < 0.5
 
 
 class TestMinimumAchievableVariance:

@@ -46,7 +46,7 @@ def posterior_from_log_weights(lw):
     """The posterior with weights exp(lw), scaled so that the largest is 1 (or all 0)."""
     top = np.max(lw)
     w = np.exp(lw - top) if np.isfinite(top) else np.zeros(lw.size)
-    return GridPosterior(lw.size, w, float(w.sum()))
+    return GridPosterior(w, float(w.sum()))
 
 
 def von_mises_posterior(mu, kappa, grid_size=4096):
@@ -77,6 +77,16 @@ class TestCircularInterval:
         assert iv.contains(TWO_PI - 0.1)
         assert iv.contains(0.39)
         assert not iv.contains(0.5)
+
+    @given(center=st.floats(0, TWO_PI), hw=st.floats(1e-6, math.pi), offset=st.floats(-4.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_contains_agrees_with_the_wrapped_distance(self, center, hw, offset):
+        iv = CircularInterval(center, hw)
+        # across the seam, and at +-1e-12 of either boundary
+        for theta in (center + offset, center + 2 * TWO_PI, iv.lower, iv.upper,
+                      iv.lower - 1e-12, iv.lower + 1e-12, iv.upper - 1e-12, iv.upper + 1e-12,
+                      center + hw + 2e-12, center - hw - 2e-12, -1e-12, TWO_PI + 1e-12):
+            assert iv.contains(theta) == bool(wrapped_distance(theta, iv.center) <= iv.half_width + 1e-12)
 
     def test_center_is_wrapped(self):
         assert CircularInterval(TWO_PI + 1.0, 0.5).center == pytest.approx(1.0)
@@ -410,6 +420,17 @@ class TestArcMassesMatchTheInterpolant:
         assert _span_integral(w, a, b) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+    def test_masses_of_subnormal_weights_keep_their_relative_precision(self):
+        # Products of subnormal node weights round to an absolute 2**-1075,
+        # which once read 9/28 for the 10/28 inside this arc over cells 0-2.
+        w = np.array([1.0, 5.0, 9.0, 13.0]) * 2.0**-1074
+        post = GridPosterior(w, float(w.sum()))
+        iv = CircularInterval(post.cell_width, post.cell_width)
+        assert (iv.lower, iv.upper) == (0.0, 2 * post.cell_width)
+        assert confidence(post, iv) == arc_mass_reference(w, iv.lower, iv.upper) == 10 / 28
+        assert mass_outside(post, iv) == arc_mass_reference(w, iv.upper, iv.lower) == 18 / 28
+
+
 class TestMapEstimate:
     def test_quadratic_refinement_beats_the_grid(self):
         mu = 1.2345678
@@ -702,7 +723,7 @@ class TestUpdatePaths:
     def test_density_read_late_equals_density_from_the_weights(self):
         post = update(uniform_prior(4096), MeasurementRecord(Circuit(2, 0.3), 1, 1.0), NOISELESS)
         update(post, MeasurementRecord(Circuit(2, 1.3), 1, 0.0), NOISELESS)
-        recomputed = GridPosterior(post.grid_size, post.weights.copy(), post.total).density
+        recomputed = GridPosterior(post.weights.copy(), post.total).density
         np.testing.assert_allclose(post.density, recomputed, rtol=1e-12)
 
     def test_reading_the_density_first_leaves_interval_masses_alone(self):
@@ -722,7 +743,7 @@ class TestUpdatePaths:
         # only theta = 0 carries weight, and there depth 1, phase pi has p0 = 0
         w = np.zeros(64)
         w[0] = 1.0
-        post = GridPosterior(64, w, 1.0)
+        post = GridPosterior(w, 1.0)
         iv = CircularInterval(0.0, 0.5)
         if read_density:
             assert post.density[0] > 0.0
@@ -849,7 +870,7 @@ class TestPredictOutcome:
         w = np.zeros(256)
         w[k] = 1.0
         w[k + 1] = 1e-3
-        post = normalize(GridPosterior(256, w, 1.0))
+        post = normalize(GridPosterior(w, 1.0))
 
         def trapezoid_count(p0):
             return 1000 * (float((post.density * p0).sum()) * post.cell_width)
@@ -901,11 +922,11 @@ class TestPredictLoss:
 
 class TestImpossibleObservation:
     def test_normalize_rejects_an_empty_posterior(self):
-        post = GridPosterior(64, np.zeros(64), 1.0)
+        post = GridPosterior(np.zeros(64), 1.0)
         with pytest.raises(ImpossibleObservationError):
             normalize(post)
 
     def test_density_property_rejects_an_empty_posterior(self):
-        post = GridPosterior(64, np.zeros(64), 0.0)
+        post = GridPosterior(np.zeros(64), 0.0)
         with pytest.raises(ImpossibleObservationError):
             post.density

@@ -1,0 +1,46 @@
+"""Smoke tests of the scripts that no other test runs, on tiny inputs."""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_layers_times_every_operation(monkeypatch):
+    # bench_grid, not main, so that no BENCH_*.json is written.
+    bench = load_script("bench_layers")
+    monkeypatch.setattr(bench, "CALLS", {256: (20, 3)})
+    report = bench.bench_grid(256)
+    assert report["depth"] == 8
+    assert report["gate_half_width"] == pytest.approx(3.141592653589793 / 32)
+    timings = {op: stats for op, stats in report.items() if isinstance(stats, dict)}
+    assert set(timings) == {
+        "update_cached", "update_fresh", "mass_outside_after_update", "map_estimate_within", "predict_loss"
+    }
+    for op, stats in timings.items():
+        assert stats["median_us"] > 0.0, op
+        assert stats["calls"] == (3 if op == "predict_loss" else 20)
+
+
+def test_reproduce_error_scaling_quick_run(tmp_path):
+    script = load_script("reproduce_error_scaling")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = script.main(
+            ["--quick", "--thetas", "2", "--reps", "1", "--workers", "1", "--out-dir", str(tmp_path)]
+        )
+    assert code == 0
+    assert "(0 failed)" in stdout.getvalue()
+    for name in ("results.csv", "aggregate.csv", "manifest.json", "error_scaling.svg"):
+        assert (tmp_path / name).stat().st_size > 0
