@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call cost of the posterior operations the adaptive loop runs per shot.
+"""Per-call cost of the posterior operations the adaptive loop runs per shot,
+and of one textbook-register (qpea) draw.
 
 Times, at grid sizes 4096 and 65536, one call each of:
 
@@ -14,6 +15,9 @@ The grid size sets the depth: G // 32, the deepest circuit the grid
 resolves.  Every operation starts from the same posterior, a von Mises
 bump of width 1 / (2 * depth) around a fixed phase, and the gate interval
 is the one the loop uses at that depth, of half-width pi / (4 * depth).
+``run_qpea`` is timed at registers of 2^12, 2^16 and 2^20 outcomes, one
+readout per call from one seeded generator, at the same fixed phase.
+
 Each call is timed with ``time.perf_counter_ns``; the report gives the
 median (robust to the odd preempted call) and the mean.
 
@@ -39,6 +43,8 @@ import numpy as np
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from qpe_lab.adaptive import RunSettings  # noqa: E402
+from qpe_lab.baselines import run_qpea  # noqa: E402
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, tuned_circuit  # noqa: E402
 from qpe_lab.posterior import (  # noqa: E402
     CircularInterval,
@@ -54,6 +60,8 @@ from qpe_lab.posterior import (  # noqa: E402
 GRID_SIZES = (4096, 65536)
 # Calls per operation at each grid size: (cheap operations, predict_loss).
 CALLS = {4096: (2000, 200), 65536: (500, 30)}
+# Calls of run_qpea at each register size m (2**m outcomes).
+QPEA_CALLS = {12: 200, 16: 100, 20: 20}
 THETA = 2.2
 NOISE = NoiseModel()
 
@@ -126,6 +134,13 @@ def bench_grid(grid_size: int) -> dict:
     }
 
 
+def bench_qpea(register_size: int) -> dict:
+    rng = np.random.default_rng(register_size)
+    budget = (1 << register_size) - 1
+    settings = RunSettings()
+    return summary([timed(run_qpea, budget, THETA, settings, rng) for _ in range(QPEA_CALLS[register_size])])
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as handle:
@@ -156,6 +171,7 @@ def main(argv) -> int:
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "timer": "time.perf_counter_ns around each call",
         "per_call": {str(g): bench_grid(g) for g in GRID_SIZES},
+        "run_qpea": {str(m): bench_qpea(m) for m in QPEA_CALLS},
     }
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w") as handle:
@@ -165,6 +181,8 @@ def main(argv) -> int:
         for op, stats in ops.items():
             if isinstance(stats, dict):
                 print(f"G={g:>6} {op:<26} {stats['median_us']:9.1f} us median  {stats['mean_us']:9.1f} us mean")
+    for m, stats in report["run_qpea"].items():
+        print(f"m={m:>6} {'run_qpea':<26} {stats['median_us']:9.1f} us median  {stats['mean_us']:9.1f} us mean")
     print(f"wrote {os.path.normpath(path)}")
     return 0
 

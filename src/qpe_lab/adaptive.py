@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import signed_gap, wrap_float, wrapped_distance
+from .angles import signed_gap, wrapped_distance
 from .model import Circuit, MeasurementRecord, NoiseModel, optimal_depth, sample_outcome, tuned_circuit
 from .posterior import (
     CircularInterval,
@@ -144,22 +144,23 @@ def choose_center(
     previous: CircularInterval | None,
     next_depth: int,
     step_index: int,
-) -> float:
-    """Center for the next interval, clamped so it nests in the previous.
+) -> CircularInterval:
+    """The interval checked before depth ``next_depth``: half-width pi / (2 * next_depth).
 
-    The first step is exempt: its interval may sit anywhere on the circle,
-    including across the 0/2*pi seam.
+    Its center is the estimate, clamped so the interval nests in the
+    previous one.  The first step is exempt: its interval may sit anywhere
+    on the circle, including across the 0/2*pi seam.
     """
+    half_width = np.pi / (2.0 * next_depth)
     if step_index == 1 or previous is None:
-        return wrap_float(estimate)
-    new_half_width = np.pi / (2.0 * next_depth)
-    if new_half_width > previous.half_width + 1e-12:
+        return CircularInterval(estimate, half_width)
+    if half_width > previous.half_width + 1e-12:
         raise InfeasibleIntervalError(
-            f"half-width {new_half_width:.6f} cannot nest inside {previous.half_width:.6f}"
+            f"half-width {half_width:.6f} cannot nest inside {previous.half_width:.6f}"
         )
-    slack = previous.half_width - new_half_width
+    slack = previous.half_width - half_width
     gap = float(signed_gap(estimate, previous.center))
-    return wrap_float(previous.center + min(max(gap, -slack), slack))
+    return CircularInterval(previous.center + min(max(gap, -slack), slack), half_width)
 
 
 def chernoff_shot_budget(eps_now: float, eps_prev: float, depth: int, noise: NoiseModel) -> float:
@@ -223,7 +224,6 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     probe_b = Circuit(1, np.pi / 4.0)
     n2 = next_depth(2, config)
     eps1 = required_confidence(next_depth(1, config), config)
-    half_width_1 = np.pi / (2.0 * n2)
 
     # Step 1: alternate the two probes, recentering the candidate interval
     # on the running mode, until only eps1 of the mass is left outside.
@@ -233,8 +233,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     while budget >= 1:
         fire(probe_a if toggle % 2 == 0 else probe_b)
         toggle += 1
-        center = choose_center(map_estimate(posterior), None, n2, 1)
-        interval = CircularInterval(center, half_width_1)
+        interval = choose_center(map_estimate(posterior), None, n2, 1)
         if mass_outside(posterior, interval) <= eps1:
             gate_passed = True
             break
@@ -274,9 +273,8 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             break
         deeper = next_depth(step_index + 1, config)
         estimate = map_estimate(posterior, within=interval)
-        center = choose_center(estimate, interval, deeper, step_index)
-        current = CircularInterval(center, np.pi / (2.0 * deeper))
-        circuit = tuned_circuit(depth, center)
+        current = choose_center(estimate, interval, deeper, step_index)
+        circuit = tuned_circuit(depth, current.center)
         eps = required_confidence(depth, config)
         cap = max_shots_for_step(step_index, config)
         shot_cap = 2 * cap if cap > 0 else None

@@ -2,7 +2,10 @@
 
 Three runnable baselines bracket the adaptive loop: the textbook
 phase-estimation register (noiseless only), a non-adaptive
-depth-doubling schedule, and a unit-depth classical strategy.  Alongside
+depth-doubling schedule, and a unit-depth classical strategy.  The
+register draws its readout from the cells nearest the peak of its
+outcome law, not from the whole table of 2**m probabilities, and gives
+the readout ``rng.choice`` over that table would give.  Alongside
 them sit closed-form envelopes (standard quantum limit, Heisenberg limit,
 decoherence floor) and an evaluator for the Chernoff-chain loss bound that
 motivates the confidence schedule.
@@ -14,6 +17,7 @@ every strategy in a comparison runs with one set of settings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +43,8 @@ from .posterior import (
 from .adaptive import RunSettings, chernoff_shot_budget
 
 MAX_REGISTER_SIZE = 24
+# Cells on each side of the peak that a qpea draw evaluates on its common path.
+HALF_WINDOW = 256
 MAE_OF_STD = math.sqrt(2.0 / math.pi)
 Schedule = list[tuple[int, float, int]]  # (depth, phase, shots) blocks
 
@@ -57,17 +63,20 @@ class BaselineResult:
     posterior_expected_loss: float | None
 
 
-def qpea_outcome_distribution(theta: float, register_size: int) -> np.ndarray:
-    """Probability of each register readout k for a true phase theta.
+def qpea_outcome_distribution(
+    theta: float, register_size: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Probability of each register readout k in [start, stop) for a true phase theta.
 
     Pr[k] = sin^2(M delta_k / 2) / (M^2 sin^2(delta_k / 2)) with
     M = 2**m and delta_k = theta - 2 pi k / M, extended by its limit 1
-    where delta_k vanishes.
+    where delta_k vanishes.  Without a range this is the whole table,
+    k in [0, M); a range gives the same floats as that table's slice.
     """
     if not 1 <= register_size <= MAX_REGISTER_SIZE:
         raise ValueError(f"register_size must be in [1, {MAX_REGISTER_SIZE}]")
     m_size = 1 << register_size
-    delta = theta - TWO_PI * np.arange(m_size) / m_size
+    delta = theta - TWO_PI * np.arange(start, m_size if stop is None else stop) / m_size
     half = 0.5 * delta
     denom = np.sin(half)
     numer = np.sin(m_size * half)
@@ -77,10 +86,92 @@ def qpea_outcome_distribution(theta: float, register_size: int) -> np.ndarray:
     return probs
 
 
+def _mass_below(theta: float, register_size: int, stop: int) -> float:
+    """Pr[k < stop] in closed form, for a stop at least HALF_WINDOW cells below the peak.
+
+    Every cell's numerator is sin^2(M theta / 2), so the sum is that over
+    M^2 times a sum of csc^2(y_k), y_k = (theta mod 2 pi) / 2 - pi k / M,
+    over y in (0, pi).  Euler-Maclaurin gives that sum: the integral of
+    csc^2 (a difference of cotangents), the two end terms, and the B2, B4
+    and B6 corrections, written as polynomials in the cotangents.  The
+    range must sit at least HALF_WINDOW steps from the poles at y = 0 (the
+    peak) and y = pi (its image a period away); then the next correction
+    is far below double precision.
+    """
+    if stop <= 0:
+        return 0.0
+    m_size = 1 << register_size
+    step = math.pi / m_size
+    y_first = 0.5 * (theta % TWO_PI)
+    cot_first = 1.0 / math.tan(y_first)
+    cot_last = 1.0 / math.tan(y_first - step * (stop - 1))
+
+    def odd_derivative_terms(c: float) -> float:
+        c2 = c * c
+        return c * (
+            step * (1.0 + c2) / 6.0
+            - step**3 * (2.0 + c2 * (5.0 + 3.0 * c2)) / 90.0
+            + step**5 * (17.0 + c2 * (77.0 + c2 * (105.0 + 45.0 * c2))) / 1890.0
+        )
+
+    csc_sum = (
+        (cot_last - cot_first) / step
+        + 1.0
+        + 0.5 * (cot_first * cot_first + cot_last * cot_last)
+        + odd_derivative_terms(cot_last)
+        - odd_derivative_terms(cot_first)
+    )
+    return math.sin(0.5 * m_size * theta) ** 2 / (m_size * m_size) * csc_sum
+
+
+def _readout(theta: float, register_size: int, u: float) -> int:
+    """The smallest readout k whose index-ordered CDF exceeds u.
+
+    This inverts the CDF ``rng.choice`` builds from the whole table while
+    evaluating only the 2 * HALF_WINDOW + 1 cells nearest the peak.  The
+    indices split at a <= b into [0, a), [a, b) and [b, M); the CDF at a
+    and at b picks the part that holds u, and only that part is searched.
+    A window inside [0, M) is [a, b), and the mass below it is
+    ``_mass_below``.  A window that wraps past index 0 is [0, a) and
+    [b, M), summed up from index 0 and down from M - 1, and a register
+    of at most 2 * HALF_WINDOW + 1 cells is all [b, M) with b = 0.  The
+    unevaluated part holds at most about 2 / (pi^2 HALF_WINDOW) of the
+    mass; a draw that lands there evaluates it.
+    """
+    m_size = 1 << register_size
+    center = round((theta % TWO_PI) * m_size / TWO_PI) % m_size
+    lo, hi = center - HALF_WINDOW, center + HALF_WINDOW + 1
+    cells = functools.cache(
+        lambda start, stop: qpea_outcome_distribution(theta, register_size, start, stop)
+    )
+    if lo >= 0 and hi <= m_size:
+        a, b = lo, hi
+        cdf_a = _mass_below(theta, register_size, a)
+        cdf_b = cdf_a + cells(a, b).sum()
+    else:
+        a, b = (0, 0) if m_size <= 2 * HALF_WINDOW + 1 else (hi % m_size, lo % m_size)
+        cdf_a = cells(0, a).sum()
+        cdf_b = 1.0 - cells(b, m_size).sum()
+    if u < cdf_a:
+        start, cdf = 0, np.cumsum(cells(0, a))
+    elif u < cdf_b:
+        start, cdf = a, cdf_a + np.cumsum(cells(a, b))
+    else:
+        probs = cells(b, m_size)
+        start, cdf = b, 1.0 - (np.cumsum(probs[::-1])[::-1] - probs)
+    # Rounding can leave u at or above the last CDF value summed upward; the
+    # CDF at M - 1 is 1, as rng.choice makes it.
+    return min(start + int(np.searchsorted(cdf, u, side="right")), m_size - 1)
+
+
 def run_qpea(
     total_resources: int, theta_true: float, settings: RunSettings, rng: np.random.Generator
 ) -> BaselineResult:
-    """Draw one readout of the largest register whose 2**m - 1 applications fit the budget."""
+    """Draw one readout of the largest register whose 2**m - 1 applications fit the budget.
+
+    The draw takes one ``rng.random()`` and gives the readout
+    ``rng.choice(M, p=qpea_outcome_distribution(...))`` would give for it.
+    """
     if total_resources < 1:
         raise InsufficientResourcesError(f"budget {total_resources} cannot pay one register application")
     noise = settings.noise
@@ -91,8 +182,7 @@ def run_qpea(
         )
     register_size = min(MAX_REGISTER_SIZE, (total_resources + 1).bit_length() - 1)
     m_size = 1 << register_size
-    probs = qpea_outcome_distribution(theta_true, register_size)
-    k = int(rng.choice(m_size, p=probs / probs.sum()))
+    k = _readout(theta_true, register_size, rng.random())
     return BaselineResult(
         estimate=TWO_PI * k / m_size,
         resources_spent=m_size - 1,

@@ -94,20 +94,28 @@ class TestDepthCap:
 
 class TestChooseCenter:
     def test_first_step_is_exempt(self):
-        assert choose_center(5.9, None, 1, 1) == pytest.approx(5.9)
+        assert choose_center(5.9, None, 1, 1) == CircularInterval(5.9, math.pi / 2)
         prev = CircularInterval(1.0, 0.1)
-        assert choose_center(3.0, prev, 1, 1) == pytest.approx(3.0)
+        assert choose_center(3.0, prev, 1, 1) == CircularInterval(3.0, math.pi / 2)
+
+    def test_first_step_wraps_the_estimate(self):
+        assert choose_center(TWO_PI + 0.25, None, 2, 1).center == pytest.approx(0.25)
+
+    def test_half_width_is_pi_over_twice_the_next_depth(self):
+        prev = CircularInterval(2.0, math.pi / 2)
+        for depth in (1, 2, 8, 1 << 20):
+            assert choose_center(2.0, prev, depth, 3).half_width == math.pi / (2.0 * depth)
 
     def test_estimate_inside_slack_passes_through(self):
         prev = CircularInterval(2.0, 0.8)
         # next depth 4 -> half-width pi/8 = 0.3927, slack ~ 0.407
-        assert choose_center(2.3, prev, 4, 3) == pytest.approx(2.3)
+        assert choose_center(2.3, prev, 4, 3).center == pytest.approx(2.3)
 
     def test_estimate_outside_slack_is_clamped(self):
         prev = CircularInterval(2.0, 0.8)
         slack = 0.8 - math.pi / 8
-        assert choose_center(2.7, prev, 4, 3) == pytest.approx(2.0 + slack)
-        assert choose_center(1.0, prev, 4, 3) == pytest.approx(2.0 - slack)
+        assert choose_center(2.7, prev, 4, 3).center == pytest.approx(2.0 + slack)
+        assert choose_center(1.0, prev, 4, 3).center == pytest.approx(2.0 - slack)
 
     def test_widening_is_infeasible(self):
         prev = CircularInterval(2.0, 0.1)
@@ -126,9 +134,9 @@ class TestChooseCenter:
         if new_hw > prev_hw:
             return
         prev = CircularInterval(prev_center, prev_hw)
-        center = choose_center(estimate, prev, depth, step_index=4)
-        gap = wrapped_distance(center, prev_center)
-        assert gap + new_hw <= prev_hw + 1e-9
+        interval = choose_center(estimate, prev, depth, step_index=4)
+        gap = wrapped_distance(interval.center, prev_center)
+        assert gap + interval.half_width <= prev_hw + 1e-9
 
 
 class TestChernoffShotBudget:

@@ -112,6 +112,101 @@ class TestRunQpea:
         assert res_a.estimate == res_b.estimate
 
 
+def full_table_readout(theta: float, m: int, u: float) -> int:
+    """The readout ``rng.choice(M, p=probs / probs.sum())`` returns when its one double is u."""
+    probs = qpea_outcome_distribution(theta, m)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, u, side="right"))
+
+
+class FixedUniform:
+    """A generator stand-in whose ``random()`` returns one chosen double."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def cells_past_the_window(theta: float, m: int) -> tuple[int, int]:
+    """Cells HALF_WINDOW + 2 below and above the peak, on the circle.
+
+    They lie past the window whichever of two tied cells it centres on.
+    """
+    peak = int(np.argmax(qpea_outcome_distribution(theta, m)))
+    reach = baselines.HALF_WINDOW + 2
+    return (peak - reach) % (1 << m), (peak + reach) % (1 << m)
+
+
+class TestQpeaReadoutMatchesTheFullTable:
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_seeded_draws_match_rng_choice(self, m):
+        m_size = 1 << m
+        rng = np.random.default_rng(100 + m)
+        dyadic = TWO_PI * rng.integers(0, m_size, 3) / m_size
+        thetas = [
+            *rng.uniform(0.0, TWO_PI, 6),
+            *rng.uniform(0.0, 1e-3, 3),
+            *(TWO_PI - rng.uniform(0.0, 1e-3, 3)),
+            *(dyadic - 1e-9),
+            *(dyadic + 1e-9),
+            -0.3,
+            TWO_PI + 0.3,
+        ]
+        for theta in map(float, thetas):
+            probs = qpea_outcome_distribution(theta, m)
+            for seed in rng.integers(0, 2**32, 3):
+                want = int(np.random.default_rng(seed).choice(m_size, p=probs / probs.sum()))
+                got = run_qpea(m_size - 1, theta, SETTINGS, np.random.default_rng(seed))
+                assert got.estimate == TWO_PI * want / m_size, (theta, seed)
+
+    @pytest.mark.parametrize("m", [3, 9, 10, 12, 16])
+    @pytest.mark.parametrize("offset", [0.37, 0.5, 0.999])
+    @pytest.mark.parametrize("where", ["inner", "near-zero", "near-two-pi"])
+    def test_chosen_doubles_match_the_full_table_cdf(self, m, offset, where):
+        m_size = 1 << m
+        peak = {"inner": m_size // 3, "near-zero": 1, "near-two-pi": m_size - 2}[where]
+        theta = TWO_PI * (peak + offset) / m_size
+        probs = qpea_outcome_distribution(theta, m)
+        cdf = np.cumsum(probs / probs.sum())
+        below, above = cells_past_the_window(theta, m)
+        # The middle of each cell past the window forces the draw off the common path.
+        doubles = [1e-7, 0.5, 1.0 - 1e-7, cdf[below] - 0.5 * probs[below], cdf[above] - 0.5 * probs[above]]
+        for u in doubles:
+            got = run_qpea(m_size - 1, theta, SETTINGS, FixedUniform(float(u)))
+            assert got.estimate == TWO_PI * full_table_readout(theta, m, u) / m_size, u
+        if m_size > 2 * baselines.HALF_WINDOW + 1:
+            # Readouts past the window show that those draws left the common path.
+            assert [full_table_readout(theta, m, u) for u in doubles[3:]] == [below, above]
+
+    @pytest.mark.parametrize("m", [10, 14, 18, 20])
+    def test_mass_below_the_window_matches_the_table(self, m):
+        rng = np.random.default_rng(m)
+        for theta in rng.uniform(0.5, TWO_PI - 0.5, 3):
+            probs = qpea_outcome_distribution(float(theta), m)
+            start = int(np.argmax(probs)) - baselines.HALF_WINDOW
+            for stop in (1, start // 2, start):
+                exact = math.fsum(probs[:stop])
+                assert baselines._mass_below(float(theta), m, stop) == pytest.approx(exact, rel=0, abs=1e-12)
+
+    def test_common_path_evaluates_only_the_window(self, monkeypatch):
+        sizes = []
+        law = baselines.qpea_outcome_distribution
+
+        def recorded(theta, register_size, start=0, stop=None):
+            probs = law(theta, register_size, start, stop)
+            sizes.append(probs.size)
+            return probs
+
+        monkeypatch.setattr(baselines, "qpea_outcome_distribution", recorded)
+        thetas = (0.0, 1.3, TWO_PI - 1e-4, -0.3, TWO_PI + 0.3)
+        for theta in thetas:
+            run_qpea((1 << 16) - 1, theta, SETTINGS, FixedUniform(0.5))
+        assert sum(sizes) == len(thetas) * (2 * baselines.HALF_WINDOW + 1)
+
+
 def is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 

@@ -4,11 +4,12 @@ Two kinds are pinned.  Byte digests cover whole outputs: the sweep and
 run files, the ``bounds`` tables, the plots with reference curves and the
 bound-regimes script's table and figure.  Besides the two noise models, a
 run under squared loss with the circular-mean estimate, a ``bounds`` table
-whose depth limit sits below the noise optimum, and a sweep whose capped
-doubling blocks leave budget over are pinned.  Path digests cover only the
-integer decisions of the sweep and run outputs: each sweep cell's shots
-and deepest depth, and each run step's depth, shots, outcomes and
-decision.  A refactor or speed-up that keeps the algorithm
+whose depth limit sits below the noise optimum, a sweep whose capped
+doubling blocks leave budget over, and a qpea-only sweep over registers
+of 2^12, 2^16 and 2^20 outcomes (theta = 0 among its phases) are pinned.
+Path digests cover only the integer decisions of the sweep and run
+outputs: each sweep cell's shots and deepest depth, and each run step's
+depth, shots, outcomes and decision.  A refactor or speed-up that keeps the algorithm
 must leave every digest unchanged.  A change that moves floats by
 rounding alone may re-pin the byte digests, but not the path digests,
 and says why in CHANGES.md; a change that alters behaviour on purpose
@@ -43,6 +44,11 @@ SWEEP_DIGESTS = {
         "aggregate.csv": "c57c6a44851904de0bcdb9aa67013a7a45f50cb63018ed83a2f81dc0bddbd873",
         "manifest.json": "840e5414f4e1eb370822627ae1f90a037144d1d5cda467bfd9cf4db40a3d5188",
     },
+    "qpea-large": {
+        "results.csv": "b561f2b62f0c8b81da55d0a8c6f2e173438be3900fcd17c1e90a99c15a4eeb55",
+        "aggregate.csv": "1c013cb13421c4a0f4471d801e4737ba88f2b0649b505411df11e625ee2bf9ea",
+        "manifest.json": "af1fcd28feae60e3665315f4c6cd192f4c2391700a77fff7f8582bd28ada9f17",
+    },
 }
 
 RUN_DIGESTS = {
@@ -61,6 +67,7 @@ PATH_DIGESTS = {
         "noiseless": "c779e93fea8f55480790a025f7bf75fef2a6492edfabfb06d7becc1ae132409c",
         "beta-0.9": "e289ef26028f41b7b79082b0405d724996b94b3c1ba46712d38773c6cf05e74c",
         "capped": "ab21bfe6cd759cca37064ba3282494f669660c75302356055393ccbaa7baa233",
+        "qpea-large": "bb5a45fd2f641525727df4e6f029be4897e6fb777bd62e3855a3e22f7154011e",
     },
     "run": {
         "noiseless": "871147f5dcbe73668d511108b8c6da3c39a5834ccec144ac7868f2b1c672a688",
@@ -78,10 +85,12 @@ RUN_ARGS = {
     **NOISE_ARGS,
     "squared-circular-mean": ("--loss", "squared-error", "--estimator", "circular-mean"),
 }
+SMALL_LADDER = ("--ladder", "64,512,4096", "--thetas", "3", "--reps", "1")
 SWEEP_ARGS = {
-    "noiseless": ("noiseless", ()),
-    "beta-0.9": ("beta-0.9", ()),
-    "capped": ("noiseless", ("--shots-per-depth", "4", "--depth-limit", "16")),
+    "noiseless": ("noiseless", SMALL_LADDER),
+    "beta-0.9": ("beta-0.9", SMALL_LADDER),
+    "capped": ("noiseless", (*SMALL_LADDER, "--shots-per-depth", "4", "--depth-limit", "16")),
+    "qpea-large": ("noiseless", ("--ladder", "4095,65535,1048575", "--thetas", "5", "--reps", "2")),
 }
 
 # sha256 of the stdout of `bounds --ladder 1024,4096,65536` in the three
@@ -105,6 +114,7 @@ PLOT_DIGESTS = {
     "noiseless": "887ff2a73f355a0361e6dee03c3d1d82429b4bf2e5940baf99b9931ee2128e80",
     "beta-0.9": "7ec3011d875a1586915df0a42f46b9d83a90f5e904efcf109450fb5c12cfa069",
     "capped": "eb9b2147e1028e739ae85bb281a5fb1a44bc7954cb19ee4d3bcf9cad36123c97",
+    "qpea-large": "8d6ac4997582b683b38847ea1b558bc8d5ca8152d21e93f1cd1c91775808dab5",
 }
 
 # sha256 of the table scripts/plot_bound_regimes.py prints for budgets
@@ -120,6 +130,7 @@ SWEEP_STRATEGIES = {
     "noiseless": "adaptive,classical,nonadaptive-doubling,qpea",
     "beta-0.9": "adaptive,classical,nonadaptive-doubling",
     "capped": "adaptive,classical,nonadaptive-doubling",
+    "qpea-large": "qpea",
 }
 
 
@@ -141,9 +152,6 @@ def sweep(request, tmp_path_factory):
         code = cli.main([
             "sweep",
             "--strategies", SWEEP_STRATEGIES[name],
-            "--ladder", "64,512,4096",
-            "--thetas", "3",
-            "--reps", "1",
             *NOISE_ARGS[noise],
             *extra,
             "--seed", "11",

@@ -18,7 +18,7 @@ def load_script(name: str):
 
 
 def test_bench_layers_times_every_operation(monkeypatch):
-    # bench_grid, not main, so that no BENCH_*.json is written.
+    # bench_grid and bench_qpea, not main, so that no BENCH_*.json is written.
     bench = load_script("bench_layers")
     monkeypatch.setattr(bench, "CALLS", {256: (20, 3)})
     report = bench.bench_grid(256)
@@ -31,6 +31,11 @@ def test_bench_layers_times_every_operation(monkeypatch):
     for op, stats in timings.items():
         assert stats["median_us"] > 0.0, op
         assert stats["calls"] == (3 if op == "predict_loss" else 20)
+    monkeypatch.setattr(bench, "QPEA_CALLS", {12: 2, 16: 2, 20: 2})
+    for m in (12, 16, 20):
+        stats = bench.bench_qpea(m)
+        assert stats["median_us"] > 0.0, m
+        assert stats["calls"] == 2
 
 
 def test_reproduce_error_scaling_quick_run(tmp_path):
