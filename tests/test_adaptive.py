@@ -345,6 +345,44 @@ class TestDecisionPaths:
         assert rung.decision == "stay"
         assert rung.predicted_loss_stay == rung.predicted_loss_deepen == 1.0
 
+    def test_a_stay_at_step_one_spends_the_rest_on_one_unit_depth_circuit(self, monkeypatch):
+        # Step 1's stay is the closer: one depth-1 circuit tuned once, not
+        # retuned after every shot like a rung's stay loop.
+        self.losses(monkeypatch, lambda k: 0.5 if k == 0 else 1.0)
+        trace = run(AlgorithmConfig(total_resources=256, seed=3), 1.2)
+        validate_trace(trace)
+        assert [s.step_index for s in trace.steps] == [1, 1, 2]
+        assert {s.decision for s in trace.steps[:2]} == {"stay"}
+        closer = trace.steps[2]
+        assert closer.circuit.depth == 1
+        assert len(trace.wall_outcome_counts) == 3
+        assert trace.wall_outcome_counts[closer.circuit] == (closer.shots_used, closer.successes)
+        assert trace.resources_spent == 256
+
+    def test_step_one_fires_its_first_probe_before_checking_its_gate(self):
+        # An allowance of 1 passes any gate, so step 1 stops after one shot.
+        trace = run(AlgorithmConfig(total_resources=64, epsilon_exponent=0.0, seed=3), 1.2)
+        validate_trace(trace)
+        assert [(s.step_index, s.shots_used) for s in trace.steps[:2]] == [(1, 1), (1, 0)]
+
+    def test_cap_and_budget_running_out_on_one_shot_keep_the_cap_hit(self, monkeypatch):
+        # Step 1 spends 18 of 30; rung 2 then fires its capped 6 shots at
+        # depth 2, which also spends the last of the budget.  The cap is
+        # checked before the budget, so the rung still predicts (both
+        # infinite, as nothing is left) and records its cap hit.
+        calls = self.losses(monkeypatch, lambda k: 1.0)
+        self.gate(monkeypatch, lambda depth, eps: 1e-3 if depth == 1 else -1.0, shot_cap=3)
+        trace = run(AlgorithmConfig(total_resources=30, seed=3), 1.2)
+        validate_trace(trace)
+        assert sum(s.shots_used for s in trace.steps if s.step_index == 1) == 18
+        rung = trace.steps[2]
+        assert (rung.step_index, rung.circuit.depth, rung.shots_used) == (2, 2, 6)
+        assert rung.cap_hit
+        assert rung.decision == "exhaust"
+        assert math.isinf(rung.predicted_loss_stay) and math.isinf(rung.predicted_loss_deepen)
+        assert len(calls) == 2  # step 1 only; nothing is left to predict the rung with
+        assert trace.resources_spent == 30
+
     def test_infinite_losses_exhaust_the_rung_and_keep_its_cap_hit(self, monkeypatch):
         # Step 1 deepens; the rung's gate never passes, so it stops at its
         # shot cap of 2 and both of its predictions are infinite.

@@ -7,6 +7,10 @@ run under squared loss with the circular-mean estimate, a ``bounds`` table
 whose depth limit sits below the noise optimum, a sweep whose capped
 doubling blocks leave budget over, and a qpea-only sweep over registers
 of 2^12, 2^16 and 2^20 outcomes (theta = 0 among its phases) are pinned.
+So is the JSON trace payload of 108 seeded ``run()`` calls over a grid of
+budgets, noise, confidence schedules and depth limits, which reaches the
+loop's edge paths: tiny budgets, gates that pass before any rung shot, and
+ladders capped at depth 1 or 2.
 Path digests cover only the integer decisions of the sweep and run
 outputs: each sweep cell's shots and deepest depth, and each run step's
 depth, shots, outcomes and decision.  A refactor or speed-up that keeps the algorithm
@@ -21,12 +25,16 @@ import csv
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 import qpe_lab.cli as cli
+from qpe_lab.adaptive import AlgorithmConfig, run
+from qpe_lab.model import NoiseModel
 
 SWEEP_DIGESTS = {
     "noiseless": {
@@ -75,6 +83,18 @@ PATH_DIGESTS = {
         "squared-circular-mean": "871147f5dcbe73668d511108b8c6da3c39a5834ccec144ac7868f2b1c672a688",
     },
 }
+
+# sha256 of the JSON list of `cli.trace_to_payload` of every run on this grid:
+# budget, beta, (epsilon_scale, epsilon_exponent) and depth limit.  The flat
+# schedules pass every gate at once (exponent 0, scale 1) or hold one fixed
+# allowance on every rung (scale 0.01).
+RUN_GRID = (
+    (2, 3, 5, 64, 257, 1024),
+    (1.0, 0.6),
+    ((1.0, 3.0), (1.0, 0.0), (0.01, 0.0)),
+    (1, 2, 1 << 20),
+)
+RUN_GRID_DIGEST = "ad481820b3fcb19a00ecfffc6a4af889acef1444ddc4aa7f76b71ea0fa621659"
 
 NOISE_ARGS = {
     "noiseless": (),
@@ -202,6 +222,23 @@ def test_run_decision_path_digest(run_trace):
     steps = json.loads(out.read_text())["steps"]
     path = [[step[f] for f in STEP_FIELDS] for step in steps]
     assert sha256_text(json.dumps(path)) == PATH_DIGESTS["run"][variant]
+
+
+def test_run_grid_trace_digest():
+    payloads = []
+    for seed, (n_tot, beta, (scale, exponent), depth_limit) in enumerate(itertools.product(*RUN_GRID)):
+        theta = 2.0 * math.pi * ((0.618034 * (seed + 1)) % 1.0)
+        config = AlgorithmConfig(
+            total_resources=n_tot,
+            seed=seed,
+            noise=NoiseModel(beta=beta),
+            epsilon_scale=scale,
+            epsilon_exponent=exponent,
+            depth_limit=depth_limit,
+        )
+        payloads.append(cli.trace_to_payload(run(config, theta), theta))
+    assert len(payloads) == 108
+    assert sha256_text(json.dumps(payloads)) == RUN_GRID_DIGEST
 
 
 def test_plot_with_references_digest(sweep, tmp_path):
