@@ -45,11 +45,11 @@ QUICK_LADDER = tuple(32 * 4**i for i in range(4))
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="results/error_scaling")
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--beta", type=float, default=1.0)
-    parser.add_argument("--thetas", type=int, default=20)
-    parser.add_argument("--reps", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--alpha", type=float, default=NoiseModel.alpha)
+    parser.add_argument("--beta", type=float, default=NoiseModel.beta)
+    parser.add_argument("--thetas", type=int, default=SweepConfig.theta_count)
+    parser.add_argument("--reps", type=int, default=SweepConfig.repetitions)
+    parser.add_argument("--seed", type=int, default=SweepConfig.master_seed)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--quick", action="store_true", help="4-point ladder for a fast look")
     return parser.parse_args(argv)
@@ -59,7 +59,7 @@ def main(argv=None):
     args = parse_args(argv)
     noise = NoiseModel(args.alpha, args.beta)
     strategies = ["adaptive", "classical", "nonadaptive-doubling"]
-    if noise.beta == 1.0 and noise.alpha == 1.0:
+    if noise.noiseless:
         strategies.append("qpea")  # the textbook estimator has no noise model
 
     ladder = QUICK_LADDER if args.quick else FULL_LADDER

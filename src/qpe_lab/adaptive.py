@@ -6,8 +6,13 @@ fringe, then walks up a depth ladder (1, 2, 4, ...) capped by the
 noise-optimal depth and a hard depth limit.  At each rung it samples until
 the posterior concentrates inside a shrinking circular interval, compares
 the predicted loss of staying at the current depth against deepening, and
-finally dumps any leftover budget into unit-depth circuits tuned to the
+finally spends any leftover budget on one unit-depth circuit tuned to the
 running estimate.
+
+Inside ``run`` every circuit goes through one shot loop, ``sample``, which
+checks a gate, a shot cap and the budget before each shot, and every
+stay/deepen/exhaust choice goes through one rule, ``decide``.  Step 1, each
+rung, a rung's stay and the closing unit-depth circuit are calls of these two.
 
 Resource accounting is exact: every shot of a depth-n circuit costs n from
 the budget, and a circuit is never fired when the remaining budget cannot
@@ -17,6 +22,7 @@ pay for it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,8 @@ from .posterior import (
 )
 
 ESTIMATORS = ("map", "circular-mean")
+# How far, in radians, an interval may reach past its predecessor by rounding alone.
+NESTING_TOLERANCE = 1e-12
 
 
 class InfeasibleIntervalError(ValueError):
@@ -154,7 +162,7 @@ def choose_center(
     half_width = np.pi / (2.0 * next_depth)
     if step_index == 1 or previous is None:
         return CircularInterval(estimate, half_width)
-    if half_width > previous.half_width + 1e-12:
+    if half_width > previous.half_width + NESTING_TOLERANCE:
         raise InfeasibleIntervalError(
             f"half-width {half_width:.6f} cannot nest inside {previous.half_width:.6f}"
         )
@@ -201,152 +209,129 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     tallies: dict[Circuit, list[int]] = {}
     steps: list[StepRecord] = []
 
-    def fire(circuit: Circuit) -> int:
-        nonlocal budget
-        outcome = sample_outcome(circuit, 1, theta_true, noise, rng)
-        update(posterior, MeasurementRecord(circuit, 1, outcome), noise)
-        budget -= circuit.depth
-        tally = tallies.setdefault(circuit, [0, 0])
-        tally[0] += 1
-        tally[1] += outcome
-        return outcome
+    def sample(
+        depth: int,
+        circuit_for: Callable[[int], Circuit],
+        gate: Callable[[int], bool] = lambda shots: False,
+        shot_cap: int | None = None,
+    ) -> tuple[int, int, bool, bool]:
+        """Fire ``circuit_for(shots)`` one shot at a time; return (shots, successes, gate_passed, cap_hit).
 
-    def predict(depth: int, deeper: int, interval: CircularInterval) -> list[float]:
-        """Predicted losses of staying, tuned to the mode in the interval, and of deepening, tuned to its center."""
+        Before each shot it stops if ``gate(shots)`` passes, then if
+        ``shot_cap`` shots are spent, then if the budget cannot pay for depth.
+        """
+        nonlocal budget
+        shots = successes = 0
+        while True:
+            if gate(shots):
+                return shots, successes, True, False
+            if shot_cap is not None and shots >= shot_cap:
+                return shots, successes, False, True
+            if budget < depth:
+                return shots, successes, False, False
+            circuit = circuit_for(shots)
+            outcome = sample_outcome(circuit, 1, theta_true, noise, rng)
+            update(posterior, MeasurementRecord(circuit, 1, outcome), noise)
+            budget -= depth
+            tally = tallies.setdefault(circuit, [0, 0])
+            tally[0] += 1
+            tally[1] += outcome
+            shots += 1
+            successes += outcome
+
+    def decide(
+        depth: int, deeper: int, interval: CircularInterval, tie: str, reached: bool, can_deepen: bool = True
+    ) -> tuple[str, float | None, float | None]:
+        """Predict staying (tuned to the mode in the interval) and deepening (tuned to its center), then choose.
+
+        Returns (decision, loss_stay, loss_deepen).  A phase that did not
+        reach its choice (the budget died mid-gate) predicts nothing and
+        exhausts.  A circuit the budget cannot pay for once predicts an
+        infinite loss; two of them exhaust.  Otherwise the cheaper branch
+        wins and ``tie`` settles equal losses, but a rung that cannot
+        deepen stays.
+        """
+        if not reached:
+            return "exhaust", None, None
         stay = tuned_circuit(depth, map_estimate(posterior, within=interval))
-        # A circuit the budget cannot pay for once predicts an infinite loss.
-        return [
+        loss_stay, loss_deepen = (
             predict_loss(posterior, c, budget, noise, kind) if budget >= c.depth else math.inf
             for c in (stay, tuned_circuit(deeper, interval.center))
-        ]
-
-    probe_a = Circuit(1, 0.0)
-    probe_b = Circuit(1, np.pi / 4.0)
-    n2 = next_depth(2, config)
-    eps1 = required_confidence(next_depth(1, config), config)
-
-    # Step 1: alternate the two probes, recentering the candidate interval
-    # on the running mode, until only eps1 of the mass is left outside.
-    interval = None
-    gate_passed = False
-    toggle = 0
-    while budget >= 1:
-        fire(probe_a if toggle % 2 == 0 else probe_b)
-        toggle += 1
-        interval = choose_center(map_estimate(posterior), None, n2, 1)
-        if mass_outside(posterior, interval) <= eps1:
-            gate_passed = True
-            break
-
-    conf1 = confidence(posterior, interval)
-    loss_stay = loss_deepen = None
-    decision = "exhaust"
-    if gate_passed:
-        loss_stay, loss_deepen = predict(1, n2, interval)
+        )
         if math.isinf(loss_stay) and math.isinf(loss_deepen):
             decision = "exhaust"
-        elif loss_stay < loss_deepen:
+        elif loss_stay < loss_deepen or not can_deepen:
             decision = "stay"
         else:
-            decision = "deepen"
-    for probe in (probe_a, probe_b):
-        shots, successes = tallies.get(probe, (0, 0))
-        steps.append(
-            StepRecord(
-                step_index=1,
-                circuit=probe,
-                shots_used=shots,
-                successes=successes,
-                interval=interval,
-                confidence_reached=conf1,
-                predicted_loss_stay=loss_stay,
-                predicted_loss_deepen=loss_deepen,
-                decision=decision,
-            )
-        )
+            decision = "deepen" if loss_deepen < loss_stay else tie
+        return decision, loss_stay, loss_deepen
 
-    # Step 5 loop: gated sampling at each rung, then a stay/deepen choice.
+    probes = (Circuit(1, 0.0), Circuit(1, np.pi / 4.0))
+    n2 = next_depth(2, config)
+    eps1 = required_confidence(next_depth(1, config), config)
+    interval = None
+
+    def step_one_gate(shots: int) -> bool:
+        # Checked only after a probe has fired, on an interval recentred on the global mode.
+        nonlocal interval
+        if shots == 0:
+            return False
+        interval = choose_center(map_estimate(posterior), None, n2, 1)
+        return mass_outside(posterior, interval) <= eps1
+
+    # Step 1: alternate the two probes until only eps1 of the mass is left
+    # outside.  Ties deepen; a stay leaves the rest to the closer below.
+    _, _, gate_passed, _ = sample(1, lambda shots: probes[shots % 2], step_one_gate)
+    conf1 = confidence(posterior, interval)
+    decision, loss_stay, loss_deepen = decide(1, n2, interval, "deepen", gate_passed)
+    for probe in probes:
+        shots, successes = tallies.get(probe, (0, 0))
+        steps.append(StepRecord(1, probe, shots, successes, interval, conf1, loss_stay, loss_deepen, decision))
+
+    # Each rung samples until its gate passes or its shot cap is spent, then
+    # chooses.  A tie stays, and so does a saturated ladder whose gate passed
+    # without a shot, where deepening again would spin forever.  A rung that
+    # stays retunes to the running mode every shot until the budget is spent.
     step_index = 2
     while decision == "deepen":
         depth = next_depth(step_index, config)
         if budget < depth:
             break
         deeper = next_depth(step_index + 1, config)
-        estimate = map_estimate(posterior, within=interval)
-        current = choose_center(estimate, interval, deeper, step_index)
+        current = choose_center(map_estimate(posterior, within=interval), interval, deeper, step_index)
         circuit = tuned_circuit(depth, current.center)
         eps = required_confidence(depth, config)
         cap = max_shots_for_step(step_index, config)
-        shot_cap = 2 * cap if cap > 0 else None
-
-        shots_used = 0
-        successes = 0
-        gate_passed = False
-        cap_hit = False
-        while True:
-            if mass_outside(posterior, current) <= eps:
-                gate_passed = True
-                break
-            if shot_cap is not None and shots_used >= shot_cap:
-                cap_hit = True
-                break
-            if budget < depth:
-                break
-            successes += fire(circuit)
-            shots_used += 1
-
-        # A rung whose budget died mid-gate predicts nothing and exhausts.
-        loss_stay = loss_deepen = None
-        decision = "exhaust"
-        if gate_passed or cap_hit:
-            loss_stay, loss_deepen = predict(depth, deeper, current)
-            if not (math.isinf(loss_stay) and math.isinf(loss_deepen)):
-                # Unlike step 1, a tie stays.  A saturated ladder with an
-                # already-passing gate spends nothing; deepening again
-                # would spin forever.
-                saturated = deeper == depth and shots_used == 0
-                decision = "deepen" if loss_deepen < loss_stay and not saturated else "stay"
-
+        shots, successes, gate_passed, cap_hit = sample(
+            depth,
+            lambda shots: circuit,
+            lambda shots: mass_outside(posterior, current) <= eps,
+            2 * cap if cap > 0 else None,
+        )
+        decision, loss_stay, loss_deepen = decide(
+            depth, deeper, current, "stay", gate_passed or cap_hit, deeper > depth or shots > 0
+        )
         if decision == "stay":
-            # Retune to the running mode after every execution and spend
-            # whatever still pays for this depth.
-            while budget >= depth:
-                successes += fire(tuned_circuit(depth, map_estimate(posterior, within=current)))
-                shots_used += 1
+            more, more_successes, _, _ = sample(
+                depth, lambda shots: tuned_circuit(depth, map_estimate(posterior, within=current))
+            )
+            shots += more
+            successes += more_successes
         steps.append(
             StepRecord(
-                step_index,
-                circuit,
-                shots_used,
-                successes,
-                current,
-                confidence(posterior, current),
-                loss_stay,
-                loss_deepen,
-                decision,
-                cap_hit,
+                step_index, circuit, shots, successes, current, confidence(posterior, current),
+                loss_stay, loss_deepen, decision, cap_hit,
             )
         )
         interval = current
         step_index += 1
 
-    # Step 6: remainder goes to unit-depth circuits at the running estimate.
+    # The closer: what is left goes to one unit-depth circuit at the running estimate.
     if budget >= 1:
         closer = tuned_circuit(1, map_estimate(posterior, within=interval))
-        shots_used = 0
-        successes = 0
-        while budget >= 1:
-            successes += fire(closer)
-            shots_used += 1
+        shots, successes, _, _ = sample(1, lambda shots: closer)
         steps.append(
-            StepRecord(
-                steps[-1].step_index + 1,
-                closer,
-                shots_used,
-                successes,
-                interval,
-                confidence(posterior, interval),
-            )
+            StepRecord(steps[-1].step_index + 1, closer, shots, successes, interval, confidence(posterior, interval))
         )
 
     if config.estimator == "map":
@@ -385,7 +370,7 @@ def validate_trace(trace: AlgorithmTrace) -> None:
         if curr.step_index <= 1 or curr.step_index == prev.step_index:
             continue
         gap = float(wrapped_distance(curr.interval.center, prev.interval.center))
-        if gap + curr.interval.half_width > prev.interval.half_width + 1e-9:
+        if gap + curr.interval.half_width > prev.interval.half_width + NESTING_TOLERANCE:
             raise ValueError(
                 f"interval at step {curr.step_index} escapes its predecessor by "
                 f"{gap + curr.interval.half_width - prev.interval.half_width:.3e}"

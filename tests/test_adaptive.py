@@ -136,7 +136,7 @@ class TestChooseCenter:
         prev = CircularInterval(prev_center, prev_hw)
         interval = choose_center(estimate, prev, depth, step_index=4)
         gap = wrapped_distance(interval.center, prev_center)
-        assert gap + interval.half_width <= prev_hw + 1e-9
+        assert gap + interval.half_width <= prev_hw + adaptive.NESTING_TOLERANCE
 
 
 class TestChernoffShotBudget:
@@ -294,6 +294,19 @@ class TestValidateTrace:
         bad = dataclasses.replace(trace, steps=trace.steps + [hacked])
         with pytest.raises(ValueError):
             validate_trace(bad)
+
+    def test_rejects_an_escape_past_the_nesting_tolerance(self):
+        # choose_center and validate_trace share one rounding tolerance, far below 1e-10.
+        trace = run(AlgorithmConfig(total_resources=1024, seed=0), 1.0)
+        victim = trace.steps[-1]
+        hacked = dataclasses.replace(
+            victim,
+            step_index=victim.step_index + 1,
+            shots_used=0,
+            interval=CircularInterval(victim.interval.center + 1e-10, victim.interval.half_width),
+        )
+        with pytest.raises(ValueError, match="escapes its predecessor"):
+            validate_trace(dataclasses.replace(trace, steps=trace.steps + [hacked]))
 
     def test_rejects_misreported_shots(self):
         trace = run(AlgorithmConfig(total_resources=100, seed=0), 1.0)
