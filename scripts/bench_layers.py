@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Per-call cost of the posterior operations the adaptive loop runs per shot,
-and of one textbook-register (qpea) draw.
+of one textbook-register (qpea) draw and of one whole doubling-baseline run.
 
 Times, at grid sizes 4096 and 65536, one call each of:
 
@@ -17,6 +17,12 @@ bump of width 1 / (2 * depth) around a fixed phase, and the gate interval
 is the one the loop uses at that depth, of half-width pi / (4 * depth).
 ``run_qpea`` is timed at registers of 2^12, 2^16 and 2^20 outcomes, one
 readout per call from one seeded generator, at the same fixed phase.
+
+Two rows time the deep grids.  ``run_nonadaptive_doubling`` runs whole at
+budgets of 2^16 and 2^20 with 32 shots per depth, its grid refining from
+4096 up to 2^18 and 2^20 cells.  ``update`` with a cached single-shot
+circuit of depth 8192 runs on a posterior that a depth-8192 record has
+just refined from 4096 to 262144 cells; it starts from the depth-128 bump.
 
 Each call is timed with ``time.perf_counter_ns``; the report gives the
 median (robust to the odd preempted call) and the mean.
@@ -44,7 +50,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qpe_lab.adaptive import RunSettings  # noqa: E402
-from qpe_lab.baselines import run_qpea  # noqa: E402
+from qpe_lab.baselines import run_nonadaptive_doubling, run_qpea  # noqa: E402
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, tuned_circuit  # noqa: E402
 from qpe_lab.posterior import (  # noqa: E402
     CircularInterval,
@@ -62,6 +68,10 @@ GRID_SIZES = (4096, 65536)
 CALLS = {4096: (2000, 200), 65536: (500, 30)}
 # Calls of run_qpea at each register size m (2**m outcomes).
 QPEA_CALLS = {12: 200, 16: 100, 20: 20}
+# Calls of run_nonadaptive_doubling at each budget 2**m.
+DOUBLING_CALLS = {16: 100, 20: 20}
+# The refined-grid row: initial grid, record depth and update calls.
+REFINED_GRID, REFINED_DEPTH, REFINED_CALLS = 4096, 8192, 500
 THETA = 2.2
 NOISE = NoiseModel()
 
@@ -141,6 +151,24 @@ def bench_qpea(register_size: int) -> dict:
     return summary([timed(run_qpea, budget, THETA, settings, rng) for _ in range(QPEA_CALLS[register_size])])
 
 
+def bench_doubling(budget_log2: int) -> dict:
+    rng = np.random.default_rng(budget_log2)
+    settings = RunSettings()
+    return summary([
+        timed(run_nonadaptive_doubling, 1 << budget_log2, THETA, settings, 32, rng)
+        for _ in range(DOUBLING_CALLS[budget_log2])
+    ])
+
+
+def bench_refined_update() -> dict:
+    post = base_posterior(REFINED_GRID, REFINED_GRID // 32)
+    circuit = tuned_circuit(REFINED_DEPTH, THETA)
+    update(post, MeasurementRecord(circuit, 1, 1.0), NOISE)
+    outcomes = np.random.default_rng(REFINED_DEPTH).integers(0, 2, size=REFINED_CALLS).tolist()
+    report = summary([timed(update, post, MeasurementRecord(circuit, 1, x), NOISE) for x in outcomes])
+    return {"grid_size": post.grid_size, "depth": REFINED_DEPTH, "update_cached": report}
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as handle:
@@ -172,6 +200,8 @@ def main(argv) -> int:
         "timer": "time.perf_counter_ns around each call",
         "per_call": {str(g): bench_grid(g) for g in GRID_SIZES},
         "run_qpea": {str(m): bench_qpea(m) for m in QPEA_CALLS},
+        "run_nonadaptive_doubling": {str(m): bench_doubling(m) for m in DOUBLING_CALLS},
+        "refined_update": bench_refined_update(),
     }
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w") as handle:
@@ -183,6 +213,13 @@ def main(argv) -> int:
                 print(f"G={g:>6} {op:<26} {stats['median_us']:9.1f} us median  {stats['mean_us']:9.1f} us mean")
     for m, stats in report["run_qpea"].items():
         print(f"m={m:>6} {'run_qpea':<26} {stats['median_us']:9.1f} us median  {stats['mean_us']:9.1f} us mean")
+    for m, stats in report["run_nonadaptive_doubling"].items():
+        print(f"N=2^{m:<4} {'run_nonadaptive_doubling':<26} {stats['median_us']:9.1f} us median  "
+              f"{stats['mean_us']:9.1f} us mean")
+    refined = report["refined_update"]
+    stats = refined["update_cached"]
+    print(f"G={refined['grid_size']:>6} {'update_cached (refined)':<26} {stats['median_us']:9.1f} us median  "
+          f"{stats['mean_us']:9.1f} us mean")
     print(f"wrote {os.path.normpath(path)}")
     return 0
 

@@ -33,6 +33,7 @@ from .posterior import (
     CircularInterval,
     GridPosterior,
     LossKind,
+    UndefinedMeanError,
     check_grid_size,
     circular_mean_estimate,
     confidence,
@@ -334,10 +335,15 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             StepRecord(steps[-1].step_index + 1, closer, shots, successes, interval, confidence(posterior, interval))
         )
 
-    if config.estimator == "map":
+    final_estimate = None
+    if config.estimator == "circular-mean":
+        try:
+            final_estimate = circular_mean_estimate(posterior)
+        except UndefinedMeanError:
+            # A few unit-depth shots can cancel the resultant to rounding; the mode stands in.
+            pass
+    if final_estimate is None:
         final_estimate = map_estimate(posterior)
-    else:
-        final_estimate = circular_mean_estimate(posterior)
     return AlgorithmTrace(
         config=config,
         steps=steps,

@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
@@ -211,6 +210,9 @@ def iter_sweep(config: SweepConfig, workers: int | None = None) -> Iterator[Swee
         for cell in cells:
             yield run_cell(config, *cell)
         return
+    # Imported here: the process pool's modules cost a serial sweep ~17 ms of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     packed = [(config, *cell) for cell in cells]
     chunk = max(1, len(packed) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,8 +1,27 @@
 """Grid-based Bayesian posterior over a phase on the circle [0, 2*pi).
 
-The posterior is held as unnormalised linear weights on a uniform grid and
-their sum.  Normalisation uses the periodic trapezoid rule, which on a
-uniform circular grid reduces to a plain node sum times the cell width.
+The posterior is held as unnormalised linear weights on a uniform grid of
+``grid_size`` cells and their sum.  Normalisation uses the periodic
+trapezoid rule, which on a uniform circular grid reduces to a plain node
+sum times the cell width.
+
+Only a live window of the grid is stored: the circular run of cells
+offset, ..., offset + L - 1 (mod grid_size), which may cross the 0/2*pi
+seam.  Every cell outside it holds exactly zero weight, so each operation
+here (update, normalisation, refinement, interval masses, the mode, the
+expected loss, the circular mean and the predictions) costs O(L).  A new
+posterior's window is the whole grid.  The window shrinks only in
+``ensure_resolution``, right before each doubling of the grid: the two end
+runs of the window that together hold at most TRIM_MASS = 2**-100 of the
+mass are cut, short of GUARD_CELLS = 2 cells beyond each cut, so the
+parabola of the mode and the end segments of the interval integrals read
+the same cells as on the whole grid.  A grid that never refines is never
+trimmed and its arithmetic is that of the whole grid.  The share of the
+mass cut so far is kept in ``discarded``, and the gate check
+``mass_outside`` adds it to the tail it sums inside the window, so a
+trimmed posterior passes a gate only later, never earlier.  The per-window
+caches of cos(n theta), sin(n theta) and p0 hold arrays of the window's
+length.
 
 The adaptive loop runs an update, a gate check and a mode search after
 every shot, so each does only the work its caller reads.  A single shot
@@ -29,6 +48,8 @@ frequency n, and updates enforce at least 32 grid points per period.  When
 an incoming record is too deep for the current grid the posterior doubles
 its resolution in place, giving each new midpoint the geometric mean of its
 neighbours (the midpoint of the log-weights), up to a hard memory cap.
+Restricting the work to the arc that holds the mass follows the nested
+intervals of Kimmel, Low & Yoder (PRA 92, 062315, 2015).
 """
 
 from __future__ import annotations
@@ -51,6 +72,10 @@ MAX_DEPTH = MAX_GRID_SIZE // POINTS_PER_PERIOD  # the deepest circuit a capped g
 # every few hundred shots and long before the largest weight nears underflow.
 RESCALE_FLOOR = 2.0**-256
 TINY_MASS = 2.0**-900
+# Before each doubling the window drops end runs holding at most this share
+# of the mass, and keeps GUARD_CELLS cells beyond each cut.
+TRIM_MASS = 2.0**-100
+GUARD_CELLS = 2
 
 
 class GridTooCoarseError(ValueError):
@@ -105,15 +130,17 @@ class CircularInterval:
 
 
 @lru_cache(maxsize=16)
-def _grid_angles(grid_size: int) -> np.ndarray:
-    angles = np.arange(grid_size) * (TWO_PI / grid_size)
+def _grid_angles(grid_size: int, offset: int = 0, length: int | None = None) -> np.ndarray:
+    """Angles of the grid cells offset, ..., offset + length - 1 (mod grid_size); the whole grid by default."""
+    cells = (offset + np.arange(grid_size if length is None else length)) % grid_size
+    angles = cells * (TWO_PI / grid_size)
     angles.setflags(write=False)
     return angles
 
 
 @lru_cache(maxsize=64)
-def _grid_trig(grid_size: int, depth: int):
-    arg = depth * _grid_angles(grid_size)
+def _grid_trig(grid_size: int, depth: int, offset: int = 0, length: int | None = None):
+    arg = depth * _grid_angles(grid_size, offset, length)
     cos_n = np.cos(arg)
     sin_n = np.sin(arg)
     cos_n.setflags(write=False)
@@ -121,9 +148,11 @@ def _grid_trig(grid_size: int, depth: int):
     return cos_n, sin_n
 
 
-def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float) -> np.ndarray:
-    """Bright-outcome probability p0 of one circuit at every grid node."""
-    cos_n, sin_n = _grid_trig(grid_size, depth)
+def _grid_p0(
+    grid_size: int, depth: int, phase: float, envelope: float, offset: int = 0, length: int | None = None
+) -> np.ndarray:
+    """Bright-outcome probability p0 of one circuit at every cell of a window (the whole grid by default)."""
+    cos_n, sin_n = _grid_trig(grid_size, depth, offset, length)
     p0 = cos_n * math.cos(phase)
     p0 -= sin_n * math.sin(phase)
     p0 *= 0.5 * envelope
@@ -149,13 +178,15 @@ class _CircuitLikelihood:
 
 
 @lru_cache(maxsize=8)
-def _log_prob_components(grid_size: int, depth: int, phase: float, alpha: float, beta: float):
-    """Per-cell outcome probabilities of one circuit, clamped to [0, 1] and cached.
+def _log_prob_components(
+    grid_size: int, depth: int, phase: float, alpha: float, beta: float, offset: int = 0, length: int | None = None
+):
+    """Per-cell outcome probabilities of one circuit on a window, clamped to [0, 1] and cached.
 
     Gated sampling phases hammer the same circuit for tens of shots; caching
     p0 (and 1 - p0) makes each such update one multiply and one sum.
     """
-    p0 = _grid_p0(grid_size, depth, phase, alpha * beta**depth)
+    p0 = _grid_p0(grid_size, depth, phase, alpha * beta**depth, offset, length)
     np.minimum(p0, 1.0, out=p0)
     np.maximum(p0, 0.0, out=p0)
     return _CircuitLikelihood(p0)
@@ -163,20 +194,26 @@ def _log_prob_components(grid_size: int, depth: int, phase: float, alpha: float,
 
 @dataclass(eq=False)
 class GridPosterior:
-    """Posterior on a uniform circular grid, as unnormalised linear weights.
+    """Posterior on a uniform circular grid of ``grid_size`` cells, as unnormalised linear weights.
 
-    ``weights`` are non-negative node weights and ``total`` is their sum;
-    the density and the interval masses are read from the two.  A posterior
-    whose total is 0 carries no probability and raises
-    ImpossibleObservationError when either is read.
+    ``weights`` covers only the live window, the grid cells ``offset``, ...,
+    ``offset + weights.size - 1`` (mod ``grid_size``); every other cell has
+    weight 0.  By default the window is the whole grid.  ``total`` is the
+    sum of the weights, and ``discarded`` the share of the mass cut from the
+    window so far.  The density and the interval masses are read from the
+    weights and their total.  A posterior whose total is 0 carries no
+    probability and raises ImpossibleObservationError when either is read.
     """
 
     weights: np.ndarray
     total: float
+    grid_size: int | None = None
+    offset: int = 0
+    discarded: float = 0.0
 
-    @property
-    def grid_size(self) -> int:
-        return self.weights.size
+    def __post_init__(self):
+        if self.grid_size is None:
+            self.grid_size = self.weights.size
 
     @property
     def cell_width(self) -> float:
@@ -184,15 +221,16 @@ class GridPosterior:
 
     @property
     def angles(self) -> np.ndarray:
-        return _grid_angles(self.grid_size)
+        """Angles of the window's cells."""
+        return _grid_angles(self.grid_size, self.offset, self.weights.size)
 
     @property
     def density(self) -> np.ndarray:
-        """Probability density at the grid nodes (integrates to 1)."""
+        """Probability density at the window's cells (integrates to 1)."""
         return self.weights / (_live_total(self) * self.cell_width)
 
     def clone(self) -> "GridPosterior":
-        return GridPosterior(self.weights.copy(), self.total)
+        return GridPosterior(self.weights.copy(), self.total, self.grid_size, self.offset, self.discarded)
 
 
 def _live_total(posterior: GridPosterior) -> float:
@@ -233,18 +271,55 @@ def normalize(posterior: GridPosterior) -> GridPosterior:
     return posterior
 
 
-def _refine_once(posterior: GridPosterior):
+def _trim(posterior: GridPosterior):
+    """Cut the window's two end runs that hold at most TRIM_MASS of its mass, GUARD_CELLS short of each cut.
+
+    Each end gives up at most half of TRIM_MASS, and the share it gives up
+    goes into ``discarded``.  A whole-grid window is a circle, so its ends
+    are put at the antipode of its largest weight first.
+    """
+    w = posterior.weights
+    start = 0
+    if w.size == posterior.grid_size:
+        start = (int(np.argmax(w)) + w.size // 2) % w.size
+        w = np.roll(w, -start)
+    from_left = np.cumsum(w)
+    total = float(from_left[-1])
+    if not total > 0.0:
+        return
+    allowance = 0.5 * TRIM_MASS * total
+    left = int(np.searchsorted(from_left, allowance, side="right")) - GUARD_CELLS
+    right = int(np.searchsorted(np.cumsum(w[::-1]), allowance, side="right")) - GUARD_CELLS
+    if left <= 0 and right <= 0:
+        return
+    left, right = max(left, 0), max(right, 0)
+    kept = w[left:w.size - right].copy()
+    posterior.discarded += (float(w[:left].sum()) + float(w[w.size - right:].sum())) / total
+    posterior.offset = (posterior.offset + start + left) % posterior.grid_size
+    posterior.weights = kept
+    posterior.total = float(kept.sum())
+
+
+def _refine_once(posterior: GridPosterior) -> GridPosterior:
     """Double the grid, putting sqrt(w_k) * sqrt(w_k+1) between each pair of neighbours.
 
     That is exp of the midpoint of their log-weights; taking the roots
-    first keeps the product of two tiny weights from underflowing.
+    first keeps the product of two tiny weights from underflowing.  A
+    window of L cells short of the whole grid becomes one of 2L - 1 cells.
     """
     w = posterior.weights
     root = np.sqrt(w)
-    doubled = np.empty(2 * w.size)
+    if w.size == posterior.grid_size:
+        doubled = np.empty(2 * w.size)
+        np.multiply(root, np.roll(root, -1), out=doubled[1::2])
+    else:
+        doubled = np.empty(2 * w.size - 1)
+        np.multiply(root[:-1], root[1:], out=doubled[1::2])
     doubled[0::2] = w
-    np.multiply(root, np.roll(root, -1), out=doubled[1::2])
     posterior.weights = doubled
+    posterior.grid_size *= 2
+    posterior.offset *= 2
+    return posterior
 
 
 def required_grid_size(depth: int) -> int:
@@ -252,7 +327,7 @@ def required_grid_size(depth: int) -> int:
 
 
 def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
-    """Grow the grid until it resolves oscillations of the given depth."""
+    """Grow the grid until it resolves oscillations of the given depth, trimming the window before each doubling."""
     required = required_grid_size(depth)
     if depth > MAX_DEPTH:
         raise GridTooCoarseError(
@@ -260,6 +335,7 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
         )
     refined = False
     while posterior.grid_size < required:
+        _trim(posterior)
         _refine_once(posterior)
         refined = True
     if refined:
@@ -270,7 +346,10 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
 def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -> _CircuitLikelihood:
     """Refine the grid in place to resolve ``circuit``, then look up its cached p0."""
     ensure_resolution(posterior, circuit.depth)
-    return _log_prob_components(posterior.grid_size, circuit.depth, circuit.phase, noise.alpha, noise.beta)
+    return _log_prob_components(
+        posterior.grid_size, circuit.depth, circuit.phase, noise.alpha, noise.beta,
+        posterior.offset, posterior.weights.size,
+    )
 
 
 def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel) -> GridPosterior:
@@ -309,37 +388,74 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
         ) from None
 
 
-def _segment_part(w: np.ndarray, k: int, t0: float, t1: float) -> float:
+def _segment_part(w: np.ndarray, k: int, t0: float, t1: float, periodic: bool = True) -> float:
     """Integral of the linear interpolant of w over [k + t0, k + t1], 0 <= t0 <= t1 <= 1.
 
     Written as the width times a convex mix of the two node values, so no
-    term cancels when one node is far smaller than the other.
+    term cancels when one node is far smaller than the other.  Off the
+    periodic grid the nodes -1 and w.size are 0.
     """
-    v0 = w.item(k)
-    v1 = w.item((k + 1) % w.size)
+    v0 = w.item(k) if k >= 0 else 0.0
+    v1 = w.item(k + 1) if k + 1 < w.size else (w.item(0) if periodic else 0.0)
     return (t1 - t0) * (v0 * (0.5 * ((1.0 - t0) + (1.0 - t1))) + v1 * (0.5 * (t0 + t1)))
+
+
+def _cell_span(w: np.ndarray, ka: int, ta: float, kb: int, tb: float, periodic: bool = True) -> float:
+    """Integral of the linear interpolant of w from ka + ta to kb + tb, ka <= kb, 0 <= ta, tb <= 1.
+
+    The whole segments between the two partial end cells come from one
+    slice sum of the nodes they span.
+    """
+    if ka == kb:
+        return _segment_part(w, ka, ta, tb, periodic)
+    whole = float(w[ka + 1:kb + 1].sum()) - 0.5 * (w.item(ka + 1) + w.item(kb))
+    return _segment_part(w, ka, ta, 1.0, periodic) + whole + _segment_part(w, kb, 0.0, tb, periodic)
 
 
 def _span_integral(w: np.ndarray, a: float, b: float) -> float:
     """Integral of the periodic linear interpolant of w from a to b, 0 <= a, b <= w.size.
 
     ``a`` and ``b`` are in cell units, and a > b runs across the 0/2*pi
-    seam in two slices.  The whole segments between the two partial end
-    cells come from one slice sum of the nodes they span.
+    seam in two slices.
     """
     if a > b:
         return _span_integral(w, a, w.size) + _span_integral(w, 0.0, b)
     last = w.size - 1
     ka = min(int(a), last)
     kb = min(int(b), last)
-    if ka == kb:
-        return _segment_part(w, ka, a - ka, b - kb)
-    whole = float(w[ka + 1:kb + 1].sum()) - 0.5 * (w.item(ka + 1) + w.item(kb))
-    return _segment_part(w, ka, a - ka, 1.0) + whole + _segment_part(w, kb, 0.0, b - kb)
+    return _cell_span(w, ka, a - ka, kb, b - kb)
+
+
+def _window_integral(posterior: GridPosterior, w: np.ndarray, a: float, b: float) -> float:
+    """Integral of the interpolant of the window's weights ``w`` over the arc from cell a to cell b.
+
+    A window short of the whole grid is integrated in its own cells, its
+    first at 0 and the zero cells just outside it at -1 and w.size.  Each
+    end of the arc is moved there as a whole cell plus the fraction ``a``
+    or ``b`` had, so no end loses precision, and the arc meets the window's
+    support in at most two spans.
+    """
+    g, n = posterior.grid_size, w.size
+    if n == g:
+        return _span_integral(w, a, b)
+    ends = []
+    for x in (a, b):
+        k = min(int(x), g - 1)
+        cell = (k - posterior.offset) % g
+        ends.append((cell - g if cell == g - 1 else cell, x - k))
+    (ka, ta), (kb, tb) = ends
+    spans = [(ka, ta, kb, tb)] if (ka, ta) <= (kb, tb) else [(ka, ta, g - 2, 1.0), (-1, 0.0, kb, tb)]
+    mass = 0.0
+    for ka, ta, kb, tb in spans:
+        if kb >= n:
+            kb, tb = n - 1, 1.0
+        if (ka, ta) < (kb, tb):
+            mass += _cell_span(w, ka, ta, kb, tb, periodic=False)
+    return mass
 
 
 def _arc_mass(posterior: GridPosterior, start: float, end: float) -> float:
-    """Posterior mass of the arc running counterclockwise from angle start to end.
+    """Window mass of the arc running counterclockwise from angle start to end.
 
     The arc is integrated head-on from the weights and divided by the
     weights' periodic trapezoid total; the result is clamped to [0, 1].
@@ -351,15 +467,15 @@ def _arc_mass(posterior: GridPosterior, start: float, end: float) -> float:
     w, total = posterior.weights, _live_total(posterior)
     a = start / posterior.cell_width
     b = end / posterior.cell_width
-    mass = _span_integral(w, a, b)
+    mass = _window_integral(posterior, w, a, b)
     if mass < TINY_MASS:
-        mass = _span_integral(w / TINY_MASS, a, b)
+        mass = _window_integral(posterior, w / TINY_MASS, a, b)
         total /= TINY_MASS
     return min(max(mass / total, 0.0), 1.0)
 
 
 def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
-    """Posterior mass inside the interval, by trapezoid integration.
+    """Posterior mass inside the interval, by trapezoid integration over the window.
 
     An interval whose two ends round to one angle covers the whole circle
     but a rounding error, so it holds all the mass, as at half_width = pi.
@@ -371,20 +487,21 @@ def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
 
 
 def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
-    """Posterior mass in the complement arc, integrated directly.
+    """Posterior mass in the complement arc, integrated directly, plus the mass cut from the window.
 
     The gate check of every gated shot.  It is not ``1 - confidence(...)``:
     the gate compares tail masses down to ~1e-15 against allowances as
     small, and the subtraction would lose every significant digit to
-    cancellation.  The complement arc is summed over its own cells
-    instead, so the cost is one pass over the cells outside the interval,
-    with no prefix array and no density.  Ends that round to one angle
-    leave no mass outside, as in ``confidence``.
+    cancellation.  The complement arc is summed over its own cells of the
+    window instead, so the cost is one pass over those cells, with no
+    prefix array and no density.  Adding ``discarded`` means a trimmed
+    window can only pass the gate later, never earlier.  Ends that round
+    to one angle leave no mass outside, as in ``confidence``.
     """
     lower, upper = interval.lower, interval.upper
     if interval.half_width >= np.pi or lower == upper:
         return 0.0
-    return _arc_mass(posterior, upper, lower)
+    return _arc_mass(posterior, upper, lower) + posterior.discarded
 
 
 def map_estimate(posterior: GridPosterior, within: CircularInterval | None = None) -> float:
@@ -392,66 +509,88 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
 
     Ties go to the smallest grid index.  With ``within`` given, the argmax
     is restricted to cells inside that interval (falling back to the global
-    argmax if every cell inside has weight 0); only the cells of
+    argmax if every cell inside has weight 0); only the window's cells of
     the arc are searched.  The parabola is fitted to the log-weights of
     the peak cell and its two neighbours, and skipped if any of them is 0.
     """
     w = posterior.weights
-    angles = posterior.angles
+    n, g = w.size, posterior.grid_size
     k = None
     if within is not None:
-        k = _arc_argmax(w, angles, within)
+        k = _arc_argmax(posterior, within)
     if k is None:
-        k = int(np.argmax(w))
+        k = _run_argmax(posterior, 0, n)
 
-    g = posterior.grid_size
-    left = w.item((k - 1) % g)
+    left = w.item((k - 1) % n) if k > 0 or n == g else 0.0
     center = w.item(k)
-    right = w.item((k + 1) % g)
-    offset = 0.0
+    right = w.item((k + 1) % n) if k < n - 1 or n == g else 0.0
+    shift = 0.0
     if left > 0.0 and center > 0.0 and right > 0.0:
         left, center, right = math.log(left), math.log(center), math.log(right)
         curvature = left - 2.0 * center + right
         if curvature < 0.0:
-            offset = min(max(0.5 * (left - right) / curvature, -0.5), 0.5)
-    return wrap_float(float(angles[k]) + offset * posterior.cell_width)
+            shift = min(max(0.5 * (left - right) / curvature, -0.5), 0.5)
+    return wrap_float(_grid_index(posterior, k) * posterior.cell_width + shift * posterior.cell_width)
 
 
-def _arc_argmax(w: np.ndarray, angles: np.ndarray, interval: CircularInterval) -> int | None:
-    """Smallest index of the largest weight among the cells inside ``interval``.
+def _run_argmax(posterior: GridPosterior, start: int, stop: int) -> int:
+    """Window index of the largest weight among window cells start .. stop - 1, ties to the smallest grid index.
 
-    Those cells form one circular run.  Its index range is center +-
-    half_width with one cell of margin per side, so rounding in the angle
-    arithmetic never drops a cell; the exact membership test then trims
-    each end.  A range that wraps all the way round is cut next to the
-    antipode instead, where any cells outside the arc lie.  Returns None
-    when every cell inside has weight 0.
+    Grid cell 0 sits at window index grid_size - offset; a run across it
+    has its smaller grid indices after it, so they are searched first.
     """
-    g = w.size
+    w = posterior.weights
+    seam = posterior.grid_size - posterior.offset
+    if not start < seam < stop:
+        return start + int(np.argmax(w[start:stop]))
+    k = seam + int(np.argmax(w[seam:stop]))
+    k_high = start + int(np.argmax(w[start:seam]))
+    return k_high if w[k_high] > w[k] else k
+
+
+def _arc_argmax(posterior: GridPosterior, interval: CircularInterval) -> int | None:
+    """Window index of the largest weight among the cells inside ``interval``, ties to the smallest grid index.
+
+    Those cells form one circular run of the grid.  Its index range is
+    center +- half_width with one cell of margin per side, so rounding in
+    the angle arithmetic never drops a cell; the exact membership test then
+    trims each end.  A range that wraps all the way round is cut next to
+    the antipode instead, where any cells outside the arc lie.  The run
+    meets the window in at most two pieces.  Returns None when every cell
+    inside has weight 0.
+    """
+    w = posterior.weights
+    g = posterior.grid_size
     h = TWO_PI / g
     lo = math.floor((interval.center - interval.half_width) / h) - 1
     hi = math.ceil((interval.center + interval.half_width) / h) + 1
     if hi - lo + 1 >= g:
         lo = math.floor((interval.center + np.pi) / h) + 1
         hi = lo + g - 1
-    while lo <= hi and not interval.contains(angles.item(lo % g)):
+    while lo <= hi and not interval.contains((lo % g) * h):
         lo += 1
-    while hi >= lo and not interval.contains(angles.item(hi % g)):
+    while hi >= lo and not interval.contains((hi % g) * h):
         hi -= 1
     if lo > hi:
         return None
-    start = lo % g
+    n = w.size
+    start = (lo - posterior.offset) % g
     stop = start + hi - lo + 1
-    if stop <= g:
-        k = start + int(np.argmax(w[start:stop]))
-    else:
-        # The run crosses the seam: the low-index slice goes first, so a tie
-        # still goes to the smallest grid index.
-        k = int(np.argmax(w[:stop - g]))
-        k_high = start + int(np.argmax(w[start:]))
-        if w[k_high] > w[k]:
-            k = k_high
-    return k if w[k] > 0.0 else None
+    pieces = [(0, min(stop - g, n))] if stop > g else []
+    if start < n:
+        pieces.append((start, min(stop, n)))
+    k = None
+    for first, last in pieces:
+        if first < last:
+            j = _run_argmax(posterior, first, last)
+            if k is None or w[j] > w[k] or (w[j] == w[k] and _grid_index(posterior, j) < _grid_index(posterior, k)):
+                k = j
+    return k if k is not None and w[k] > 0.0 else None
+
+
+def _grid_index(posterior: GridPosterior, k: int) -> int:
+    """Grid index of the window's cell k."""
+    return (posterior.offset + k) % posterior.grid_size
 
 
 def circular_mean_estimate(posterior: GridPosterior) -> float:

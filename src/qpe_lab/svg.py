@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -206,22 +206,22 @@ def render_loglog(
         )
         parts.append(
             f'<text class="legend-label" x="{_fmt_px(legend_x + 30)}" '
-            f'y="{_fmt_px(y + 4)}">{escape(label)}</text>'
+            f'y="{_fmt_px(y + 4)}">{escape(label, quote=False)}</text>'
         )
 
     if title:
         parts.append(
             f'<text class="title" x="{_fmt_px(axes.left + axes.plot_w / 2)}" y="24" '
-            f'text-anchor="middle" font-size="15">{escape(title)}</text>'
+            f'text-anchor="middle" font-size="15">{escape(title, quote=False)}</text>'
         )
     parts.append(
         f'<text class="axis-label" x="{_fmt_px(axes.left + axes.plot_w / 2)}" '
-        f'y="{_fmt_px(axes.top + axes.plot_h + 40)}" text-anchor="middle">{escape(x_label)}</text>'
+        f'y="{_fmt_px(axes.top + axes.plot_h + 40)}" text-anchor="middle">{escape(x_label, quote=False)}</text>'
     )
     parts.append(
         f'<text class="axis-label" x="16" y="{_fmt_px(axes.top + axes.plot_h / 2)}" '
         f'text-anchor="middle" transform="rotate(-90 16 '
-        f'{_fmt_px(axes.top + axes.plot_h / 2)})">{escape(y_label)}</text>'
+        f'{_fmt_px(axes.top + axes.plot_h / 2)})">{escape(y_label, quote=False)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

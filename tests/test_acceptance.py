@@ -309,11 +309,12 @@ def test_criterion_10_determinism_and_accounting(
     clean_ok = all(c.error is None for c in every_cell)
 
     # the sweep driver revalidates every adaptive trace as it runs; on top
-    # of that, re-derive the small sweep's traces and check the interval
-    # chain pair by pair
+    # of that, re-derive the small sweep's traces, and those of the same
+    # cells at a budget of 1024 whose ladders climb several rungs, and check
+    # the interval chain pair by pair
     nested_pairs = 0
     nesting_ok = True
-    for n_tot, theta_index, rep in itertools.product((8, 32), range(3), range(2)):
+    for n_tot, theta_index, rep in itertools.product((8, 32, 1024), range(3), range(2)):
         seed = q.derive_cell_seed(1, "adaptive", n_tot, theta_index, rep)
         trace = q.run(
             q.AlgorithmConfig(total_resources=n_tot, seed=seed),

@@ -228,6 +228,18 @@ class TestRun:
         validate_trace(trace)
         assert wrapped_distance(trace.final_estimate, 2.0) < 0.3
 
+    def test_circular_mean_falls_back_to_the_map_when_undefined(self):
+        # Four unit-depth shots leave a resultant of 2.2e-17, which defines no circular mean.
+        config = AlgorithmConfig(
+            total_resources=4, seed=129, noise=NoiseModel(beta=0.6), depth_limit=1, estimator="circular-mean"
+        )
+        trace = run(config, 4.564017842540894)
+        validate_trace(trace)
+        # The estimator is read only at the end, so the MAP run fires the same shots.
+        map_trace = run(dataclasses.replace(config, estimator="map"), 4.564017842540894)
+        assert trace.final_estimate == map_trace.final_estimate
+        assert trace.final_expected_loss == map_trace.final_expected_loss
+
     def test_squared_loss_variant(self):
         from qpe_lab.posterior import LossKind
 

@@ -18,6 +18,8 @@ must leave every digest unchanged.  A change that moves floats by
 rounding alone may re-pin the byte digests, but not the path digests,
 and says why in CHANGES.md; a change that alters behaviour on purpose
 re-pins what moved and says why.
+Golden values pin seeded runs whose posterior grid refines far past its
+initial size: the doubling baseline up to N = 2^20 and two adaptive runs.
 """
 
 import contextlib
@@ -30,10 +32,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qpe_lab.cli as cli
-from qpe_lab.adaptive import AlgorithmConfig, run
+from qpe_lab.adaptive import AlgorithmConfig, RunSettings, run
+from qpe_lab.baselines import run_nonadaptive_doubling
 from qpe_lab.model import NoiseModel
 
 SWEEP_DIGESTS = {
@@ -278,3 +282,48 @@ def test_bound_regimes_script_digest(tmp_path):
     assert last == f"wrote {out}\n"
     assert sha256_text("".join(table)) == SCRIPT_DIGESTS["table"]
     assert sha256_of(out) == SCRIPT_DIGESTS["svg"]
+
+
+# Golden values of seeded runs whose posterior grid refines far past its
+# initial 4096 cells: (budget, seed, theta) -> (estimate, posterior expected
+# loss, deepest depth, resources spent) of `run_nonadaptive_doubling` with 32
+# shots per depth, and (budget, seed, theta) -> (final estimate, final expected
+# loss, deepest depth, resources spent, decisions) of a noiseless `run()`.
+# The theta = 0 run keeps its posterior across the 0/2*pi seam.
+DOUBLING_VALUES = {
+    (1 << 16, 0, 1.3): (1.3000487177330808, 8.350732287584448e-05, 512, 1 << 16),
+    (1 << 16, 1, 5.02): (5.019839548950266, 0.0002069503569944277, 512, 1 << 16),
+    (1 << 18, 0, 1.3): (1.3000487177330808, 1.4837460051754415e-05, 2048, 1 << 18),
+    (1 << 18, 1, 5.02): (5.020048002155003, 3.651879493392335e-05, 2048, 1 << 18),
+    (1 << 20, 0, 1.3): (1.2999942478820337, 9.076945338017289e-06, 8192, 1 << 20),
+    (1 << 20, 1, 5.02): (5.020048002155003, 1.7958789465634086e-08, 8192, 1 << 20),
+}
+ADAPTIVE_VALUES = {
+    (1 << 16, 0, 0.0): (
+        6.283170544686457, 0.0001046420000874418, 1024, 1 << 16, ("deepen",) * 11 + ("exhaust",) * 2
+    ),
+    (1 << 16, 1, 3.883222148137428): (
+        3.8833427163336727, 0.00017126500819583863, 512, 1 << 16, ("deepen",) * 10 + ("stay", "exhaust")
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DOUBLING_VALUES))
+def test_deep_doubling_run_values(key):
+    n_tot, seed, theta = key
+    estimate, loss, max_depth, spent = DOUBLING_VALUES[key]
+    res = run_nonadaptive_doubling(n_tot, theta, RunSettings(), 32, np.random.default_rng(seed))
+    assert res.estimate == pytest.approx(estimate, rel=0, abs=1e-12)
+    assert res.posterior_expected_loss == pytest.approx(loss, rel=1e-12, abs=0)
+    assert (res.max_depth, res.resources_spent) == (max_depth, spent)
+
+
+@pytest.mark.parametrize("key", sorted(ADAPTIVE_VALUES))
+def test_deep_adaptive_run_values(key):
+    n_tot, seed, theta = key
+    estimate, loss, max_depth, spent, decisions = ADAPTIVE_VALUES[key]
+    trace = run(AlgorithmConfig(total_resources=n_tot, seed=seed), theta)
+    assert trace.final_estimate == pytest.approx(estimate, rel=0, abs=1e-12)
+    assert trace.final_expected_loss == pytest.approx(loss, rel=1e-12, abs=0)
+    assert (trace.max_depth_used, trace.resources_spent) == (max_depth, spent)
+    assert tuple(step.decision for step in trace.steps) == decisions

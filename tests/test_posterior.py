@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,12 +12,18 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import qpe_lab
+import qpe_lab.posterior as posterior_module
+from qpe_lab import adaptive
+from qpe_lab.adaptive import AlgorithmConfig, RunSettings
 from qpe_lab.angles import TWO_PI, wrap, wrapped_distance
-from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, success_probability
+from qpe_lab.baselines import doubling_schedule
+from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, sample_outcome, success_probability
 from qpe_lab.posterior import (
+    GUARD_CELLS,
     MAX_GRID_SIZE,
     MIN_GRID_SIZE,
     RESCALE_FLOOR,
+    TRIM_MASS,
     CircularInterval,
     GridPosterior,
     GridTooCoarseError,
@@ -37,7 +44,7 @@ from qpe_lab.posterior import (
     uniform_prior,
     update,
 )
-from qpe_lab.posterior import _grid_angles, _grid_p0, _log_prob_components, _span_integral
+from qpe_lab.posterior import _grid_angles, _grid_p0, _log_prob_components, _refine_once, _span_integral, _trim
 
 NOISELESS = NoiseModel()
 
@@ -224,7 +231,8 @@ class TestRefinement:
         lw[[20, 21]] = lw.max() - 700.0
         post = posterior_from_log_weights(lw)
         w = post.weights.copy()
-        ensure_resolution(post, 4)
+        # The doubling alone: ensure_resolution would trim this profile's tiny end runs first.
+        normalize(_refine_once(post))
         assert post.grid_size == 128
         with np.errstate(divide="ignore"):
             lw = np.log(w)
@@ -930,3 +938,170 @@ class TestImpossibleObservation:
         post = GridPosterior(np.zeros(64), 0.0)
         with pytest.raises(ImpossibleObservationError):
             post.density
+
+
+def window_of(post, offset, length):
+    """The window offset .. offset + length - 1 (mod grid) of a whole-grid posterior, and its zero-filled twin."""
+    g = post.grid_size
+    cells = (offset + np.arange(length)) % g
+    w = post.weights[cells].copy()
+    full = np.zeros(g)
+    full[cells] = w
+    return GridPosterior(w, float(w.sum()), g, offset), GridPosterior(full, float(full.sum()))
+
+
+def replay_doubling(n_tot, seed, theta, shots_per_depth=32):
+    """The posterior ``run_nonadaptive_doubling`` scores, and its window length after each update."""
+    settings = RunSettings()
+    rng = np.random.default_rng(seed)
+    post = uniform_prior(settings.grid_size)
+    lengths = []
+    for depth, phase, shots in doubling_schedule(n_tot, settings, shots_per_depth):
+        circuit = Circuit(depth, phase)
+        outcome = sample_outcome(circuit, shots, theta, settings.noise, rng)
+        update(post, MeasurementRecord(circuit, shots, outcome), settings.noise)
+        lengths.append(post.weights.size)
+    return post, lengths
+
+
+def captured_run(monkeypatch, n_tot, seed, theta):
+    """A noiseless ``run()`` and the posterior it ends with."""
+    made = []
+
+    def prior(grid_size):
+        made.append(uniform_prior(grid_size))
+        return made[-1]
+
+    monkeypatch.setattr(adaptive, "uniform_prior", prior)
+    trace = adaptive.run(AlgorithmConfig(total_resources=n_tot, seed=seed), theta)
+    return trace, made[0]
+
+
+def assert_reads_match(post, twin, rel=1e-12, mass_abs=0.0):
+    """Masses, modes, losses and the circular mean of two posteriors agree."""
+    mode = map_estimate(twin)
+    assert map_estimate(post) == pytest.approx(mode, rel=0, abs=1e-12)
+    for kind in LossKind:
+        assert expected_loss(post, mode, kind) == pytest.approx(expected_loss(twin, mode, kind), rel=rel)
+    assert circular_mean_estimate(post) == pytest.approx(circular_mean_estimate(twin), rel=0, abs=1e-12)
+    for cells in (0.3, 1.0, 2.5, 8.0, 40.0, 500.0):
+        iv = CircularInterval(mode + 0.7 * twin.cell_width, cells * twin.cell_width)
+        assert confidence(post, iv) == pytest.approx(confidence(twin, iv), rel=rel, abs=mass_abs)
+        assert mass_outside(post, iv) == pytest.approx(mass_outside(twin, iv), rel=rel, abs=mass_abs)
+        assert map_estimate(post, within=iv) == pytest.approx(map_estimate(twin, within=iv), rel=0, abs=1e-12)
+
+
+class TestWindow:
+    @given(arc=arcs(), kind=st.sampled_from(["random", "ties", "flat", "dead"]), seed=st.integers(0, 2**32 - 1),
+           start=st.floats(0.0, 1.0, exclude_max=True), share=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_a_window_reads_as_its_zero_filled_grid(self, arc, kind, seed, start, share):
+        grid_size, within = arc
+        whole = posterior_from_log_weights(log_weight_profile(kind, grid_size, within, seed))
+        length = 1 + int(share * (grid_size - 2))
+        post, twin = window_of(whole, int(start * grid_size), length)
+        if not twin.total > 0.0:
+            return
+        np.testing.assert_array_equal(post.angles, twin.angles[(post.offset + np.arange(length)) % grid_size])
+        assert map_estimate(post) == map_estimate(twin)
+        assert map_estimate(post, within=within) == map_estimate(twin, within=within)
+        assert confidence(post, within) == pytest.approx(confidence(twin, within), rel=1e-12, abs=0)
+        assert mass_outside(post, within) == pytest.approx(mass_outside(twin, within), rel=1e-12, abs=0)
+        estimate = within.center
+        for kind_of_loss in LossKind:
+            assert expected_loss(post, estimate, kind_of_loss) == pytest.approx(
+                expected_loss(twin, estimate, kind_of_loss), rel=1e-12
+            )
+
+    def test_ties_across_the_seam_go_to_the_smallest_grid_index(self):
+        # Window cells 2 and 6 are grid cells 62 and 2.
+        w = np.array([1.0, 1.0, 5.0, 1.0, 1.0, 1.0, 5.0, 1.0])
+        post = GridPosterior(w, float(w.sum()), 64, 60)
+        cell = TWO_PI / 64
+        assert map_estimate(post) == 2 * cell
+        assert map_estimate(post, within=CircularInterval(0.0, 3.5 * cell)) == 2 * cell
+        assert map_estimate(post, within=CircularInterval(61 * cell, 1.5 * cell)) == 62 * cell
+
+    def test_trimming_cuts_the_far_tails_across_the_seam(self):
+        post = von_mises_posterior(0.01, 4000.0)
+        trimmed = post.clone()
+        _trim(trimmed)
+        g, n = trimmed.grid_size, trimmed.weights.size
+        assert n < g // 4
+        assert trimmed.offset + n > g, "the window crosses the seam"
+        assert 0.0 < trimmed.discarded <= TRIM_MASS
+        # The cut cells and the guard cells at both ends of the window hold at most TRIM_MASS.
+        kept = (trimmed.offset + np.arange(n)) % g
+        np.testing.assert_array_equal(trimmed.weights, post.weights[kept])
+        outside = np.ones(g, dtype=bool)
+        outside[kept[GUARD_CELLS:-GUARD_CELLS]] = False
+        assert post.weights[outside].sum() <= TRIM_MASS * post.total
+        assert_reads_match(trimmed, post, mass_abs=TRIM_MASS)
+
+    @pytest.mark.parametrize("kappa", [0.0, 3.0, 20.0])
+    def test_a_broad_posterior_is_not_trimmed(self, kappa):
+        post = von_mises_posterior(2.0, kappa)
+        trimmed = post.clone()
+        _trim(trimmed)
+        assert (trimmed.offset, trimmed.discarded, trimmed.total) == (0, 0.0, post.total)
+        np.testing.assert_array_equal(trimmed.weights, post.weights)
+
+    def test_a_window_refines_to_twice_its_length_less_one(self):
+        post, twin = window_of(von_mises_posterior(3.0, 900.0, 256), 230, 20)
+        _refine_once(post)
+        _refine_once(twin)
+        assert (post.grid_size, post.offset, post.weights.size) == (512, 460, 39)
+        np.testing.assert_array_equal(post.weights, twin.weights[460:499])
+        assert not twin.weights[:460].any() and not twin.weights[499:].any()
+
+    @pytest.mark.parametrize("n_tot", [1 << 16, 1 << 18, 1 << 20])
+    @pytest.mark.parametrize("seed, theta", [(0, 1.3), (1, 5.02)])
+    def test_deep_doubling_runs_keep_a_short_window(self, n_tot, seed, theta):
+        post, lengths = replay_doubling(n_tot, seed, theta)
+        assert post.grid_size == 32 * n_tot // 128
+        assert 0.0 < post.discarded <= 2.0**-90
+        assert post.weights.size < post.grid_size // 64
+
+    @pytest.mark.parametrize("seed, theta", [(0, 0.0), (1, 3.883222148137428)])
+    def test_deep_adaptive_runs_discard_almost_nothing(self, monkeypatch, seed, theta):
+        trace, post = captured_run(monkeypatch, 1 << 16, seed, theta)
+        assert post.grid_size >= 32 * trace.max_depth_used > 4096
+        assert 0.0 < post.discarded <= 2.0**-90
+        assert post.weights.size < post.grid_size
+
+    @pytest.mark.parametrize("n_tot", [1 << 16, 1 << 20])
+    def test_trimmed_doubling_runs_match_their_untrimmed_twins(self, monkeypatch, n_tot):
+        post, _ = replay_doubling(n_tot, 0, 1.3)
+        monkeypatch.setattr(posterior_module, "_trim", lambda post: None)
+        twin, _ = replay_doubling(n_tot, 0, 1.3)
+        assert twin.weights.size == twin.grid_size == post.grid_size
+        assert_reads_match(post, twin, mass_abs=2.0**-90)
+
+    def test_a_trimmed_run_across_the_seam_matches_its_untrimmed_twin(self, monkeypatch):
+        trace, post = captured_run(monkeypatch, 1 << 16, 0, 0.0)
+        assert post.offset + post.weights.size > post.grid_size, "the window crosses the seam"
+        monkeypatch.setattr(posterior_module, "_trim", lambda post: None)
+        twin_trace, twin = captured_run(monkeypatch, 1 << 16, 0, 0.0)
+        assert twin_trace.wall_outcome_counts == trace.wall_outcome_counts
+        assert [s.decision for s in twin_trace.steps] == [s.decision for s in trace.steps]
+        assert_reads_match(post, twin, mass_abs=2.0**-90)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_caches_hold_window_sized_arrays(self, monkeypatch, seed):
+        # Every array the per-window caches build, and every live weight
+        # array, is no longer than the longest window the run has had.
+        built = []
+
+        def recording(cached):
+            def build(*args):
+                value = cached.__wrapped__(*args)
+                arrays = value if isinstance(value, tuple) else (getattr(value, "p0", value),)
+                built.extend(a.size for a in arrays)
+                return value
+            return lru_cache(maxsize=cached.cache_info().maxsize)(build)
+
+        for name in ("_grid_angles", "_grid_trig", "_log_prob_components"):
+            monkeypatch.setattr(posterior_module, name, recording(getattr(posterior_module, name)))
+        post, lengths = replay_doubling(1 << 20, seed, 2.0 + seed)
+        assert max(built) <= max(RunSettings().grid_size, *lengths)
+        assert max(lengths) < post.grid_size // 32

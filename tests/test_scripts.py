@@ -36,6 +36,15 @@ def test_bench_layers_times_every_operation(monkeypatch):
         stats = bench.bench_qpea(m)
         assert stats["median_us"] > 0.0, m
         assert stats["calls"] == 2
+    monkeypatch.setattr(bench, "DOUBLING_CALLS", {16: 2})
+    stats = bench.bench_doubling(16)
+    assert stats["median_us"] > 0.0
+    assert stats["calls"] == 2
+    monkeypatch.setattr(bench, "REFINED_CALLS", 5)
+    refined = bench.bench_refined_update()
+    assert (refined["grid_size"], refined["depth"]) == (262144, 8192)
+    assert refined["update_cached"]["median_us"] > 0.0
+    assert refined["update_cached"]["calls"] == 5
 
 
 def test_reproduce_error_scaling_quick_run(tmp_path):
