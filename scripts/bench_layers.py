@@ -5,7 +5,9 @@ of one textbook-register (qpea) draw and of one whole doubling-baseline run.
 Times, at grid sizes 4096 and 65536, one call each of:
 
 - ``update`` with a cached circuit (the same circuit every call) and with a
-  fresh circuit (a new phase every call, so its likelihood is computed anew);
+  fresh circuit (a new phase every call, so its likelihood is computed anew),
+  noiseless and at decay beta = 0.9 (``update_fresh_noisy``), where p0
+  needs no clamp;
 - ``mass_outside`` (the gate check) right after a cached update, as the
   gated rung runs it;
 - ``map_estimate(within=...)`` on the gate's interval;
@@ -24,8 +26,14 @@ budgets of 2^16 and 2^20 with 32 shots per depth, its grid refining from
 circuit of depth 8192 runs on a posterior that a depth-8192 record has
 just refined from 4096 to 262144 cells; it starts from the depth-128 bump.
 
-Each call is timed with ``time.perf_counter_ns``; the report gives the
-median (robust to the odd preempted call) and the mean.
+Two more rows time whole adaptive runs, each the CPU time of 8 seeded
+``run()`` calls (seed s at theta = 2*pi*frac(0.618034*s)): at beta = 0.9
+and N = 4096, where every shot is a single-shot update on the fixed
+4096-cell grid, and noiseless at N = 2^16.
+
+Each call is timed with ``time.perf_counter_ns`` (the whole runs with
+``time.process_time_ns``); the report gives the median (robust to the odd
+preempted call) and the mean.
 
 Usage, from the repository root:
 
@@ -49,7 +57,7 @@ import numpy as np
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from qpe_lab.adaptive import RunSettings  # noqa: E402
+from qpe_lab.adaptive import AlgorithmConfig, RunSettings, run  # noqa: E402
 from qpe_lab.baselines import run_nonadaptive_doubling, run_qpea  # noqa: E402
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, tuned_circuit  # noqa: E402
 from qpe_lab.posterior import (  # noqa: E402
@@ -72,8 +80,12 @@ QPEA_CALLS = {12: 200, 16: 100, 20: 20}
 DOUBLING_CALLS = {16: 100, 20: 20}
 # The refined-grid row: initial grid, record depth and update calls.
 REFINED_GRID, REFINED_DEPTH, REFINED_CALLS = 4096, 8192, 500
+# The whole-run rows: (decay beta, budget) and seeded runs per row.
+RUNS = ((0.9, 1 << 12), (1.0, 1 << 16))
+RUN_CALLS = 8
 THETA = 2.2
 NOISE = NoiseModel()
+NOISY = NoiseModel(1.0, 0.9)
 
 
 def base_posterior(grid_size: int, depth: int):
@@ -120,6 +132,12 @@ def bench_grid(grid_size: int) -> dict:
     ]
 
     work = post.clone()
+    fresh_noisy = [
+        timed(update, work, MeasurementRecord(Circuit(depth, circuit.phase + 1e-3 * (i + 1)), 1, x), NOISY)
+        for i, x in enumerate(outcomes)
+    ]
+
+    work = post.clone()
     gate = []
     for x in outcomes:
         update(work, MeasurementRecord(circuit, 1, x), NOISE)
@@ -138,6 +156,7 @@ def bench_grid(grid_size: int) -> dict:
         "gate_half_width": interval.half_width,
         "update_cached": summary(cached),
         "update_fresh": summary(fresh),
+        "update_fresh_noisy": summary(fresh_noisy),
         "mass_outside_after_update": summary(gate),
         "map_estimate_within": summary(within),
         "predict_loss": summary(predict),
@@ -167,6 +186,17 @@ def bench_refined_update() -> dict:
     outcomes = np.random.default_rng(REFINED_DEPTH).integers(0, 2, size=REFINED_CALLS).tolist()
     report = summary([timed(update, post, MeasurementRecord(circuit, 1, x), NOISE) for x in outcomes])
     return {"grid_size": post.grid_size, "depth": REFINED_DEPTH, "update_cached": report}
+
+
+def bench_runs(beta: float, n_tot: int) -> dict:
+    samples = []
+    for seed in range(RUN_CALLS):
+        config = AlgorithmConfig(total_resources=n_tot, seed=seed, noise=NoiseModel(1.0, beta))
+        theta = 2.0 * math.pi * ((0.618034 * seed) % 1.0)
+        t0 = time.process_time_ns()
+        run(config, theta)
+        samples.append(time.process_time_ns() - t0)
+    return summary(samples)
 
 
 def cpu_model() -> str:
@@ -202,6 +232,7 @@ def main(argv) -> int:
         "run_qpea": {str(m): bench_qpea(m) for m in QPEA_CALLS},
         "run_nonadaptive_doubling": {str(m): bench_doubling(m) for m in DOUBLING_CALLS},
         "refined_update": bench_refined_update(),
+        "run": {f"beta={beta} N={n_tot}": bench_runs(beta, n_tot) for beta, n_tot in RUNS},
     }
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w") as handle:
@@ -220,6 +251,9 @@ def main(argv) -> int:
     stats = refined["update_cached"]
     print(f"G={refined['grid_size']:>6} {'update_cached (refined)':<26} {stats['median_us']:9.1f} us median  "
           f"{stats['mean_us']:9.1f} us mean")
+    for name, stats in report["run"].items():
+        print(f"{name:<15} {'run (CPU time)':<26} {stats['median_us']:9.1f} us median  "
+              f"{stats['mean_us']:9.1f} us mean")
     print(f"wrote {os.path.normpath(path)}")
     return 0
 

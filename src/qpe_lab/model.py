@@ -140,7 +140,7 @@ def sample_outcome(
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:
         return 0
-    p0 = float(success_probability(theta_true, circuit, noise))
+    p0 = 0.5 + 0.5 * noise.contrast(circuit.depth) * math.cos(circuit.depth * theta_true + circuit.phase)
     return int(rng.binomial(shots, min(max(p0, 0.0), 1.0)))
 
 

@@ -24,23 +24,37 @@ caches of cos(n theta), sin(n theta) and p0 hold arrays of the window's
 length.
 
 The adaptive loop runs an update, a gate check and a mode search after
-every shot, so each does only the work its caller reads.  A single shot
-multiplies the weights in place by the per-cell probability of its
-outcome, p0 or 1 - p0, and takes one sum: the sequential Monte Carlo
-update w <- w * Pr(d | theta) (Granade et al., New J. Phys. 14, 103013,
-2012) on the grid, with no log or exp pass.  The sum shrinks geometrically
-over many shots, so once it falls below RESCALE_FLOOR the weights are
-divided by it; a cell that falls too far below the peak for a float
-flushes to 0 and stays there.  Other records (multi-shot batches and
-fractional expected counts) go through log space once.  Each circuit's
-p0 is computed once and cached, 1 - p0 only when a miss needs it, and the
+every shot, so each does only its array work and the few scalar steps
+around it.  A single shot checks the grid's resolution, looks up the
+circuit's cached p0, multiplies the weights in place by p0 or 1 - p0 and
+takes one sum, the new total: the sequential Monte Carlo update
+w <- w * Pr(d | theta) (Granade et al., New J. Phys. 14, 103013, 2012) on
+the grid, with no log or exp pass.  The sum shrinks geometrically over
+many shots, so once it falls below RESCALE_FLOOR the weights are divided
+by it; a cell that falls too far below the peak for a float flushes to 0
+and stays there.  Other records (multi-shot batches and fractional
+expected counts) go through log space once.  Each circuit's p0 is
+computed once and cached, 1 - p0 only when a miss needs it, and the
 density is divided out on each read, which the per-shot loop never makes.
+p0 is clamped to [0, 1] only when the envelope alpha * beta**n exceeds
+CLAMP_FREE_ENVELOPE = 1 - 2**-32.  Below it the angle-addition form of p0
+stays inside [0, 1] by a bound on its rounding (see the constant), so the
+clamp would change no bit; every noisy circuit is below it, and noiseless
+ones are clamped.
 Interval masses (``confidence`` and the gate check ``mass_outside``)
 integrate the weights over the arc they report, one or two slice sums
 plus a closed-form partial cell at each end, so a tiny tail mass is summed
 directly instead of being left over from a difference of O(1) sums.
 ``map_estimate`` with an interval takes the argmax over the one circular
-run of cells inside the arc.
+run of cells inside the arc.  The index geometry of both (end cells and
+fractions, the seam split, the window clipping and the membership trim)
+is computed by pure functions cached by (grid_size, offset, window
+length, interval): ``_arc_spans`` for the masses and ``_arc_runs`` for
+the argmax.  They hold ints, floats, bools and tuples, never arrays.
+Within a gated rung or a stay the interval is fixed, so every shot after
+the first finds its geometry cached; a refinement or a trim changes the
+key.  Step 1 recentres its interval on every shot, so its gate checks
+build their geometry each time.
 
 The grid must stay fine enough to resolve the fastest likelihood
 oscillation: a circuit of depth n modulates the likelihood at angular
@@ -76,6 +90,14 @@ TINY_MASS = 2.0**-900
 # of the mass, and keeps GUARD_CELLS cells beyond each cut.
 TRIM_MASS = 2.0**-100
 GUARD_CELLS = 2
+# p0 = 1/2 + (e/2) x with x = cos(n theta) cos(phase) - sin(n theta) sin(phase)
+# in floats.  Each of the four factors is within a few ulps of the cosine or
+# sine of one angle, so after the two products and the difference round,
+# |x| <= 1 + 2**-47.  An envelope e <= 1 - 2**-32 then gives (e/2)|x| < 1/2,
+# and since rounding is monotone, 1/2 + (e/2) x lands in [0, 1] with no
+# clamp.  The margin 2**-32 is 2**15 times the error bound.  Only a larger
+# envelope (in practice e = 1, a noiseless circuit) can round p0 past 0 or 1.
+CLAMP_FREE_ENVELOPE = 1.0 - 2.0**-32
 
 
 class GridTooCoarseError(ValueError):
@@ -181,14 +203,18 @@ class _CircuitLikelihood:
 def _log_prob_components(
     grid_size: int, depth: int, phase: float, alpha: float, beta: float, offset: int = 0, length: int | None = None
 ):
-    """Per-cell outcome probabilities of one circuit on a window, clamped to [0, 1] and cached.
+    """Per-cell outcome probabilities of one circuit on a window, in [0, 1] and cached.
 
     Gated sampling phases hammer the same circuit for tens of shots; caching
-    p0 (and 1 - p0) makes each such update one multiply and one sum.
+    p0 (and 1 - p0) makes each such update one multiply and one sum.  p0 is
+    clamped to [0, 1] only above CLAMP_FREE_ENVELOPE, where rounding can
+    push it out; below, the clamp would change nothing.
     """
-    p0 = _grid_p0(grid_size, depth, phase, alpha * beta**depth, offset, length)
-    np.minimum(p0, 1.0, out=p0)
-    np.maximum(p0, 0.0, out=p0)
+    envelope = alpha * beta**depth
+    p0 = _grid_p0(grid_size, depth, phase, envelope, offset, length)
+    if envelope > CLAMP_FREE_ENVELOPE:
+        np.minimum(p0, 1.0, out=p0)
+        np.maximum(p0, 0.0, out=p0)
     return _CircuitLikelihood(p0)
 
 
@@ -345,31 +371,40 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
 
 def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -> _CircuitLikelihood:
     """Refine the grid in place to resolve ``circuit``, then look up its cached p0."""
-    ensure_resolution(posterior, circuit.depth)
+    depth = circuit.depth
+    if posterior.grid_size < required_grid_size(depth) or depth > MAX_DEPTH:
+        ensure_resolution(posterior, depth)
     return _log_prob_components(
-        posterior.grid_size, circuit.depth, circuit.phase, noise.alpha, noise.beta,
-        posterior.offset, posterior.weights.size,
+        posterior.grid_size, depth, circuit.phase, noise.alpha, noise.beta, posterior.offset, posterior.weights.size
     )
 
 
 def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel) -> GridPosterior:
     """Multiply in the likelihood of ``record`` and renormalize, in place.
 
-    A single shot multiplies the weights by p0 or q0 = 1 - p0.  Any other
-    record is added to the log-weights as x * log p0 + (shots - x) * log q0;
-    the binomial coefficient is constant in theta, so normalisation removes
-    it and it is never added.  Zero-shot records leave the posterior
-    untouched.  If the observation is impossible everywhere on the grid,
-    ImpossibleObservationError is raised; discard the posterior.
+    A single shot multiplies the weights by p0 or q0 = 1 - p0 and takes
+    their sum, which is the new total unless it fell below RESCALE_FLOOR.
+    Any other record is added to the log-weights as
+    x * log p0 + (shots - x) * log q0; the binomial coefficient is constant
+    in theta, so normalisation removes it and it is never added.  Zero-shot
+    records leave the posterior untouched.  If the observation is
+    impossible everywhere on the grid, ImpossibleObservationError is
+    raised; discard the posterior.
     """
-    if record.shots == 0:
+    shots, x = record.shots, record.successes
+    if shots == 1 and (x == 1.0 or x == 0.0):
+        likelihood = _likelihood(posterior, record.circuit, noise)
+        w = posterior.weights
+        w *= likelihood.p0 if x == 1.0 else likelihood.q0()
+        total = float(w.sum())
+        if total >= RESCALE_FLOOR:
+            posterior.total = total
+            return posterior
+    elif shots == 0:
         return posterior
-    likelihood = _likelihood(posterior, record.circuit, noise)
-    x = record.successes
-    misses = record.shots - x
-    if record.shots == 1 and x in (0.0, 1.0):
-        posterior.weights *= likelihood.p0 if x == 1.0 else likelihood.q0()
     else:
+        likelihood = _likelihood(posterior, record.circuit, noise)
+        misses = shots - x
         with np.errstate(divide="ignore"):
             lw = np.log(posterior.weights)
             if x > 0:
@@ -388,7 +423,7 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
         ) from None
 
 
-def _segment_part(w: np.ndarray, k: int, t0: float, t1: float, periodic: bool = True) -> float:
+def _segment_part(w: np.ndarray, k: int, t0: float, t1: float, periodic: bool) -> float:
     """Integral of the linear interpolant of w over [k + t0, k + t1], 0 <= t0 <= t1 <= 1.
 
     Written as the width times a convex mix of the two node values, so no
@@ -400,7 +435,7 @@ def _segment_part(w: np.ndarray, k: int, t0: float, t1: float, periodic: bool = 
     return (t1 - t0) * (v0 * (0.5 * ((1.0 - t0) + (1.0 - t1))) + v1 * (0.5 * (t0 + t1)))
 
 
-def _cell_span(w: np.ndarray, ka: int, ta: float, kb: int, tb: float, periodic: bool = True) -> float:
+def _cell_span(w: np.ndarray, ka: int, ta: float, kb: int, tb: float, periodic: bool) -> float:
     """Integral of the linear interpolant of w from ka + ta to kb + tb, ka <= kb, 0 <= ta, tb <= 1.
 
     The whole segments between the two partial end cells come from one
@@ -412,64 +447,84 @@ def _cell_span(w: np.ndarray, ka: int, ta: float, kb: int, tb: float, periodic: 
     return _segment_part(w, ka, ta, 1.0, periodic) + whole + _segment_part(w, kb, 0.0, tb, periodic)
 
 
-def _span_integral(w: np.ndarray, a: float, b: float) -> float:
-    """Integral of the periodic linear interpolant of w from a to b, 0 <= a, b <= w.size.
-
-    ``a`` and ``b`` are in cell units, and a > b runs across the 0/2*pi
-    seam in two slices.
-    """
-    if a > b:
-        return _span_integral(w, a, w.size) + _span_integral(w, 0.0, b)
-    last = w.size - 1
-    ka = min(int(a), last)
-    kb = min(int(b), last)
-    return _cell_span(w, ka, a - ka, kb, b - kb)
-
-
-def _window_integral(posterior: GridPosterior, w: np.ndarray, a: float, b: float) -> float:
-    """Integral of the interpolant of the window's weights ``w`` over the arc from cell a to cell b.
-
-    A window short of the whole grid is integrated in its own cells, its
-    first at 0 and the zero cells just outside it at -1 and w.size.  Each
-    end of the arc is moved there as a whole cell plus the fraction ``a``
-    or ``b`` had, so no end loses precision, and the arc meets the window's
-    support in at most two spans.
-    """
-    g, n = posterior.grid_size, w.size
-    if n == g:
-        return _span_integral(w, a, b)
-    ends = []
-    for x in (a, b):
-        k = min(int(x), g - 1)
-        cell = (k - posterior.offset) % g
-        ends.append((cell - g if cell == g - 1 else cell, x - k))
-    (ka, ta), (kb, tb) = ends
-    spans = [(ka, ta, kb, tb)] if (ka, ta) <= (kb, tb) else [(ka, ta, g - 2, 1.0), (-1, 0.0, kb, tb)]
+def _integrate(w: np.ndarray, spans: tuple) -> float:
+    """Integral of the interpolant of the window's weights ``w`` over ``spans``, each ``_cell_span``'s arguments."""
     mass = 0.0
-    for ka, ta, kb, tb in spans:
-        if kb >= n:
-            kb, tb = n - 1, 1.0
-        if (ka, ta) < (kb, tb):
-            mass += _cell_span(w, ka, ta, kb, tb, periodic=False)
+    for span in spans:
+        mass += _cell_span(w, *span)
     return mass
 
 
-def _arc_mass(posterior: GridPosterior, start: float, end: float) -> float:
-    """Window mass of the arc running counterclockwise from angle start to end.
+def _periodic_spans(length: int, a: float, b: float) -> tuple:
+    """Spans (ka, ta, kb, tb, periodic) of the periodic interpolant of ``length`` nodes from a to b.
 
-    The arc is integrated head-on from the weights and divided by the
-    weights' periodic trapezoid total; the result is clamped to [0, 1].
-    Products of subnormal weights round to an absolute 2**-1075, so a mass
-    below TINY_MASS is integrated again on the weights scaled by
-    1 / TINY_MASS, an exact power of two; no weight exceeds 1, so none
-    overflows.
+    ``a`` and ``b`` are in cell units, 0 <= a, b <= length, and a > b runs
+    across the 0/2*pi seam in two spans.
+    """
+    if a > b:
+        return _periodic_spans(length, a, float(length)) + _periodic_spans(length, 0.0, b)
+    last = length - 1
+    ka = min(int(a), last)
+    kb = min(int(b), last)
+    return ((ka, a - ka, kb, b - kb, True),)
+
+
+def _window_spans(grid_size: int, offset: int, length: int, a: float, b: float) -> tuple:
+    """Spans of the window's interpolant over the arc from cell a to cell b of the grid.
+
+    A window short of the whole grid is integrated in its own cells, its
+    first at 0 and the zero cells just outside it at -1 and ``length``.
+    Each end of the arc is moved there as a whole cell plus the fraction
+    ``a`` or ``b`` had, so no end loses precision, and the arc meets the
+    window's support in at most two spans.
+    """
+    g = grid_size
+    if length == g:
+        return _periodic_spans(length, a, b)
+    ends = []
+    for x in (a, b):
+        k = min(int(x), g - 1)
+        cell = (k - offset) % g
+        ends.append((cell - g if cell == g - 1 else cell, x - k))
+    (ka, ta), (kb, tb) = ends
+    pieces = [(ka, ta, kb, tb)] if (ka, ta) <= (kb, tb) else [(ka, ta, g - 2, 1.0), (-1, 0.0, kb, tb)]
+    spans = []
+    for ka, ta, kb, tb in pieces:
+        if kb >= length:
+            kb, tb = length - 1, 1.0
+        if (ka, ta) < (kb, tb):
+            spans.append((ka, ta, kb, tb, False))
+    return tuple(spans)
+
+
+@lru_cache(maxsize=16)
+def _arc_spans(grid_size: int, offset: int, length: int, interval: CircularInterval, outside: bool):
+    """Spans of the window inside ``interval``, or in its complement if ``outside``.
+
+    None when the interval covers the whole circle: at half_width = pi, or
+    when its two ends round to one angle, which covers the circle but a
+    rounding error.
+    """
+    lower, upper = interval.lower, interval.upper
+    if interval.half_width >= np.pi or lower == upper:
+        return None
+    start, end = (upper, lower) if outside else (lower, upper)
+    cell_width = TWO_PI / grid_size
+    return _window_spans(grid_size, offset, length, start / cell_width, end / cell_width)
+
+
+def _arc_mass(posterior: GridPosterior, spans: tuple) -> float:
+    """Window mass over ``spans``, divided by the weights' periodic trapezoid total and clamped to [0, 1].
+
+    The arc is integrated head-on from the weights.  Products of subnormal
+    weights round to an absolute 2**-1075, so a mass below TINY_MASS is
+    integrated again on the weights scaled by 1 / TINY_MASS, an exact power
+    of two; no weight exceeds 1, so none overflows.
     """
     w, total = posterior.weights, _live_total(posterior)
-    a = start / posterior.cell_width
-    b = end / posterior.cell_width
-    mass = _window_integral(posterior, w, a, b)
+    mass = _integrate(w, spans)
     if mass < TINY_MASS:
-        mass = _window_integral(posterior, w / TINY_MASS, a, b)
+        mass = _integrate(w / TINY_MASS, spans)
         total /= TINY_MASS
     return min(max(mass / total, 0.0), 1.0)
 
@@ -480,10 +535,8 @@ def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
     An interval whose two ends round to one angle covers the whole circle
     but a rounding error, so it holds all the mass, as at half_width = pi.
     """
-    lower, upper = interval.lower, interval.upper
-    if interval.half_width >= np.pi or lower == upper:
-        return 1.0
-    return _arc_mass(posterior, lower, upper)
+    spans = _arc_spans(posterior.grid_size, posterior.offset, posterior.weights.size, interval, False)
+    return 1.0 if spans is None else _arc_mass(posterior, spans)
 
 
 def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
@@ -498,10 +551,66 @@ def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
     window can only pass the gate later, never earlier.  Ends that round
     to one angle leave no mass outside, as in ``confidence``.
     """
-    lower, upper = interval.lower, interval.upper
-    if interval.half_width >= np.pi or lower == upper:
-        return 0.0
-    return _arc_mass(posterior, upper, lower) + posterior.discarded
+    spans = _arc_spans(posterior.grid_size, posterior.offset, posterior.weights.size, interval, True)
+    return 0.0 if spans is None else _arc_mass(posterior, spans) + posterior.discarded
+
+
+@lru_cache(maxsize=16)
+def _arc_runs(grid_size: int, offset: int, length: int, interval: CircularInterval | None = None):
+    """Slices of the window holding its cells inside ``interval``, in ascending grid index.
+
+    With no interval the slices cover the whole window.  The cells
+    inside an interval form one circular run of the grid.  Its index range
+    is center +- half_width with one cell of margin per side, so rounding
+    in the angle arithmetic never drops a cell; the exact membership test
+    then trims each end.  A range that wraps all the way round is cut next
+    to the antipode instead, where any cells outside the arc lie.  The run
+    meets the window in at most two pieces, and a piece across grid cell 0
+    (window index grid_size - offset) is split there.
+    """
+    g = grid_size
+    if interval is None:
+        pieces = [(0, length)]
+    else:
+        h = TWO_PI / g
+        lo = math.floor((interval.center - interval.half_width) / h) - 1
+        hi = math.ceil((interval.center + interval.half_width) / h) + 1
+        if hi - lo + 1 >= g:
+            lo = math.floor((interval.center + np.pi) / h) + 1
+            hi = lo + g - 1
+        while lo <= hi and not interval.contains((lo % g) * h):
+            lo += 1
+        while hi >= lo and not interval.contains((hi % g) * h):
+            hi -= 1
+        if lo > hi:
+            return ()
+        start = (lo - offset) % g
+        stop = start + hi - lo + 1
+        pieces = [(start, min(stop, length))]
+        if stop > g:
+            pieces.append((0, min(stop - g, length)))
+    seam = g - offset
+    runs = []
+    for first, last in pieces:
+        if first < seam < last:
+            runs += [(first, seam), (seam, last)]
+        elif first < last:
+            runs.append((first, last))
+    return tuple(sorted(runs, key=lambda run: (offset + run[0]) % g))
+
+
+def _run_argmax(w: np.ndarray, runs: tuple) -> int | None:
+    """Window index of the largest weight in the slices ``runs``, None if there are none.
+
+    The slices come in ascending grid index and none crosses grid cell 0,
+    so taking the first of equal maxima sends ties to the smallest grid index.
+    """
+    k = None
+    for start, stop in runs:
+        j = start + int(w[start:stop].argmax())
+        if k is None or w.item(j) > w.item(k):
+            k = j
+    return k
 
 
 def map_estimate(posterior: GridPosterior, within: CircularInterval | None = None) -> float:
@@ -517,9 +626,11 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
     n, g = w.size, posterior.grid_size
     k = None
     if within is not None:
-        k = _arc_argmax(posterior, within)
+        k = _run_argmax(w, _arc_runs(g, posterior.offset, n, within))
+        if k is not None and not w.item(k) > 0.0:
+            k = None
     if k is None:
-        k = _run_argmax(posterior, 0, n)
+        k = _run_argmax(w, _arc_runs(g, posterior.offset, n))
 
     left = w.item((k - 1) % n) if k > 0 or n == g else 0.0
     center = w.item(k)
@@ -530,67 +641,8 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
         curvature = left - 2.0 * center + right
         if curvature < 0.0:
             shift = min(max(0.5 * (left - right) / curvature, -0.5), 0.5)
-    return wrap_float(_grid_index(posterior, k) * posterior.cell_width + shift * posterior.cell_width)
-
-
-def _run_argmax(posterior: GridPosterior, start: int, stop: int) -> int:
-    """Window index of the largest weight among window cells start .. stop - 1, ties to the smallest grid index.
-
-    Grid cell 0 sits at window index grid_size - offset; a run across it
-    has its smaller grid indices after it, so they are searched first.
-    """
-    w = posterior.weights
-    seam = posterior.grid_size - posterior.offset
-    if not start < seam < stop:
-        return start + int(np.argmax(w[start:stop]))
-    k = seam + int(np.argmax(w[seam:stop]))
-    k_high = start + int(np.argmax(w[start:seam]))
-    return k_high if w[k_high] > w[k] else k
-
-
-def _arc_argmax(posterior: GridPosterior, interval: CircularInterval) -> int | None:
-    """Window index of the largest weight among the cells inside ``interval``, ties to the smallest grid index.
-
-    Those cells form one circular run of the grid.  Its index range is
-    center +- half_width with one cell of margin per side, so rounding in
-    the angle arithmetic never drops a cell; the exact membership test then
-    trims each end.  A range that wraps all the way round is cut next to
-    the antipode instead, where any cells outside the arc lie.  The run
-    meets the window in at most two pieces.  Returns None when every cell
-    inside has weight 0.
-    """
-    w = posterior.weights
-    g = posterior.grid_size
-    h = TWO_PI / g
-    lo = math.floor((interval.center - interval.half_width) / h) - 1
-    hi = math.ceil((interval.center + interval.half_width) / h) + 1
-    if hi - lo + 1 >= g:
-        lo = math.floor((interval.center + np.pi) / h) + 1
-        hi = lo + g - 1
-    while lo <= hi and not interval.contains((lo % g) * h):
-        lo += 1
-    while hi >= lo and not interval.contains((hi % g) * h):
-        hi -= 1
-    if lo > hi:
-        return None
-    n = w.size
-    start = (lo - posterior.offset) % g
-    stop = start + hi - lo + 1
-    pieces = [(0, min(stop - g, n))] if stop > g else []
-    if start < n:
-        pieces.append((start, min(stop, n)))
-    k = None
-    for first, last in pieces:
-        if first < last:
-            j = _run_argmax(posterior, first, last)
-            if k is None or w[j] > w[k] or (w[j] == w[k] and _grid_index(posterior, j) < _grid_index(posterior, k)):
-                k = j
-    return k if k is not None and w[k] > 0.0 else None
-
-
-def _grid_index(posterior: GridPosterior, k: int) -> int:
-    """Grid index of the window's cell k."""
-    return (posterior.offset + k) % posterior.grid_size
+    cell_width = posterior.cell_width
+    return wrap_float((posterior.offset + k) % g * cell_width + shift * cell_width)
 
 
 def circular_mean_estimate(posterior: GridPosterior) -> float:

@@ -60,7 +60,10 @@ def noisy_sweep():
         noise=NOISY,
         master_seed=0,
     )
-    return q.run_sweep(config, workers=1)
+    start = time.perf_counter()
+    cells = q.run_sweep(config, workers=1)
+    elapsed = time.perf_counter() - start
+    return cells, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +128,7 @@ def test_criterion_03_sub_sql_crossover(noiseless_sweep, capsys):
 
 
 def test_criterion_04_noisy_floor(noisy_sweep, capsys):
-    cells = noisy_sweep
+    cells, elapsed = noisy_sweep
     floor_sigma = lambda n: math.sqrt(q.minimum_achievable_variance(NOISY, n))
     top = LADDER[-1]
     med_top = median_by_budget(cells, top, "abs_error")
@@ -139,14 +142,14 @@ def test_criterion_04_noisy_floor(noisy_sweep, capsys):
         capsys, 4, ok,
         f"median MAE at N={top} is {med_top:.3e} (need <= {threshold:.3e}); "
         f"floor ratios over top budgets {[f'{r:.4f}' for r in ratios]} non-increasing: "
-        f"{non_increasing}",
+        f"{non_increasing}; sweep took {elapsed:.1f}s",
     )
     assert med_top <= threshold
     assert non_increasing
 
 
 def test_criterion_05_depth_discipline(noiseless_sweep, noisy_sweep, capsys):
-    noisy_max = max(c.max_depth for c in noisy_sweep)
+    noisy_max = max(c.max_depth for c in noisy_sweep[0])
     adaptive = [c for c in noiseless_sweep[0] if c.strategy == "adaptive"]
     top_cells = [c for c in adaptive if c.n_tot == 4096]
     frac_deep = float(np.mean([c.max_depth >= 64 for c in top_cells]))
@@ -303,7 +306,7 @@ def test_criterion_10_determinism_and_accounting(
     )
 
     every_cell = (
-        list(noiseless_sweep[0]) + list(noisy_sweep) + list(qpea_sweep[1]) + first
+        list(noiseless_sweep[0]) + list(noisy_sweep[0]) + list(qpea_sweep[1]) + first
     )
     budget_ok = all(c.resources_spent <= c.n_tot for c in every_cell)
     clean_ok = all(c.error is None for c in every_cell)

@@ -174,6 +174,27 @@ class TestSampleOutcome:
         assert sample_outcome(Circuit(1, 0.0), 20, 0.0, NoiseModel(), rng) == 20
         assert sample_outcome(Circuit(1, 0.0), 20, math.pi, NoiseModel(), rng) == 0
 
+    @given(
+        theta=st.floats(-10.0, 10.0),
+        depth=st.integers(1, 1 << 20),
+        phase=st.floats(-20.0, 20.0),
+        alpha=st.floats(0.01, 1.0),
+        beta=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draws_with_the_bits_of_success_probability(self, theta, depth, phase, alpha, beta):
+        # sample_outcome evaluates p0 in scalar float arithmetic; the draw
+        # must see the very p0 that success_probability returns.
+        class RecordingRng:
+            def binomial(self, shots, p):
+                seen.append(p)
+                return 0
+
+        seen = []
+        circuit, noise = Circuit(depth, phase), NoiseModel(alpha, beta)
+        sample_outcome(circuit, 3, theta, noise, RecordingRng())
+        assert seen == [min(max(float(success_probability(theta, circuit, noise)), 0.0), 1.0)]
+
     def test_empirical_mean_tracks_probability(self):
         circ = Circuit(2, 0.9)
         noise = NoiseModel(0.95, 0.9)

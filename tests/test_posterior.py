@@ -15,13 +15,15 @@ import qpe_lab
 import qpe_lab.posterior as posterior_module
 from qpe_lab import adaptive
 from qpe_lab.adaptive import AlgorithmConfig, RunSettings
-from qpe_lab.angles import TWO_PI, wrap, wrapped_distance
+from qpe_lab.angles import TWO_PI, wrap, wrap_float, wrapped_distance
 from qpe_lab.baselines import doubling_schedule
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, sample_outcome, success_probability
 from qpe_lab.posterior import (
+    CLAMP_FREE_ENVELOPE,
     GUARD_CELLS,
     MAX_GRID_SIZE,
     MIN_GRID_SIZE,
+    POINTS_PER_PERIOD,
     RESCALE_FLOOR,
     TRIM_MASS,
     CircularInterval,
@@ -44,7 +46,10 @@ from qpe_lab.posterior import (
     uniform_prior,
     update,
 )
-from qpe_lab.posterior import _grid_angles, _grid_p0, _log_prob_components, _refine_once, _span_integral, _trim
+from qpe_lab.posterior import (
+    _arc_runs, _arc_spans, _grid_angles, _grid_p0, _integrate, _log_prob_components, _periodic_spans, _refine_once,
+    _trim,
+)
 
 NOISELESS = NoiseModel()
 
@@ -347,6 +352,11 @@ def interpolant_integral(w, a, b):
     return total
 
 
+def span_integral(w, a, b):
+    """The posterior's integral of the periodic interpolant of w from a to b, in cell units."""
+    return _integrate(w, _periodic_spans(w.size, a, b))
+
+
 def arc_mass_reference(w, start, end):
     """Mass of the arc from angle start counterclockwise to end, under the interpolant of w."""
     h = TWO_PI / w.size
@@ -417,7 +427,7 @@ class TestArcMassesMatchTheInterpolant:
         for a, b in [(0, 0), (0, 1), (3, 4), (3, 5), (0, grid_size), (grid_size - 1, grid_size),
                      (7, grid_size // 2), (grid_size, grid_size)]:
             want = float(interpolant_integral(w, Fraction(a), Fraction(b)))
-            assert _span_integral(w, float(a), float(b)) == pytest.approx(want, rel=1e-12, abs=0)
+            assert span_integral(w, float(a), float(b)) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_sub_cell_span_next_to_a_vanishing_node(self):
         # the mass sits near the far end of a cell whose other node is 1e-12
@@ -425,7 +435,7 @@ class TestArcMassesMatchTheInterpolant:
         w = np.array([1.0, 1e-12, 1.0, 1.0])
         a, b = 0.999999, 0.9999995
         want = float(interpolant_integral(w, Fraction(a), Fraction(b)))
-        assert _span_integral(w, a, b) == pytest.approx(want, rel=1e-12, abs=0)
+        assert span_integral(w, a, b) == pytest.approx(want, rel=1e-12, abs=0)
 
 
     def test_masses_of_subnormal_weights_keep_their_relative_precision(self):
@@ -852,6 +862,42 @@ class TestGridOutcomeLawMatchesModel:
             assert np.max(np.abs(grid - direct)) <= tolerance
 
 
+@st.composite
+def clamp_free_circuits(draw):
+    """A grid, a window of it, and a circuit with an envelope up to CLAMP_FREE_ENVELOPE.
+
+    The phase often puts a bright or dark fringe on a grid node, where p0
+    sits closest to 1 or 0.
+    """
+    grid_size = draw(st.sampled_from([64, 256, 4096, 65536]))
+    depth = draw(st.integers(1, grid_size // POINTS_PER_PERIOD))
+    envelope = draw(st.one_of(
+        st.just(CLAMP_FREE_ENVELOPE),
+        st.floats(CLAMP_FREE_ENVELOPE - 1e-9, CLAMP_FREE_ENVELOPE),
+        st.floats(0.0, CLAMP_FREE_ENVELOPE),
+    ))
+    node = draw(st.integers(0, grid_size - 1)) * TWO_PI / grid_size
+    fringe = draw(st.sampled_from([0.0, math.pi]))
+    jitter = draw(st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(0.0, TWO_PI)))
+    phase = wrap_float(fringe - depth * node + jitter)
+    offset = draw(st.integers(0, grid_size - 1))
+    length = draw(st.integers(1, grid_size))
+    return grid_size, depth, phase, envelope, offset, length
+
+
+class TestClampFreeEnvelope:
+    @given(case=clamp_free_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_p0_lies_in_the_unit_interval_without_the_clamp(self, case):
+        grid_size, depth, phase, envelope, offset, length = case
+        raw = _grid_p0(grid_size, depth, phase, envelope, offset, length)
+        assert 0.0 <= raw.min() and raw.max() <= 1.0
+        np.testing.assert_array_equal(np.clip(raw, 0.0, 1.0), raw)
+        # alpha = envelope and beta = 1 give the envelope exactly.
+        cached = _log_prob_components(grid_size, depth, phase, envelope, 1.0, offset, length).p0
+        np.testing.assert_array_equal(cached, raw)
+
+
 class TestPredictOutcome:
     def test_uniform_prior_predicts_half(self):
         post = uniform_prior(256)
@@ -964,8 +1010,8 @@ def replay_doubling(n_tot, seed, theta, shots_per_depth=32):
     return post, lengths
 
 
-def captured_run(monkeypatch, n_tot, seed, theta):
-    """A noiseless ``run()`` and the posterior it ends with."""
+def captured_run(monkeypatch, n_tot, seed, theta, noise=NOISELESS):
+    """A ``run()``, noiseless by default, and the posterior it ends with."""
     made = []
 
     def prior(grid_size):
@@ -973,7 +1019,7 @@ def captured_run(monkeypatch, n_tot, seed, theta):
         return made[-1]
 
     monkeypatch.setattr(adaptive, "uniform_prior", prior)
-    trace = adaptive.run(AlgorithmConfig(total_resources=n_tot, seed=seed), theta)
+    trace = adaptive.run(AlgorithmConfig(total_resources=n_tot, seed=seed, noise=noise), theta)
     return trace, made[0]
 
 
@@ -1105,3 +1151,94 @@ class TestWindow:
         post, lengths = replay_doubling(1 << 20, seed, 2.0 + seed)
         assert max(built) <= max(RunSettings().grid_size, *lengths)
         assert max(lengths) < post.grid_size // 32
+
+
+def geometry_reads(post, iv):
+    return confidence(post, iv), mass_outside(post, iv), map_estimate(post, within=iv)
+
+
+def cold_geometry_reads(post, iv):
+    _arc_spans.cache_clear()
+    _arc_runs.cache_clear()
+    return geometry_reads(post, iv)
+
+
+def leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+class TestArcGeometryCache:
+    @given(arc=arcs(), kind=st.sampled_from(["random", "ties", "dead"]), seed=st.integers(0, 2**32 - 1),
+           start=st.floats(0.0, 1.0, exclude_max=True), share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_reads_equal_cold_reads(self, arc, kind, seed, start, share):
+        grid_size, within = arc
+        post = posterior_from_log_weights(log_weight_profile(kind, grid_size, within, seed))
+        if share < 1.0:
+            post, _ = window_of(post, int(start * grid_size), 1 + int(share * (grid_size - 2)))
+        if not post.total > 0.0:
+            return
+        geometry_reads(post, within)
+        assert geometry_reads(post, within) == cold_geometry_reads(post, within)
+
+    @pytest.mark.parametrize("center", [0.002, 3.0, TWO_PI - 0.003])
+    def test_one_interval_read_across_window_changes(self, center):
+        # Each posterior differs from the one before in grid size, offset or
+        # length alone, and the interval's geometry for the one before is
+        # cached when it is read.
+        whole = von_mises_posterior(center, 4000.0)
+        iv = CircularInterval(center + 0.3 * whole.cell_width, 25.5 * whole.cell_width)
+        mode = int(round(center / whole.cell_width))
+        shifted, _ = window_of(whole, (mode - 100) % 4096, 200)
+        trimmed = shifted.clone()
+        _trim(trimmed)
+        refined = normalize(_refine_once(trimmed.clone()))
+        posteriors = [
+            whole,
+            window_of(whole, (mode - 101) % 4096, 200)[0],
+            shifted,
+            window_of(whole, (mode - 100) % 4096, 180)[0],
+            trimmed,
+            refined,
+        ]
+        keys = [(p.grid_size, p.offset, p.weights.size) for p in posteriors]
+        assert all(sum(a != b for a, b in zip(k0, k1)) >= 1 for k0, k1 in zip(keys, keys[1:]))
+        assert {k[0] for k in keys} == {4096, 8192}
+        cold_geometry_reads(whole, iv)
+        for post in posteriors:
+            warm = geometry_reads(post, iv)
+            assert warm == cold_geometry_reads(post, iv)
+
+    def test_a_trim_then_a_refine_keep_the_gate_reads(self):
+        # The same interval read on a posterior that ensure_resolution trims
+        # and doubles in place, against a twin read with cold caches.
+        post = von_mises_posterior(0.001, 3000.0, 256)
+        iv = CircularInterval(0.001, 6 * post.cell_width)
+        before = geometry_reads(post, iv)
+        assert before == cold_geometry_reads(post, iv)
+        ensure_resolution(post, 16)
+        assert post.weights.size < post.grid_size == 512
+        assert geometry_reads(post, iv) == cold_geometry_reads(post, iv)
+
+    @pytest.mark.parametrize("n_tot, beta", [(1024, 0.9), (1 << 16, 1.0)])
+    def test_geometry_caches_hold_no_arrays(self, monkeypatch, n_tot, beta):
+        built = []
+
+        def recording(cached):
+            def build(*args):
+                built.append(cached.__wrapped__(*args))
+                return built[-1]
+            return lru_cache(maxsize=cached.cache_info().maxsize)(build)
+
+        for name in ("_arc_spans", "_arc_runs"):
+            monkeypatch.setattr(posterior_module, name, recording(getattr(posterior_module, name)))
+        trace, post = captured_run(monkeypatch, n_tot, 0, 0.0, NoiseModel(1.0, beta))
+        if beta == 1.0:
+            assert post.offset + post.weights.size > post.grid_size, "the trimmed window crosses the seam"
+        assert len(built) > 10
+        for value in built:
+            assert {type(leaf) for leaf in leaves(value)} <= {bool, int, float, type(None)}

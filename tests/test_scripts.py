@@ -26,7 +26,8 @@ def test_bench_layers_times_every_operation(monkeypatch):
     assert report["gate_half_width"] == pytest.approx(3.141592653589793 / 32)
     timings = {op: stats for op, stats in report.items() if isinstance(stats, dict)}
     assert set(timings) == {
-        "update_cached", "update_fresh", "mass_outside_after_update", "map_estimate_within", "predict_loss"
+        "update_cached", "update_fresh", "update_fresh_noisy", "mass_outside_after_update", "map_estimate_within",
+        "predict_loss",
     }
     for op, stats in timings.items():
         assert stats["median_us"] > 0.0, op
@@ -45,6 +46,10 @@ def test_bench_layers_times_every_operation(monkeypatch):
     assert (refined["grid_size"], refined["depth"]) == (262144, 8192)
     assert refined["update_cached"]["median_us"] > 0.0
     assert refined["update_cached"]["calls"] == 5
+    monkeypatch.setattr(bench, "RUN_CALLS", 2)
+    stats = bench.bench_runs(0.9, 256)
+    assert stats["median_us"] > 0.0
+    assert stats["calls"] == 2
 
 
 def test_reproduce_error_scaling_quick_run(tmp_path):
@@ -58,3 +63,20 @@ def test_reproduce_error_scaling_quick_run(tmp_path):
     assert "(0 failed)" in stdout.getvalue()
     for name in ("results.csv", "aggregate.csv", "manifest.json", "error_scaling.svg"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_trace_digest_quick_run():
+    script = load_script("trace_digest")
+    outputs = []
+    for _ in range(2):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert script.main(["--quick"]) == 0
+        outputs.append(stdout.getvalue().splitlines())
+    counts, path, bits = outputs[0]
+    assert counts.startswith("32 run() traces, 2 doubling runs, ")
+    # The quick grid's decisions, shots and tallies, as the loop makes them today.
+    assert path == "path b3fc555c47ed3b36a10e849143f3d424c133b8d834649208bb3324008e0b7808"
+    assert bits.startswith("bits ") and len(bits) == 5 + 64
+    assert outputs[1][1:] == [path, bits]
+
