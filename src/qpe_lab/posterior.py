@@ -5,56 +5,37 @@ The posterior is held as unnormalised linear weights on a uniform grid of
 trapezoid rule, which on a uniform circular grid reduces to a plain node
 sum times the cell width.
 
-Only a live window of the grid is stored: the circular run of cells
-offset, ..., offset + L - 1 (mod grid_size), which may cross the 0/2*pi
-seam.  Every cell outside it holds exactly zero weight, so each operation
-here (update, normalisation, refinement, interval masses, the mode, the
-expected loss, the circular mean and the predictions) costs O(L).  A new
-posterior's window is the whole grid.  The window shrinks only in
+Only a live window of the grid is stored, and it is always stated as
+(grid_size, offset, length): the circular run of cells offset, ...,
+offset + length - 1 (mod grid_size), which may cross the 0/2*pi seam, where
+length is the size of the weights.  Every cell outside it holds exactly
+zero weight, so each operation here, and each cache of cos(n theta),
+sin(n theta), p0 and arc geometry, works on the window alone.  A new
+posterior's window is the whole grid.  It shrinks only in
 ``ensure_resolution``, right before each doubling of the grid: the two end
 runs of the window that together hold at most TRIM_MASS = 2**-100 of the
-mass are cut, short of GUARD_CELLS = 2 cells beyond each cut, so the
-parabola of the mode and the end segments of the interval integrals read
-the same cells as on the whole grid.  A grid that never refines is never
-trimmed and its arithmetic is that of the whole grid.  The share of the
-mass cut so far is kept in ``discarded``, and the gate check
-``mass_outside`` adds it to the tail it sums inside the window, so a
-trimmed posterior passes a gate only later, never earlier.  The per-window
-caches of cos(n theta), sin(n theta) and p0 hold arrays of the window's
-length.
+mass are cut, GUARD_CELLS = 2 cells short of each cut, so the parabola of
+the mode and the end segments of the interval integrals read the same
+cells as on the whole grid.  The share of the mass cut so far is kept in
+``discarded``, and the gate check ``mass_outside`` adds it to the tail it
+sums inside the window, so a trimmed posterior passes a gate only later,
+never earlier.
 
-The adaptive loop runs an update, a gate check and a mode search after
-every shot, so each does only its array work and the few scalar steps
-around it.  A single shot checks the grid's resolution, looks up the
-circuit's cached p0, multiplies the weights in place by p0 or 1 - p0 and
-takes one sum, the new total: the sequential Monte Carlo update
-w <- w * Pr(d | theta) (Granade et al., New J. Phys. 14, 103013, 2012) on
-the grid, with no log or exp pass.  The sum shrinks geometrically over
-many shots, so once it falls below RESCALE_FLOOR the weights are divided
-by it; a cell that falls too far below the peak for a float flushes to 0
-and stays there.  Other records (multi-shot batches and fractional
-expected counts) go through log space once.  Each circuit's p0 is
-computed once and cached, 1 - p0 only when a miss needs it, and the
-density is divided out on each read, which the per-shot loop never makes.
-p0 is clamped to [0, 1] only when the envelope alpha * beta**n exceeds
-CLAMP_FREE_ENVELOPE = 1 - 2**-32.  Below it the angle-addition form of p0
-stays inside [0, 1] by a bound on its rounding (see the constant), so the
-clamp would change no bit; every noisy circuit is below it, and noiseless
-ones are clamped.
-Interval masses (``confidence`` and the gate check ``mass_outside``)
-integrate the weights over the arc they report, one or two slice sums
-plus a closed-form partial cell at each end, so a tiny tail mass is summed
-directly instead of being left over from a difference of O(1) sums.
-``map_estimate`` with an interval takes the argmax over the one circular
-run of cells inside the arc.  The index geometry of both (end cells and
-fractions, the seam split, the window clipping and the membership trim)
-is computed by pure functions cached by (grid_size, offset, window
-length, interval): ``_arc_spans`` for the masses and ``_arc_runs`` for
-the argmax.  They hold ints, floats, bools and tuples, never arrays.
-Within a gated rung or a stay the interval is fixed, so every shot after
-the first finds its geometry cached; a refinement or a trim changes the
-key.  Step 1 recentres its interval on every shot, so its gate checks
-build their geometry each time.
+A window of the whole grid is a circle; a shorter one has zero cells
+beyond both ends.  Four places differ between the two because
+periodicity forces them: ``_trim`` puts a whole window's ends at the
+antipode of its largest weight, ``_refine_once`` puts a midpoint between
+its last and first cells, ``map_estimate`` reads the peak's neighbours
+across that join, and ``_segment_part`` integrates the segment over it.
+
+A single shot multiplies the weights in place by the circuit's cached p0
+or 1 - p0 and takes one sum, the new total: the sequential Monte Carlo
+update w <- w * Pr(d | theta) (Granade et al., New J. Phys. 14, 103013,
+2012) on the grid.  Once the sum falls below RESCALE_FLOOR the weights are
+divided by it.  Interval masses (``confidence`` and ``mass_outside``)
+integrate the weights' linear interpolant over the arc they report, so a
+tiny tail mass is summed directly instead of being left over from a
+difference of O(1) sums.
 
 The grid must stay fine enough to resolve the fastest likelihood
 oscillation: a circuit of depth n modulates the likelihood at angular
@@ -152,16 +133,16 @@ class CircularInterval:
 
 
 @lru_cache(maxsize=16)
-def _grid_angles(grid_size: int, offset: int = 0, length: int | None = None) -> np.ndarray:
-    """Angles of the grid cells offset, ..., offset + length - 1 (mod grid_size); the whole grid by default."""
-    cells = (offset + np.arange(grid_size if length is None else length)) % grid_size
+def _grid_angles(grid_size: int, offset: int, length: int) -> np.ndarray:
+    """Angles of the grid cells offset, ..., offset + length - 1 (mod grid_size)."""
+    cells = (offset + np.arange(length)) % grid_size
     angles = cells * (TWO_PI / grid_size)
     angles.setflags(write=False)
     return angles
 
 
 @lru_cache(maxsize=64)
-def _grid_trig(grid_size: int, depth: int, offset: int = 0, length: int | None = None):
+def _grid_trig(grid_size: int, depth: int, offset: int, length: int):
     arg = depth * _grid_angles(grid_size, offset, length)
     cos_n = np.cos(arg)
     sin_n = np.sin(arg)
@@ -170,10 +151,8 @@ def _grid_trig(grid_size: int, depth: int, offset: int = 0, length: int | None =
     return cos_n, sin_n
 
 
-def _grid_p0(
-    grid_size: int, depth: int, phase: float, envelope: float, offset: int = 0, length: int | None = None
-) -> np.ndarray:
-    """Bright-outcome probability p0 of one circuit at every cell of a window (the whole grid by default)."""
+def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int) -> np.ndarray:
+    """Bright-outcome probability p0 of one circuit at every cell of a window."""
     cos_n, sin_n = _grid_trig(grid_size, depth, offset, length)
     p0 = cos_n * math.cos(phase)
     p0 -= sin_n * math.sin(phase)
@@ -200,17 +179,16 @@ class _CircuitLikelihood:
 
 
 @lru_cache(maxsize=8)
-def _log_prob_components(
-    grid_size: int, depth: int, phase: float, alpha: float, beta: float, offset: int = 0, length: int | None = None
-):
+def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
     """Per-cell outcome probabilities of one circuit on a window, in [0, 1] and cached.
 
     Gated sampling phases hammer the same circuit for tens of shots; caching
-    p0 (and 1 - p0) makes each such update one multiply and one sum.  p0 is
-    clamped to [0, 1] only above CLAMP_FREE_ENVELOPE, where rounding can
-    push it out; below, the clamp would change nothing.
+    p0 (and 1 - p0) makes each such update one multiply and one sum.  The
+    key holds the circuit's envelope, ``NoiseModel.contrast``, so noise
+    models of one envelope share an entry.  p0 is clamped to [0, 1] only
+    above CLAMP_FREE_ENVELOPE, where rounding can push it out; below, the
+    clamp would change nothing.
     """
-    envelope = alpha * beta**depth
     p0 = _grid_p0(grid_size, depth, phase, envelope, offset, length)
     if envelope > CLAMP_FREE_ENVELOPE:
         np.minimum(p0, 1.0, out=p0)
@@ -224,22 +202,17 @@ class GridPosterior:
 
     ``weights`` covers only the live window, the grid cells ``offset``, ...,
     ``offset + weights.size - 1`` (mod ``grid_size``); every other cell has
-    weight 0.  By default the window is the whole grid.  ``total`` is the
-    sum of the weights, and ``discarded`` the share of the mass cut from the
-    window so far.  The density and the interval masses are read from the
-    weights and their total.  A posterior whose total is 0 carries no
+    weight 0.  ``total`` is the sum of the weights, and ``discarded`` the
+    share of the mass cut from the window so far.  The density and the
+    interval masses are read from the weights and their total.  A posterior whose total is 0 carries no
     probability and raises ImpossibleObservationError when either is read.
     """
 
     weights: np.ndarray
     total: float
-    grid_size: int | None = None
+    grid_size: int
     offset: int = 0
     discarded: float = 0.0
-
-    def __post_init__(self):
-        if self.grid_size is None:
-            self.grid_size = self.weights.size
 
     @property
     def cell_width(self) -> float:
@@ -267,17 +240,22 @@ def _live_total(posterior: GridPosterior) -> float:
 
 
 def check_grid_size(grid_size: int) -> None:
-    """Raise ValueError unless MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE."""
+    """Raise ValueError unless grid_size is a power of two from MIN_GRID_SIZE to MAX_GRID_SIZE.
+
+    Doubling a power of two never steps over MAX_GRID_SIZE, so every grid stays within the cap.
+    """
     if grid_size < MIN_GRID_SIZE:
         raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
     if grid_size > MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
+    if grid_size & (grid_size - 1):
+        raise ValueError(f"grid_size must be a power of two, got {grid_size}")
 
 
-def uniform_prior(grid_size: int = 4096) -> GridPosterior:
-    """Flat prior 1/(2*pi) on a grid of at least MIN_GRID_SIZE cells."""
+def uniform_prior(grid_size: int) -> GridPosterior:
+    """Flat prior 1/(2*pi) on a grid of ``grid_size`` cells, as ``check_grid_size`` allows."""
     check_grid_size(grid_size)
-    return GridPosterior(np.ones(grid_size), float(grid_size))
+    return GridPosterior(np.ones(grid_size), float(grid_size), grid_size)
 
 
 def normalize(posterior: GridPosterior) -> GridPosterior:
@@ -375,7 +353,7 @@ def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -
     if posterior.grid_size < required_grid_size(depth) or depth > MAX_DEPTH:
         ensure_resolution(posterior, depth)
     return _log_prob_components(
-        posterior.grid_size, depth, circuit.phase, noise.alpha, noise.beta, posterior.offset, posterior.weights.size
+        posterior.grid_size, depth, circuit.phase, noise.contrast(depth), posterior.offset, posterior.weights.size
     )
 
 
@@ -435,65 +413,49 @@ def _segment_part(w: np.ndarray, k: int, t0: float, t1: float, periodic: bool) -
     return (t1 - t0) * (v0 * (0.5 * ((1.0 - t0) + (1.0 - t1))) + v1 * (0.5 * (t0 + t1)))
 
 
-def _cell_span(w: np.ndarray, ka: int, ta: float, kb: int, tb: float, periodic: bool) -> float:
-    """Integral of the linear interpolant of w from ka + ta to kb + tb, ka <= kb, 0 <= ta, tb <= 1.
-
-    The whole segments between the two partial end cells come from one
-    slice sum of the nodes they span.
-    """
-    if ka == kb:
-        return _segment_part(w, ka, ta, tb, periodic)
-    whole = float(w[ka + 1:kb + 1].sum()) - 0.5 * (w.item(ka + 1) + w.item(kb))
-    return _segment_part(w, ka, ta, 1.0, periodic) + whole + _segment_part(w, kb, 0.0, tb, periodic)
-
-
 def _integrate(w: np.ndarray, spans: tuple) -> float:
-    """Integral of the interpolant of the window's weights ``w`` over ``spans``, each ``_cell_span``'s arguments."""
-    mass = 0.0
-    for span in spans:
-        mass += _cell_span(w, *span)
-    return mass
+    """Integral of the interpolant of the window's weights ``w`` over ``spans`` from ``_window_spans``.
 
-
-def _periodic_spans(length: int, a: float, b: float) -> tuple:
-    """Spans (ka, ta, kb, tb, periodic) of the periodic interpolant of ``length`` nodes from a to b.
-
-    ``a`` and ``b`` are in cell units, 0 <= a, b <= length, and a > b runs
-    across the 0/2*pi seam in two spans.
+    A span (ka, ta, kb, tb, periodic) runs from ka + ta to kb + tb, ka <= kb
+    and 0 <= ta, tb <= 1.  The whole segments between its two partial end
+    cells come from one slice sum of the nodes they span.
     """
-    if a > b:
-        return _periodic_spans(length, a, float(length)) + _periodic_spans(length, 0.0, b)
-    last = length - 1
-    ka = min(int(a), last)
-    kb = min(int(b), last)
-    return ((ka, a - ka, kb, b - kb, True),)
+    mass = 0.0
+    for ka, ta, kb, tb, periodic in spans:
+        if ka == kb:
+            mass += _segment_part(w, ka, ta, tb, periodic)
+        else:
+            whole = float(w[ka + 1:kb + 1].sum()) - 0.5 * (w.item(ka + 1) + w.item(kb))
+            mass += _segment_part(w, ka, ta, 1.0, periodic) + whole + _segment_part(w, kb, 0.0, tb, periodic)
+    return mass
 
 
 def _window_spans(grid_size: int, offset: int, length: int, a: float, b: float) -> tuple:
     """Spans of the window's interpolant over the arc from cell a to cell b of the grid.
 
-    A window short of the whole grid is integrated in its own cells, its
-    first at 0 and the zero cells just outside it at -1 and ``length``.
-    Each end of the arc is moved there as a whole cell plus the fraction
-    ``a`` or ``b`` had, so no end loses precision, and the arc meets the
-    window's support in at most two spans.
+    ``a`` and ``b`` are in grid cell units, 0 <= a, b <= grid_size, and the
+    arc runs counterclockwise, across the 0/2*pi seam when it must.  Each
+    end is moved into the window's own cells, its first at 0, as a whole
+    cell plus the fraction ``a`` or ``b`` had, so no end loses precision.
+    A whole window is periodic.  A shorter one has zero cells just outside
+    it at -1 and ``length``, so the arc meets its support in at most two
+    spans.
     """
     g = grid_size
-    if length == g:
-        return _periodic_spans(length, a, b)
+    periodic = length == g
+    first = 0 if periodic else -1
     ends = []
     for x in (a, b):
         k = min(int(x), g - 1)
-        cell = (k - offset) % g
-        ends.append((cell - g if cell == g - 1 else cell, x - k))
+        ends.append(((k - offset - first) % g + first, x - k))
     (ka, ta), (kb, tb) = ends
-    pieces = [(ka, ta, kb, tb)] if (ka, ta) <= (kb, tb) else [(ka, ta, g - 2, 1.0), (-1, 0.0, kb, tb)]
+    pieces = [(ka, ta, kb, tb)] if (ka, ta) <= (kb, tb) else [(ka, ta, first + g - 1, 1.0), (first, 0.0, kb, tb)]
     spans = []
     for ka, ta, kb, tb in pieces:
         if kb >= length:
             kb, tb = length - 1, 1.0
         if (ka, ta) < (kb, tb):
-            spans.append((ka, ta, kb, tb, False))
+            spans.append((ka, ta, kb, tb, periodic))
     return tuple(spans)
 
 
@@ -501,9 +463,10 @@ def _window_spans(grid_size: int, offset: int, length: int, a: float, b: float) 
 def _arc_spans(grid_size: int, offset: int, length: int, interval: CircularInterval, outside: bool):
     """Spans of the window inside ``interval``, or in its complement if ``outside``.
 
-    None when the interval covers the whole circle: at half_width = pi, or
-    when its two ends round to one angle, which covers the circle but a
-    rounding error.
+    Cached, since a gated rung or a stay reads one interval after every
+    shot.  None when the interval covers the whole circle: at half_width =
+    pi, or when its two ends round to one angle, which covers the circle
+    but a rounding error.
     """
     lower, upper = interval.lower, interval.upper
     if interval.half_width >= np.pi or lower == upper:

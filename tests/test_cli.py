@@ -130,7 +130,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [pytest.param("sweep", f, v, id=f"{f}-{v}") for f, v in SCHEDULE_FLAGS + [("--grid-size", "16")]]
+        [pytest.param("sweep", f, v, id=f"{f}-{v}")
+         for f, v in SCHEDULE_FLAGS + [("--grid-size", "16"), ("--grid-size", "3072")]]
         + [pytest.param("bounds", f, v, id=f"bounds{f}-{v}") for f, v in SCHEDULE_FLAGS],
     )
     def test_invalid_run_setting_fails_as_run_does(self, tmp_path, capsys, command, flag, value):

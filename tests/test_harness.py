@@ -79,6 +79,7 @@ class TestSweepConfig:
             {"estimator": "median"},
             {"grid_size": 16},
             {"grid_size": 2 * MAX_GRID_SIZE},
+            {"grid_size": 3072},
         ],
     )
     def test_rejects_a_run_setting_as_the_run_config_does(self, overrides):

@@ -47,8 +47,8 @@ from qpe_lab.posterior import (
     update,
 )
 from qpe_lab.posterior import (
-    _arc_runs, _arc_spans, _grid_angles, _grid_p0, _integrate, _log_prob_components, _periodic_spans, _refine_once,
-    _trim,
+    _arc_runs, _arc_spans, _grid_angles, _grid_p0, _integrate, _log_prob_components, _refine_once, _trim,
+    _window_spans,
 )
 
 NOISELESS = NoiseModel()
@@ -58,11 +58,11 @@ def posterior_from_log_weights(lw):
     """The posterior with weights exp(lw), scaled so that the largest is 1 (or all 0)."""
     top = np.max(lw)
     w = np.exp(lw - top) if np.isfinite(top) else np.zeros(lw.size)
-    return GridPosterior(w, float(w.sum()))
+    return GridPosterior(w, float(w.sum()), w.size)
 
 
 def von_mises_posterior(mu, kappa, grid_size=4096):
-    return posterior_from_log_weights(kappa * np.cos(_grid_angles(grid_size) - mu))
+    return posterior_from_log_weights(kappa * np.cos(_grid_angles(grid_size, 0, grid_size) - mu))
 
 
 def brute_force_density(records, noise, grid_size):
@@ -124,6 +124,8 @@ class TestUniformPrior:
             uniform_prior(32)
         with pytest.raises(ValueError):
             uniform_prior(MAX_GRID_SIZE * 2)
+        with pytest.raises(ValueError, match="power of two"):
+            uniform_prior(3072)
 
     def test_confidence_is_arc_fraction(self):
         post = uniform_prior(512)
@@ -354,7 +356,7 @@ def interpolant_integral(w, a, b):
 
 def span_integral(w, a, b):
     """The posterior's integral of the periodic interpolant of w from a to b, in cell units."""
-    return _integrate(w, _periodic_spans(w.size, a, b))
+    return _integrate(w, _window_spans(w.size, 0, w.size, a, b))
 
 
 def arc_mass_reference(w, start, end):
@@ -442,7 +444,7 @@ class TestArcMassesMatchTheInterpolant:
         # Products of subnormal node weights round to an absolute 2**-1075,
         # which once read 9/28 for the 10/28 inside this arc over cells 0-2.
         w = np.array([1.0, 5.0, 9.0, 13.0]) * 2.0**-1074
-        post = GridPosterior(w, float(w.sum()))
+        post = GridPosterior(w, float(w.sum()), w.size)
         iv = CircularInterval(post.cell_width, post.cell_width)
         assert (iv.lower, iv.upper) == (0.0, 2 * post.cell_width)
         assert confidence(post, iv) == arc_mass_reference(w, iv.lower, iv.upper) == 10 / 28
@@ -460,7 +462,7 @@ class TestMapEstimate:
         assert map_estimate(post) == 0.0
 
     def test_masked_argmax_selects_the_lobe(self):
-        angles = _grid_angles(4096)
+        angles = _grid_angles(4096, 0, 4096)
         post = posterior_from_log_weights(
             np.logaddexp(8.0 * np.cos(angles - 1.0), 8.0 * np.cos(angles - 4.0) + 0.2)
         )
@@ -471,7 +473,7 @@ class TestMapEstimate:
     def test_mask_without_mass_falls_back_to_global(self):
         # hard zeros (not merely small mass) inside the window trigger the
         # global fallback
-        angles = _grid_angles(1024)
+        angles = _grid_angles(1024, 0, 1024)
         lw = 3.0 * np.cos(angles - 1.0)
         lw[wrapped_distance(angles, 4.0) < 1.0] = -math.inf
         post = posterior_from_log_weights(lw)
@@ -571,7 +573,7 @@ class TestMapEstimateWithinMatchesFullGrid:
         # the tolerance edge half_width + 1e-12 falls on a node, or 1e-12 to
         # either side, and that node holds the largest weight
         rng = np.random.default_rng(grid_size)
-        angles = _grid_angles(grid_size)
+        angles = _grid_angles(grid_size, 0, grid_size)
         for center_cell, reach in [(5, 3), (grid_size - 2, 4), (grid_size // 2, grid_size // 4)]:
             center = float(angles[center_cell])
             for edge in ((center_cell - reach) % grid_size, (center_cell + reach) % grid_size):
@@ -584,7 +586,7 @@ class TestMapEstimateWithinMatchesFullGrid:
 
     @pytest.mark.parametrize("grid_size", [64, 4096, 65536])
     def test_equal_maxima_on_both_sides_of_the_seam(self, grid_size):
-        angles = _grid_angles(grid_size)
+        angles = _grid_angles(grid_size, 0, grid_size)
         lw = np.zeros(grid_size)
         lw[2] = lw[grid_size - 2] = 5.0
         post = posterior_from_log_weights(lw)
@@ -596,7 +598,7 @@ class TestMapEstimateWithinMatchesFullGrid:
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_only_one_end_cell_of_the_arc_is_alive(self, grid_size, center, end):
         within = CircularInterval(center, 0.3)
-        angles = _grid_angles(grid_size)
+        angles = _grid_angles(grid_size, 0, grid_size)
         inside = wrapped_distance(angles, within.center) <= within.half_width + 1e-12
         if end == "first":
             alive = int(np.flatnonzero(inside & ~np.roll(inside, 1))[0])
@@ -614,7 +616,7 @@ class TestMapEstimateWithinMatchesFullGrid:
         # the index range spans G - 2 cells or more; the cells outside the
         # arc sit by the antipode and hold the largest weights
         cell = TWO_PI / grid_size
-        angles = _grid_angles(grid_size)
+        angles = _grid_angles(grid_size, 0, grid_size)
         for center in (0.0, 1.3, float(angles[7]) + 0.5 * cell, TWO_PI - 0.3 * cell):
             within = CircularInterval(center, math.pi - cells_short * cell)
             antipode = round(wrap(center + math.pi) / cell)
@@ -666,7 +668,7 @@ def log_space_reference(records, noise, grid_size):
     terms = np.empty((len(records), grid_size))
     for row, rec in zip(terms, records):
         depth = rec.circuit.depth
-        p0 = np.clip(_grid_p0(grid_size, depth, rec.circuit.phase, noise.contrast(depth)), 0.0, 1.0)
+        p0 = np.clip(_grid_p0(grid_size, depth, rec.circuit.phase, noise.contrast(depth), 0, grid_size), 0.0, 1.0)
         with np.errstate(divide="ignore"):
             row[:] = np.log(p0 if rec.successes == 1.0 else 1.0 - p0)
     lw = np.array([math.fsum(column) for column in terms.T.tolist()])
@@ -718,6 +720,19 @@ class TestUpdatePaths:
         np.testing.assert_array_equal(fresh.weights, cached.weights)
         np.testing.assert_array_equal(fresh.density, cached.density)
 
+    def test_noise_models_of_one_envelope_share_a_cached_p0(self):
+        # alpha * beta**1 is 0.9 for both, so the second finds the first's p0.
+        circuit = Circuit(1, 0.77)
+        _log_prob_components.cache_clear()
+        p0 = [
+            posterior_module._likelihood(uniform_prior(256), circuit, noise).p0
+            for noise in (NoiseModel(0.9, 1.0), NoiseModel(1.0, 0.9))
+        ]
+        info = _log_prob_components.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        np.testing.assert_array_equal(p0[0], p0[1])
+        np.testing.assert_array_equal(p0[0], _grid_p0(256, 1, circuit.phase, 0.9, 0, 256))
+
     def test_fractional_single_shot_uses_both_branches(self):
         noise = NoiseModel(0.9, 0.95)
         circuit = Circuit(4, 1.1)
@@ -741,7 +756,7 @@ class TestUpdatePaths:
     def test_density_read_late_equals_density_from_the_weights(self):
         post = update(uniform_prior(4096), MeasurementRecord(Circuit(2, 0.3), 1, 1.0), NOISELESS)
         update(post, MeasurementRecord(Circuit(2, 1.3), 1, 0.0), NOISELESS)
-        recomputed = GridPosterior(post.weights.copy(), post.total).density
+        recomputed = GridPosterior(post.weights.copy(), post.total, post.grid_size).density
         np.testing.assert_allclose(post.density, recomputed, rtol=1e-12)
 
     def test_reading_the_density_first_leaves_interval_masses_alone(self):
@@ -761,7 +776,7 @@ class TestUpdatePaths:
         # only theta = 0 carries weight, and there depth 1, phase pi has p0 = 0
         w = np.zeros(64)
         w[0] = 1.0
-        post = GridPosterior(w, 1.0)
+        post = GridPosterior(w, 1.0, 64)
         iv = CircularInterval(0.0, 0.5)
         if read_density:
             assert post.density[0] > 0.0
@@ -788,7 +803,7 @@ class TestCircularMean:
             circular_mean_estimate(uniform_prior(256))
 
     def test_antipodal_bimodal_has_no_mean(self):
-        angles = _grid_angles(1024)
+        angles = _grid_angles(1024, 0, 1024)
         post = posterior_from_log_weights(
             np.logaddexp(5.0 * np.cos(angles - 1.0), 5.0 * np.cos(angles - 1.0 - math.pi))
         )
@@ -853,11 +868,11 @@ class TestGridOutcomeLawMatchesModel:
     @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.999)], ids=["noiseless", "beta-0.999"])
     def test_within_a_few_ulp(self, depth, noise):
         grid_size = required_grid_size(depth)
-        angles = _grid_angles(grid_size)
+        angles = _grid_angles(grid_size, 0, grid_size)
         tolerance = 4 * np.spacing(TWO_PI * depth)
         for phase in np.linspace(0.0, TWO_PI, 7, endpoint=False):
             circuit = Circuit(depth, float(phase))
-            grid = _grid_p0(grid_size, depth, circuit.phase, noise.contrast(depth))
+            grid = _grid_p0(grid_size, depth, circuit.phase, noise.contrast(depth), 0, grid_size)
             direct = success_probability(angles, circuit, noise)
             assert np.max(np.abs(grid - direct)) <= tolerance
 
@@ -893,8 +908,7 @@ class TestClampFreeEnvelope:
         raw = _grid_p0(grid_size, depth, phase, envelope, offset, length)
         assert 0.0 <= raw.min() and raw.max() <= 1.0
         np.testing.assert_array_equal(np.clip(raw, 0.0, 1.0), raw)
-        # alpha = envelope and beta = 1 give the envelope exactly.
-        cached = _log_prob_components(grid_size, depth, phase, envelope, 1.0, offset, length).p0
+        cached = _log_prob_components(grid_size, depth, phase, envelope, offset, length).p0
         np.testing.assert_array_equal(cached, raw)
 
 
@@ -918,13 +932,13 @@ class TestPredictOutcome:
     def test_dark_fringe_reads_the_clamped_cached_p0(self):
         # The angle-addition p0 of this circuit dips to -1.1e-16 at one node.
         circuit = Circuit(7, 15 * math.pi / 16)
-        raw = _grid_p0(256, circuit.depth, circuit.phase, 1.0)
+        raw = _grid_p0(256, circuit.depth, circuit.phase, 1.0, 0, 256)
         k = int(np.argmin(raw))
         assert raw[k] < 0.0
         w = np.zeros(256)
         w[k] = 1.0
         w[k + 1] = 1e-3
-        post = normalize(GridPosterior(w, 1.0))
+        post = normalize(GridPosterior(w, 1.0, 256))
 
         def trapezoid_count(p0):
             return 1000 * (float((post.density * p0).sum()) * post.cell_width)
@@ -976,12 +990,12 @@ class TestPredictLoss:
 
 class TestImpossibleObservation:
     def test_normalize_rejects_an_empty_posterior(self):
-        post = GridPosterior(np.zeros(64), 1.0)
+        post = GridPosterior(np.zeros(64), 1.0, 64)
         with pytest.raises(ImpossibleObservationError):
             normalize(post)
 
     def test_density_property_rejects_an_empty_posterior(self):
-        post = GridPosterior(np.zeros(64), 0.0)
+        post = GridPosterior(np.zeros(64), 0.0, 64)
         with pytest.raises(ImpossibleObservationError):
             post.density
 
@@ -993,7 +1007,7 @@ def window_of(post, offset, length):
     w = post.weights[cells].copy()
     full = np.zeros(g)
     full[cells] = w
-    return GridPosterior(w, float(w.sum()), g, offset), GridPosterior(full, float(full.sum()))
+    return GridPosterior(w, float(w.sum()), g, offset), GridPosterior(full, float(full.sum()), g)
 
 
 def replay_doubling(n_tot, seed, theta, shots_per_depth=32):
@@ -1039,12 +1053,13 @@ def assert_reads_match(post, twin, rel=1e-12, mass_abs=0.0):
 
 class TestWindow:
     @given(arc=arcs(), kind=st.sampled_from(["random", "ties", "flat", "dead"]), seed=st.integers(0, 2**32 - 1),
-           start=st.floats(0.0, 1.0, exclude_max=True), share=st.floats(0.0, 1.0))
+           start=st.floats(0.0, 1.0, exclude_max=True), share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
     @settings(max_examples=300, deadline=None)
     def test_a_window_reads_as_its_zero_filled_grid(self, arc, kind, seed, start, share):
+        # share = 1 stores the whole grid, rotated to start at the offset.
         grid_size, within = arc
         whole = posterior_from_log_weights(log_weight_profile(kind, grid_size, within, seed))
-        length = 1 + int(share * (grid_size - 2))
+        length = 1 + int(share * (grid_size - 1))
         post, twin = window_of(whole, int(start * grid_size), length)
         if not twin.total > 0.0:
             return
