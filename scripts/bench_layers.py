@@ -35,6 +35,14 @@ Each call is timed with ``time.perf_counter_ns`` (the whole runs with
 ``time.process_time_ns``); the report gives the median (robust to the odd
 preempted call) and the mean.
 
+Three memory rows, in bytes that ``tracemalloc`` traces (numpy's arrays
+included), start from empty posterior caches: the peak during one
+``run_nonadaptive_doubling`` at N = 2^20 with one shot per depth, whose
+posterior is too broad to trim and refines whole to 2^22 cells; the
+bytes still held once it returns, which the posterior's caches hold; and
+the peak of one ``run_qpea`` draw of 2^20 outcomes forced past the window,
+to the cell HALF_WINDOW + 2 above the peak.
+
 Usage, from the repository root:
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_layers.py LABEL
@@ -51,14 +59,16 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from qpe_lab import posterior  # noqa: E402
 from qpe_lab.adaptive import AlgorithmConfig, RunSettings, run  # noqa: E402
-from qpe_lab.baselines import run_nonadaptive_doubling, run_qpea  # noqa: E402
+from qpe_lab.baselines import HALF_WINDOW, qpea_outcome_distribution, run_nonadaptive_doubling, run_qpea  # noqa: E402
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, tuned_circuit  # noqa: E402
 from qpe_lab.posterior import (  # noqa: E402
     CircularInterval,
@@ -83,6 +93,9 @@ REFINED_GRID, REFINED_DEPTH, REFINED_CALLS = 4096, 8192, 500
 # The whole-run rows: (decay beta, budget) and seeded runs per row.
 RUNS = ((0.9, 1 << 12), (1.0, 1 << 16))
 RUN_CALLS = 8
+# The memory rows: the doubling run's budget and its theta, and the qpea register size.
+MEMORY_BUDGET, MEMORY_THETA, MEMORY_REGISTER = 1 << 20, 1.3, 20
+ARRAY_CACHES = ("_grid_angles", "_grid_trig", "_log_prob_components")
 THETA = 2.2
 NOISE = NoiseModel()
 NOISY = NoiseModel(1.0, 0.9)
@@ -199,6 +212,51 @@ def bench_runs(beta: float, n_tot: int) -> dict:
     return summary(samples)
 
 
+class FixedUniform:
+    """A generator stand-in whose ``random()`` returns one chosen double."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def traced_bytes(fn, *args) -> tuple[int, int]:
+    """(peak, still held) bytes that tracemalloc traces while and after ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
+
+
+def bench_memory() -> dict:
+    for name in ARRAY_CACHES:
+        getattr(posterior, name).cache_clear()
+    rng = np.random.default_rng(1)
+    doubling_peak, cache_bytes = traced_bytes(
+        run_nonadaptive_doubling, MEMORY_BUDGET, MEMORY_THETA, RunSettings(), 1, rng
+    )
+    for name in ARRAY_CACHES:
+        getattr(posterior, name).cache_clear()
+
+    m_size = 1 << MEMORY_REGISTER
+    probs = qpea_outcome_distribution(THETA, MEMORY_REGISTER)
+    cdf = np.cumsum(probs / probs.sum())
+    past = (int(np.argmax(probs)) + HALF_WINDOW + 2) % m_size
+    draw = FixedUniform(float(cdf[past] - 0.5 * probs[past]))
+    del probs, cdf
+    qpea_peak, _ = traced_bytes(run_qpea, m_size - 1, THETA, RunSettings(), draw)
+    return {
+        "doubling_peak_bytes": doubling_peak,
+        "doubling_cache_bytes_after": cache_bytes,
+        "qpea_past_window_peak_bytes": qpea_peak,
+    }
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo") as handle:
@@ -233,6 +291,7 @@ def main(argv) -> int:
         "run_nonadaptive_doubling": {str(m): bench_doubling(m) for m in DOUBLING_CALLS},
         "refined_update": bench_refined_update(),
         "run": {f"beta={beta} N={n_tot}": bench_runs(beta, n_tot) for beta, n_tot in RUNS},
+        "memory": bench_memory(),
     }
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(path, "w") as handle:
@@ -254,6 +313,8 @@ def main(argv) -> int:
     for name, stats in report["run"].items():
         print(f"{name:<15} {'run (CPU time)':<26} {stats['median_us']:9.1f} us median  "
               f"{stats['mean_us']:9.1f} us mean")
+    for name, value in report["memory"].items():
+        print(f"{'memory':<15} {name:<26} {value / 2**20:9.1f} MiB")
     print(f"wrote {os.path.normpath(path)}")
     return 0
 

@@ -17,7 +17,6 @@ every strategy in a comparison runs with one set of settings.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +44,8 @@ from .adaptive import RunSettings, chernoff_shot_budget
 MAX_REGISTER_SIZE = 24
 # Cells on each side of the peak that a qpea draw evaluates on its common path.
 HALF_WINDOW = 256
+# Cells a draw past the window evaluates at a time.
+BLOCK_CELLS = 1 << 14
 MAE_OF_STD = math.sqrt(2.0 / math.pi)
 Schedule = list[tuple[int, float, int]]  # (depth, phase, shots) blocks
 
@@ -124,6 +125,56 @@ def _mass_below(theta: float, register_size: int, stop: int) -> float:
     return math.sin(0.5 * m_size * theta) ** 2 / (m_size * m_size) * csc_sum
 
 
+def _cumsum_from(carry: float, probs: np.ndarray) -> np.ndarray:
+    """``np.cumsum(probs)`` with the running sum started at ``carry`` instead of 0.
+
+    Each value has the bits of the one cumsum over the cells that summed
+    to ``carry`` followed by ``probs``, since it adds the same floats in the
+    same order.
+    """
+    if not carry:
+        return np.cumsum(probs)
+    sums = np.empty(probs.size + 1)
+    sums[0] = carry
+    sums[1:] = probs
+    return np.cumsum(sums, out=sums)[1:]
+
+
+def _blocks(theta: float, register_size: int, start: int, stop: int, upward: bool):
+    """(first readout, probabilities) of [start, stop) in BLOCK_CELLS-cell blocks, from start up or from stop down."""
+    if upward:
+        firsts = range(start, stop, BLOCK_CELLS)
+    else:
+        firsts = range(stop - BLOCK_CELLS, start - BLOCK_CELLS, -BLOCK_CELLS)
+    for first in firsts:
+        first, last = max(first, start), min(first + BLOCK_CELLS, stop)
+        yield first, qpea_outcome_distribution(theta, register_size, first, last)
+
+
+def _search_up(blocks, base: float, u: float, stop: int) -> int:
+    """First readout whose CDF, ``base`` plus the running sum of ``blocks`` from the bottom, exceeds u, or ``stop``."""
+    carry = 0.0
+    for first, probs in blocks:
+        sums = _cumsum_from(carry, probs)
+        k = int(np.searchsorted(base + sums, u, side="right"))
+        if k < probs.size:
+            return first + k
+        carry = float(sums[-1])
+    return stop
+
+
+def _search_down(blocks, u: float, start: int) -> int:
+    """First readout whose CDF, 1 less the running sum of ``blocks`` above it from the top, exceeds u, or ``start``."""
+    carry = 0.0
+    for first, probs in blocks:
+        tail = _cumsum_from(carry, probs[::-1])[::-1]
+        k = int(np.searchsorted(1.0 - (tail - probs), u, side="right"))
+        if k > 0:
+            return first + k
+        carry = float(tail[0])
+    return start
+
+
 def _readout(theta: float, register_size: int, u: float) -> int:
     """The smallest readout k whose index-ordered CDF exceeds u.
 
@@ -136,32 +187,40 @@ def _readout(theta: float, register_size: int, u: float) -> int:
     [b, M), summed up from index 0 and down from M - 1, and a register
     of at most 2 * HALF_WINDOW + 1 cells is all [b, M) with b = 0.  The
     unevaluated part holds at most about 2 / (pi^2 HALF_WINDOW) of the
-    mass; a draw that lands there evaluates it.
+    mass.  A draw that lands there walks it in blocks of BLOCK_CELLS
+    cells, up from its first cell or down from its last as its CDF is
+    summed, and stops at the block that holds u, so its memory does not
+    grow with the register.
     """
     m_size = 1 << register_size
     center = round((theta % TWO_PI) * m_size / TWO_PI) % m_size
     lo, hi = center - HALF_WINDOW, center + HALF_WINDOW + 1
-    cells = functools.cache(
-        lambda start, stop: qpea_outcome_distribution(theta, register_size, start, stop)
-    )
     if lo >= 0 and hi <= m_size:
         a, b = lo, hi
+        probs = qpea_outcome_distribution(theta, register_size, a, b)
         cdf_a = _mass_below(theta, register_size, a)
-        cdf_b = cdf_a + cells(a, b).sum()
+        cdf_b = cdf_a + probs.sum()
+        below = _blocks(theta, register_size, 0, a, upward=True)
+        middle = [(a, probs)]
+        above = _blocks(theta, register_size, b, m_size, upward=False)
     else:
         a, b = (0, 0) if m_size <= 2 * HALF_WINDOW + 1 else (hi % m_size, lo % m_size)
-        cdf_a = cells(0, a).sum()
-        cdf_b = 1.0 - cells(b, m_size).sum()
+        low = qpea_outcome_distribution(theta, register_size, 0, a)
+        high = qpea_outcome_distribution(theta, register_size, b, m_size)
+        cdf_a = low.sum()
+        cdf_b = 1.0 - high.sum()
+        below = [(0, low)]
+        middle = _blocks(theta, register_size, a, b, upward=True)
+        above = [(b, high)]
     if u < cdf_a:
-        start, cdf = 0, np.cumsum(cells(0, a))
+        k = _search_up(below, 0.0, u, a)
     elif u < cdf_b:
-        start, cdf = a, cdf_a + np.cumsum(cells(a, b))
+        k = _search_up(middle, cdf_a, u, b)
     else:
-        probs = cells(b, m_size)
-        start, cdf = b, 1.0 - (np.cumsum(probs[::-1])[::-1] - probs)
+        k = _search_down(above, u, b)
     # Rounding can leave u at or above the last CDF value summed upward; the
     # CDF at M - 1 is 1, as rng.choice makes it.
-    return min(start + int(np.searchsorted(cdf, u, side="right")), m_size - 1)
+    return min(k, m_size - 1)
 
 
 def run_qpea(

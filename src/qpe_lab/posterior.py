@@ -45,14 +45,24 @@ its resolution in place, giving each new midpoint the geometric mean of its
 neighbours (the midpoint of the log-weights), up to a hard memory cap.
 Restricting the work to the arc that holds the mass follows the nested
 intervals of Kimmel, Low & Yoder (PRA 92, 062315, 2015).
+
+The caches of window angles, of cos(n theta) and sin(n theta), and of each
+circuit's p0 hold arrays as long as the window, so each is bounded twice:
+by a number of entries and by the bytes of arrays it holds
+(ANGLES_CACHE_BYTES, TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES).  A miss
+evicts the least recently used entries until both bounds hold again, but
+never the entry it just built, so a window too large for the budget still
+finds its arrays on the next shot.  Memory thus follows the live window,
+not the largest grid the process has seen.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 
 import numpy as np
 
@@ -79,6 +89,11 @@ GUARD_CELLS = 2
 # clamp.  The margin 2**-32 is 2**15 times the error bound.  Only a larger
 # envelope (in practice e = 1, a noiseless circuit) can round p0 past 0 or 1.
 CLAMP_FREE_ENVELOPE = 1.0 - 2.0**-32
+# Bytes of arrays each per-grid cache may hold beside its entry count; the
+# entry built last is kept even when it alone is larger.
+ANGLES_CACHE_BYTES = 2 << 20
+TRIG_CACHE_BYTES = 4 << 20
+LIKELIHOOD_CACHE_BYTES = 2 << 20
 
 
 class GridTooCoarseError(ValueError):
@@ -132,7 +147,63 @@ class CircularInterval:
         return wrap_float(self.center + self.half_width)
 
 
-@lru_cache(maxsize=16)
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize", "maxbytes", "currbytes"])
+
+
+def _nbytes(value) -> int:
+    """Bytes of the arrays a cached value holds: a tuple of arrays, or anything with ``nbytes``."""
+    if type(value) is tuple:
+        return sum(item.nbytes for item in value)
+    return value.nbytes
+
+
+def _bounded_cache(maxsize: int, maxbytes: int):
+    """Least-recently-used memo of a function whose results hold arrays, bounded by entries and by bytes.
+
+    After a miss, the oldest entries go until at most ``maxsize`` entries
+    of at most ``maxbytes`` bytes (``_nbytes``) are left, but the entry the
+    miss built always stays.  Arguments are positional and hashable.  As
+    with ``functools.lru_cache``, the wrapper has ``cache_info()``,
+    ``cache_clear()`` and ``__wrapped__``.
+    """
+
+    def decorate(build):
+        entries = {}  # key -> (value, bytes), least recently used first
+        pop = entries.pop
+        hits = misses = held = 0
+
+        def cached(*key):
+            nonlocal hits, misses, held
+            entry = pop(key, None)
+            if entry is not None:
+                entries[key] = entry
+                hits += 1
+                return entry[0]
+            misses += 1
+            value = build(*key)
+            size = _nbytes(value)
+            entries[key] = value, size
+            held += size
+            while len(entries) > maxsize or (held > maxbytes and len(entries) > 1):
+                held -= pop(next(iter(entries)))[1]
+            return value
+
+        def cache_info() -> CacheInfo:
+            return CacheInfo(hits, misses, maxsize, len(entries), maxbytes, held)
+
+        def cache_clear() -> None:
+            nonlocal hits, misses, held
+            entries.clear()
+            hits = misses = held = 0
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return update_wrapper(cached, build)
+
+    return decorate
+
+
+@_bounded_cache(maxsize=16, maxbytes=ANGLES_CACHE_BYTES)
 def _grid_angles(grid_size: int, offset: int, length: int) -> np.ndarray:
     """Angles of the grid cells offset, ..., offset + length - 1 (mod grid_size)."""
     cells = (offset + np.arange(length)) % grid_size
@@ -141,7 +212,7 @@ def _grid_angles(grid_size: int, offset: int, length: int) -> np.ndarray:
     return angles
 
 
-@lru_cache(maxsize=64)
+@_bounded_cache(maxsize=64, maxbytes=TRIG_CACHE_BYTES)
 def _grid_trig(grid_size: int, depth: int, offset: int, length: int):
     arg = depth * _grid_angles(grid_size, offset, length)
     cos_n = np.cos(arg)
@@ -162,14 +233,18 @@ def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float, offset: 
 
 
 class _CircuitLikelihood:
-    """One circuit's per-cell p0, with q0 = 1 - p0 taken on first use."""
+    """One circuit's per-cell p0, with q0 = 1 - p0 taken on first use.
 
-    __slots__ = ("p0", "_q0")
+    ``nbytes`` counts both arrays, q0 before it is taken too.
+    """
+
+    __slots__ = ("p0", "_q0", "nbytes")
 
     def __init__(self, p0: np.ndarray):
         p0.setflags(write=False)
         self.p0 = p0
         self._q0 = None
+        self.nbytes = 2 * p0.nbytes
 
     def q0(self) -> np.ndarray:
         if self._q0 is None:
@@ -178,7 +253,7 @@ class _CircuitLikelihood:
         return self._q0
 
 
-@lru_cache(maxsize=8)
+@_bounded_cache(maxsize=8, maxbytes=LIKELIHOOD_CACHE_BYTES)
 def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
     """Per-cell outcome probabilities of one circuit on a window, in [0, 1] and cached.
 
@@ -385,10 +460,11 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
         misses = shots - x
         with np.errstate(divide="ignore"):
             lw = np.log(posterior.weights)
+            term = np.empty_like(lw)
             if x > 0:
-                lw += x * np.log(likelihood.p0)
+                lw += np.multiply(np.log(likelihood.p0, out=term), x, out=term)
             if misses > 0:
-                lw += misses * np.log(likelihood.q0())
+                lw += np.multiply(np.log(likelihood.q0(), out=term), misses, out=term)
         shift = lw.max()
         if math.isfinite(shift):
             lw -= shift

@@ -192,19 +192,42 @@ class TestQpeaReadoutMatchesTheFullTable:
                 assert baselines._mass_below(float(theta), m, stop) == pytest.approx(exact, rel=0, abs=1e-12)
 
     def test_common_path_evaluates_only_the_window(self, monkeypatch):
-        sizes = []
-        law = baselines.qpea_outcome_distribution
-
-        def recorded(theta, register_size, start=0, stop=None):
-            probs = law(theta, register_size, start, stop)
-            sizes.append(probs.size)
-            return probs
-
-        monkeypatch.setattr(baselines, "qpea_outcome_distribution", recorded)
+        sizes = record_evaluated_cells(monkeypatch)
         thetas = (0.0, 1.3, TWO_PI - 1e-4, -0.3, TWO_PI + 0.3)
         for theta in thetas:
             run_qpea((1 << 16) - 1, theta, SETTINGS, FixedUniform(0.5))
         assert sum(sizes) == len(thetas) * (2 * baselines.HALF_WINDOW + 1)
+
+    @pytest.mark.parametrize("m", [18, 20])
+    @pytest.mark.parametrize("where", ["inner", "near-zero", "near-two-pi"])
+    def test_draws_past_the_window_evaluate_one_block_at_a_time(self, monkeypatch, m, where):
+        m_size = 1 << m
+        peak = {"inner": m_size // 3, "near-zero": 1, "near-two-pi": m_size - 2}[where]
+        theta = TWO_PI * (peak + 0.37) / m_size
+        probs = qpea_outcome_distribution(theta, m)
+        cdf = np.cumsum(probs / probs.sum())
+        doubles = [float(cdf[k] - 0.5 * probs[k]) for k in cells_past_the_window(theta, m)]
+        want = [full_table_readout(theta, m, u) for u in doubles]
+        assert want == list(cells_past_the_window(theta, m))
+        sizes = record_evaluated_cells(monkeypatch)
+        got = [run_qpea(m_size - 1, theta, SETTINGS, FixedUniform(u)).estimate for u in doubles]
+        assert got == [TWO_PI * k / m_size for k in want]
+        assert max(sizes) <= baselines.BLOCK_CELLS
+        assert sum(sizes) > 2 * baselines.BLOCK_CELLS, "the draws walked many blocks"
+
+
+def record_evaluated_cells(monkeypatch) -> list[int]:
+    """Patch ``qpea_outcome_distribution`` to log the size of each table it returns."""
+    sizes = []
+    law = baselines.qpea_outcome_distribution
+
+    def recorded(theta, register_size, start=0, stop=None):
+        probs = law(theta, register_size, start, stop)
+        sizes.append(probs.size)
+        return probs
+
+    monkeypatch.setattr(baselines, "qpea_outcome_distribution", recorded)
+    return sizes
 
 
 def is_power_of_two(n: int) -> bool:
@@ -290,7 +313,8 @@ class TestRunNonadaptiveDoubling:
         try:
             res = run_nonadaptive_doubling(1 << 20, 1.3, SETTINGS, 1, np.random.default_rng(0))
         finally:
-            # The per-grid caches now hold about 0.5 GB of 2**22-cell arrays.
+            # Past their byte budgets the per-grid caches keep only their newest
+            # entries, here about 130 MB of 2**22-cell arrays; free those too.
             for cache in (posterior._grid_trig, posterior._log_prob_components, posterior._grid_angles):
                 cache.cache_clear()
         assert res.resources_spent == 1 << 20

@@ -1,7 +1,10 @@
+import gc
+import importlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,7 +19,7 @@ import qpe_lab.posterior as posterior_module
 from qpe_lab import adaptive
 from qpe_lab.adaptive import AlgorithmConfig, RunSettings
 from qpe_lab.angles import TWO_PI, wrap, wrap_float, wrapped_distance
-from qpe_lab.baselines import doubling_schedule
+from qpe_lab.baselines import doubling_schedule, run_nonadaptive_doubling
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, sample_outcome, success_probability
 from qpe_lab.posterior import (
     CLAMP_FREE_ENVELOPE,
@@ -47,8 +50,8 @@ from qpe_lab.posterior import (
     update,
 )
 from qpe_lab.posterior import (
-    _arc_runs, _arc_spans, _grid_angles, _grid_p0, _integrate, _log_prob_components, _refine_once, _trim,
-    _window_spans,
+    CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _integrate, _log_prob_components,
+    _nbytes, _refine_once, _trim, _window_spans,
 )
 
 NOISELESS = NoiseModel()
@@ -1159,13 +1162,115 @@ class TestWindow:
                 arrays = value if isinstance(value, tuple) else (getattr(value, "p0", value),)
                 built.extend(a.size for a in arrays)
                 return value
-            return lru_cache(maxsize=cached.cache_info().maxsize)(build)
+            info = cached.cache_info()
+            return _bounded_cache(info.maxsize, info.maxbytes)(build)
 
-        for name in ("_grid_angles", "_grid_trig", "_log_prob_components"):
+        for name in ARRAY_CACHES:
             monkeypatch.setattr(posterior_module, name, recording(getattr(posterior_module, name)))
         post, lengths = replay_doubling(1 << 20, seed, 2.0 + seed)
         assert max(built) <= max(RunSettings().grid_size, *lengths)
         assert max(lengths) < post.grid_size // 32
+
+
+ARRAY_CACHES = ("_grid_angles", "_grid_trig", "_log_prob_components")
+
+
+class TestByteBoundedCaches:
+    def array_cache(self, maxsize, maxbytes):
+        calls = []
+
+        def build(n):
+            calls.append(n)
+            return np.zeros(n)
+
+        return _bounded_cache(maxsize, maxbytes)(build), calls
+
+    def test_the_oldest_entries_go_first_once_the_bytes_run_over(self):
+        cached, calls = self.array_cache(8, 100 * 8)
+        for n in (40, 30, 20):
+            cached(n)
+        cached(40)  # now the most recently used
+        cached(25)  # 115 cells: 30, the least recently used, goes
+        assert cached.cache_info() == CacheInfo(1, 4, 8, 3, 800, (40 + 20 + 25) * 8)
+        cached(30)
+        assert calls == [40, 30, 20, 25, 30]
+
+    def test_the_entry_count_still_bounds_the_cache(self):
+        cached, calls = self.array_cache(2, 1 << 20)
+        for n in (1, 2, 3, 1):
+            cached(n)
+        assert calls == [1, 2, 3, 1]
+        assert cached.cache_info().currsize == 2
+
+    def test_an_entry_larger_than_the_budget_stays_until_the_next_miss(self):
+        cached, calls = self.array_cache(8, 100 * 8)
+        cached(10)
+        big = cached(1000)
+        assert cached.cache_info()[3:] == (1, 800, 8000)
+        assert cached(1000) is big
+        cached(10)
+        assert calls == [10, 1000, 10]
+        assert cached.cache_info()[3:] == (1, 800, 80)
+
+    def test_clear_empties_the_cache_and_its_counts(self):
+        cached, calls = self.array_cache(8, 800)
+        cached(10)
+        cached(10)
+        cached.cache_clear()
+        assert cached.cache_info() == CacheInfo(0, 0, 8, 0, 800, 0)
+        cached(10)
+        assert calls == [10, 10]
+
+    def test_a_likelihood_is_charged_for_p0_and_q0(self):
+        _log_prob_components.cache_clear()
+        likelihood = _log_prob_components(256, 3, 0.4, 1.0, 0, 256)
+        assert likelihood.nbytes == 2 * 256 * 8
+        assert _log_prob_components.cache_info().currbytes == likelihood.nbytes
+        assert likelihood.q0().nbytes + likelihood.p0.nbytes == likelihood.nbytes
+
+    def test_the_benchmark_reads_the_likelihood_cache_counts(self, monkeypatch):
+        # perfbench/layers.py derives the traced logprob-cache hit ratio from
+        # these two counts, and reads None, so a ratio of 0, if they go.
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        layers = importlib.import_module("layers")
+        _log_prob_components.cache_clear()
+        post = uniform_prior(256)
+        for outcome in (1.0, 0.0, 1.0):
+            update(post, MeasurementRecord(Circuit(2, 0.3), 1, outcome), NOISELESS)
+        info = _log_prob_components.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        assert layers.logprob_cache_info() == (2, 1)
+
+    def test_a_whole_grid_doubling_run_leaves_the_budgets_and_the_newest_entries(self, monkeypatch):
+        # One shot per depth leaves the posterior too broad to trim, so the
+        # grid refines whole to 2**22 cells; every array still held after the
+        # run is in the three caches.
+        newest = {}
+
+        def recording(name, cached):
+            def build(*args):
+                value = cached.__wrapped__(*args)
+                newest[name] = _nbytes(value)
+                return value
+            info = cached.cache_info()
+            assert isinstance(info.maxsize, int) and isinstance(info.maxbytes, int)
+            return _bounded_cache(info.maxsize, info.maxbytes)(build)
+
+        for name in ARRAY_CACHES:
+            monkeypatch.setattr(posterior_module, name, recording(name, getattr(posterior_module, name)))
+        tracemalloc.start()
+        try:
+            run_nonadaptive_doubling(1 << 20, 1.3, RunSettings(), 1, np.random.default_rng(0))
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        infos = {name: getattr(posterior_module, name).cache_info() for name in ARRAY_CACHES}
+        assert newest["_grid_trig"] == 2 * MAX_GRID_SIZE * 8, "the grid refined whole to the cap"
+        assert sum(info.maxbytes for info in infos.values()) < MAX_GRID_SIZE * 8, "budgets below one capped array"
+        for name, info in infos.items():
+            assert info.currbytes <= info.maxbytes + newest[name]
+        assert held <= sum(info.maxbytes + newest[name] for name, info in infos.items())
 
 
 def geometry_reads(post, iv):

@@ -50,6 +50,12 @@ def test_bench_layers_times_every_operation(monkeypatch):
     stats = bench.bench_runs(0.9, 256)
     assert stats["median_us"] > 0.0
     assert stats["calls"] == 2
+    monkeypatch.setattr(bench, "MEMORY_BUDGET", 1 << 12)
+    monkeypatch.setattr(bench, "MEMORY_REGISTER", 12)
+    memory = bench.bench_memory()
+    assert set(memory) == {"doubling_peak_bytes", "doubling_cache_bytes_after", "qpea_past_window_peak_bytes"}
+    assert 0 < memory["doubling_cache_bytes_after"] < memory["doubling_peak_bytes"]
+    assert memory["qpea_past_window_peak_bytes"] > 0
 
 
 def test_reproduce_error_scaling_quick_run(tmp_path):
