@@ -26,6 +26,11 @@ budgets of 2^16 and 2^20 with 32 shots per depth, its grid refining from
 circuit of depth 8192 runs on a posterior that a depth-8192 record has
 just refined from 4096 to 262144 cells; it starts from the depth-128 bump.
 
+One row times ``harness.run_cell`` of a classical cell at N = 2^20, the
+cell that sets ``baseline-sweep``'s ``run_s_p50``: two batch updates on the
+4096-cell grid, the mode, and its expected loss, which rebuilds the
+window's angles once.  Each call is a new true phase and seed.
+
 Two more rows time whole adaptive runs, each the CPU time of 8 seeded
 ``run()`` calls (seed s at theta = 2*pi*frac(0.618034*s)): at beta = 0.9
 and N = 4096, where every shot is a single-shot update on the fixed
@@ -69,6 +74,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from qpe_lab import posterior  # noqa: E402
 from qpe_lab.adaptive import AlgorithmConfig, RunSettings, run  # noqa: E402
 from qpe_lab.baselines import HALF_WINDOW, qpea_outcome_distribution, run_nonadaptive_doubling, run_qpea  # noqa: E402
+from qpe_lab.harness import SweepConfig, run_cell  # noqa: E402
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, tuned_circuit  # noqa: E402
 from qpe_lab.posterior import (  # noqa: E402
     CircularInterval,
@@ -90,12 +96,14 @@ QPEA_CALLS = {12: 200, 16: 100, 20: 20}
 DOUBLING_CALLS = {16: 100, 20: 20}
 # The refined-grid row: initial grid, record depth and update calls.
 REFINED_GRID, REFINED_DEPTH, REFINED_CALLS = 4096, 8192, 500
+# The classical-cell row: its budget and the cells timed.
+CLASSICAL_BUDGET, CLASSICAL_CALLS = 1 << 20, 200
 # The whole-run rows: (decay beta, budget) and seeded runs per row.
 RUNS = ((0.9, 1 << 12), (1.0, 1 << 16))
 RUN_CALLS = 8
 # The memory rows: the doubling run's budget and its theta, and the qpea register size.
 MEMORY_BUDGET, MEMORY_THETA, MEMORY_REGISTER = 1 << 20, 1.3, 20
-ARRAY_CACHES = ("_grid_angles", "_grid_trig", "_log_prob_components")
+ARRAY_CACHES = ("_grid_trig", "_log_prob_components")
 THETA = 2.2
 NOISE = NoiseModel()
 NOISY = NoiseModel(1.0, 0.9)
@@ -201,6 +209,20 @@ def bench_refined_update() -> dict:
     return {"grid_size": post.grid_size, "depth": REFINED_DEPTH, "update_cached": report}
 
 
+def bench_classical_cell() -> dict:
+    config = SweepConfig(
+        strategies=("classical",), resource_ladder=(CLASSICAL_BUDGET,), theta_count=CLASSICAL_CALLS, repetitions=1
+    )
+    samples = []
+    for theta_index in range(CLASSICAL_CALLS):
+        t0 = time.perf_counter_ns()
+        cell = run_cell(config, "classical", CLASSICAL_BUDGET, theta_index, 0)
+        samples.append(time.perf_counter_ns() - t0)
+        if cell.error is not None:
+            raise RuntimeError(f"classical cell {theta_index} failed: {cell.error}")
+    return summary(samples)
+
+
 def bench_runs(beta: float, n_tot: int) -> dict:
     samples = []
     for seed in range(RUN_CALLS):
@@ -290,6 +312,7 @@ def main(argv) -> int:
         "run_qpea": {str(m): bench_qpea(m) for m in QPEA_CALLS},
         "run_nonadaptive_doubling": {str(m): bench_doubling(m) for m in DOUBLING_CALLS},
         "refined_update": bench_refined_update(),
+        "classical_cell": bench_classical_cell(),
         "run": {f"beta={beta} N={n_tot}": bench_runs(beta, n_tot) for beta, n_tot in RUNS},
         "memory": bench_memory(),
     }
@@ -309,6 +332,9 @@ def main(argv) -> int:
     refined = report["refined_update"]
     stats = refined["update_cached"]
     print(f"G={refined['grid_size']:>6} {'update_cached (refined)':<26} {stats['median_us']:9.1f} us median  "
+          f"{stats['mean_us']:9.1f} us mean")
+    stats = report["classical_cell"]
+    print(f"N=2^{CLASSICAL_BUDGET.bit_length() - 1:<4} {'run_cell classical':<26} {stats['median_us']:9.1f} us median  "
           f"{stats['mean_us']:9.1f} us mean")
     for name, stats in report["run"].items():
         print(f"{name:<15} {'run (CPU time)':<26} {stats['median_us']:9.1f} us median  "

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import signed_gap, wrapped_distance
+from .angles import check_true_phase, signed_gap, wrapped_distance
 from .model import Circuit, MeasurementRecord, NoiseModel, optimal_depth, sample_outcome, tuned_circuit
 from .posterior import (
     CircularInterval,
@@ -69,8 +69,8 @@ class RunSettings:
     def __post_init__(self):
         if self.depth_limit < 1:
             raise ValueError(f"depth_limit must be >= 1, got {self.depth_limit}")
-        if self.epsilon_exponent < 0:
-            raise ValueError(f"epsilon_exponent must be >= 0, got {self.epsilon_exponent}")
+        if not 0.0 <= self.epsilon_exponent < math.inf:
+            raise ValueError(f"epsilon_exponent must be finite and >= 0, got {self.epsilon_exponent}")
         if not 0.0 < self.epsilon_scale <= 1.0:
             raise ValueError(f"epsilon_scale must be in (0, 1], got {self.epsilon_scale}")
         if self.estimator not in ESTIMATORS:
@@ -202,6 +202,7 @@ def max_shots_for_step(step_index: int, config: AlgorithmConfig) -> int:
 
 def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     """Execute one adaptive estimation and return its full trace."""
+    check_true_phase(theta_true)
     rng = np.random.default_rng(config.seed)
     posterior = uniform_prior(config.grid_size)
     noise = config.noise

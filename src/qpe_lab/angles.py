@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -24,6 +26,12 @@ def wrap_float(theta) -> float:
     """
     theta = float(theta)
     return (theta % TWO_PI) % TWO_PI
+
+
+def check_true_phase(theta_true: float) -> None:
+    """Raise ValueError unless the true phase a runner simulates is a finite number."""
+    if not math.isfinite(theta_true):
+        raise ValueError(f"theta_true must be finite, got {theta_true}")
 
 
 def signed_gap(a, b):

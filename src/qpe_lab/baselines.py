@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI
+from .angles import TWO_PI, check_true_phase
 from .model import (
     Circuit,
     MeasurementRecord,
@@ -233,6 +233,7 @@ def run_qpea(
     """
     if total_resources < 1:
         raise InsufficientResourcesError(f"budget {total_resources} cannot pay one register application")
+    check_true_phase(theta_true)
     noise = settings.noise
     if not noise.noiseless:
         raise ValueError(
@@ -266,6 +267,7 @@ def _probe_pair(depth: int, shots: int) -> Schedule:
 
 def _run_schedule(blocks: Schedule, theta_true, settings: RunSettings, rng) -> BaselineResult:
     """Fold each block's sample into a flat prior and score the mode."""
+    check_true_phase(theta_true)
     noise = settings.noise
     posterior = uniform_prior(settings.grid_size)
     for depth, phase, shots in blocks:

@@ -46,14 +46,17 @@ neighbours (the midpoint of the log-weights), up to a hard memory cap.
 Restricting the work to the arc that holds the mass follows the nested
 intervals of Kimmel, Low & Yoder (PRA 92, 062315, 2015).
 
-The caches of window angles, of cos(n theta) and sin(n theta), and of each
-circuit's p0 hold arrays as long as the window, so each is bounded twice:
-by a number of entries and by the bytes of arrays it holds
-(ANGLES_CACHE_BYTES, TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES).  A miss
-evicts the least recently used entries until both bounds hold again, but
-never the entry it just built, so a window too large for the budget still
-finds its arrays on the next shot.  Memory thus follows the live window,
-not the largest grid the process has seen.
+Two caches hold window arrays, each value a pair of read-only arrays as
+long as the window: ``_grid_trig`` keeps cos(n theta) and sin(n theta) per
+depth, and ``_log_prob_components`` each circuit's p0 and q0 = 1 - p0.
+Each is bounded by a number of entries and by the bytes it holds
+(TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES).  A miss evicts the least
+recently used entries until both bounds hold again, but never the entry it
+just built, so a window too large for the budget still finds its arrays on
+the next shot.  Memory thus follows the live window, not the largest grid
+the process has seen.  The window's angles are rebuilt on each read, in a
+few microseconds at 4096 cells: only trig misses and the loss reads need
+them, and a cache of them held one more window-sized array per grid.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ GUARD_CELLS = 2
 CLAMP_FREE_ENVELOPE = 1.0 - 2.0**-32
 # Bytes of arrays each per-grid cache may hold beside its entry count; the
 # entry built last is kept even when it alone is larger.
-ANGLES_CACHE_BYTES = 2 << 20
 TRIG_CACHE_BYTES = 4 << 20
 LIKELIHOOD_CACHE_BYTES = 2 << 20
 
@@ -150,15 +152,13 @@ class CircularInterval:
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize", "maxbytes", "currbytes"])
 
 
-def _nbytes(value) -> int:
-    """Bytes of the arrays a cached value holds: a tuple of arrays, or anything with ``nbytes``."""
-    if type(value) is tuple:
-        return sum(item.nbytes for item in value)
-    return value.nbytes
+def _nbytes(pair) -> int:
+    """Bytes of the two arrays a cached value holds."""
+    return sum(array.nbytes for array in pair)
 
 
 def _bounded_cache(maxsize: int, maxbytes: int):
-    """Least-recently-used memo of a function whose results hold arrays, bounded by entries and by bytes.
+    """Least-recently-used memo of a function that returns a pair of arrays, bounded by entries and by bytes.
 
     After a miss, the oldest entries go until at most ``maxsize`` entries
     of at most ``maxbytes`` bytes (``_nbytes``) are left, but the entry the
@@ -203,18 +203,22 @@ def _bounded_cache(maxsize: int, maxbytes: int):
     return decorate
 
 
-@_bounded_cache(maxsize=16, maxbytes=ANGLES_CACHE_BYTES)
 def _grid_angles(grid_size: int, offset: int, length: int) -> np.ndarray:
-    """Angles of the grid cells offset, ..., offset + length - 1 (mod grid_size)."""
-    cells = (offset + np.arange(length)) % grid_size
-    angles = cells * (TWO_PI / grid_size)
-    angles.setflags(write=False)
+    """Angles of the grid cells offset, ..., offset + length - 1 (mod grid_size), built anew.
+
+    The cell numbers are exact in floats, so wrapping them past the seam by
+    one subtraction gives the bits of the integer ``% grid_size``.
+    """
+    angles = np.arange(offset, offset + length, dtype=float)
+    angles[grid_size - offset:] -= grid_size
+    angles *= TWO_PI / grid_size
     return angles
 
 
 @_bounded_cache(maxsize=64, maxbytes=TRIG_CACHE_BYTES)
 def _grid_trig(grid_size: int, depth: int, offset: int, length: int):
-    arg = depth * _grid_angles(grid_size, offset, length)
+    arg = _grid_angles(grid_size, offset, length)
+    arg *= depth
     cos_n = np.cos(arg)
     sin_n = np.sin(arg)
     cos_n.setflags(write=False)
@@ -232,33 +236,12 @@ def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float, offset: 
     return p0
 
 
-class _CircuitLikelihood:
-    """One circuit's per-cell p0, with q0 = 1 - p0 taken on first use.
-
-    ``nbytes`` counts both arrays, q0 before it is taken too.
-    """
-
-    __slots__ = ("p0", "_q0", "nbytes")
-
-    def __init__(self, p0: np.ndarray):
-        p0.setflags(write=False)
-        self.p0 = p0
-        self._q0 = None
-        self.nbytes = 2 * p0.nbytes
-
-    def q0(self) -> np.ndarray:
-        if self._q0 is None:
-            self._q0 = 1.0 - self.p0
-            self._q0.setflags(write=False)
-        return self._q0
-
-
 @_bounded_cache(maxsize=8, maxbytes=LIKELIHOOD_CACHE_BYTES)
 def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
-    """Per-cell outcome probabilities of one circuit on a window, in [0, 1] and cached.
+    """Per-cell outcome probabilities (p0, q0 = 1 - p0) of one circuit on a window, in [0, 1] and cached.
 
     Gated sampling phases hammer the same circuit for tens of shots; caching
-    p0 (and 1 - p0) makes each such update one multiply and one sum.  The
+    p0 and q0 makes each such update one multiply and one sum.  The
     key holds the circuit's envelope, ``NoiseModel.contrast``, so noise
     models of one envelope share an entry.  p0 is clamped to [0, 1] only
     above CLAMP_FREE_ENVELOPE, where rounding can push it out; below, the
@@ -268,7 +251,10 @@ def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: flo
     if envelope > CLAMP_FREE_ENVELOPE:
         np.minimum(p0, 1.0, out=p0)
         np.maximum(p0, 0.0, out=p0)
-    return _CircuitLikelihood(p0)
+    q0 = 1.0 - p0
+    p0.setflags(write=False)
+    q0.setflags(write=False)
+    return p0, q0
 
 
 @dataclass(eq=False)
@@ -422,8 +408,8 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
     return posterior
 
 
-def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -> _CircuitLikelihood:
-    """Refine the grid in place to resolve ``circuit``, then look up its cached p0."""
+def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the grid in place to resolve ``circuit``, then look up its cached (p0, q0)."""
     depth = circuit.depth
     if posterior.grid_size < required_grid_size(depth) or depth > MAX_DEPTH:
         ensure_resolution(posterior, depth)
@@ -446,9 +432,9 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     """
     shots, x = record.shots, record.successes
     if shots == 1 and (x == 1.0 or x == 0.0):
-        likelihood = _likelihood(posterior, record.circuit, noise)
+        p0, q0 = _likelihood(posterior, record.circuit, noise)
         w = posterior.weights
-        w *= likelihood.p0 if x == 1.0 else likelihood.q0()
+        w *= p0 if x == 1.0 else q0
         total = float(w.sum())
         if total >= RESCALE_FLOOR:
             posterior.total = total
@@ -456,15 +442,15 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     elif shots == 0:
         return posterior
     else:
-        likelihood = _likelihood(posterior, record.circuit, noise)
+        p0, q0 = _likelihood(posterior, record.circuit, noise)
         misses = shots - x
         with np.errstate(divide="ignore"):
             lw = np.log(posterior.weights)
             term = np.empty_like(lw)
             if x > 0:
-                lw += np.multiply(np.log(likelihood.p0, out=term), x, out=term)
+                lw += np.multiply(np.log(p0, out=term), x, out=term)
             if misses > 0:
-                lw += np.multiply(np.log(likelihood.q0(), out=term), misses, out=term)
+                lw += np.multiply(np.log(q0, out=term), misses, out=term)
         shift = lw.max()
         if math.isfinite(shift):
             lw -= shift
@@ -687,10 +673,10 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
 def circular_mean_estimate(posterior: GridPosterior) -> float:
     """Argument of the posterior's resultant vector E[exp(i theta)]."""
     d = posterior.density
-    angles = posterior.angles
+    cos_1, sin_1 = _grid_trig(posterior.grid_size, 1, posterior.offset, d.size)
     h = posterior.cell_width
-    re = float((d * np.cos(angles)).sum()) * h
-    im = float((d * np.sin(angles)).sum()) * h
+    re = float((d * cos_1).sum()) * h
+    im = float((d * sin_1).sum()) * h
     if math.hypot(re, im) <= 1e-12:
         raise UndefinedMeanError(
             f"resultant length {math.hypot(re, im):.3e} leaves the circular mean undefined"
@@ -713,7 +699,7 @@ def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, nois
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    p0 = _likelihood(posterior, circuit, noise).p0
+    p0, _ = _likelihood(posterior, circuit, noise)
     mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
     return min(max(shots * mean_p, 0.0), float(shots))
 

@@ -34,6 +34,8 @@ class TestAlgorithmConfig:
         [
             {"depth_limit": 0},
             {"epsilon_exponent": -1.0},
+            {"epsilon_exponent": math.nan},
+            {"epsilon_exponent": math.inf},
             {"epsilon_scale": 0.0},
             {"epsilon_scale": 1.5},
             {"estimator": "mode"},

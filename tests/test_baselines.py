@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qpe_lab.baselines as baselines
 import qpe_lab.posterior as posterior
-from qpe_lab.adaptive import RunSettings
+from qpe_lab.adaptive import AlgorithmConfig, RunSettings, run
 from qpe_lab.angles import TWO_PI, signed_gap, wrapped_distance
 from qpe_lab.baselines import (
     InfeasibleBoundError,
@@ -315,7 +315,7 @@ class TestRunNonadaptiveDoubling:
         finally:
             # Past their byte budgets the per-grid caches keep only their newest
             # entries, here about 130 MB of 2**22-cell arrays; free those too.
-            for cache in (posterior._grid_trig, posterior._log_prob_components, posterior._grid_angles):
+            for cache in (posterior._grid_trig, posterior._log_prob_components):
                 cache.cache_clear()
         assert res.resources_spent == 1 << 20
         assert res.max_depth == posterior.MAX_DEPTH == 1 << 17
@@ -360,6 +360,21 @@ class TestRunClassical:
                 for _ in range(20)
             ]
             assert abs(np.mean(gaps)) < 0.05
+
+
+RUNNERS = {
+    "adaptive": lambda theta: run(AlgorithmConfig(total_resources=64), theta),
+    "classical": lambda theta: run_classical(64, theta, SETTINGS, np.random.default_rng(0)),
+    "nonadaptive-doubling": lambda theta: run_nonadaptive_doubling(64, theta, SETTINGS, 1, np.random.default_rng(0)),
+    "qpea": lambda theta: run_qpea(63, theta, SETTINGS, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_every_runner_rejects_a_non_finite_true_phase(runner, theta):
+    with pytest.raises(ValueError, match=f"^theta_true must be finite, got {theta}$"):
+        RUNNERS[runner](theta)
 
 
 class TestLimitCurves:

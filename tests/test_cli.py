@@ -14,7 +14,9 @@ from qpe_lab.posterior import LossKind
 
 # Invalid values of the depth cap and confidence schedule flags that
 # ``run``, ``sweep`` and ``bounds`` share.
-SCHEDULE_FLAGS = [("--epsilon-scale", "2"), ("--epsilon-exponent", "-1"), ("--depth-limit", "0")]
+SCHEDULE_FLAGS = [
+    ("--epsilon-scale", "2"), ("--epsilon-exponent", "-1"), ("--epsilon-exponent", "nan"), ("--depth-limit", "0"),
+]
 
 
 def run_cli(*argv):
@@ -88,6 +90,12 @@ class TestRunCommand:
         )
         assert code == 1
         assert "qpe-lab: error:" in capsys.readouterr().err
+
+    def test_a_non_finite_true_phase_is_a_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run_cli("run", "--n-tot", "64", "--theta", "nan", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "qpe-lab: error: theta_true must be finite, got nan\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -251,6 +259,13 @@ class TestBoundsCommand:
         assert code == 0
         assert out.read_text().splitlines()[0] == "n_tot,step_count,mae_bound,mse_bound"
         assert f"wrote {out}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_epsilon_exponent_is_rejected(self, capsys, value):
+        assert run_cli("bounds", "--ladder", "4096", "--epsilon-exponent", value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qpe-lab: error: epsilon_exponent must be finite and >= 0, got {value}\n"
 
     def test_fixed_step_count_is_honoured(self, capsys):
         code = run_cli("bounds", "--ladder", "4096", "--steps", "4")

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -728,7 +728,7 @@ class TestUpdatePaths:
         circuit = Circuit(1, 0.77)
         _log_prob_components.cache_clear()
         p0 = [
-            posterior_module._likelihood(uniform_prior(256), circuit, noise).p0
+            posterior_module._likelihood(uniform_prior(256), circuit, noise)[0]
             for noise in (NoiseModel(0.9, 1.0), NoiseModel(1.0, 0.9))
         ]
         info = _log_prob_components.cache_info()
@@ -911,7 +911,7 @@ class TestClampFreeEnvelope:
         raw = _grid_p0(grid_size, depth, phase, envelope, offset, length)
         assert 0.0 <= raw.min() and raw.max() <= 1.0
         np.testing.assert_array_equal(np.clip(raw, 0.0, 1.0), raw)
-        cached = _log_prob_components(grid_size, depth, phase, envelope, offset, length).p0
+        cached, _ = _log_prob_components(grid_size, depth, phase, envelope, offset, length)
         np.testing.assert_array_equal(cached, raw)
 
 
@@ -1159,8 +1159,7 @@ class TestWindow:
         def recording(cached):
             def build(*args):
                 value = cached.__wrapped__(*args)
-                arrays = value if isinstance(value, tuple) else (getattr(value, "p0", value),)
-                built.extend(a.size for a in arrays)
+                built.extend(a.size for a in value)
                 return value
             info = cached.cache_info()
             return _bounded_cache(info.maxsize, info.maxbytes)(build)
@@ -1172,7 +1171,7 @@ class TestWindow:
         assert max(lengths) < post.grid_size // 32
 
 
-ARRAY_CACHES = ("_grid_angles", "_grid_trig", "_log_prob_components")
+ARRAY_CACHES = ("_grid_trig", "_log_prob_components")
 
 
 class TestByteBoundedCaches:
@@ -1180,8 +1179,9 @@ class TestByteBoundedCaches:
         calls = []
 
         def build(n):
+            # A pair of arrays, as the posterior's caches hold, of n cells in all.
             calls.append(n)
-            return np.zeros(n)
+            return np.zeros(n), np.zeros(0)
 
         return _bounded_cache(maxsize, maxbytes)(build), calls
 
@@ -1223,10 +1223,10 @@ class TestByteBoundedCaches:
 
     def test_a_likelihood_is_charged_for_p0_and_q0(self):
         _log_prob_components.cache_clear()
-        likelihood = _log_prob_components(256, 3, 0.4, 1.0, 0, 256)
-        assert likelihood.nbytes == 2 * 256 * 8
-        assert _log_prob_components.cache_info().currbytes == likelihood.nbytes
-        assert likelihood.q0().nbytes + likelihood.p0.nbytes == likelihood.nbytes
+        p0, q0 = _log_prob_components(256, 3, 0.4, 1.0, 0, 256)
+        assert _log_prob_components.cache_info().currbytes == p0.nbytes + q0.nbytes == 2 * 256 * 8
+        assert not p0.flags.writeable and not q0.flags.writeable
+        assert q0.tobytes() == (1.0 - p0).tobytes()
 
     def test_the_benchmark_reads_the_likelihood_cache_counts(self, monkeypatch):
         # perfbench/layers.py derives the traced logprob-cache hit ratio from
@@ -1244,7 +1244,7 @@ class TestByteBoundedCaches:
     def test_a_whole_grid_doubling_run_leaves_the_budgets_and_the_newest_entries(self, monkeypatch):
         # One shot per depth leaves the posterior too broad to trim, so the
         # grid refines whole to 2**22 cells; every array still held after the
-        # run is in the three caches.
+        # run is in the two caches.
         newest = {}
 
         def recording(name, cached):
@@ -1271,6 +1271,33 @@ class TestByteBoundedCaches:
         for name, info in infos.items():
             assert info.currbytes <= info.maxbytes + newest[name]
         assert held <= sum(info.maxbytes + newest[name] for name, info in infos.items())
+
+
+class TestRebuiltAngles:
+    @given(grid_log2=st.integers(6, 18), start=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    @example(grid_log2=6, start=0.0, share=1.0)
+    @example(grid_log2=12, start=0.5, share=1.0)
+    @example(grid_log2=12, start=0.9, share=0.3)
+    @settings(max_examples=300, deadline=None)
+    def test_angles_equal_the_integer_cell_formula_bit_for_bit(self, grid_log2, start, share):
+        # Offset 0, windows across the seam and whole grids rotated to any offset.
+        g = 1 << grid_log2
+        offset, length = int(start * g), 1 + int(share * (g - 1))
+        want = ((offset + np.arange(length)) % g) * (TWO_PI / g)
+        assert _grid_angles(g, offset, length).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_circular_mean_equals_the_cosines_of_the_angles_bit_for_bit(self, trimmed):
+        post = von_mises_posterior(0.01, 4000.0)
+        if trimmed:
+            _trim(post)
+            assert post.offset + post.weights.size > post.grid_size, "the window crosses the seam"
+        g, d, h = post.grid_size, post.density, post.cell_width
+        angles = ((post.offset + np.arange(d.size)) % g) * (TWO_PI / g)
+        re = float((d * np.cos(angles)).sum()) * h
+        im = float((d * np.sin(angles)).sum()) * h
+        assert circular_mean_estimate(post) == float(wrap(math.atan2(im, re)))
 
 
 def geometry_reads(post, iv):

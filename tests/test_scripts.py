@@ -46,6 +46,10 @@ def test_bench_layers_times_every_operation(monkeypatch):
     assert (refined["grid_size"], refined["depth"]) == (262144, 8192)
     assert refined["update_cached"]["median_us"] > 0.0
     assert refined["update_cached"]["calls"] == 5
+    monkeypatch.setattr(bench, "CLASSICAL_CALLS", 2)
+    stats = bench.bench_classical_cell()
+    assert stats["median_us"] > 0.0
+    assert stats["calls"] == 2
     monkeypatch.setattr(bench, "RUN_CALLS", 2)
     stats = bench.bench_runs(0.9, 256)
     assert stats["median_us"] > 0.0
