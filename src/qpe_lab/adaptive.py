@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import check_true_phase, signed_gap, wrapped_distance
-from .model import Circuit, MeasurementRecord, NoiseModel, optimal_depth, sample_outcome, tuned_circuit
+from .model import Circuit, NoiseModel, optimal_depth, sample_shots, tuned_circuit, tuned_phase
 from .posterior import (
     CircularInterval,
     GridPosterior,
@@ -42,7 +42,7 @@ from .posterior import (
     mass_outside,
     predict_loss,
     uniform_prior,
-    update,
+    update_shot,
 )
 
 ESTIMATORS = ("map", "circular-mean")
@@ -93,7 +93,16 @@ class AlgorithmConfig(RunSettings):
     def __post_init__(self):
         if self.total_resources < 2:
             raise ValueError(f"total_resources must be >= 2, got {self.total_resources}")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         super().__post_init__()
+        # The allowance grows with depth, so depth 1 holds the smallest.
+        if not required_confidence(1, self) > 0.0:
+            raise ValueError(
+                f"epsilon_scale * (1 / total_resources) ** epsilon_exponent underflows to 0 at "
+                f"epsilon_scale={self.epsilon_scale}, epsilon_exponent={self.epsilon_exponent}, "
+                f"total_resources={self.total_resources}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,8 +185,14 @@ def chernoff_shot_budget(eps_now: float, eps_prev: float, depth: int, noise: Noi
     """Raw Chernoff shot count for one gated rung (may be <= 0).
 
     Passing eps_prev = 2 disables the credit for the previous rung, which
-    is how the first rung is handled.
+    is how the first rung is handled.  An allowance that underflowed to 0
+    raises ValueError.
     """
+    if not (eps_now > 0.0 and eps_prev > 0.0):
+        raise ValueError(
+            f"the confidence allowance underflowed to 0 (eps_now={eps_now}, eps_prev={eps_prev}); "
+            f"lower epsilon_exponent or raise epsilon_scale"
+        )
     bracket = math.log(2.0 / eps_now) - 0.25 * math.log(2.0 / eps_prev)
     scale = 32.0 / (math.pi**2 * noise.alpha**2 * noise.beta ** (2 * depth))
     return scale * bracket
@@ -208,21 +223,30 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     noise = config.noise
     kind = config.loss_kind
     budget = config.total_resources
-    tallies: dict[Circuit, list[int]] = {}
+    tallies: dict[tuple[int, float], list[int]] = {}
     steps: list[StepRecord] = []
 
     def sample(
         depth: int,
-        circuit_for: Callable[[int], Circuit],
+        phases: tuple[float, ...] | Callable[[int], float],
         gate: Callable[[int], bool] = lambda shots: False,
         shot_cap: int | None = None,
     ) -> tuple[int, int, bool, bool]:
-        """Fire ``circuit_for(shots)`` one shot at a time; return (shots, successes, gate_passed, cap_hit).
+        """Fire depth-``depth`` circuits one shot at a time; return (shots, successes, gate_passed, cap_hit).
 
-        Before each shot it stops if ``gate(shots)`` passes, then if
-        ``shot_cap`` shots are spent, then if the budget cannot pay for depth.
+        ``phases`` is either a tuple of wrapped phases, fired in turn, or a
+        function of the shots fired so far that retunes the phase for every
+        shot.  The circuit stays two scalars, (depth, phase), which also key
+        the tallies; ``Circuit`` objects are built once per trace, for the
+        step records and ``wall_outcome_counts``.  A fixed phase repeats, so
+        the posterior caches its likelihood; a retuned one never does, so
+        its likelihood is built anew.  Before each shot it stops if
+        ``gate(shots)`` passes, then if ``shot_cap`` shots are spent, then
+        if the budget cannot pay for depth.
         """
         nonlocal budget
+        retuned = callable(phases)
+        envelope = noise.contrast(depth)
         shots = successes = 0
         while True:
             if gate(shots):
@@ -231,11 +255,11 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
                 return shots, successes, False, True
             if budget < depth:
                 return shots, successes, False, False
-            circuit = circuit_for(shots)
-            outcome = sample_outcome(circuit, 1, theta_true, noise, rng)
-            update(posterior, MeasurementRecord(circuit, 1, outcome), noise)
+            phase = phases(shots) if retuned else phases[shots % len(phases)]
+            outcome = sample_shots(depth, phase, envelope, 1, theta_true, rng)
+            update_shot(posterior, depth, phase, envelope, outcome, cache=not retuned)
             budget -= depth
-            tally = tallies.setdefault(circuit, [0, 0])
+            tally = tallies.setdefault((depth, phase), [0, 0])
             tally[0] += 1
             tally[1] += outcome
             shots += 1
@@ -268,7 +292,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             decision = "deepen" if loss_deepen < loss_stay else tie
         return decision, loss_stay, loss_deepen
 
-    probes = (Circuit(1, 0.0), Circuit(1, np.pi / 4.0))
+    probes = (0.0, np.pi / 4.0)
     n2 = next_depth(2, config)
     eps1 = required_confidence(next_depth(1, config), config)
     interval = None
@@ -283,12 +307,14 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
 
     # Step 1: alternate the two probes until only eps1 of the mass is left
     # outside.  Ties deepen; a stay leaves the rest to the closer below.
-    _, _, gate_passed, _ = sample(1, lambda shots: probes[shots % 2], step_one_gate)
+    _, _, gate_passed, _ = sample(1, probes, step_one_gate)
     conf1 = confidence(posterior, interval)
     decision, loss_stay, loss_deepen = decide(1, n2, interval, "deepen", gate_passed)
     for probe in probes:
-        shots, successes = tallies.get(probe, (0, 0))
-        steps.append(StepRecord(1, probe, shots, successes, interval, conf1, loss_stay, loss_deepen, decision))
+        shots, successes = tallies.get((1, probe), (0, 0))
+        steps.append(
+            StepRecord(1, Circuit(1, probe), shots, successes, interval, conf1, loss_stay, loss_deepen, decision)
+        )
 
     # Each rung samples until its gate passes or its shot cap is spent, then
     # chooses.  A tie stays, and so does a saturated ladder whose gate passed
@@ -301,12 +327,12 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             break
         deeper = next_depth(step_index + 1, config)
         current = choose_center(map_estimate(posterior, within=interval), interval, deeper, step_index)
-        circuit = tuned_circuit(depth, current.center)
+        phase = tuned_phase(depth, current.center)
         eps = required_confidence(depth, config)
         cap = max_shots_for_step(step_index, config)
         shots, successes, gate_passed, cap_hit = sample(
             depth,
-            lambda shots: circuit,
+            (phase,),
             lambda shots: mass_outside(posterior, current) <= eps,
             2 * cap if cap > 0 else None,
         )
@@ -315,13 +341,13 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         )
         if decision == "stay":
             more, more_successes, _, _ = sample(
-                depth, lambda shots: tuned_circuit(depth, map_estimate(posterior, within=current))
+                depth, lambda shots: tuned_phase(depth, map_estimate(posterior, within=current))
             )
             shots += more
             successes += more_successes
         steps.append(
             StepRecord(
-                step_index, circuit, shots, successes, current, confidence(posterior, current),
+                step_index, Circuit(depth, phase), shots, successes, current, confidence(posterior, current),
                 loss_stay, loss_deepen, decision, cap_hit,
             )
         )
@@ -330,10 +356,12 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
 
     # The closer: what is left goes to one unit-depth circuit at the running estimate.
     if budget >= 1:
-        closer = tuned_circuit(1, map_estimate(posterior, within=interval))
-        shots, successes, _, _ = sample(1, lambda shots: closer)
+        phase = tuned_phase(1, map_estimate(posterior, within=interval))
+        shots, successes, _, _ = sample(1, (phase,))
         steps.append(
-            StepRecord(steps[-1].step_index + 1, closer, shots, successes, interval, confidence(posterior, interval))
+            StepRecord(
+                steps[-1].step_index + 1, Circuit(1, phase), shots, successes, interval, confidence(posterior, interval)
+            )
         )
 
     final_estimate = None
@@ -351,7 +379,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         resources_spent=config.total_resources - budget,
         final_estimate=final_estimate,
         final_expected_loss=expected_loss(posterior, final_estimate, kind),
-        wall_outcome_counts={c: (s, x) for c, (s, x) in tallies.items()},
+        wall_outcome_counts={Circuit(d, p): (s, x) for (d, p), (s, x) in tallies.items()},
     )
 
 

@@ -140,7 +140,19 @@ def sample_outcome(
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots == 0:
         return 0
-    p0 = 0.5 + 0.5 * noise.contrast(circuit.depth) * math.cos(circuit.depth * theta_true + circuit.phase)
+    depth = circuit.depth
+    return sample_shots(depth, circuit.phase, noise.contrast(depth), shots, theta_true, rng)
+
+
+def sample_shots(
+    depth: int, phase: float, envelope: float, shots: int, theta_true: float, rng: np.random.Generator
+) -> int:
+    """``sample_outcome`` of the circuit (depth, phase), given as scalars, for ``shots`` >= 1 unchecked.
+
+    ``envelope`` is the circuit's ``NoiseModel.contrast``.  p0 is evaluated
+    in scalar float arithmetic and clamped to [0, 1] for the draw.
+    """
+    p0 = 0.5 + 0.5 * envelope * math.cos(depth * theta_true + phase)
     return int(rng.binomial(shots, min(max(p0, 0.0), 1.0)))
 
 
@@ -184,9 +196,14 @@ def optimal_depth(noise: NoiseModel, depth_limit: int) -> int:
     return min(depth_limit, max(1, math.floor(continuous + 0.5)))
 
 
+def tuned_phase(depth: int, target: float) -> float:
+    """Phase of the depth-n circuit with ``target`` at p0 = 1/2 on its falling slope: pi/2 - depth * target, wrapped."""
+    return wrap_float(np.pi / 2.0 - depth * target)
+
+
 def tuned_circuit(depth: int, target: float) -> Circuit:
-    """Depth-n circuit with ``target`` at p0 = 1/2 on its falling slope: phase = pi/2 - depth * target."""
-    return Circuit(depth, np.pi / 2.0 - depth * target)
+    """The depth-n circuit of ``tuned_phase``."""
+    return Circuit(depth, tuned_phase(depth, target))
 
 
 def optimal_circuit(noise: NoiseModel, theta_guess: float, depth_limit: int) -> Circuit:

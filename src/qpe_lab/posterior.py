@@ -26,16 +26,16 @@ beyond both ends.  Four places differ between the two because
 periodicity forces them: ``_trim`` puts a whole window's ends at the
 antipode of its largest weight, ``_refine_once`` puts a midpoint between
 its last and first cells, ``map_estimate`` reads the peak's neighbours
-across that join, and ``_segment_part`` integrates the segment over it.
+across that join, and ``_segment`` integrates the segment over it.
 
-A single shot multiplies the weights in place by the circuit's cached p0
-or 1 - p0 and takes one sum, the new total: the sequential Monte Carlo
-update w <- w * Pr(d | theta) (Granade et al., New J. Phys. 14, 103013,
-2012) on the grid.  Once the sum falls below RESCALE_FLOOR the weights are
-divided by it.  Interval masses (``confidence`` and ``mass_outside``)
-integrate the weights' linear interpolant over the arc they report, so a
-tiny tail mass is summed directly instead of being left over from a
-difference of O(1) sums.
+A single shot (``update_shot``) multiplies the weights in place by the
+circuit's p0 or 1 - p0 and takes one sum, the new total: the sequential
+Monte Carlo update w <- w * Pr(d | theta) (Granade et al., New J. Phys.
+14, 103013, 2012) on the grid.  Once the sum falls below RESCALE_FLOOR
+the weights are divided by it.  Interval masses (``confidence`` and
+``mass_outside``) integrate the weights' linear interpolant over the arc
+they report, so a tiny tail mass is summed directly instead of being left
+over from a difference of O(1) sums.
 
 The grid must stay fine enough to resolve the fastest likelihood
 oscillation: a circuit of depth n modulates the likelihood at angular
@@ -48,12 +48,17 @@ intervals of Kimmel, Low & Yoder (PRA 92, 062315, 2015).
 
 Two caches hold window arrays, each value a pair of read-only arrays as
 long as the window: ``_grid_trig`` keeps cos(n theta) and sin(n theta) per
-depth, and ``_log_prob_components`` each circuit's p0 and q0 = 1 - p0.
-Each is bounded by a number of entries and by the bytes it holds
-(TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES).  A miss evicts the least
-recently used entries until both bounds hold again, but never the entry it
-just built, so a window too large for the budget still finds its arrays on
-the next shot.  Memory thus follows the live window, not the largest grid
+depth, and ``_log_prob_components`` the p0 and q0 = 1 - p0 of circuits
+that repeat: the adaptive loop's two unit-depth probes, each gated rung's
+circuit and the closing circuit, and every batch record and prediction.
+A circuit retuned for every shot, as a rung's stay is, never repeats, so
+``update_shot`` builds its p0 anew outside the cache and turns it into q0
+in place only for a dark outcome.  Each cache is bounded by a number of
+entries and by the bytes it holds (TRIG_CACHE_BYTES,
+LIKELIHOOD_CACHE_BYTES).  A miss evicts the least recently used entries
+until both bounds hold again, but never the entry it just built, so a
+window too large for the budget still finds its arrays on the next
+shot.  Memory thus follows the live window, not the largest grid
 the process has seen.  The window's angles are rebuilt on each read, in a
 few microseconds at 4096 cells: only trig misses and the loss reads need
 them, and a cache of them held one more window-sized array per grid.
@@ -149,6 +154,9 @@ class CircularInterval:
         return wrap_float(self.center + self.half_width)
 
 
+# ndarray.sum() without its Python wrapper: the same reduction, so the same bits.
+_add_reduce = np.add.reduce
+
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize", "maxbytes", "currbytes"])
 
 
@@ -236,21 +244,29 @@ def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float, offset: 
     return p0
 
 
-@_bounded_cache(maxsize=8, maxbytes=LIKELIHOOD_CACHE_BYTES)
-def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
-    """Per-cell outcome probabilities (p0, q0 = 1 - p0) of one circuit on a window, in [0, 1] and cached.
+def _unit_p0(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int) -> np.ndarray:
+    """``_grid_p0`` in [0, 1], built anew and writable.
 
-    Gated sampling phases hammer the same circuit for tens of shots; caching
-    p0 and q0 makes each such update one multiply and one sum.  The
-    key holds the circuit's envelope, ``NoiseModel.contrast``, so noise
-    models of one envelope share an entry.  p0 is clamped to [0, 1] only
-    above CLAMP_FREE_ENVELOPE, where rounding can push it out; below, the
-    clamp would change nothing.
+    p0 is clamped only above CLAMP_FREE_ENVELOPE, where rounding can push it
+    out; below, the clamp would change nothing.
     """
     p0 = _grid_p0(grid_size, depth, phase, envelope, offset, length)
     if envelope > CLAMP_FREE_ENVELOPE:
         np.minimum(p0, 1.0, out=p0)
         np.maximum(p0, 0.0, out=p0)
+    return p0
+
+
+@_bounded_cache(maxsize=8, maxbytes=LIKELIHOOD_CACHE_BYTES)
+def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
+    """Per-cell outcome probabilities (p0, q0 = 1 - p0) of one circuit on a window, from ``_unit_p0``, cached.
+
+    Gated sampling phases hammer the same circuit for tens of shots; caching
+    p0 and q0 makes each such update one multiply and one sum.  The
+    key holds the circuit's envelope, ``NoiseModel.contrast``, so noise
+    models of one envelope share an entry.
+    """
+    p0 = _unit_p0(grid_size, depth, phase, envelope, offset, length)
     q0 = 1.0 - p0
     p0.setflags(write=False)
     q0.setflags(write=False)
@@ -408,21 +424,60 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
     return posterior
 
 
+def _window_key(posterior: GridPosterior, depth: int, phase: float, envelope: float) -> tuple:
+    """Refine the grid in place to resolve ``depth``, then return the circuit's p0 arguments on the window."""
+    if posterior.grid_size < required_grid_size(depth) or depth > MAX_DEPTH:
+        ensure_resolution(posterior, depth)
+    return posterior.grid_size, depth, phase, envelope, posterior.offset, posterior.weights.size
+
+
 def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """Refine the grid in place to resolve ``circuit``, then look up its cached (p0, q0)."""
     depth = circuit.depth
-    if posterior.grid_size < required_grid_size(depth) or depth > MAX_DEPTH:
-        ensure_resolution(posterior, depth)
-    return _log_prob_components(
-        posterior.grid_size, depth, circuit.phase, noise.contrast(depth), posterior.offset, posterior.weights.size
-    )
+    return _log_prob_components(*_window_key(posterior, depth, circuit.phase, noise.contrast(depth)))
+
+
+def update_shot(
+    posterior: GridPosterior, depth: int, phase: float, envelope: float, bright: bool, cache: bool = True
+) -> GridPosterior:
+    """Multiply in one bright or dark shot of the circuit (depth, phase), in place.
+
+    ``envelope`` is the circuit's ``NoiseModel.contrast``.  The weights are
+    multiplied by p0 or q0 = 1 - p0 and summed; the sum is the new total
+    unless it fell below RESCALE_FLOOR, and then ``normalize`` divides the
+    weights by it.  With ``cache`` the circuit's (p0, q0) come from
+    ``_log_prob_components``.  Without it, for a circuit that will not
+    repeat, p0 is built anew and, for a dark shot only, turned into q0 in
+    place, with the same bits.  If the shot is impossible everywhere on the
+    grid, ImpossibleObservationError is raised; discard the posterior.
+    """
+    key = _window_key(posterior, depth, phase, envelope)
+    if cache:
+        p0, q0 = _log_prob_components(*key)
+        factor = p0 if bright else q0
+    else:
+        factor = _unit_p0(*key)
+        if not bright:
+            np.subtract(1.0, factor, out=factor)
+    w = posterior.weights
+    w *= factor
+    total = float(_add_reduce(w))
+    if total >= RESCALE_FLOOR:
+        posterior.total = total
+        return posterior
+    try:
+        return normalize(posterior)
+    except ImpossibleObservationError:
+        outcome = "bright" if bright else "dark"
+        raise ImpossibleObservationError(
+            f"a {outcome} shot of depth {depth} at phase {phase} has zero likelihood at every grid cell"
+        ) from None
 
 
 def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel) -> GridPosterior:
     """Multiply in the likelihood of ``record`` and renormalize, in place.
 
-    A single shot multiplies the weights by p0 or q0 = 1 - p0 and takes
-    their sum, which is the new total unless it fell below RESCALE_FLOOR.
+    A single shot with a whole outcome is ``update_shot`` of its circuit.
     Any other record is added to the log-weights as
     x * log p0 + (shots - x) * log q0; the binomial coefficient is constant
     in theta, so normalisation removes it and it is never added.  Zero-shot
@@ -432,29 +487,23 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     """
     shots, x = record.shots, record.successes
     if shots == 1 and (x == 1.0 or x == 0.0):
-        p0, q0 = _likelihood(posterior, record.circuit, noise)
-        w = posterior.weights
-        w *= p0 if x == 1.0 else q0
-        total = float(w.sum())
-        if total >= RESCALE_FLOOR:
-            posterior.total = total
-            return posterior
-    elif shots == 0:
+        depth = record.circuit.depth
+        return update_shot(posterior, depth, record.circuit.phase, noise.contrast(depth), x == 1.0)
+    if shots == 0:
         return posterior
-    else:
-        p0, q0 = _likelihood(posterior, record.circuit, noise)
-        misses = shots - x
-        with np.errstate(divide="ignore"):
-            lw = np.log(posterior.weights)
-            term = np.empty_like(lw)
-            if x > 0:
-                lw += np.multiply(np.log(p0, out=term), x, out=term)
-            if misses > 0:
-                lw += np.multiply(np.log(q0, out=term), misses, out=term)
-        shift = lw.max()
-        if math.isfinite(shift):
-            lw -= shift
-        posterior.weights = np.exp(lw, out=lw)
+    p0, q0 = _likelihood(posterior, record.circuit, noise)
+    misses = shots - x
+    with np.errstate(divide="ignore"):
+        lw = np.log(posterior.weights)
+        term = np.empty_like(lw)
+        if x > 0:
+            lw += np.multiply(np.log(p0, out=term), x, out=term)
+        if misses > 0:
+            lw += np.multiply(np.log(q0, out=term), misses, out=term)
+    shift = lw.max()
+    if math.isfinite(shift):
+        lw -= shift
+    posterior.weights = np.exp(lw, out=lw)
     try:
         return normalize(posterior)
     except ImpossibleObservationError:
@@ -463,32 +512,60 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
         ) from None
 
 
-def _segment_part(w: np.ndarray, k: int, t0: float, t1: float, periodic: bool) -> float:
-    """Integral of the linear interpolant of w over [k + t0, k + t1], 0 <= t0 <= t1 <= 1.
+def _segment(k: int, t0: float, t1: float, length: int, periodic: bool) -> tuple:
+    """The part [k + t0, k + t1] of one segment of the interpolant, 0 <= t0 <= t1 <= 1, as ``_part`` reads it.
 
-    Written as the width times a convex mix of the two node values, so no
-    term cancels when one node is far smaller than the other.  Off the
-    periodic grid the nodes -1 and w.size are 0.
+    Its integral is the width times a convex mix of the two node values, so
+    no term cancels when one node is far smaller than the other.  The
+    result holds the two nodes' indices, None for the zero nodes -1 and
+    ``length`` off the periodic grid, then the width and the two mixing
+    weights.
     """
-    v0 = w.item(k) if k >= 0 else 0.0
-    v1 = w.item(k + 1) if k + 1 < w.size else (w.item(0) if periodic else 0.0)
-    return (t1 - t0) * (v0 * (0.5 * ((1.0 - t0) + (1.0 - t1))) + v1 * (0.5 * (t0 + t1)))
+    i0 = k if k >= 0 else None
+    i1 = k + 1 if k + 1 < length else (0 if periodic else None)
+    return i0, i1, t1 - t0, 0.5 * ((1.0 - t0) + (1.0 - t1)), 0.5 * (t0 + t1)
+
+
+def _part(w: np.ndarray, segment: tuple) -> float:
+    """Integral of the interpolant of ``w`` over one part from ``_segment``."""
+    i0, i1, width, mix0, mix1 = segment
+    v0 = w.item(i0) if i0 is not None else 0.0
+    v1 = w.item(i1) if i1 is not None else 0.0
+    return width * (v0 * mix0 + v1 * mix1)
+
+
+def _span_parts(spans: tuple, length: int) -> tuple:
+    """Spans from ``_window_spans`` in the form ``_integrate`` reads, their segment weights computed once.
+
+    A span (ka, ta, kb, tb, periodic) runs from ka + ta to kb + tb, ka <= kb
+    and 0 <= ta, tb <= 1.  It becomes (first, lo, hi, last): the partial
+    end cells ``first`` and ``last`` from ``_segment``, and the slice lo:hi
+    of the nodes that the whole segments between them span.  A span within
+    one cell is its one part, with no slice and ``last`` None.
+    """
+    parts = []
+    for ka, ta, kb, tb, periodic in spans:
+        if ka == kb:
+            parts.append((_segment(ka, ta, tb, length, periodic), 0, 0, None))
+        else:
+            first = _segment(ka, ta, 1.0, length, periodic)
+            parts.append((first, ka + 1, kb + 1, _segment(kb, 0.0, tb, length, periodic)))
+    return tuple(parts)
 
 
 def _integrate(w: np.ndarray, spans: tuple) -> float:
-    """Integral of the interpolant of the window's weights ``w`` over ``spans`` from ``_window_spans``.
+    """Integral of the interpolant of the window's weights ``w`` over ``spans`` from ``_span_parts``.
 
-    A span (ka, ta, kb, tb, periodic) runs from ka + ta to kb + tb, ka <= kb
-    and 0 <= ta, tb <= 1.  The whole segments between its two partial end
-    cells come from one slice sum of the nodes they span.
+    The whole segments of a span come from one slice sum of the nodes they
+    span, less half of its two end nodes.
     """
     mass = 0.0
-    for ka, ta, kb, tb, periodic in spans:
-        if ka == kb:
-            mass += _segment_part(w, ka, ta, tb, periodic)
+    for first, lo, hi, last in spans:
+        if last is None:
+            mass += _part(w, first)
         else:
-            whole = float(w[ka + 1:kb + 1].sum()) - 0.5 * (w.item(ka + 1) + w.item(kb))
-            mass += _segment_part(w, ka, ta, 1.0, periodic) + whole + _segment_part(w, kb, 0.0, tb, periodic)
+            whole = float(_add_reduce(w[lo:hi])) - 0.5 * (w.item(lo) + w.item(hi - 1))
+            mass += _part(w, first) + whole + _part(w, last)
     return mass
 
 
@@ -522,20 +599,22 @@ def _window_spans(grid_size: int, offset: int, length: int, a: float, b: float) 
 
 
 @lru_cache(maxsize=16)
-def _arc_spans(grid_size: int, offset: int, length: int, interval: CircularInterval, outside: bool):
-    """Spans of the window inside ``interval``, or in its complement if ``outside``.
+def _arc_spans(grid_size: int, offset: int, length: int, center: float, half_width: float, outside: bool):
+    """``_span_parts`` of the window inside the interval (center, half_width), or in its complement if ``outside``.
 
     Cached, since a gated rung or a stay reads one interval after every
-    shot.  None when the interval covers the whole circle: at half_width =
-    pi, or when its two ends round to one angle, which covers the circle
-    but a rounding error.
+    shot; the key holds the interval's two floats, which hash faster than
+    the dataclass.  None when the interval covers the whole circle: at
+    half_width = pi, or when its two ends round to one angle, which covers
+    the circle but a rounding error.
     """
-    lower, upper = interval.lower, interval.upper
-    if interval.half_width >= np.pi or lower == upper:
+    # The interval's lower and upper ends, without building the interval.
+    lower, upper = wrap_float(center - half_width), wrap_float(center + half_width)
+    if half_width >= np.pi or lower == upper:
         return None
     start, end = (upper, lower) if outside else (lower, upper)
     cell_width = TWO_PI / grid_size
-    return _window_spans(grid_size, offset, length, start / cell_width, end / cell_width)
+    return _span_parts(_window_spans(grid_size, offset, length, start / cell_width, end / cell_width), length)
 
 
 def _arc_mass(posterior: GridPosterior, spans: tuple) -> float:
@@ -560,7 +639,9 @@ def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
     An interval whose two ends round to one angle covers the whole circle
     but a rounding error, so it holds all the mass, as at half_width = pi.
     """
-    spans = _arc_spans(posterior.grid_size, posterior.offset, posterior.weights.size, interval, False)
+    spans = _arc_spans(
+        posterior.grid_size, posterior.offset, posterior.weights.size, interval.center, interval.half_width, False
+    )
     return 1.0 if spans is None else _arc_mass(posterior, spans)
 
 
@@ -576,15 +657,18 @@ def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
     window can only pass the gate later, never earlier.  Ends that round
     to one angle leave no mass outside, as in ``confidence``.
     """
-    spans = _arc_spans(posterior.grid_size, posterior.offset, posterior.weights.size, interval, True)
+    spans = _arc_spans(
+        posterior.grid_size, posterior.offset, posterior.weights.size, interval.center, interval.half_width, True
+    )
     return 0.0 if spans is None else _arc_mass(posterior, spans) + posterior.discarded
 
 
 @lru_cache(maxsize=16)
-def _arc_runs(grid_size: int, offset: int, length: int, interval: CircularInterval | None = None):
-    """Slices of the window holding its cells inside ``interval``, in ascending grid index.
+def _arc_runs(grid_size: int, offset: int, length: int, center: float | None = None, half_width: float | None = None):
+    """Slices of the window holding its cells inside the interval (center, half_width), in ascending grid index.
 
-    With no interval the slices cover the whole window.  The cells
+    Keyed by the interval's two floats, as ``_arc_spans`` is.  With no
+    center the slices cover the whole window.  The cells
     inside an interval form one circular run of the grid.  Its index range
     is center +- half_width with one cell of margin per side, so rounding
     in the angle arithmetic never drops a cell; the exact membership test
@@ -594,9 +678,10 @@ def _arc_runs(grid_size: int, offset: int, length: int, interval: CircularInterv
     (window index grid_size - offset) is split there.
     """
     g = grid_size
-    if interval is None:
+    if center is None:
         pieces = [(0, length)]
     else:
+        interval = CircularInterval(center, half_width)
         h = TWO_PI / g
         lo = math.floor((interval.center - interval.half_width) / h) - 1
         hi = math.ceil((interval.center + interval.half_width) / h) + 1
@@ -651,7 +736,7 @@ def map_estimate(posterior: GridPosterior, within: CircularInterval | None = Non
     n, g = w.size, posterior.grid_size
     k = None
     if within is not None:
-        k = _run_argmax(w, _arc_runs(g, posterior.offset, n, within))
+        k = _run_argmax(w, _arc_runs(g, posterior.offset, n, within.center, within.half_width))
         if k is not None and not w.item(k) > 0.0:
             k = None
     if k is None:

@@ -39,6 +39,11 @@ class TestAlgorithmConfig:
             {"epsilon_scale": 0.0},
             {"epsilon_scale": 1.5},
             {"estimator": "mode"},
+            # (1/100)**200 underflows to 0, and the Chernoff budget would divide by it.
+            {"epsilon_exponent": 200.0},
+            {"epsilon_scale": 1e-300, "epsilon_exponent": 20.0},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -159,6 +164,11 @@ class TestChernoffShotBudget:
 
     def test_can_go_nonpositive(self):
         assert chernoff_shot_budget(1.0, 1e-30, 1, NoiseModel()) < 0.0
+
+    @pytest.mark.parametrize("eps_now, eps_prev", [(0.0, 2.0), (1e-6, 0.0)])
+    def test_an_allowance_that_underflowed_is_named(self, eps_now, eps_prev):
+        with pytest.raises(ValueError, match="underflowed to 0"):
+            chernoff_shot_budget(eps_now, eps_prev, 1, NoiseModel())
 
 
 class TestMaxShotsForStep:

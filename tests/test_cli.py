@@ -91,6 +91,12 @@ class TestRunCommand:
         assert code == 1
         assert "qpe-lab: error:" in capsys.readouterr().err
 
+    def test_a_negative_seed_names_the_seed(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run_cli("run", "--n-tot", "4096", "--theta", "1", "--seed", "-1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "qpe-lab: error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_a_non_finite_true_phase_is_a_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert run_cli("run", "--n-tot", "64", "--theta", "nan", "--out", str(out)) == 1
@@ -266,6 +272,13 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"qpe-lab: error: epsilon_exponent must be finite and >= 0, got {value}\n"
+
+    def test_an_epsilon_exponent_that_underflows_the_allowance_is_named(self, capsys):
+        # (1/2**11)**1e6 rounds to 0; the Chernoff budget names that, not a division by zero.
+        assert run_cli("bounds", "--ladder", "4096", "--epsilon-exponent", "1e6") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qpe-lab: error: the confidence allowance underflowed to 0")
 
     def test_fixed_step_count_is_honoured(self, capsys):
         code = run_cli("bounds", "--ladder", "4096", "--steps", "4")

@@ -48,10 +48,11 @@ from qpe_lab.posterior import (
     required_grid_size,
     uniform_prior,
     update,
+    update_shot,
 )
 from qpe_lab.posterior import (
     CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _integrate, _log_prob_components,
-    _nbytes, _refine_once, _trim, _window_spans,
+    _nbytes, _part, _refine_once, _span_parts, _trim, _window_spans,
 )
 
 NOISELESS = NoiseModel()
@@ -359,7 +360,27 @@ def interpolant_integral(w, a, b):
 
 def span_integral(w, a, b):
     """The posterior's integral of the periodic interpolant of w from a to b, in cell units."""
-    return _integrate(w, _window_spans(w.size, 0, w.size, a, b))
+    return _integrate(w, _span_parts(_window_spans(w.size, 0, w.size, a, b), w.size))
+
+
+def segment_formula_part(w, k, t0, t1, periodic):
+    """Integral of the interpolant of w over [k + t0, k + t1], as the width times a convex mix of the two nodes."""
+    v0 = w.item(k) if k >= 0 else 0.0
+    v1 = w.item(k + 1) if k + 1 < w.size else (w.item(0) if periodic else 0.0)
+    return (t1 - t0) * (v0 * (0.5 * ((1.0 - t0) + (1.0 - t1))) + v1 * (0.5 * (t0 + t1)))
+
+
+def segment_formula_integral(w, spans):
+    """Integral of the interpolant of w over raw spans (ka, ta, kb, tb, periodic) from ``_window_spans``."""
+    mass = 0.0
+    for ka, ta, kb, tb, periodic in spans:
+        if ka == kb:
+            mass += segment_formula_part(w, ka, ta, tb, periodic)
+        else:
+            whole = float(w[ka + 1:kb + 1].sum()) - 0.5 * (w.item(ka + 1) + w.item(kb))
+            first = segment_formula_part(w, ka, ta, 1.0, periodic)
+            mass += first + whole + segment_formula_part(w, kb, 0.0, tb, periodic)
+    return mass
 
 
 def arc_mass_reference(w, start, end):
@@ -442,6 +463,31 @@ class TestArcMassesMatchTheInterpolant:
         want = float(interpolant_integral(w, Fraction(a), Fraction(b)))
         assert span_integral(w, a, b) == pytest.approx(want, rel=1e-12, abs=0)
 
+
+    @given(grid_size=st.sampled_from([64, 4096]), start=st.floats(0.0, 1.0, exclude_max=True),
+           share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    @example(grid_size=64, start=0.0, share=1.0, a=0.5, b=0.25, seed=0)  # a whole window, across the seam
+    @example(grid_size=64, start=0.9, share=0.5, a=0.95, b=0.05, seed=1)  # a short window across the seam
+    @example(grid_size=64, start=0.0, share=1.0, a=0.1001, b=0.1002, seed=2)  # within one cell
+    @example(grid_size=64, start=0.5, share=0.2, a=0.1, b=0.3, seed=3)  # an arc that misses the window
+    def test_span_parts_keep_the_segment_formula(self, grid_size, start, share, a, b, seed):
+        # The parts precompute each segment's width and mixing weights; the
+        # integral must keep the bits of the formula read from the raw span.
+        length = 1 + int(share * (grid_size - 1))
+        w = np.exp(np.random.default_rng(seed).normal(scale=5.0, size=length))
+        spans = _window_spans(grid_size, int(start * grid_size), length, a * grid_size, b * grid_size)
+        parts = _span_parts(spans, length)
+        # Part by part first, since a slice sum of whole segments can hide a changed last bit of an end part.
+        for (ka, ta, kb, tb, periodic), (first, lo, hi, last) in zip(spans, parts, strict=True):
+            if ka == kb:
+                assert (_part(w, first), last) == (segment_formula_part(w, ka, ta, tb, periodic), None)
+            else:
+                assert _part(w, first) == segment_formula_part(w, ka, ta, 1.0, periodic)
+                assert _part(w, last) == segment_formula_part(w, kb, 0.0, tb, periodic)
+                assert (lo, hi) == (ka + 1, kb + 1)
+        assert _integrate(w, parts) == segment_formula_integral(w, spans)
 
     def test_masses_of_subnormal_weights_keep_their_relative_precision(self):
         # Products of subnormal node weights round to an absolute 2**-1075,
@@ -794,6 +840,94 @@ class TestUpdatePaths:
             mass_outside(post, iv)
         with pytest.raises(ImpossibleObservationError):
             confidence(post, iv)
+
+
+def single_shot_reference(post, depth, phase, bright, noise):
+    """One shot written out on a clone: refine, multiply by the clamped p0 or 1 - p0, sum, rescale below the floor.
+
+    Also returns whether the sum fell below RESCALE_FLOOR.
+    """
+    post = post.clone()
+    ensure_resolution(post, depth)
+    envelope = noise.contrast(depth)
+    p0 = _grid_p0(post.grid_size, depth, phase, envelope, post.offset, post.weights.size)
+    if envelope > CLAMP_FREE_ENVELOPE:
+        p0 = np.clip(p0, 0.0, 1.0)
+    post.weights *= p0 if bright else 1.0 - p0
+    post.total = float(post.weights.sum())
+    rescaled = post.total < RESCALE_FLOOR
+    if rescaled:
+        post.weights /= post.total
+        post.total = float(post.weights.sum())
+    return post, rescaled
+
+
+def at_the_floor(post):
+    """``post`` with its weights scaled so that they sum to about RESCALE_FLOOR."""
+    post.weights *= RESCALE_FLOOR / post.total
+    post.total = float(post.weights.sum())
+    return post
+
+
+SINGLE_SHOTS = {
+    # name: (posterior, depth, phase)
+    "whole": (lambda: von_mises_posterior(0.7, 3.0), 5, 0.77),
+    # The angle-addition p0 of this circuit dips to -1.1e-16 at one node of the 256-cell grid.
+    "dark-fringe": (lambda: von_mises_posterior(2.0, 2.0, 256), 7, 15 * math.pi / 16),
+    "seam-window": (lambda: window_of(von_mises_posterior(0.01, 2000.0), 4000, 200)[0], 3, 2.5),
+    "rescale": (lambda: at_the_floor(von_mises_posterior(4.0, 30.0)), 2, 1.2),
+    "refine": (lambda: von_mises_posterior(1.0, 3000.0, 256), 16, 0.3),
+}
+
+
+class TestSingleShotCall:
+    @pytest.mark.parametrize("case", SINGLE_SHOTS)
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.9)], ids=["noiseless", "beta-0.9"])
+    @pytest.mark.parametrize("bright", [True, False], ids=["bright", "dark"])
+    @pytest.mark.parametrize("cache", [True, False], ids=["cached", "built-anew"])
+    def test_matches_update_of_a_one_shot_record(self, case, noise, bright, cache):
+        make, depth, phase = SINGLE_SHOTS[case]
+        base = make()
+        want, rescaled = single_shot_reference(base, depth, phase, bright, noise)
+        assert rescaled == (case == "rescale")
+        assert (want.grid_size > base.grid_size) == (case == "refine")
+        if case == "seam-window":
+            assert base.offset + base.weights.size > base.grid_size
+        if case == "refine":
+            assert want.weights.size < want.grid_size
+        _log_prob_components.cache_clear()
+        by_record = update(base.clone(), MeasurementRecord(Circuit(depth, phase), 1, float(bright)), noise)
+        shot = update_shot(base.clone(), depth, phase, noise.contrast(depth), bright, cache)
+        for got in (by_record, shot):
+            np.testing.assert_array_equal(got.weights, want.weights)
+            assert (got.total, got.grid_size, got.offset, got.discarded) == (
+                want.total, want.grid_size, want.offset, want.discarded
+            )
+        if not cache:
+            assert _log_prob_components.cache_info().currsize == 1, "only the record's update fills the cache"
+
+    @given(case=st.tuples(
+        st.sampled_from([64, 256, 4096]),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.one_of(st.just(1.0), st.just(CLAMP_FREE_ENVELOPE), st.floats(0.01, 1.0)),
+        st.booleans(),
+    ), depth_share=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    @example(case=(256, 0.0, 1.0, 15 * math.pi / 16, 1.0, True), depth_share=6 / 7)  # clamped at a dark fringe
+    def test_a_factor_built_anew_equals_the_cached_p0_or_q0(self, case, depth_share):
+        # On weights of 1 the update leaves the factor itself in the weights.
+        grid_size, start, share, phase, envelope, bright = case
+        depth = 1 + int(depth_share * (grid_size // POINTS_PER_PERIOD - 1))
+        offset, length = int(start * grid_size), 1 + int(share * (grid_size - 1))
+        p0, q0 = _log_prob_components(grid_size, depth, phase, envelope, offset, length)
+        want = p0 if bright else q0
+        if not want.sum() >= RESCALE_FLOOR:
+            return
+        post = GridPosterior(np.ones(length), float(length), grid_size, offset)
+        update_shot(post, depth, phase, envelope, bright, cache=False)
+        np.testing.assert_array_equal(post.weights, want)
 
 
 class TestCircularMean:

@@ -62,6 +62,23 @@ def test_bench_layers_times_every_operation(monkeypatch):
     assert memory["qpea_past_window_peak_bytes"] > 0
 
 
+def test_ab_runs_against_its_own_tree(monkeypatch):
+    script = load_script("ab_runs")
+    monkeypatch.setattr(script, "ROUNDS", 2)
+    monkeypatch.setattr(script, "SEEDS", 2)
+    monkeypatch.setattr(script, "ROWS", (("beta=0.9 N=64", 0.9, 64), ("noiseless N=256", 1.0, 256)))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert script.main([str(SCRIPTS.parent)]) == 0
+    lines = stdout.getvalue().splitlines()
+    assert lines[0] == "2 rounds, 2 seeds per row, process CPU time in ms"
+    assert len(lines) == 7
+    for label, (parent, change, wins) in zip(("beta=0.9 N=64", "noiseless N=256"), (lines[1:4], lines[4:7])):
+        assert parent.startswith(f"{label:<17} parent min-sum ")
+        assert change.startswith(f"{label:<17} change min-sum ")
+        assert wins.startswith(f"{label:<17} change faster in ") and wins.endswith(" of 2 rounds")
+
+
 def test_reproduce_error_scaling_quick_run(tmp_path):
     script = load_script("reproduce_error_scaling")
     stdout = io.StringIO()
