@@ -103,7 +103,7 @@ RUNS = ((0.9, 1 << 12), (1.0, 1 << 16))
 RUN_CALLS = 8
 # The memory rows: the doubling run's budget and its theta, and the qpea register size.
 MEMORY_BUDGET, MEMORY_THETA, MEMORY_REGISTER = 1 << 20, 1.3, 20
-ARRAY_CACHES = ("_grid_trig", "_log_prob_components")
+ARRAY_CACHES = ("_grid_trig", "_log_prob_components", "_log_likelihood")
 THETA = 2.2
 NOISE = NoiseModel()
 NOISY = NoiseModel(1.0, 0.9)

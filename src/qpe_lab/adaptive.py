@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import check_true_phase, signed_gap, wrapped_distance
-from .model import Circuit, NoiseModel, optimal_depth, sample_shots, tuned_circuit, tuned_phase
+from .model import Circuit, NoiseModel, check_integer, optimal_depth, sample_shots, tuned_circuit, tuned_phase
 from .posterior import (
     CircularInterval,
     GridPosterior,
@@ -67,8 +67,7 @@ class RunSettings:
     grid_size: int = 4096
 
     def __post_init__(self):
-        if self.depth_limit < 1:
-            raise ValueError(f"depth_limit must be >= 1, got {self.depth_limit}")
+        check_integer("depth_limit", self.depth_limit, 1)
         if not 0.0 <= self.epsilon_exponent < math.inf:
             raise ValueError(f"epsilon_exponent must be finite and >= 0, got {self.epsilon_exponent}")
         if not 0.0 < self.epsilon_scale <= 1.0:
@@ -91,10 +90,8 @@ class AlgorithmConfig(RunSettings):
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_resources < 2:
-            raise ValueError(f"total_resources must be >= 2, got {self.total_resources}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_integer("total_resources", self.total_resources, 2)
+        check_integer("seed", self.seed, 0)
         super().__post_init__()
         # The allowance grows with depth, so depth 1 holds the smallest.
         if not required_confidence(1, self) > 0.0:

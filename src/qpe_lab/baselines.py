@@ -27,6 +27,7 @@ from .model import (
     Circuit,
     MeasurementRecord,
     NoiseModel,
+    check_integer,
     minimum_achievable_variance,
     sample_outcome,
 )
@@ -293,8 +294,7 @@ def doubling_schedule(total_resources: int, settings: RunSettings, shots_per_dep
     phases.
     """
     _check_probe_budget(total_resources)
-    if shots_per_depth < 1:
-        raise ValueError(f"shots_per_depth must be >= 1, got {shots_per_depth}")
+    check_integer("shots_per_depth", shots_per_depth, 1)
     top = _largest_power_of_two_at_most(min(settings.depth_limit, MAX_DEPTH))
     blocks = []
     budget = total_resources

@@ -29,6 +29,7 @@ import numpy as np
 from .adaptive import AlgorithmConfig, RunSettings, run, validate_trace
 from .angles import TWO_PI, wrapped_distance
 from .baselines import BaselineResult, run_classical, run_nonadaptive_doubling, run_qpea
+from .model import check_integer
 
 
 class EmptyGroupError(ValueError):
@@ -52,7 +53,10 @@ class SweepConfig(RunSettings):
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "resource_ladder", tuple(int(n) for n in self.resource_ladder))
+        ladder = tuple(self.resource_ladder)
+        for i, n_tot in enumerate(ladder):
+            check_integer(f"resource_ladder[{i}]", n_tot, 2)
+        object.__setattr__(self, "resource_ladder", tuple(int(n) for n in ladder))
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         unknown = set(self.strategies) - set(STRATEGIES)
@@ -62,17 +66,12 @@ class SweepConfig(RunSettings):
             raise ValueError(f"duplicate strategies in {self.strategies}")
         if not self.resource_ladder:
             raise ValueError("resource ladder must not be empty")
-        if any(n < 2 for n in self.resource_ladder):
-            raise ValueError(f"every ladder budget must be >= 2, got {self.resource_ladder}")
         if any(b <= a for a, b in zip(self.resource_ladder, self.resource_ladder[1:])):
             raise ValueError(f"resource ladder must increase strictly: {self.resource_ladder}")
-        if self.theta_count < 1:
-            raise ValueError(f"theta_count must be >= 1, got {self.theta_count}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        check_integer("theta_count", self.theta_count, 1)
+        check_integer("repetitions", self.repetitions, 1)
         super().__post_init__()
-        if self.shots_per_depth < 1:
-            raise ValueError(f"shots_per_depth must be >= 1, got {self.shots_per_depth}")
+        check_integer("shots_per_depth", self.shots_per_depth, 1)
 
     def theta_of(self, theta_index: int) -> float:
         return TWO_PI * theta_index / self.theta_count

@@ -50,6 +50,14 @@ class NoiseModel:
         return self.alpha * self.beta**depth
 
 
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer, not a bool, of at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """One circuit configuration: unitary applications and phase offset."""
@@ -58,10 +66,7 @@ class Circuit:
     phase: float
 
     def __post_init__(self):
-        if not isinstance(self.depth, (int, np.integer)) or isinstance(self.depth, bool):
-            raise ValueError(f"depth must be an integer, got {self.depth!r}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        check_integer("depth", self.depth, 1)
         object.__setattr__(self, "depth", int(self.depth))
         object.__setattr__(self, "phase", wrap_float(self.phase))
 
@@ -79,10 +84,7 @@ class MeasurementRecord:
     successes: float
 
     def __post_init__(self):
-        if not isinstance(self.shots, (int, np.integer)) or isinstance(self.shots, bool):
-            raise ValueError(f"shots must be an integer, got {self.shots!r}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        check_integer("shots", self.shots, 0)
         if not 0.0 <= self.successes <= self.shots:
             raise ValueError(
                 f"successes must lie in [0, shots], got {self.successes} with shots={self.shots}"

@@ -46,22 +46,33 @@ neighbours (the midpoint of the log-weights), up to a hard memory cap.
 Restricting the work to the arc that holds the mass follows the nested
 intervals of Kimmel, Low & Yoder (PRA 92, 062315, 2015).
 
-Two caches hold window arrays, each value a pair of read-only arrays as
-long as the window: ``_grid_trig`` keeps cos(n theta) and sin(n theta) per
-depth, and ``_log_prob_components`` the p0 and q0 = 1 - p0 of circuits
-that repeat: the adaptive loop's two unit-depth probes, each gated rung's
-circuit and the closing circuit, and every batch record and prediction.
-A circuit retuned for every shot, as a rung's stay is, never repeats, so
-``update_shot`` builds its p0 anew outside the cache and turns it into q0
-in place only for a dark outcome.  Each cache is bounded by a number of
-entries and by the bytes it holds (TRIG_CACHE_BYTES,
-LIKELIHOOD_CACHE_BYTES).  A miss evicts the least recently used entries
-until both bounds hold again, but never the entry it just built, so a
-window too large for the budget still finds its arrays on the next
-shot.  Memory thus follows the live window, not the largest grid
-the process has seen.  The window's angles are rebuilt on each read, in a
-few microseconds at 4096 cells: only trig misses and the loss reads need
-them, and a cache of them held one more window-sized array per grid.
+Three caches hold window arrays, each value a pair of read-only arrays
+as long as the window: ``_grid_trig`` keeps cos(n theta) and sin(n theta)
+per depth, ``_log_prob_components`` the p0 and q0 = 1 - p0 of circuits
+that single shots and predictions repeat, and ``_log_likelihood`` the
+log p0 and log q0 of circuits that batch records repeat.  The p0 cache
+serves the adaptive loop's two unit-depth probes, each gated rung's
+circuit and the closing circuit, and ``predict_outcome``; the hypothetical
+update of ``predict_loss`` takes its logs from that same p0 and keeps them
+nowhere, since its circuit is folded in once.  A circuit retuned for every
+shot, as a rung's stay is, never repeats, so ``update_shot`` builds its p0
+anew outside the cache and turns it into q0 in place only for a dark
+outcome.  The log cache serves the baselines, whose runs fold in the same
+whole-grid circuits (depths up to 128 at phases 0 and pi/2 on 4096 cells)
+run after run, so a repeated batch record takes the log of the weights
+alone.  Each cache is bounded by a number of entries and by the bytes it
+holds (TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES,
+LOG_LIKELIHOOD_CACHE_BYTES), and a miss evicts the least recently used
+entries until both bounds hold again.  The trig and p0 caches never evict
+the entry a miss just built, so a window too large for the budget still
+finds its arrays on the next shot of a gated rung.  The log cache keeps
+no entry larger than its budget: a batch record on a grid that large is a
+doubling block that does not come back, and keeping it would hold up to
+64 MiB at the grid cap long after the run.  Memory thus follows the live
+window, not the largest grid the process has seen.  The window's angles
+are rebuilt on each read, in a few microseconds at 4096 cells: only trig
+misses and the loss reads need them, and a cache of them held one more
+window-sized array per grid.
 """
 
 from __future__ import annotations
@@ -75,7 +86,7 @@ from functools import lru_cache, update_wrapper
 import numpy as np
 
 from .angles import TWO_PI, wrap, wrap_float, wrapped_distance
-from .model import Circuit, MeasurementRecord, NoiseModel
+from .model import Circuit, MeasurementRecord, NoiseModel, check_integer
 
 MIN_GRID_SIZE = 64
 POINTS_PER_PERIOD = 32
@@ -97,10 +108,13 @@ GUARD_CELLS = 2
 # clamp.  The margin 2**-32 is 2**15 times the error bound.  Only a larger
 # envelope (in practice e = 1, a noiseless circuit) can round p0 past 0 or 1.
 CLAMP_FREE_ENVELOPE = 1.0 - 2.0**-32
-# Bytes of arrays each per-grid cache may hold beside its entry count; the
-# entry built last is kept even when it alone is larger.
+# Bytes of arrays each per-grid cache may hold beside its entry count.  The
+# trig and p0 caches keep the entry built last even when it alone is larger;
+# the log cache keeps no such entry.  1.25 MiB holds the 16 whole-grid
+# circuits of a doubling run on 4096 cells and the small windows after them.
 TRIG_CACHE_BYTES = 4 << 20
 LIKELIHOOD_CACHE_BYTES = 2 << 20
+LOG_LIKELIHOOD_CACHE_BYTES = 5 << 18
 
 
 class GridTooCoarseError(ValueError):
@@ -165,14 +179,16 @@ def _nbytes(pair) -> int:
     return sum(array.nbytes for array in pair)
 
 
-def _bounded_cache(maxsize: int, maxbytes: int):
+def _bounded_cache(maxsize: int, maxbytes: int, keep_newest: bool = True):
     """Least-recently-used memo of a function that returns a pair of arrays, bounded by entries and by bytes.
 
     After a miss, the oldest entries go until at most ``maxsize`` entries
-    of at most ``maxbytes`` bytes (``_nbytes``) are left, but the entry the
-    miss built always stays.  Arguments are positional and hashable.  As
-    with ``functools.lru_cache``, the wrapper has ``cache_info()``,
-    ``cache_clear()`` and ``__wrapped__``.
+    of at most ``maxbytes`` bytes (``_nbytes``) are left.  With
+    ``keep_newest`` the entry the miss built always stays, even when it
+    alone is larger than ``maxbytes``; without it such an entry is returned
+    and not kept.  Arguments are positional and hashable.  As with
+    ``functools.lru_cache``, the wrapper has ``cache_info()``,
+    ``cache_clear()``, ``cache_parameters()`` and ``__wrapped__``.
     """
 
     def decorate(build):
@@ -190,6 +206,8 @@ def _bounded_cache(maxsize: int, maxbytes: int):
             misses += 1
             value = build(*key)
             size = _nbytes(value)
+            if size > maxbytes and not keep_newest:
+                return value
             entries[key] = value, size
             held += size
             while len(entries) > maxsize or (held > maxbytes and len(entries) > 1):
@@ -204,8 +222,12 @@ def _bounded_cache(maxsize: int, maxbytes: int):
             entries.clear()
             hits = misses = held = 0
 
+        def cache_parameters() -> dict:
+            return {"maxsize": maxsize, "maxbytes": maxbytes, "keep_newest": keep_newest}
+
         cached.cache_info = cache_info
         cached.cache_clear = cache_clear
+        cached.cache_parameters = cache_parameters
         return update_wrapper(cached, build)
 
     return decorate
@@ -273,6 +295,24 @@ def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: flo
     return p0, q0
 
 
+@_bounded_cache(maxsize=64, maxbytes=LOG_LIKELIHOOD_CACHE_BYTES, keep_newest=False)
+def _log_likelihood(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
+    """(log p0, log q0) of one circuit on a window, from ``_unit_p0``, cached for batch records.
+
+    The baselines fold in the same few whole-grid circuits run after run, so
+    a repeated batch record takes no log but that of the weights.  The logs
+    are those of ``_log_prob_components``' p0 and 1 - p0, bit for bit.
+    """
+    p0 = _unit_p0(grid_size, depth, phase, envelope, offset, length)
+    q0 = 1.0 - p0
+    with np.errstate(divide="ignore"):
+        np.log(p0, out=p0)
+        np.log(q0, out=q0)
+    p0.setflags(write=False)
+    q0.setflags(write=False)
+    return p0, q0
+
+
 @dataclass(eq=False)
 class GridPosterior:
     """Posterior on a uniform circular grid of ``grid_size`` cells, as unnormalised linear weights.
@@ -317,12 +357,11 @@ def _live_total(posterior: GridPosterior) -> float:
 
 
 def check_grid_size(grid_size: int) -> None:
-    """Raise ValueError unless grid_size is a power of two from MIN_GRID_SIZE to MAX_GRID_SIZE.
+    """Raise ValueError unless grid_size is an integer power of two from MIN_GRID_SIZE to MAX_GRID_SIZE.
 
     Doubling a power of two never steps over MAX_GRID_SIZE, so every grid stays within the cap.
     """
-    if grid_size < MIN_GRID_SIZE:
-        raise ValueError(f"grid_size must be >= {MIN_GRID_SIZE}, got {grid_size}")
+    check_integer("grid_size", grid_size, MIN_GRID_SIZE)
     if grid_size > MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
     if grid_size & (grid_size - 1):
@@ -479,27 +518,33 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
 
     A single shot with a whole outcome is ``update_shot`` of its circuit.
     Any other record is added to the log-weights as
-    x * log p0 + (shots - x) * log q0; the binomial coefficient is constant
-    in theta, so normalisation removes it and it is never added.  Zero-shot
-    records leave the posterior untouched.  If the observation is
-    impossible everywhere on the grid, ImpossibleObservationError is
-    raised; discard the posterior.
+    x * log p0 + (shots - x) * log q0, with the logs cached by
+    ``_log_likelihood``; the binomial coefficient is constant in theta, so
+    normalisation removes it and it is never added.  Zero-shot records
+    leave the posterior untouched.  If the observation is impossible
+    everywhere on the grid, ImpossibleObservationError is raised; discard
+    the posterior.
     """
+    return _update(posterior, record, noise, _log_likelihood)
+
+
+def _update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel, logs) -> GridPosterior:
+    """``update``, with a batch record's (log p0, log q0) from ``logs`` called on its circuit's window key."""
     shots, x = record.shots, record.successes
+    depth = record.circuit.depth
     if shots == 1 and (x == 1.0 or x == 0.0):
-        depth = record.circuit.depth
         return update_shot(posterior, depth, record.circuit.phase, noise.contrast(depth), x == 1.0)
     if shots == 0:
         return posterior
-    p0, q0 = _likelihood(posterior, record.circuit, noise)
+    log_p0, log_q0 = logs(*_window_key(posterior, depth, record.circuit.phase, noise.contrast(depth)))
     misses = shots - x
     with np.errstate(divide="ignore"):
         lw = np.log(posterior.weights)
-        term = np.empty_like(lw)
-        if x > 0:
-            lw += np.multiply(np.log(p0, out=term), x, out=term)
-        if misses > 0:
-            lw += np.multiply(np.log(q0, out=term), misses, out=term)
+    term = np.empty_like(lw)
+    if x > 0:
+        lw += np.multiply(log_p0, x, out=term)
+    if misses > 0:
+        lw += np.multiply(log_q0, misses, out=term)
     shift = lw.max()
     if math.isfinite(shift):
         lw -= shift
@@ -510,6 +555,18 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
         raise ImpossibleObservationError(
             f"record {record} has zero likelihood at every grid cell"
         ) from None
+
+
+def _logs_taken_once(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
+    """(log p0, log q0) of the p0 cache's entry, taken anew and not kept.
+
+    For a circuit folded in once, as the hypothetical update of
+    ``predict_loss`` is: the log cache keeps only circuits that batch
+    records repeat, and the p0 is the one ``predict_outcome`` just read.
+    """
+    p0, q0 = _log_prob_components(grid_size, depth, phase, envelope, offset, length)
+    with np.errstate(divide="ignore"):
+        return np.log(p0), np.log(q0)
 
 
 def _segment(k: int, t0: float, t1: float, length: int, periodic: bool) -> tuple:
@@ -800,8 +857,10 @@ def predict_loss(
 
     The whole remaining budget is converted into shots at this depth, the
     expected (generally fractional) outcome is folded into a cloned
-    posterior, and the loss of the updated mode is reported.  The caller's
-    posterior is refined in place first, as in ``predict_outcome``.
+    posterior as ``update`` folds a record, with logs taken once from the
+    cached p0 (``_logs_taken_once``), and the loss of the updated mode is
+    reported.  The caller's posterior is refined in place first, as in
+    ``predict_outcome``.
     """
     shots = int(resources_left // circuit.depth)
     if shots < 1:
@@ -809,6 +868,6 @@ def predict_loss(
             f"budget {resources_left} cannot pay for one shot at depth {circuit.depth}"
         )
     expected_count = predict_outcome(posterior, circuit, shots, noise)
-    hypothetical = posterior.clone()
-    update(hypothetical, MeasurementRecord(circuit, shots, expected_count), noise)
+    record = MeasurementRecord(circuit, shots, expected_count)
+    hypothetical = _update(posterior.clone(), record, noise, _logs_taken_once)
     return expected_loss(hypothetical, map_estimate(hypothetical), kind)

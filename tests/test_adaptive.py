@@ -44,11 +44,29 @@ class TestAlgorithmConfig:
             {"epsilon_scale": 1e-300, "epsilon_exponent": 20.0},
             {"seed": -1},
             {"seed": 1.5},
+            {"total_resources": 100.5},
+            {"depth_limit": 8.5},
+            {"depth_limit": 8.0},
+            {"grid_size": 4096.0},
         ],
     )
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
-            AlgorithmConfig(total_resources=100, **kwargs)
+            AlgorithmConfig(**{"total_resources": 100, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"total_resources": 100.5}, "total_resources must be an integer, got 100.5"),
+            ({"depth_limit": 8.5}, "depth_limit must be an integer, got 8.5"),
+            ({"grid_size": 4096.0}, "grid_size must be an integer, got 4096.0"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_a_malformed_count_is_named(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            AlgorithmConfig(**{"total_resources": 100, **kwargs})
+        assert str(raised.value) == message
 
 
 class TestRequiredConfidence:

@@ -88,3 +88,54 @@ class TestWrappedDistance:
         bc = float(wrapped_distance(b, c))
         ac = float(wrapped_distance(a, c))
         assert ac <= ab + bc + 1e-9
+
+
+def np_mod_signed_gap(a, b):
+    """signed_gap written with np.mod alone."""
+    d = np.mod(a - b, TWO_PI)
+    return np.where(d > np.pi, d - TWO_PI, d)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# Pairs (a, b) whose gap is 0.0, -0.0, exactly +-pi, or a tiny negative number whose + 2*pi rounds to 2*pi.
+EDGE_PAIRS = [
+    (0.0, 0.0), (-0.0, 0.0), (1.5, 1.5), (math.pi, 0.0), (0.0, math.pi), (TWO_PI - math.pi, TWO_PI),
+    (0.0, 1e-17), (0.0, 5e-324), (1.0, 1.0 + 2.0**-52), (TWO_PI - 1e-16, TWO_PI - 1e-17),
+]
+
+
+class TestGapsMatchNpMod:
+    def check(self, a, b):
+        a_before, b_before = np.copy(a), np.copy(b)
+        want = np_mod_signed_gap(a, b)
+        assert bits(signed_gap(a, b)) == bits(want)
+        assert bits(wrapped_distance(a, b)) == bits(np.abs(want))
+        assert bits(a) == bits(a_before) and bits(b) == bits(b_before), "the inputs are left alone"
+
+    def test_edge_gaps(self):
+        a = np.array([p[0] for p in EDGE_PAIRS])
+        b = np.array([p[1] for p in EDGE_PAIRS])
+        assert np.signbit(a - b).tolist().count(True) >= 5, "negative zero and tiny negative gaps are covered"
+        self.check(a, b)
+        for ai, bi in EDGE_PAIRS:
+            self.check(ai, bi)
+            self.check(np.array([ai]), bi)
+
+    @pytest.mark.parametrize("low,high", [(0.0, TWO_PI), (-20.0, 20.0)], ids=["angles", "wide"])
+    def test_random_gaps(self, low, high):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(low, high, 4096)
+        b = rng.uniform(low, high, 4096)
+        self.check(a, b)
+        self.check(a, float(b[0]))
+        for ai, bi in zip(a[:200], b[:200]):
+            self.check(float(ai), float(bi))
+
+    def test_gaps_the_fast_path_leaves_to_np_mod(self):
+        self.check(np.array([0.5, TWO_PI + 1.0, -TWO_PI]), 0.25)
+        self.check(np.array([0.5, np.nan, 1e300]), 0.25)
+        self.check(np.array([3, 9, -4]), 1)
+        self.check(np.array([], dtype=float), 1.0)

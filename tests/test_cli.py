@@ -94,7 +94,7 @@ class TestRunCommand:
     def test_a_negative_seed_names_the_seed(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         assert run_cli("run", "--n-tot", "4096", "--theta", "1", "--seed", "-1", "--out", str(out)) == 1
-        assert capsys.readouterr().err == "qpe-lab: error: seed must be a non-negative integer, got -1\n"
+        assert capsys.readouterr().err == "qpe-lab: error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_a_non_finite_true_phase_is_a_runtime_error(self, tmp_path, capsys):

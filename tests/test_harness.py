@@ -63,11 +63,36 @@ class TestSweepConfig:
             {"resource_ladder": (32, 16)},
             {"theta_count": 0},
             {"repetitions": 0},
+            {"theta_count": 2.5},
+            {"repetitions": 1.5},
+            {"resource_ladder": (64.7,)},
+            {"resource_ladder": (16, 64.0)},
+            {"shots_per_depth": 2.5},
         ],
     )
     def test_rejects_malformed_plans(self, overrides):
         with pytest.raises(ValueError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"theta_count": 2.5}, "theta_count must be an integer, got 2.5"),
+            ({"repetitions": True}, "repetitions must be an integer, got True"),
+            ({"resource_ladder": (16, 64.7)}, "resource_ladder[1] must be an integer, got 64.7"),
+            ({"resource_ladder": (1, 16)}, "resource_ladder[0] must be >= 2, got 1"),
+            ({"shots_per_depth": 2.5}, "shots_per_depth must be an integer, got 2.5"),
+        ],
+    )
+    def test_a_malformed_count_is_named(self, overrides, message):
+        with pytest.raises(ValueError) as raised:
+            small_config(**overrides)
+        assert str(raised.value) == message
+
+    def test_numpy_integers_are_counts(self):
+        config = small_config(resource_ladder=(np.int64(16), 64), theta_count=np.int32(3))
+        assert config.resource_ladder == (16, 64)
+        assert all(type(n_tot) is int for n_tot in config.resource_ladder)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -80,6 +105,8 @@ class TestSweepConfig:
             {"grid_size": 16},
             {"grid_size": 2 * MAX_GRID_SIZE},
             {"grid_size": 3072},
+            {"grid_size": 4096.0},
+            {"depth_limit": 8.5},
         ],
     )
     def test_rejects_a_run_setting_as_the_run_config_does(self, overrides):

@@ -51,8 +51,9 @@ from qpe_lab.posterior import (
     update_shot,
 )
 from qpe_lab.posterior import (
-    CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _integrate, _log_prob_components,
-    _nbytes, _part, _refine_once, _span_parts, _trim, _window_spans,
+    CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _integrate, _log_likelihood,
+    _log_prob_components, _logs_taken_once, _nbytes, _part, _refine_once, _span_parts, _trim, _unit_p0, _update,
+    _window_spans,
 )
 
 NOISELESS = NoiseModel()
@@ -759,13 +760,18 @@ class TestUpdatePaths:
         noise = NoiseModel(0.95, 0.9)
         base = von_mises_posterior(0.7, 3.0, 4096)
         _log_prob_components.cache_clear()
+        _log_likelihood.cache_clear()
         fresh = update(base.clone(), record, noise)
         # Another posterior sees the opposite outcome, so both branches of
         # this circuit are cached before the same update runs again.
         opposite = MeasurementRecord(record.circuit, 1, 1.0 - min(record.successes, 1.0))
         update(base.clone(), opposite, noise)
         cached = update(base.clone(), record, noise)
-        assert _log_prob_components.cache_info().hits >= 2
+        if record.shots == 1:
+            assert _log_prob_components.cache_info().hits >= 2
+        else:
+            # A batch record reads its logs from the log cache, not p0 from the p0 cache.
+            assert _log_likelihood.cache_info()[:2] == (1, 1)
         np.testing.assert_array_equal(fresh.weights, cached.weights)
         np.testing.assert_array_equal(fresh.density, cached.density)
 
@@ -930,6 +936,94 @@ class TestSingleShotCall:
         np.testing.assert_array_equal(post.weights, want)
 
 
+def batch_reference(post, record, noise):
+    """A batch record folded in on a clone, its logs taken from ``_unit_p0`` directly."""
+    post = post.clone()
+    depth, phase = record.circuit.depth, record.circuit.phase
+    ensure_resolution(post, depth)
+    p0 = _unit_p0(post.grid_size, depth, phase, noise.contrast(depth), post.offset, post.weights.size)
+    x, misses = record.successes, record.shots - record.successes
+    with np.errstate(divide="ignore"):
+        lw = np.log(post.weights)
+        if x > 0:
+            lw += x * np.log(p0)
+        if misses > 0:
+            lw += misses * np.log(1.0 - p0)
+    if np.isfinite(lw.max()):
+        lw -= lw.max()
+    post.weights = np.exp(lw)
+    return normalize(post)
+
+
+BATCH_WINDOWS = {name: SINGLE_SHOTS[name] for name in ("whole", "dark-fringe", "seam-window")}
+
+
+class TestBatchLogCache:
+    @pytest.mark.parametrize("case", BATCH_WINDOWS)
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.9)], ids=["noiseless", "beta-0.9"])
+    @pytest.mark.parametrize("x", [0.0, 5.0, 2.3], ids=["none-bright", "all-bright", "fractional"])
+    def test_a_cached_fold_equals_logs_taken_from_the_unit_p0(self, case, noise, x):
+        make, depth, phase = BATCH_WINDOWS[case]
+        base = make()
+        if case == "seam-window":
+            assert base.offset + base.weights.size > base.grid_size
+        record = MeasurementRecord(Circuit(depth, phase), 5, x)
+        want = batch_reference(base, record, noise)
+        _log_likelihood.cache_clear()
+        built = update(base.clone(), record, noise)
+        found = update(base.clone(), record, noise)
+        assert _log_likelihood.cache_info()[:2] == (1, 1), "the second fold reads the first one's logs"
+        for got in (built, found):
+            np.testing.assert_array_equal(got.weights, want.weights)
+            assert (got.total, got.grid_size, got.offset, got.discarded) == (
+                want.total, want.grid_size, want.offset, want.discarded
+            )
+
+    def test_the_cached_logs_are_those_of_the_p0_cache(self):
+        key = (256, 7, 15 * math.pi / 16, 1.0, 0, 256)
+        log_p0, log_q0 = _log_likelihood(*key)
+        p0, q0 = _log_prob_components(*key)
+        with np.errstate(divide="ignore"):
+            assert log_p0.tobytes() == np.log(p0).tobytes()
+            assert log_q0.tobytes() == np.log(q0).tobytes()
+        assert np.isneginf(log_p0).any(), "the clamped p0 is 0 at the dark fringe"
+        assert not log_p0.flags.writeable and not log_q0.flags.writeable
+
+    def test_a_second_doubling_run_hits_on_every_batch_record(self):
+        settings = RunSettings()
+        batch = [block for block in doubling_schedule(4096, settings, 32) if block[2] > 1]
+        # At N = 4096 no depth passes 64, so every record folds into the whole 4096-cell grid.
+        assert max(depth for depth, _, _ in batch) * POINTS_PER_PERIOD <= settings.grid_size
+        _log_likelihood.cache_clear()
+        run_nonadaptive_doubling(4096, 1.0, settings, 32, np.random.default_rng(0))
+        first = _log_likelihood.cache_info()
+        assert (first.hits, first.misses) == (0, len(batch))
+        run_nonadaptive_doubling(4096, 2.5, settings, 32, np.random.default_rng(1))
+        second = _log_likelihood.cache_info()
+        assert (second.hits, second.misses) == (len(batch), len(batch))
+
+    def test_predict_loss_adds_nothing_to_the_log_cache(self):
+        post = von_mises_posterior(1.0, 4.0)
+        _log_likelihood.cache_clear()
+        for circuit in (Circuit(8, 0.4), Circuit(1, 0.0)):
+            predict_loss(post, circuit, 800, NOISELESS, LossKind.ABSOLUTE)
+        info = _log_likelihood.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.currbytes) == (0, 0, 0, 0)
+
+    def test_an_entry_larger_than_the_budget_is_used_once_and_not_kept(self):
+        # 2**17 cells make a pair of 2 MiB, above the 1.25 MiB budget.
+        grid_size = 1 << 17
+        record = MeasurementRecord(Circuit(1, 0.3), 4, 1.0)
+        assert 2 * grid_size * 8 > _log_likelihood.cache_info().maxbytes
+        _log_likelihood.cache_clear()
+        want = batch_reference(uniform_prior(grid_size), record, NOISELESS)
+        for misses in (1, 2):
+            got = update(uniform_prior(grid_size), record, NOISELESS)
+            np.testing.assert_array_equal(got.weights, want.weights)
+            info = _log_likelihood.cache_info()
+            assert (info.hits, info.misses, info.currsize, info.currbytes) == (0, misses, 0, 0)
+
+
 class TestCircularMean:
     def test_concentrated_posterior(self):
         post = von_mises_posterior(5.5, 8.0)
@@ -1085,7 +1179,7 @@ class TestPredictOutcome:
         assert expected == trapezoid_count(np.clip(raw, 0.0, 1.0))
         assert expected != trapezoid_count(raw)
         # the hypothetical update of predict_loss then finds the circuit cached
-        update(post.clone(), MeasurementRecord(circuit, 1000, expected), NOISELESS)
+        _update(post.clone(), MeasurementRecord(circuit, 1000, expected), NOISELESS, _logs_taken_once)
         info = _log_prob_components.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
@@ -1295,8 +1389,7 @@ class TestWindow:
                 value = cached.__wrapped__(*args)
                 built.extend(a.size for a in value)
                 return value
-            info = cached.cache_info()
-            return _bounded_cache(info.maxsize, info.maxbytes)(build)
+            return _bounded_cache(**cached.cache_parameters())(build)
 
         for name in ARRAY_CACHES:
             monkeypatch.setattr(posterior_module, name, recording(getattr(posterior_module, name)))
@@ -1305,11 +1398,11 @@ class TestWindow:
         assert max(lengths) < post.grid_size // 32
 
 
-ARRAY_CACHES = ("_grid_trig", "_log_prob_components")
+ARRAY_CACHES = ("_grid_trig", "_log_prob_components", "_log_likelihood")
 
 
 class TestByteBoundedCaches:
-    def array_cache(self, maxsize, maxbytes):
+    def array_cache(self, maxsize, maxbytes, keep_newest=True):
         calls = []
 
         def build(n):
@@ -1317,7 +1410,7 @@ class TestByteBoundedCaches:
             calls.append(n)
             return np.zeros(n), np.zeros(0)
 
-        return _bounded_cache(maxsize, maxbytes)(build), calls
+        return _bounded_cache(maxsize, maxbytes, keep_newest)(build), calls
 
     def test_the_oldest_entries_go_first_once_the_bytes_run_over(self):
         cached, calls = self.array_cache(8, 100 * 8)
@@ -1345,6 +1438,25 @@ class TestByteBoundedCaches:
         cached(10)
         assert calls == [10, 1000, 10]
         assert cached.cache_info()[3:] == (1, 800, 80)
+
+    def test_without_keep_newest_an_entry_larger_than_the_budget_is_returned_and_not_kept(self):
+        cached, calls = self.array_cache(8, 100 * 8, keep_newest=False)
+        cached(10)
+        big = cached(1000)
+        assert big[0].size == 1000
+        assert cached.cache_info() == CacheInfo(0, 2, 8, 1, 800, 80), "the small entry stays"
+        assert cached(1000) is not big
+        cached(10)
+        assert calls == [10, 1000, 1000]
+        cached(100)  # exactly the budget: kept, and the small entry goes
+        assert cached.cache_info()[3:] == (1, 800, 800)
+
+    def test_the_parameters_rebuild_the_cache(self):
+        for name in ARRAY_CACHES:
+            parameters = getattr(posterior_module, name).cache_parameters()
+            assert set(parameters) == {"maxsize", "maxbytes", "keep_newest"}
+        assert _log_likelihood.cache_parameters()["keep_newest"] is False
+        assert _log_prob_components.cache_parameters()["keep_newest"] is True
 
     def test_clear_empties_the_cache_and_its_counts(self):
         cached, calls = self.array_cache(8, 800)
@@ -1378,7 +1490,7 @@ class TestByteBoundedCaches:
     def test_a_whole_grid_doubling_run_leaves_the_budgets_and_the_newest_entries(self, monkeypatch):
         # One shot per depth leaves the posterior too broad to trim, so the
         # grid refines whole to 2**22 cells; every array still held after the
-        # run is in the two caches.
+        # run is in the three caches.
         newest = {}
 
         def recording(name, cached):
@@ -1388,7 +1500,7 @@ class TestByteBoundedCaches:
                 return value
             info = cached.cache_info()
             assert isinstance(info.maxsize, int) and isinstance(info.maxbytes, int)
-            return _bounded_cache(info.maxsize, info.maxbytes)(build)
+            return _bounded_cache(**cached.cache_parameters())(build)
 
         for name in ARRAY_CACHES:
             monkeypatch.setattr(posterior_module, name, recording(name, getattr(posterior_module, name)))
@@ -1401,10 +1513,18 @@ class TestByteBoundedCaches:
             tracemalloc.stop()
         infos = {name: getattr(posterior_module, name).cache_info() for name in ARRAY_CACHES}
         assert newest["_grid_trig"] == 2 * MAX_GRID_SIZE * 8, "the grid refined whole to the cap"
+        # The leftover budget buys two-shot blocks at the deepest depth, batch records on the capped grid.
+        assert newest["_log_likelihood"] == 2 * MAX_GRID_SIZE * 8
         assert sum(info.maxbytes for info in infos.values()) < MAX_GRID_SIZE * 8, "budgets below one capped array"
+        # Only a cache that keeps its newest entry may hold more than its budget.
+        kept = {
+            name: newest[name] if getattr(posterior_module, name).cache_parameters()["keep_newest"] else 0
+            for name in ARRAY_CACHES
+        }
+        assert kept["_log_likelihood"] == 0
         for name, info in infos.items():
-            assert info.currbytes <= info.maxbytes + newest[name]
-        assert held <= sum(info.maxbytes + newest[name] for name, info in infos.items())
+            assert info.currbytes <= info.maxbytes + kept[name]
+        assert held <= sum(info.maxbytes + kept[name] for name, info in infos.items())
 
 
 class TestRebuiltAngles:

@@ -3,6 +3,9 @@
 import contextlib
 import importlib.util
 import io
+import json
+import shutil
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -62,21 +65,40 @@ def test_bench_layers_times_every_operation(monkeypatch):
     assert memory["qpea_past_window_peak_bytes"] > 0
 
 
-def test_ab_runs_against_its_own_tree(monkeypatch):
+def test_ab_runs_against_its_own_tree(monkeypatch, tmp_path):
     script = load_script("ab_runs")
     monkeypatch.setattr(script, "ROUNDS", 2)
     monkeypatch.setattr(script, "SEEDS", 2)
-    monkeypatch.setattr(script, "ROWS", (("beta=0.9 N=64", 0.9, 64), ("noiseless N=256", 1.0, 256)))
+    monkeypatch.setattr(script, "ROOT", str(tmp_path))
+    labels = ("beta=0.9 N=64", "noiseless N=256", "baselines 2^6..2^8")
+    monkeypatch.setattr(script, "ROWS", (
+        (labels[0], partial(script.time_runs, 0.9, 64)),
+        (labels[1], partial(script.time_runs, 1.0, 256)),
+        (labels[2], partial(script.time_sweeps, (64, 256))),
+    ))
+    # The change side loads from ROOT, here a copy of this tree's package.
+    shutil.copytree(SCRIPTS.parent / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert script.main([str(SCRIPTS.parent)]) == 0
+        assert script.main([str(SCRIPTS.parent), "t"]) == 0
     lines = stdout.getvalue().splitlines()
     assert lines[0] == "2 rounds, 2 seeds per row, process CPU time in ms"
-    assert len(lines) == 7
-    for label, (parent, change, wins) in zip(("beta=0.9 N=64", "noiseless N=256"), (lines[1:4], lines[4:7])):
-        assert parent.startswith(f"{label:<17} parent min-sum ")
-        assert change.startswith(f"{label:<17} change min-sum ")
-        assert wins.startswith(f"{label:<17} change faster in ") and wins.endswith(" of 2 rounds")
+    assert len(lines) == 1 + 3 * len(labels) + 2
+    for i, label in enumerate(labels):
+        parent, change, wins = lines[1 + 3 * i:4 + 3 * i]
+        assert parent.startswith(f"{label:<20} parent min-sum ")
+        assert change.startswith(f"{label:<20} change min-sum ")
+        assert wins.startswith(f"{label:<20} change faster in ") and wins.endswith(" of 2 rounds")
+    reports = {side: json.loads((tmp_path / name).read_text())
+               for side, name in (("parent", "BENCH_t_parent.json"), ("change", "BENCH_t.json"))}
+    assert (reports["parent"]["label"], reports["change"]["label"]) == ("t_parent", "t")
+    for side, report in reports.items():
+        assert report["side"] == side
+        assert list(report["rows"]) == list(labels)
+        for row in report["rows"].values():
+            assert len(row["round_totals_ms"]) == 2
+            assert 0.0 < row["min_sum_ms"] <= min(row["round_totals_ms"])
+    assert set(reports["change"]["change_faster_rounds"]) == set(labels)
 
 
 def test_reproduce_error_scaling_quick_run(tmp_path):
