@@ -9,6 +9,14 @@ the predicted loss of staying at the current depth against deepening, and
 finally spends any leftover budget on one unit-depth circuit tuned to the
 running estimate.
 
+Without decay (beta = 1) both predictions look ahead over a bounded
+horizon, the most the next rung's gate may spend, rather than the whole
+remaining budget, and a stay below the top of the ladder lasts one
+horizon's worth of shots before the rung decides again.  So a large budget
+keeps climbing the ladder instead of spending itself at one shallow depth.
+With decay the ladder stops at the noise-optimal depth, and a stay is
+final.
+
 Inside ``run`` every circuit goes through one shot loop, ``sample``, which
 checks a gate, a shot cap and the budget before each shot, and every
 stay/deepen/exhaust choice goes through one rule, ``decide``.  Step 1, each
@@ -263,10 +271,18 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             successes += outcome
 
     def decide(
-        depth: int, deeper: int, interval: CircularInterval, tie: str, reached: bool, can_deepen: bool = True
+        depth: int,
+        deeper: int,
+        interval: CircularInterval,
+        tie: str,
+        reached: bool,
+        can_deepen: bool = True,
+        horizon: int | None = None,
     ) -> tuple[str, float | None, float | None]:
         """Predict staying (tuned to the mode in the interval) and deepening (tuned to its center), then choose.
 
+        Both branches are predicted as if min(budget, ``horizon``) were
+        spent on them, or the whole budget when there is no horizon.
         Returns (decision, loss_stay, loss_deepen).  A phase that did not
         reach its choice (the budget died mid-gate) predicts nothing and
         exhausts.  A circuit the budget cannot pay for once predicts an
@@ -277,8 +293,9 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         if not reached:
             return "exhaust", None, None
         stay = tuned_circuit(depth, map_estimate(posterior, within=interval))
+        spend = budget if horizon is None else min(budget, horizon)
         loss_stay, loss_deepen = (
-            predict_loss(posterior, c, budget, noise, kind) if budget >= c.depth else math.inf
+            predict_loss(posterior, c, spend, noise, kind) if budget >= c.depth else math.inf
             for c in (stay, tuned_circuit(deeper, interval.center))
         )
         if math.isinf(loss_stay) and math.isinf(loss_deepen):
@@ -288,6 +305,17 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         else:
             decision = "deepen" if loss_deepen < loss_stay else tie
         return decision, loss_stay, loss_deepen
+
+    def horizon(step_index: int, deeper: int) -> int | None:
+        """The resources a noiseless prediction looks ahead over: the most the next rung's gate may spend.
+
+        That is twice its shot cap at its depth ``deeper``.  Under decay there
+        is none: the ladder stops at the noise-optimal depth, and a stay there
+        is final, so predictions take the whole budget.
+        """
+        if noise.beta != 1.0:
+            return None
+        return 2 * deeper * max(1, max_shots_for_step(step_index + 1, config))
 
     probes = (0.0, np.pi / 4.0)
     n2 = next_depth(2, config)
@@ -306,7 +334,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     # outside.  Ties deepen; a stay leaves the rest to the closer below.
     _, _, gate_passed, _ = sample(1, probes, step_one_gate)
     conf1 = confidence(posterior, interval)
-    decision, loss_stay, loss_deepen = decide(1, n2, interval, "deepen", gate_passed)
+    decision, loss_stay, loss_deepen = decide(1, n2, interval, "deepen", gate_passed, horizon=horizon(1, n2))
     for probe in probes:
         shots, successes = tallies.get((1, probe), (0, 0))
         steps.append(
@@ -316,13 +344,17 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     # Each rung samples until its gate passes or its shot cap is spent, then
     # chooses.  A tie stays, and so does a saturated ladder whose gate passed
     # without a shot, where deepening again would spin forever.  A rung that
-    # stays retunes to the running mode every shot until the budget is spent.
+    # stays retunes to the running mode every shot.  Below the top of a
+    # noiseless ladder it stays for one horizon's worth of shots and then
+    # decides again, until it deepens or the budget is spent; otherwise the
+    # stay is final and spends the budget.
     step_index = 2
     while decision == "deepen":
         depth = next_depth(step_index, config)
         if budget < depth:
             break
         deeper = next_depth(step_index + 1, config)
+        ahead = horizon(step_index, deeper) if deeper > depth else None
         current = choose_center(map_estimate(posterior, within=interval), interval, deeper, step_index)
         phase = tuned_phase(depth, current.center)
         eps = required_confidence(depth, config)
@@ -334,14 +366,18 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             2 * cap if cap > 0 else None,
         )
         decision, loss_stay, loss_deepen = decide(
-            depth, deeper, current, "stay", gate_passed or cap_hit, deeper > depth or shots > 0
+            depth, deeper, current, "stay", gate_passed or cap_hit, deeper > depth or shots > 0, ahead
         )
-        if decision == "stay":
+        while decision == "stay":
             more, more_successes, _, _ = sample(
-                depth, lambda shots: tuned_phase(depth, map_estimate(posterior, within=current))
+                depth, lambda shots: tuned_phase(depth, map_estimate(posterior, within=current)),
+                shot_cap=None if ahead is None else max(1, ahead // depth),
             )
             shots += more
             successes += more_successes
+            if budget < depth:
+                break
+            decision, loss_stay, loss_deepen = decide(depth, deeper, current, "stay", True, horizon=ahead)
         steps.append(
             StepRecord(
                 step_index, Circuit(depth, phase), shots, successes, current, confidence(posterior, current),

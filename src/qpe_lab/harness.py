@@ -243,8 +243,14 @@ def aggregate(results: Iterable[SweepCellResult]) -> list[AggregateRow]:
             if not abs_errors:
                 continue
             count += len(abs_errors)
-            mae_by_theta.append(float(np.mean(abs_errors)))
-            mse_by_theta.append(float(np.mean([e * e for e in abs_errors])))
+            if len(abs_errors) == 1:
+                # The mean of one value is the value itself; np.mean would only add its call overhead.
+                error = float(abs_errors[0])
+                mae_by_theta.append(error)
+                mse_by_theta.append(error * error)
+            else:
+                mae_by_theta.append(float(np.mean(abs_errors)))
+                mse_by_theta.append(float(np.mean([e * e for e in abs_errors])))
         if count == 0:
             rows.append(AggregateRow(strategy, n_tot, *([math.nan] * 5), 0))
             continue

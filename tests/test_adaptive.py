@@ -20,6 +20,7 @@ from qpe_lab.adaptive import (
     validate_trace,
 )
 from qpe_lab.angles import TWO_PI, wrapped_distance
+from qpe_lab.harness import fit_loglog_slope
 from qpe_lab.model import NoiseModel, optimal_depth
 from qpe_lab.posterior import CircularInterval
 
@@ -369,11 +370,11 @@ class TestDecisionPaths:
 
     @staticmethod
     def losses(monkeypatch, values):
-        """Make predict_loss return ``values(call_number)``, counting from 0."""
+        """Make predict_loss return ``values(call_number)``, counting from 0; record each (depth, budget) given."""
         calls = []
 
         def fake(posterior, circuit, budget, noise, kind):
-            calls.append(circuit)
+            calls.append((circuit.depth, budget))
             if len(calls) > 100:
                 raise AssertionError("the rung loop does not terminate")
             return values(len(calls) - 1)
@@ -481,3 +482,132 @@ class TestDecisionPaths:
         assert rung.predicted_loss_deepen < rung.predicted_loss_stay
         assert [s.step_index for s in trace.steps] == [1, 1, 2, 3]
         assert trace.resources_spent == 64
+
+    def test_a_noiseless_stay_decides_again_after_one_horizon(self, monkeypatch):
+        # Step 1 deepens; rung 2 stays once, then deepens at its next choice.
+        # Every later choice stays, so rung 3 re-decides until the budget is spent.
+        pairs = [(1.0, 0.5), (0.5, 1.0), (1.0, 0.25)]
+        given = self.losses(monkeypatch, lambda k: pairs[k // 2][k % 2] if k < 6 else (0.5, 1.0)[k % 2])
+        config = AlgorithmConfig(total_resources=4096, seed=3)
+        trace = run(config, 1.2)
+        validate_trace(trace)
+        step_one_horizon = 2 * 2 * max(1, max_shots_for_step(2, config))
+        rung_horizon = 2 * 4 * max(1, max_shots_for_step(3, config))
+        assert given[0][1] == given[1][1] == step_one_horizon
+        assert [budget for _, budget in given[2:6]] == [rung_horizon] * 4
+        rung = trace.steps[2]
+        assert (rung.step_index, rung.circuit.depth, rung.decision) == (2, 2, "deepen")
+        assert (rung.predicted_loss_stay, rung.predicted_loss_deepen) == (1.0, 0.25)
+        stay_shots = sum(s for c, (s, _) in trace.wall_outcome_counts.items() if c.depth == 2 and c != rung.circuit)
+        assert stay_shots == rung_horizon // 2
+        assert rung.shots_used == trace.wall_outcome_counts[rung.circuit][0] + stay_shots
+        last = trace.steps[3]
+        assert (last.step_index, last.circuit.depth, last.decision) == (3, 4, "stay")
+        assert len(given) > 8  # rung 3 decided more than once
+        assert trace.resources_spent == 4096
+
+    def test_a_stay_under_decay_is_final_and_predicts_with_the_whole_budget(self, monkeypatch):
+        pairs = [(1.0, 0.5), (0.5, 1.0)]
+        given = self.losses(monkeypatch, lambda k: pairs[k // 2][k % 2] if k < 4 else 0.0)
+        config = AlgorithmConfig(total_resources=4096, seed=3, noise=NoiseModel(1.0, 0.99))
+        trace = run(config, 1.2)
+        validate_trace(trace)
+        assert len(given) == 4
+        spent_before_rung = sum(s.shots_used for s in trace.steps[:2])
+        assert given[0][1] == given[1][1] == 4096 - spent_before_rung
+        rung = trace.steps[2]
+        assert (rung.step_index, rung.decision) == (2, "stay")
+        assert [s.step_index for s in trace.steps] == [1, 1, 2, 3]
+        assert trace.resources_spent == 4096
+
+
+def golden_phase(seed: int) -> float:
+    """theta_s = 2*pi*frac(0.618034*s), the phase of seed s in the large-budget checks."""
+    return 2.0 * math.pi * ((0.618034 * seed) % 1.0)
+
+
+class TestLargeBudgets:
+    """Heisenberg scaling past the acceptance ladder, noiseless, 40 seeds per budget.
+
+    A loop whose stays spend the rest of a large budget at one shallow depth
+    reads a median error x N of about 57 and a mean N^2*MSE near 2*10^4 at
+    N = 2^18, with a deepest depth that falls as N grows.  A loop that keeps
+    climbing reads about 10 and 260 there.
+    """
+
+    BUDGETS = (1 << 14, 1 << 16, 1 << 18)
+    SEEDS = 40
+
+    @pytest.fixture(scope="class")
+    def by_budget(self):
+        """N -> (absolute errors, deepest depths) over the seeds."""
+        results = {}
+        for n_tot in self.BUDGETS:
+            errors, depths = [], []
+            for seed in range(self.SEEDS):
+                theta = golden_phase(seed)
+                trace = run(AlgorithmConfig(total_resources=n_tot, seed=seed), theta)
+                errors.append(float(wrapped_distance(trace.final_estimate, theta)))
+                depths.append(trace.max_depth_used)
+            results[n_tot] = (np.array(errors), depths)
+        return results
+
+    def test_median_error_times_n_is_bounded(self, by_budget):
+        for n_tot, (errors, _) in by_budget.items():
+            assert np.median(errors) * n_tot <= 20.0, n_tot
+
+    def test_mean_squared_error_times_n_squared_is_bounded(self, by_budget):
+        for n_tot, (errors, _) in by_budget.items():
+            assert np.mean(errors**2) * n_tot**2 <= 600.0, n_tot
+
+    def test_median_deepest_depth_grows_with_the_budget(self, by_budget):
+        medians = [np.median(depths) for _, depths in by_budget.values()]
+        assert all(a < b for a, b in zip(medians, medians[1:])), medians
+
+    @pytest.mark.parametrize("statistic", [np.median, np.mean])
+    def test_squared_error_slope_is_heisenberg_like(self, by_budget, statistic):
+        points = [(n_tot, float(statistic(errors**2))) for n_tot, (errors, _) in by_budget.items()]
+        slope, _, _ = fit_loglog_slope(points)
+        assert slope <= -1.6, points
+
+
+class TestStepOneDeepens:
+    """Step 1 predicts over a bounded horizon, so it deepens however large the budget or coarse the grid.
+
+    Predicting with the whole budget let step 1 stay at N >= 2^22 on the
+    default grid, and on a 64-cell grid already at N = 4096, where both
+    predictions floor at the grid's cell width.  A step-1 stay leaves the
+    whole budget to one unit-depth circuit.
+    """
+
+    class StepOneChosen(Exception):
+        pass
+
+    @staticmethod
+    def step_one_losses(monkeypatch, config: AlgorithmConfig) -> list[float]:
+        """Step 1's (stay, deepen) predicted losses; the run stops once both are made."""
+        losses = []
+        real = adaptive.predict_loss
+
+        def predict_and_stop(*args):
+            losses.append(real(*args))
+            if len(losses) == 2:
+                raise TestStepOneDeepens.StepOneChosen
+            return losses[-1]
+
+        monkeypatch.setattr(adaptive, "predict_loss", predict_and_stop)
+        with pytest.raises(TestStepOneDeepens.StepOneChosen):
+            run(config, golden_phase(config.seed))
+        return losses
+
+    @pytest.mark.parametrize(
+        "n_tot,seeds,grid_size", [(1 << 22, 8, 4096), (1 << 24, 8, 4096), (1 << 26, 8, 4096), (4096, 64, 64)]
+    )
+    def test_step_one_deepens(self, monkeypatch, n_tot, seeds, grid_size):
+        stays = []
+        for seed in range(seeds):
+            config = AlgorithmConfig(total_resources=n_tot, seed=seed, grid_size=grid_size)
+            loss_stay, loss_deepen = self.step_one_losses(monkeypatch, config)
+            if loss_deepen > loss_stay:
+                stays.append(seed)
+        assert stays == []

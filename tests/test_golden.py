@@ -64,9 +64,9 @@ SWEEP_DIGESTS = {
 }
 
 RUN_DIGESTS = {
-    "noiseless": "d132006166173d83f4c7e89acfac062eea1faef5e430f156507ff1652e18e08c",
+    "noiseless": "28c34b9c59fdee1c8ceb221dd7727c2d7f5fb380e0b44d8135c87e59b81ed9f8",
     "beta-0.9": "9673c189103856b699c9a4ccf2de4495bdb71f7e18517695b662a9b826dbed68",
-    "squared-circular-mean": "8b1865260e9bac14a9d2dcc6f2bf78c2bc0110880937732bb1edaf28bf194aa5",
+    "squared-circular-mean": "f4563cdf59bf8acce82f0b4a4f3a9d46e6eba3fb48b8701b8ec00fb8aeb50b25",
 }
 
 # sha256 of the decision columns of results.csv, one line per row.
@@ -98,7 +98,7 @@ RUN_GRID = (
     ((1.0, 3.0), (1.0, 0.0), (0.01, 0.0)),
     (1, 2, 1 << 20),
 )
-RUN_GRID_DIGEST = "ad481820b3fcb19a00ecfffc6a4af889acef1444ddc4aa7f76b71ea0fa621659"
+RUN_GRID_DIGEST = "3bacfdd7c7d2f1dcefc2e1c9d9548e122eb9a4a7b3e310134b41ef63f5a93bef"
 
 NOISE_ARGS = {
     "noiseless": (),

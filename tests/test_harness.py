@@ -306,6 +306,49 @@ class TestAggregate:
         with pytest.raises(EmptyGroupError):
             aggregate([])
 
+    @staticmethod
+    def numpy_aggregate(cells):
+        """The per-phase means as numpy forms them, for groups of any size."""
+        groups = {}
+        for cell in cells:
+            groups.setdefault((cell.strategy, cell.n_tot), {}).setdefault(cell.theta_index, []).append(cell)
+        rows = []
+        for (strategy, n_tot), by_theta in sorted(groups.items()):
+            maes, mses, count = [], [], 0
+            for group in by_theta.values():
+                errors = [c.abs_error for c in group if math.isfinite(c.abs_error)]
+                if errors:
+                    count += len(errors)
+                    maes.append(float(np.mean(errors)))
+                    mses.append(float(np.mean([e * e for e in errors])))
+            if count == 0:
+                rows.append(AggregateRow(strategy, n_tot, *([math.nan] * 5), 0))
+                continue
+            rows.append(AggregateRow(
+                strategy, n_tot, float(np.mean(maes)), float(np.median(maes)), float(np.min(maes)),
+                float(np.max(maes)), float(np.mean(mses)), count,
+            ))
+        return rows
+
+    @pytest.mark.parametrize("repetitions", [1, 3])
+    def test_csv_bytes_match_the_numpy_form(self, tmp_path, repetitions):
+        rng = np.random.default_rng(repetitions)
+        cells = [
+            make_cell(strategy, n_tot, theta_index, rep, float(rng.uniform(0.0, 1.0) ** 3))
+            for strategy in ("adaptive", "classical")
+            for n_tot in (64, 512, 4096)
+            for theta_index in range(10)
+            for rep in range(repetitions)
+        ]
+        failed = cells[7]
+        cells[7] = make_cell(
+            failed.strategy, failed.n_tot, failed.theta_index, failed.rep, math.nan, error="boom", resources_spent=0
+        )
+        ours, numpy_form = tmp_path / "ours.csv", tmp_path / "numpy.csv"
+        write_aggregate_csv(aggregate(cells), ours)
+        write_aggregate_csv(self.numpy_aggregate(cells), numpy_form)
+        assert ours.read_bytes() == numpy_form.read_bytes()
+
 
 class TestFitLoglogSlope:
     def test_recovers_exact_power_law(self):

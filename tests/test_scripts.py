@@ -127,6 +127,6 @@ def test_trace_digest_quick_run():
     # The quick grid's decisions, shots and tallies, as the loop makes them today.
     assert path == "path b3fc555c47ed3b36a10e849143f3d424c133b8d834649208bb3324008e0b7808"
     # The same grid's phases, intervals, confidences, losses and estimates, to the bit.
-    assert bits == "bits dd5c5db6b80d85b54a71c3954cd8481d129b2501d6588ee21e8c2667e5a78b7b"
+    assert bits == "bits 9021cb1ad31470125da2e28c2b873f36458001c7e52480cf960b24861e038d65"
     assert outputs[1][1:] == [path, bits]
 
