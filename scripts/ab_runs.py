@@ -3,7 +3,7 @@
 
 Loads ``PARENT_TREE/src/qpe_lab`` under the package name ``qpe_lab_parent``
 beside this checkout's ``qpe_lab``, so both sides share one interpreter,
-one numpy and one machine state.  Each round times four rows on both
+one numpy and one machine state.  Each round times five rows on both
 sides, and the side that goes first flips every round:
 
 - 8 seeded runs at decay beta = 0.9 and N = 4096;
@@ -12,7 +12,10 @@ sides, and the side that goes first flips every round:
 - 8 whole noiseless baseline sweep passes, master seeds 0 to 7: the
   classical, nonadaptive-doubling and qpea strategies over the budgets
   2^12, 2^14, ..., 2^20, 6 phases and 32 shots per depth, one process
-  (``workers=1``), as the ``baseline-sweep`` benchmark workload runs them.
+  (``workers=1``), as the ``baseline-sweep`` benchmark workload runs them;
+- 8 whole adaptive sweep passes at beta = 0.9, master seeds 0 to 7: the
+  adaptive strategy alone over the budgets 32, 64, ..., 4096 and 5 phases,
+  one process, shaped as the ``adaptive-noisy-sweep`` workload's passes.
 
 Seed s runs at theta = 2*pi*frac(0.618034*s), and each run or pass is
 timed in process CPU time.  Both sides must give bitwise equal final
@@ -83,17 +86,24 @@ def time_runs(beta: float, n_tot: int, package) -> tuple[list[int], list]:
     return times, estimates
 
 
-def time_sweeps(ladder: tuple[int, ...], package) -> tuple[list[int], list]:
-    """CPU nanoseconds and cells, as tuples of their fields, of each seeded baseline sweep pass."""
+def time_sweeps(
+    ladder: tuple[int, ...],
+    package,
+    strategies: tuple[str, ...] = ("classical", "nonadaptive-doubling", "qpea"),
+    theta_count: int = 6,
+    beta: float = 1.0,
+) -> tuple[list[int], list]:
+    """CPU nanoseconds and cells, as tuples of their fields, of each seeded sweep pass, baselines by default."""
     times, passes = [], []
     gc.collect()
     for seed in range(SEEDS):
         config = package.SweepConfig(
-            strategies=("classical", "nonadaptive-doubling", "qpea"),
+            strategies=strategies,
             resource_ladder=ladder,
-            theta_count=6,
+            theta_count=theta_count,
             repetitions=1,
             shots_per_depth=32,
+            noise=package.NoiseModel(1.0, beta),
             master_seed=seed,
         )
         t0 = time.process_time_ns()
@@ -109,6 +119,9 @@ ROWS = (
     ("beta=0.9 N=512", partial(time_runs, 0.9, 1 << 9)),
     ("noiseless N=2^16", partial(time_runs, 1.0, 1 << 16)),
     ("baselines 2^12..2^20", partial(time_sweeps, tuple(1 << m for m in range(12, 21, 2)))),
+    ("noisy sweep 32..4096", partial(
+        time_sweeps, tuple(1 << m for m in range(5, 13)), strategies=("adaptive",), theta_count=5, beta=0.9
+    )),
 )
 
 

@@ -36,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import check_true_phase, signed_gap, wrapped_distance
-from .model import Circuit, NoiseModel, check_integer, optimal_depth, sample_shots, tuned_circuit, tuned_phase
+from .model import (
+    Circuit,
+    NoiseModel,
+    check_integer,
+    draw_probability,
+    optimal_depth,
+    tuned_circuit,
+    tuned_phase,
+)
 from .posterior import (
     CircularInterval,
     GridPosterior,
@@ -48,9 +56,13 @@ from .posterior import (
     expected_loss,
     map_estimate,
     mass_outside,
+    normalize,
     predict_loss,
+    retuned_factor,
+    shot_likelihood,
     uniform_prior,
     update_shot,
+    window_trig,
 )
 
 ESTIMATORS = ("map", "circular-mean")
@@ -228,47 +240,90 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     noise = config.noise
     kind = config.loss_kind
     budget = config.total_resources
+    binomial = rng.binomial
     tallies: dict[tuple[int, float], list[int]] = {}
     steps: list[StepRecord] = []
 
     def sample(
         depth: int,
-        phases: tuple[float, ...] | Callable[[int], float],
-        gate: Callable[[int], bool] = lambda shots: False,
+        phases: tuple[float, ...] | CircularInterval,
+        gate: Callable[[int], bool] | None = None,
         shot_cap: int | None = None,
+        mode: float | None = None,
     ) -> tuple[int, int, bool, bool]:
         """Fire depth-``depth`` circuits one shot at a time; return (shots, successes, gate_passed, cap_hit).
 
-        ``phases`` is either a tuple of wrapped phases, fired in turn, or a
-        function of the shots fired so far that retunes the phase for every
-        shot.  The circuit stays two scalars, (depth, phase), which also key
-        the tallies; ``Circuit`` objects are built once per trace, for the
-        step records and ``wall_outcome_counts``.  A fixed phase repeats, so
-        the posterior caches its likelihood; a retuned one never does, so
-        its likelihood is built anew.  Before each shot it stops if
-        ``gate(shots)`` passes, then if ``shot_cap`` shots are spent, then
-        if the budget cannot pay for depth.
+        ``phases`` is either a tuple of wrapped phases, fired in turn, or, for
+        a stay, an interval: before every shot the phase is retuned to the
+        posterior's mode within it.  Before each shot it stops if
+        ``gate(shots)`` passes, then if ``shot_cap`` shots are spent, then if
+        the budget cannot pay for depth.  The circuit stays two scalars,
+        (depth, phase), which also key the tallies.
+
+        What cannot change between shots is bound at the first one, whose
+        update refines the grid if depth needs it; no later shot moves the
+        window.  A fixed phase binds its cached (p0, q0) and its draw
+        probability, and its tally is added up over the call and written in
+        firing order.  A stay never repeats a phase, so it binds the depth's
+        cos/sin on the window and one p0 buffer that every shot refills.
+
+        Without a gate nothing reads the posterior's total between shots, so
+        a shot skips its sum while the weight at the mode, the stay's retuned
+        one or the given ``mode`` (for a call without a gate only), stays at
+        or above the rescale floor, and ``normalize`` sums the total once
+        before the call returns.
         """
         nonlocal budget
-        retuned = callable(phases)
+        retuned = isinstance(phases, CircularInterval)
         envelope = noise.contrast(depth)
         shots = successes = 0
+        gate_passed = cap_hit = False
         while True:
-            if gate(shots):
-                return shots, successes, True, False
+            if gate is not None and gate(shots):
+                gate_passed = True
+                break
             if shot_cap is not None and shots >= shot_cap:
-                return shots, successes, False, True
+                cap_hit = True
+                break
             if budget < depth:
-                return shots, successes, False, False
-            phase = phases(shots) if retuned else phases[shots % len(phases)]
-            outcome = sample_shots(depth, phase, envelope, 1, theta_true, rng)
-            update_shot(posterior, depth, phase, envelope, outcome, cache=not retuned)
+                break
+            if retuned:
+                mode = map_estimate(posterior, within=phases)
+                phase = tuned_phase(depth, mode)
+                if not shots:
+                    trig = window_trig(posterior, depth)
+                    buffer = np.empty(posterior.weights.size)
+                outcome = int(binomial(1, draw_probability(depth, phase, envelope, theta_true)))
+                update_shot(posterior, retuned_factor(trig, phase, envelope, outcome, buffer), mode)
+                tally = tallies.setdefault((depth, phase), [0, 0])
+                tally[0] += 1
+                tally[1] += outcome
+            else:
+                if not shots:
+                    bound = [
+                        (*shot_likelihood(posterior, depth, phase, envelope),
+                         draw_probability(depth, phase, envelope, theta_true))
+                        for phase in phases
+                    ]
+                    fired = [[0, 0] for _ in phases]
+                turn = shots % len(phases)
+                p0, q0, probability = bound[turn]
+                outcome = int(binomial(1, probability))
+                update_shot(posterior, p0 if outcome else q0, mode)
+                fired[turn][0] += 1
+                fired[turn][1] += outcome
             budget -= depth
-            tally = tallies.setdefault((depth, phase), [0, 0])
-            tally[0] += 1
-            tally[1] += outcome
             shots += 1
             successes += outcome
+        if shots and not retuned:
+            for phase, (count, bright) in zip(phases, fired):
+                if count:
+                    tally = tallies.setdefault((depth, phase), [0, 0])
+                    tally[0] += count
+                    tally[1] += bright
+        if shots and mode is not None:
+            normalize(posterior)
+        return shots, successes, gate_passed, cap_hit
 
     def decide(
         depth: int,
@@ -370,8 +425,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         )
         while decision == "stay":
             more, more_successes, _, _ = sample(
-                depth, lambda shots: tuned_phase(depth, map_estimate(posterior, within=current)),
-                shot_cap=None if ahead is None else max(1, ahead // depth),
+                depth, current, shot_cap=None if ahead is None else max(1, ahead // depth)
             )
             shots += more
             successes += more_successes
@@ -389,8 +443,9 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
 
     # The closer: what is left goes to one unit-depth circuit at the running estimate.
     if budget >= 1:
-        phase = tuned_phase(1, map_estimate(posterior, within=interval))
-        shots, successes, _, _ = sample(1, (phase,))
+        target = map_estimate(posterior, within=interval)
+        phase = tuned_phase(1, target)
+        shots, successes, _, _ = sample(1, (phase,), mode=target)
         steps.append(
             StepRecord(
                 steps[-1].step_index + 1, Circuit(1, phase), shots, successes, interval, confidence(posterior, interval)
@@ -406,13 +461,20 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
             pass
     if final_estimate is None:
         final_estimate = map_estimate(posterior)
+    # Each tally gives up its key as the key's Circuit is made, last fired
+    # first, so the run never holds both for every circuit at once.
+    circuits, counts = [], []
+    while tallies:
+        (depth, phase), (shots, successes) = tallies.popitem()
+        circuits.append(Circuit.of_wrapped(depth, phase))
+        counts.append((shots, successes))
     return AlgorithmTrace(
         config=config,
         steps=steps,
         resources_spent=config.total_resources - budget,
         final_estimate=final_estimate,
         final_expected_loss=expected_loss(posterior, final_estimate, kind),
-        wall_outcome_counts={Circuit(d, p): (s, x) for (d, p), (s, x) in tallies.items()},
+        wall_outcome_counts=dict(zip(reversed(circuits), reversed(counts))),
     )
 
 

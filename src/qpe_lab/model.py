@@ -70,6 +70,18 @@ class Circuit:
         object.__setattr__(self, "depth", int(self.depth))
         object.__setattr__(self, "phase", wrap_float(self.phase))
 
+    @classmethod
+    def of_wrapped(cls, depth: int, phase: float) -> "Circuit":
+        """The circuit of an int ``depth`` >= 1 and a ``phase`` already wrapped to [0, 2*pi), not checked again.
+
+        ``wrap_float`` returns such a phase unchanged, so the result equals
+        ``Circuit(depth, phase)``.
+        """
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "depth", depth)
+        object.__setattr__(circuit, "phase", phase)
+        return circuit
+
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -143,19 +155,18 @@ def sample_outcome(
     if shots == 0:
         return 0
     depth = circuit.depth
-    return sample_shots(depth, circuit.phase, noise.contrast(depth), shots, theta_true, rng)
+    return int(rng.binomial(shots, draw_probability(depth, circuit.phase, noise.contrast(depth), theta_true)))
 
 
-def sample_shots(
-    depth: int, phase: float, envelope: float, shots: int, theta_true: float, rng: np.random.Generator
-) -> int:
-    """``sample_outcome`` of the circuit (depth, phase), given as scalars, for ``shots`` >= 1 unchecked.
+def draw_probability(depth: int, phase: float, envelope: float, theta_true: float) -> float:
+    """Bright-outcome probability at the true phase of the circuit (depth, phase), given as scalars, for a draw.
 
     ``envelope`` is the circuit's ``NoiseModel.contrast``.  p0 is evaluated
-    in scalar float arithmetic and clamped to [0, 1] for the draw.
+    in scalar float arithmetic and clamped to [0, 1], so ``rng.binomial``
+    takes it as is.
     """
     p0 = 0.5 + 0.5 * envelope * math.cos(depth * theta_true + phase)
-    return int(rng.binomial(shots, min(max(p0, 0.0), 1.0)))
+    return min(max(p0, 0.0), 1.0)
 
 
 def sigma_squared(

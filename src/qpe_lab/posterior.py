@@ -26,13 +26,21 @@ beyond both ends.  Four places differ between the two because
 periodicity forces them: ``_trim`` puts a whole window's ends at the
 antipode of its largest weight, ``_refine_once`` puts a midpoint between
 its last and first cells, ``map_estimate`` reads the peak's neighbours
-across that join, and ``_segment`` integrates the segment over it.
+across that join, and ``_integrate`` integrates the segment over it.
 
-A single shot (``update_shot``) multiplies the weights in place by the
-circuit's p0 or 1 - p0 and takes one sum, the new total: the sequential
-Monte Carlo update w <- w * Pr(d | theta) (Granade et al., New J. Phys.
-14, 103013, 2012) on the grid.  Once the sum falls below RESCALE_FLOOR
-the weights are divided by it.  Interval masses (``confidence`` and
+One shot is folded in by ``update_shot`` alone: it multiplies the weights
+in place by the shot's factor, the circuit's p0 or 1 - p0, and takes one
+sum, the new total: the sequential Monte Carlo update
+w <- w * Pr(d | theta) (Granade et al., New J. Phys. 14, 103013, 2012) on
+the grid.  Once the sum falls below RESCALE_FLOOR the weights are divided
+by it.  A caller that reads only the weights between shots, as the
+adaptive loop's stays and closing circuit do, names the mode, and the sum
+is skipped while the mode's weight is at or above the floor; the caller
+then calls ``normalize`` before anything reads the total.  The factor
+comes from ``shot_likelihood`` for a circuit that repeats, or from
+``retuned_factor`` on the window's ``window_trig`` for one that does not;
+both refine the grid first, so a caller can fetch them once for all the
+shots of one depth.  Interval masses (``confidence`` and
 ``mass_outside``) integrate the weights' linear interpolant over the arc
 they report, so a tiny tail mass is summed directly instead of being left
 over from a difference of O(1) sums.
@@ -52,27 +60,34 @@ per depth, ``_log_prob_components`` the p0 and q0 = 1 - p0 of circuits
 that single shots and predictions repeat, and ``_log_likelihood`` the
 log p0 and log q0 of circuits that batch records repeat.  The p0 cache
 serves the adaptive loop's two unit-depth probes, each gated rung's
-circuit and the closing circuit, and ``predict_outcome``; the hypothetical
-update of ``predict_loss`` takes its logs from that same p0 and keeps them
-nowhere, since its circuit is folded in once.  A circuit retuned for every
-shot, as a rung's stay is, never repeats, so ``update_shot`` builds its p0
-anew outside the cache and turns it into q0 in place only for a dark
-outcome.  The log cache serves the baselines, whose runs fold in the same
-whole-grid circuits (depths up to 128 at phases 0 and pi/2 on 4096 cells)
-run after run, so a repeated batch record takes the log of the weights
-alone.  Each cache is bounded by a number of entries and by the bytes it
-holds (TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES,
-LOG_LIKELIHOOD_CACHE_BYTES), and a miss evicts the least recently used
-entries until both bounds hold again.  The trig and p0 caches never evict
-the entry a miss just built, so a window too large for the budget still
-finds its arrays on the next shot of a gated rung.  The log cache keeps
-no entry larger than its budget: a batch record on a grid that large is a
-doubling block that does not come back, and keeping it would hold up to
-64 MiB at the grid cap long after the run.  Memory thus follows the live
-window, not the largest grid the process has seen.  The window's angles
-are rebuilt on each read, in a few microseconds at 4096 cells: only trig
-misses and the loss reads need them, and a cache of them held one more
-window-sized array per grid.
+circuit and the closing circuit, each looked up once per sampling phase,
+and ``predict_outcome``; the hypothetical update of ``predict_loss`` takes
+its logs from that same p0 and keeps them nowhere, since its circuit is
+folded in once.  A circuit retuned for every shot, as a rung's stay is,
+never repeats, so ``retuned_factor`` builds its p0 anew outside the cache,
+from the depth's cached cos and sin and into a buffer the caller reuses,
+and turns it into q0 in place only for a dark outcome.  The log cache
+serves the baselines, whose runs fold in the same whole-grid circuits
+(depths up to 128 at phases 0 and pi/2 on 4096 cells) run after run, so a
+repeated batch record takes the log of the weights alone.  Each cache is
+bounded by a number of entries and by the bytes it holds
+(TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES, LOG_LIKELIHOOD_CACHE_BYTES),
+and a miss evicts the least recently used entries until both bounds hold
+again.  The trig and p0 caches never evict the entry a miss just built, so
+a window too large for the budget still finds its arrays on the next
+lookup, as ``predict_loss`` makes right after ``predict_outcome``.  The
+log cache keeps no entry larger than its budget: a batch record on a grid
+that large is a doubling block that does not come back, and keeping it
+would hold up to 64 MiB at the grid cap long after the run.  Memory thus
+follows the live window, not the largest grid the process has seen.  The window's angles are rebuilt on each read, in a few
+microseconds at 4096 cells: only trig misses and the loss reads need them,
+and a cache of them held one more window-sized array per grid.
+
+Two small caches hold arc geometry, no arrays.  ``_arc_spans`` keeps the
+spans of the last interval a mass was read over, since a gated rung reads
+one interval after every shot; step 1's interval moves every shot and
+simply replaces it.  ``_arc_runs`` keeps the slices of the last 16
+intervals the mode was searched within, which a stay reads every shot.
 """
 
 from __future__ import annotations
@@ -256,23 +271,26 @@ def _grid_trig(grid_size: int, depth: int, offset: int, length: int):
     return cos_n, sin_n
 
 
-def _grid_p0(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int) -> np.ndarray:
-    """Bright-outcome probability p0 of one circuit at every cell of a window."""
-    cos_n, sin_n = _grid_trig(grid_size, depth, offset, length)
-    p0 = cos_n * math.cos(phase)
+def _grid_p0(trig: tuple, phase: float, envelope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Bright-outcome probability p0 of one circuit at every cell of a window, into ``out`` if given.
+
+    ``trig`` is the window's (cos n theta, sin n theta) for the circuit's depth n, from ``_grid_trig``.
+    """
+    cos_n, sin_n = trig
+    p0 = np.multiply(cos_n, math.cos(phase), out=out)
     p0 -= sin_n * math.sin(phase)
     p0 *= 0.5 * envelope
     p0 += 0.5
     return p0
 
 
-def _unit_p0(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int) -> np.ndarray:
-    """``_grid_p0`` in [0, 1], built anew and writable.
+def _unit_p0(trig: tuple, phase: float, envelope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``_grid_p0`` in [0, 1], built anew into ``out``, or into a new writable array.
 
     p0 is clamped only above CLAMP_FREE_ENVELOPE, where rounding can push it
     out; below, the clamp would change nothing.
     """
-    p0 = _grid_p0(grid_size, depth, phase, envelope, offset, length)
+    p0 = _grid_p0(trig, phase, envelope, out)
     if envelope > CLAMP_FREE_ENVELOPE:
         np.minimum(p0, 1.0, out=p0)
         np.maximum(p0, 0.0, out=p0)
@@ -288,7 +306,7 @@ def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: flo
     key holds the circuit's envelope, ``NoiseModel.contrast``, so noise
     models of one envelope share an entry.
     """
-    p0 = _unit_p0(grid_size, depth, phase, envelope, offset, length)
+    p0 = _unit_p0(_grid_trig(grid_size, depth, offset, length), phase, envelope)
     q0 = 1.0 - p0
     p0.setflags(write=False)
     q0.setflags(write=False)
@@ -303,7 +321,7 @@ def _log_likelihood(grid_size: int, depth: int, phase: float, envelope: float, o
     a repeated batch record takes no log but that of the weights.  The logs
     are those of ``_log_prob_components``' p0 and 1 - p0, bit for bit.
     """
-    p0 = _unit_p0(grid_size, depth, phase, envelope, offset, length)
+    p0 = _unit_p0(_grid_trig(grid_size, depth, offset, length), phase, envelope)
     q0 = 1.0 - p0
     with np.errstate(divide="ignore"):
         np.log(p0, out=p0)
@@ -463,61 +481,84 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
     return posterior
 
 
-def _window_key(posterior: GridPosterior, depth: int, phase: float, envelope: float) -> tuple:
-    """Refine the grid in place to resolve ``depth``, then return the circuit's p0 arguments on the window."""
+def _resolve(posterior: GridPosterior, depth: int) -> None:
+    """Refine the grid in place, if it must, to resolve circuits of ``depth``."""
     if posterior.grid_size < required_grid_size(depth) or depth > MAX_DEPTH:
         ensure_resolution(posterior, depth)
+
+
+def _window_key(posterior: GridPosterior, depth: int, phase: float, envelope: float) -> tuple:
+    """Refine the grid in place to resolve ``depth``, then return the circuit's p0 arguments on the window."""
+    _resolve(posterior, depth)
     return posterior.grid_size, depth, phase, envelope, posterior.offset, posterior.weights.size
 
 
-def _likelihood(posterior: GridPosterior, circuit: Circuit, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the grid in place to resolve ``circuit``, then look up its cached (p0, q0)."""
-    depth = circuit.depth
-    return _log_prob_components(*_window_key(posterior, depth, circuit.phase, noise.contrast(depth)))
+def shot_likelihood(posterior: GridPosterior, depth: int, phase: float, envelope: float) -> tuple:
+    """Refine the grid in place to resolve ``depth``, then look up the circuit's cached (p0, q0) on the window.
 
-
-def update_shot(
-    posterior: GridPosterior, depth: int, phase: float, envelope: float, bright: bool, cache: bool = True
-) -> GridPosterior:
-    """Multiply in one bright or dark shot of the circuit (depth, phase), in place.
-
-    ``envelope`` is the circuit's ``NoiseModel.contrast``.  The weights are
-    multiplied by p0 or q0 = 1 - p0 and summed; the sum is the new total
-    unless it fell below RESCALE_FLOOR, and then ``normalize`` divides the
-    weights by it.  With ``cache`` the circuit's (p0, q0) come from
-    ``_log_prob_components``.  Without it, for a circuit that will not
-    repeat, p0 is built anew and, for a dark shot only, turned into q0 in
-    place, with the same bits.  If the shot is impossible everywhere on the
-    grid, ImpossibleObservationError is raised; discard the posterior.
+    ``envelope`` is the circuit's ``NoiseModel.contrast``.  A bright shot
+    multiplies the weights by p0, a dark one by q0 = 1 - p0.
     """
-    key = _window_key(posterior, depth, phase, envelope)
-    if cache:
-        p0, q0 = _log_prob_components(*key)
-        factor = p0 if bright else q0
-    else:
-        factor = _unit_p0(*key)
-        if not bright:
-            np.subtract(1.0, factor, out=factor)
+    return _log_prob_components(*_window_key(posterior, depth, phase, envelope))
+
+
+def window_trig(posterior: GridPosterior, depth: int) -> tuple:
+    """Refine the grid in place to resolve ``depth``, then return the window's cached (cos n theta, sin n theta).
+
+    For circuits of this depth that ``retuned_factor`` builds shot by shot.
+    """
+    _resolve(posterior, depth)
+    return _grid_trig(posterior.grid_size, depth, posterior.offset, posterior.weights.size)
+
+
+def retuned_factor(trig: tuple, phase: float, envelope: float, bright: bool, out: np.ndarray | None = None):
+    """The factor p0, or q0 = 1 - p0 for a dark shot, of one shot of a circuit that will not repeat.
+
+    ``trig`` is the window's from ``window_trig``.  The factor is built anew
+    from ``_unit_p0``, into ``out`` if given, and never cached; q0 is made
+    from p0 in place, with the bits of the cached q0.
+    """
+    factor = _unit_p0(trig, phase, envelope, out)
+    if not bright:
+        np.subtract(1.0, factor, out=factor)
+    return factor
+
+
+def update_shot(posterior: GridPosterior, factor: np.ndarray, mode: float | None = None) -> GridPosterior:
+    """Fold one shot into the posterior in place: multiply the weights by its ``factor``, then sum and rescale.
+
+    ``factor`` is the shot's p0 or q0 on the window, from ``shot_likelihood``
+    or ``retuned_factor``.  The sum is the new total unless it fell below
+    RESCALE_FLOOR, and then ``normalize`` divides the weights by it.
+
+    With ``mode``, an angle near the posterior's peak, the sum is skipped
+    when the weight of the window's cell nearest it is at least
+    RESCALE_FLOOR after the multiply.  That is exact: a float sum of
+    nonnegative weights is at least its largest term, so no rescale can be
+    due.  ``total`` is then stale; the caller reads only the weights until
+    it calls ``normalize``, which sums them to the bits this shot's sum
+    would have left.  If the shot is impossible everywhere on the grid,
+    ImpossibleObservationError is raised; discard the posterior.
+    """
     w = posterior.weights
     w *= factor
+    if mode is not None:
+        g = posterior.grid_size
+        cell = (int(mode * g / TWO_PI + 0.5) - posterior.offset) % g
+        if cell < w.size and w.item(cell) >= RESCALE_FLOOR:
+            return posterior
     total = float(_add_reduce(w))
     if total >= RESCALE_FLOOR:
         posterior.total = total
         return posterior
-    try:
-        return normalize(posterior)
-    except ImpossibleObservationError:
-        outcome = "bright" if bright else "dark"
-        raise ImpossibleObservationError(
-            f"a {outcome} shot of depth {depth} at phase {phase} has zero likelihood at every grid cell"
-        ) from None
+    return normalize(posterior)
 
 
 def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel) -> GridPosterior:
     """Multiply in the likelihood of ``record`` and renormalize, in place.
 
-    A single shot with a whole outcome is ``update_shot`` of its circuit.
-    Any other record is added to the log-weights as
+    A single shot with a whole outcome is ``update_shot`` of its circuit's
+    cached p0 or q0.  Any other record is added to the log-weights as
     x * log p0 + (shots - x) * log q0, with the logs cached by
     ``_log_likelihood``; the binomial coefficient is constant in theta, so
     normalisation removes it and it is never added.  Zero-shot records
@@ -532,25 +573,28 @@ def _update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMod
     """``update``, with a batch record's (log p0, log q0) from ``logs`` called on its circuit's window key."""
     shots, x = record.shots, record.successes
     depth = record.circuit.depth
-    if shots == 1 and (x == 1.0 or x == 0.0):
-        return update_shot(posterior, depth, record.circuit.phase, noise.contrast(depth), x == 1.0)
     if shots == 0:
         return posterior
-    log_p0, log_q0 = logs(*_window_key(posterior, depth, record.circuit.phase, noise.contrast(depth)))
-    misses = shots - x
-    with np.errstate(divide="ignore"):
-        lw = np.log(posterior.weights)
-    term = np.empty_like(lw)
-    if x > 0:
-        lw += np.multiply(log_p0, x, out=term)
-    if misses > 0:
-        lw += np.multiply(log_q0, misses, out=term)
-    shift = lw.max()
-    if math.isfinite(shift):
-        lw -= shift
-    posterior.weights = np.exp(lw, out=lw)
+    key = _window_key(posterior, depth, record.circuit.phase, noise.contrast(depth))
+    single = shots == 1 and (x == 1.0 or x == 0.0)
+    if single:
+        p0, q0 = _log_prob_components(*key)
+    else:
+        log_p0, log_q0 = logs(*key)
+        misses = shots - x
+        with np.errstate(divide="ignore"):
+            lw = np.log(posterior.weights)
+        term = np.empty_like(lw)
+        if x > 0:
+            lw += np.multiply(log_p0, x, out=term)
+        if misses > 0:
+            lw += np.multiply(log_q0, misses, out=term)
+        shift = lw.max()
+        if math.isfinite(shift):
+            lw -= shift
+        posterior.weights = np.exp(lw, out=lw)
     try:
-        return normalize(posterior)
+        return update_shot(posterior, p0 if x == 1.0 else q0) if single else normalize(posterior)
     except ImpossibleObservationError:
         raise ImpossibleObservationError(
             f"record {record} has zero likelihood at every grid cell"
@@ -569,60 +613,32 @@ def _logs_taken_once(grid_size: int, depth: int, phase: float, envelope: float, 
         return np.log(p0), np.log(q0)
 
 
-def _segment(k: int, t0: float, t1: float, length: int, periodic: bool) -> tuple:
-    """The part [k + t0, k + t1] of one segment of the interpolant, 0 <= t0 <= t1 <= 1, as ``_part`` reads it.
-
-    Its integral is the width times a convex mix of the two node values, so
-    no term cancels when one node is far smaller than the other.  The
-    result holds the two nodes' indices, None for the zero nodes -1 and
-    ``length`` off the periodic grid, then the width and the two mixing
-    weights.
-    """
-    i0 = k if k >= 0 else None
-    i1 = k + 1 if k + 1 < length else (0 if periodic else None)
-    return i0, i1, t1 - t0, 0.5 * ((1.0 - t0) + (1.0 - t1)), 0.5 * (t0 + t1)
-
-
-def _part(w: np.ndarray, segment: tuple) -> float:
-    """Integral of the interpolant of ``w`` over one part from ``_segment``."""
-    i0, i1, width, mix0, mix1 = segment
-    v0 = w.item(i0) if i0 is not None else 0.0
-    v1 = w.item(i1) if i1 is not None else 0.0
-    return width * (v0 * mix0 + v1 * mix1)
-
-
-def _span_parts(spans: tuple, length: int) -> tuple:
-    """Spans from ``_window_spans`` in the form ``_integrate`` reads, their segment weights computed once.
+def _integrate(w: np.ndarray, spans: tuple) -> float:
+    """Integral of the interpolant of the window's weights ``w`` over ``spans`` from ``_window_spans``.
 
     A span (ka, ta, kb, tb, periodic) runs from ka + ta to kb + tb, ka <= kb
-    and 0 <= ta, tb <= 1.  It becomes (first, lo, hi, last): the partial
-    end cells ``first`` and ``last`` from ``_segment``, and the slice lo:hi
-    of the nodes that the whole segments between them span.  A span within
-    one cell is its one part, with no slice and ``last`` None.
+    and 0 <= ta, tb <= 1.  Node -1, and node ``len(w)`` off a periodic
+    window, are zero.  The part [k + t0, k + t1] of one segment integrates
+    to its width times a convex mix of the segment's two nodes, with the
+    weights 1/2 ((1 - t0) + (1 - t1)) and 1/2 (t0 + t1), so no term cancels
+    when one node is far smaller than the other.  A span within one cell is
+    one such part.  A longer one is a partial first cell [ka + ta, ka + 1],
+    the whole segments after it as one slice sum of the nodes they span
+    less half of its two end nodes, and a partial last cell [kb, kb + tb].
     """
-    parts = []
-    for ka, ta, kb, tb, periodic in spans:
-        if ka == kb:
-            parts.append((_segment(ka, ta, tb, length, periodic), 0, 0, None))
-        else:
-            first = _segment(ka, ta, 1.0, length, periodic)
-            parts.append((first, ka + 1, kb + 1, _segment(kb, 0.0, tb, length, periodic)))
-    return tuple(parts)
-
-
-def _integrate(w: np.ndarray, spans: tuple) -> float:
-    """Integral of the interpolant of the window's weights ``w`` over ``spans`` from ``_span_parts``.
-
-    The whole segments of a span come from one slice sum of the nodes they
-    span, less half of its two end nodes.
-    """
+    n = w.size
     mass = 0.0
-    for first, lo, hi, last in spans:
-        if last is None:
-            mass += _part(w, first)
+    for ka, ta, kb, tb, periodic in spans:
+        left = w.item(ka) if ka >= 0 else 0.0
+        right = w.item(kb + 1) if kb + 1 < n else (w.item(0) if periodic else 0.0)
+        if ka == kb:
+            mass += (tb - ta) * (left * (0.5 * ((1.0 - ta) + (1.0 - tb))) + right * (0.5 * (ta + tb)))
         else:
-            whole = float(_add_reduce(w[lo:hi])) - 0.5 * (w.item(lo) + w.item(hi - 1))
-            mass += _part(w, first) + whole + _part(w, last)
+            lo, hi = w.item(ka + 1), w.item(kb)
+            whole = float(_add_reduce(w[ka + 1:kb + 1])) - 0.5 * (lo + hi)
+            first = (1.0 - ta) * (left * (0.5 * (1.0 - ta)) + lo * (0.5 * (ta + 1.0)))
+            last = tb * (hi * (0.5 * (1.0 + (1.0 - tb))) + right * (0.5 * tb))
+            mass += first + whole + last
     return mass
 
 
@@ -640,30 +656,35 @@ def _window_spans(grid_size: int, offset: int, length: int, a: float, b: float) 
     g = grid_size
     periodic = length == g
     first = 0 if periodic else -1
-    ends = []
-    for x in (a, b):
-        k = min(int(x), g - 1)
-        ends.append(((k - offset - first) % g + first, x - k))
-    (ka, ta), (kb, tb) = ends
-    pieces = [(ka, ta, kb, tb)] if (ka, ta) <= (kb, tb) else [(ka, ta, first + g - 1, 1.0), (first, 0.0, kb, tb)]
+    k = min(int(a), g - 1)
+    ka, ta = (k - offset - first) % g + first, a - k
+    k = min(int(b), g - 1)
+    kb, tb = (k - offset - first) % g + first, b - k
+    if ka < kb or (ka == kb and ta <= tb):
+        pieces = ((ka, ta, kb, tb),)
+    else:
+        pieces = ((ka, ta, first + g - 1, 1.0), (first, 0.0, kb, tb))
     spans = []
     for ka, ta, kb, tb in pieces:
         if kb >= length:
             kb, tb = length - 1, 1.0
-        if (ka, ta) < (kb, tb):
+        if ka < kb or (ka == kb and ta < tb):
             spans.append((ka, ta, kb, tb, periodic))
     return tuple(spans)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _arc_spans(grid_size: int, offset: int, length: int, center: float, half_width: float, outside: bool):
-    """``_span_parts`` of the window inside the interval (center, half_width), or in its complement if ``outside``.
+    """``_window_spans`` of the window inside the interval (center, half_width), or in its complement if ``outside``.
 
-    Cached, since a gated rung or a stay reads one interval after every
-    shot; the key holds the interval's two floats, which hash faster than
-    the dataclass.  None when the interval covers the whole circle: at
-    half_width = pi, or when its two ends round to one angle, which covers
-    the circle but a rounding error.
+    One entry is kept: a gated rung reads one interval after every shot, and
+    nothing reads an interval between two of its gate checks.  Step 1's
+    interval is recentred on every shot and never repeats, so it replaces
+    the entry at the cost of one ``_window_spans`` call.  The key holds the
+    interval's two floats, which hash faster than the dataclass.  None when
+    the interval covers the whole circle: at half_width = pi, or when its
+    two ends round to one angle, which covers the circle but a rounding
+    error.
     """
     # The interval's lower and upper ends, without building the interval.
     lower, upper = wrap_float(center - half_width), wrap_float(center + half_width)
@@ -671,7 +692,7 @@ def _arc_spans(grid_size: int, offset: int, length: int, center: float, half_wid
         return None
     start, end = (upper, lower) if outside else (lower, upper)
     cell_width = TWO_PI / grid_size
-    return _span_parts(_window_spans(grid_size, offset, length, start / cell_width, end / cell_width), length)
+    return _window_spans(grid_size, offset, length, start / cell_width, end / cell_width)
 
 
 def _arc_mass(posterior: GridPosterior, spans: tuple) -> float:
@@ -841,7 +862,8 @@ def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, nois
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    p0, _ = _likelihood(posterior, circuit, noise)
+    depth = circuit.depth
+    p0, _ = shot_likelihood(posterior, depth, circuit.phase, noise.contrast(depth))
     mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
     return min(max(shots * mean_p, 0.0), float(shots))
 
@@ -853,9 +875,10 @@ def predict_loss(
     noise: NoiseModel,
     kind: LossKind,
 ) -> float:
-    """Expected loss after hypothetically spending the budget on ``circuit``.
+    """Expected loss after hypothetically spending ``resources_left`` on ``circuit``.
 
-    The whole remaining budget is converted into shots at this depth, the
+    The given resources are converted into shots at this depth (the whole
+    remaining budget, or a noiseless run's horizon), the
     expected (generally fractional) outcome is folded into a cloned
     posterior as ``update`` folds a record, with logs taken once from the
     cached p0 (``_logs_taken_once``), and the loss of the updated mode is

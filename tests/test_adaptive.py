@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpe_lab.adaptive as adaptive
+import qpe_lab.posterior as posterior_module
 from qpe_lab.adaptive import (
     AlgorithmConfig,
     InfeasibleIntervalError,
@@ -611,3 +614,50 @@ class TestStepOneDeepens:
             if loss_deepen > loss_stay:
                 stays.append(seed)
         assert stays == []
+
+
+class TestSkippedSums:
+    @pytest.mark.parametrize("beta, seed", [(1.0, 4), (0.9, 0), (0.9, 1)])
+    def test_every_reader_of_the_total_sees_the_sum_of_the_weights(self, monkeypatch, beta, seed):
+        # Stays and the closer skip per-shot sums; each call that reads the
+        # total must still find it equal to the sum of the weights.
+        events = []
+
+        def checking(name, real):
+            def call(posterior, *args, **kwargs):
+                assert posterior.total == float(np.add.reduce(posterior.weights)), name
+                events.append(name)
+                return real(posterior, *args, **kwargs)
+            return call
+
+        for name in ("predict_loss", "confidence", "expected_loss", "mass_outside"):
+            monkeypatch.setattr(adaptive, name, checking(name, getattr(adaptive, name)))
+        real_normalize = posterior_module.normalize
+
+        def normalize(posterior):
+            if float(np.add.reduce(posterior.weights)) < posterior_module.RESCALE_FLOOR:
+                events.append("rescale")
+            return real_normalize(posterior)
+
+        monkeypatch.setattr(posterior_module, "normalize", normalize)
+        trace = run(AlgorithmConfig(total_resources=4096, seed=seed, noise=NoiseModel(1.0, beta)), golden_phase(seed))
+        last_rung = [step for step in trace.steps if step.predicted_loss_stay is not None][-1]
+        last_choice = len(events) - events[::-1].index("predict_loss")
+        assert last_rung.decision == "stay" and "rescale" in events[last_choice:], "the final stay rescales"
+        assert {"confidence", "expected_loss", "mass_outside"} <= set(events)
+
+
+class TestBenchmarkTracer:
+    def test_the_traced_benchmark_run_finds_every_function_it_patches(self, monkeypatch):
+        # perfbench/layers.py patches each traced function under the name its
+        # callers look up, and raises LookupError when no module has it, so a
+        # rename on the shot path would break the benchmark's traced runs.
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        layers = importlib.import_module("layers")
+        tracer = layers.make_tracer(layers.Counters())
+        with tracer:
+            adaptive.run(AlgorithmConfig(total_resources=256, seed=1, noise=NoiseModel(1.0, 0.9)), 1.0)
+        assert adaptive.run is run, "the tracer restores what it patched"
+        assert tracer.stats["adaptive.run"].calls == 1
+        for name in ("posterior.mass_outside", "posterior.confidence", "posterior.predict_loss"):
+            assert tracer.stats[name].calls > 0, name

@@ -20,7 +20,7 @@ from qpe_lab import adaptive
 from qpe_lab.adaptive import AlgorithmConfig, RunSettings
 from qpe_lab.angles import TWO_PI, wrap, wrap_float, wrapped_distance
 from qpe_lab.baselines import doubling_schedule, run_nonadaptive_doubling
-from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, sample_outcome, success_probability
+from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, sample_outcome, success_probability, tuned_phase
 from qpe_lab.posterior import (
     CLAMP_FREE_ENVELOPE,
     GUARD_CELLS,
@@ -46,17 +46,25 @@ from qpe_lab.posterior import (
     predict_loss,
     predict_outcome,
     required_grid_size,
+    retuned_factor,
+    shot_likelihood,
     uniform_prior,
     update,
     update_shot,
+    window_trig,
 )
 from qpe_lab.posterior import (
-    CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _integrate, _log_likelihood,
-    _log_prob_components, _logs_taken_once, _nbytes, _part, _refine_once, _span_parts, _trim, _unit_p0, _update,
+    CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _grid_trig, _integrate,
+    _log_likelihood, _log_prob_components, _logs_taken_once, _nbytes, _refine_once, _trim, _unit_p0, _update,
     _window_spans,
 )
 
 NOISELESS = NoiseModel()
+
+
+def grid_p0(grid_size, depth, phase, envelope, offset, length):
+    """``_grid_p0`` of the circuit on the window (grid_size, offset, length)."""
+    return _grid_p0(_grid_trig(grid_size, depth, offset, length), phase, envelope)
 
 
 def posterior_from_log_weights(lw):
@@ -361,7 +369,7 @@ def interpolant_integral(w, a, b):
 
 def span_integral(w, a, b):
     """The posterior's integral of the periodic interpolant of w from a to b, in cell units."""
-    return _integrate(w, _span_parts(_window_spans(w.size, 0, w.size, a, b), w.size))
+    return _integrate(w, _window_spans(w.size, 0, w.size, a, b))
 
 
 def segment_formula_part(w, k, t0, t1, periodic):
@@ -472,23 +480,18 @@ class TestArcMassesMatchTheInterpolant:
     @example(grid_size=64, start=0.0, share=1.0, a=0.5, b=0.25, seed=0)  # a whole window, across the seam
     @example(grid_size=64, start=0.9, share=0.5, a=0.95, b=0.05, seed=1)  # a short window across the seam
     @example(grid_size=64, start=0.0, share=1.0, a=0.1001, b=0.1002, seed=2)  # within one cell
+    @example(grid_size=64, start=0.0, share=1.0, a=0.1001, b=0.115, seed=4)  # two end parts, no whole segment
     @example(grid_size=64, start=0.5, share=0.2, a=0.1, b=0.3, seed=3)  # an arc that misses the window
-    def test_span_parts_keep_the_segment_formula(self, grid_size, start, share, a, b, seed):
-        # The parts precompute each segment's width and mixing weights; the
-        # integral must keep the bits of the formula read from the raw span.
+    def test_the_integral_keeps_the_segment_formula(self, grid_size, start, share, a, b, seed):
+        # The integral reads each raw span's segment weights inline; it must
+        # keep the bits of the formula written out part by part.
         length = 1 + int(share * (grid_size - 1))
         w = np.exp(np.random.default_rng(seed).normal(scale=5.0, size=length))
         spans = _window_spans(grid_size, int(start * grid_size), length, a * grid_size, b * grid_size)
-        parts = _span_parts(spans, length)
-        # Part by part first, since a slice sum of whole segments can hide a changed last bit of an end part.
-        for (ka, ta, kb, tb, periodic), (first, lo, hi, last) in zip(spans, parts, strict=True):
-            if ka == kb:
-                assert (_part(w, first), last) == (segment_formula_part(w, ka, ta, tb, periodic), None)
-            else:
-                assert _part(w, first) == segment_formula_part(w, ka, ta, 1.0, periodic)
-                assert _part(w, last) == segment_formula_part(w, kb, 0.0, tb, periodic)
-                assert (lo, hi) == (ka + 1, kb + 1)
-        assert _integrate(w, parts) == segment_formula_integral(w, spans)
+        # Span by span first, since a sum of two spans can hide a changed last bit of one.
+        for span in spans:
+            assert _integrate(w, (span,)) == segment_formula_integral(w, (span,))
+        assert _integrate(w, spans) == segment_formula_integral(w, spans)
 
     def test_masses_of_subnormal_weights_keep_their_relative_precision(self):
         # Products of subnormal node weights round to an absolute 2**-1075,
@@ -718,7 +721,7 @@ def log_space_reference(records, noise, grid_size):
     terms = np.empty((len(records), grid_size))
     for row, rec in zip(terms, records):
         depth = rec.circuit.depth
-        p0 = np.clip(_grid_p0(grid_size, depth, rec.circuit.phase, noise.contrast(depth), 0, grid_size), 0.0, 1.0)
+        p0 = np.clip(grid_p0(grid_size, depth, rec.circuit.phase, noise.contrast(depth), 0, grid_size), 0.0, 1.0)
         with np.errstate(divide="ignore"):
             row[:] = np.log(p0 if rec.successes == 1.0 else 1.0 - p0)
     lw = np.array([math.fsum(column) for column in terms.T.tolist()])
@@ -780,13 +783,13 @@ class TestUpdatePaths:
         circuit = Circuit(1, 0.77)
         _log_prob_components.cache_clear()
         p0 = [
-            posterior_module._likelihood(uniform_prior(256), circuit, noise)[0]
+            shot_likelihood(uniform_prior(256), circuit.depth, circuit.phase, noise.contrast(circuit.depth))[0]
             for noise in (NoiseModel(0.9, 1.0), NoiseModel(1.0, 0.9))
         ]
         info = _log_prob_components.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
         np.testing.assert_array_equal(p0[0], p0[1])
-        np.testing.assert_array_equal(p0[0], _grid_p0(256, 1, circuit.phase, 0.9, 0, 256))
+        np.testing.assert_array_equal(p0[0], grid_p0(256, 1, circuit.phase, 0.9, 0, 256))
 
     def test_fractional_single_shot_uses_both_branches(self):
         noise = NoiseModel(0.9, 0.95)
@@ -856,7 +859,7 @@ def single_shot_reference(post, depth, phase, bright, noise):
     post = post.clone()
     ensure_resolution(post, depth)
     envelope = noise.contrast(depth)
-    p0 = _grid_p0(post.grid_size, depth, phase, envelope, post.offset, post.weights.size)
+    p0 = grid_p0(post.grid_size, depth, phase, envelope, post.offset, post.weights.size)
     if envelope > CLAMP_FREE_ENVELOPE:
         p0 = np.clip(p0, 0.0, 1.0)
     post.weights *= p0 if bright else 1.0 - p0
@@ -866,6 +869,15 @@ def single_shot_reference(post, depth, phase, bright, noise):
         post.weights /= post.total
         post.total = float(post.weights.sum())
     return post, rescaled
+
+
+def fold_one_shot(post, depth, phase, envelope, bright, cached):
+    """``update_shot`` of one shot's factor: the cached p0 or q0, or one built anew as a stay builds it."""
+    if cached:
+        factor = shot_likelihood(post, depth, phase, envelope)[0 if bright else 1]
+    else:
+        factor = retuned_factor(window_trig(post, depth), phase, envelope, bright)
+    return update_shot(post, factor)
 
 
 def at_the_floor(post):
@@ -903,7 +915,7 @@ class TestSingleShotCall:
             assert want.weights.size < want.grid_size
         _log_prob_components.cache_clear()
         by_record = update(base.clone(), MeasurementRecord(Circuit(depth, phase), 1, float(bright)), noise)
-        shot = update_shot(base.clone(), depth, phase, noise.contrast(depth), bright, cache)
+        shot = fold_one_shot(base.clone(), depth, phase, noise.contrast(depth), bright, cache)
         for got in (by_record, shot):
             np.testing.assert_array_equal(got.weights, want.weights)
             assert (got.total, got.grid_size, got.offset, got.discarded) == (
@@ -932,8 +944,41 @@ class TestSingleShotCall:
         if not want.sum() >= RESCALE_FLOOR:
             return
         post = GridPosterior(np.ones(length), float(length), grid_size, offset)
-        update_shot(post, depth, phase, envelope, bright, cache=False)
+        fold_one_shot(post, depth, phase, envelope, bright, cached=False)
         np.testing.assert_array_equal(post.weights, want)
+
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.9)], ids=["noiseless", "beta-0.9"])
+    def test_a_stay_across_the_floor_matches_shot_by_shot_updates(self, noise):
+        # The rescale case, started 2**24 above the floor and folded as a stay
+        # folds it: a retuned factor in one reused buffer and the mode given,
+        # so a shot skips its sum while the weight at the mode is at or above
+        # the floor.  The sum falls below the floor midway, and the twin,
+        # updated shot by shot with every sum taken, must keep the same bits.
+        make, depth, _ = SINGLE_SHOTS["rescale"]
+        post = make()
+        post.weights *= 2.0**24
+        post.total = float(post.weights.sum())
+        twin = post.clone()
+        interval = CircularInterval(4.0, 0.5)
+        envelope = noise.contrast(depth)
+        trig = window_trig(post, depth)
+        buffer = np.empty(post.weights.size)
+        rng = np.random.default_rng(3)
+        skipped = rescaled = 0
+        for _ in range(60):
+            mode = map_estimate(post, within=interval)
+            assert mode == map_estimate(twin, within=interval)
+            phase = tuned_phase(depth, mode)
+            bright = bool(rng.random() < 0.5)
+            before = twin.total
+            update_shot(twin, retuned_factor(window_trig(twin, depth), phase, envelope, bright))
+            update_shot(post, retuned_factor(trig, phase, envelope, bright, buffer), mode)
+            np.testing.assert_array_equal(post.weights, twin.weights)
+            skipped += post.total != twin.total
+            rescaled += twin.total > before
+        assert skipped > 0 and rescaled == 1
+        normalize(post)
+        assert post.total == twin.total
 
 
 def batch_reference(post, record, noise):
@@ -941,7 +986,7 @@ def batch_reference(post, record, noise):
     post = post.clone()
     depth, phase = record.circuit.depth, record.circuit.phase
     ensure_resolution(post, depth)
-    p0 = _unit_p0(post.grid_size, depth, phase, noise.contrast(depth), post.offset, post.weights.size)
+    p0 = _unit_p0(_grid_trig(post.grid_size, depth, post.offset, post.weights.size), phase, noise.contrast(depth))
     x, misses = record.successes, record.shots - record.successes
     with np.errstate(divide="ignore"):
         lw = np.log(post.weights)
@@ -1103,7 +1148,7 @@ class TestGridOutcomeLawMatchesModel:
         tolerance = 4 * np.spacing(TWO_PI * depth)
         for phase in np.linspace(0.0, TWO_PI, 7, endpoint=False):
             circuit = Circuit(depth, float(phase))
-            grid = _grid_p0(grid_size, depth, circuit.phase, noise.contrast(depth), 0, grid_size)
+            grid = grid_p0(grid_size, depth, circuit.phase, noise.contrast(depth), 0, grid_size)
             direct = success_probability(angles, circuit, noise)
             assert np.max(np.abs(grid - direct)) <= tolerance
 
@@ -1136,7 +1181,7 @@ class TestClampFreeEnvelope:
     @settings(max_examples=300, deadline=None)
     def test_p0_lies_in_the_unit_interval_without_the_clamp(self, case):
         grid_size, depth, phase, envelope, offset, length = case
-        raw = _grid_p0(grid_size, depth, phase, envelope, offset, length)
+        raw = grid_p0(grid_size, depth, phase, envelope, offset, length)
         assert 0.0 <= raw.min() and raw.max() <= 1.0
         np.testing.assert_array_equal(np.clip(raw, 0.0, 1.0), raw)
         cached, _ = _log_prob_components(grid_size, depth, phase, envelope, offset, length)
@@ -1163,7 +1208,7 @@ class TestPredictOutcome:
     def test_dark_fringe_reads_the_clamped_cached_p0(self):
         # The angle-addition p0 of this circuit dips to -1.1e-16 at one node.
         circuit = Circuit(7, 15 * math.pi / 16)
-        raw = _grid_p0(256, circuit.depth, circuit.phase, 1.0, 0, 256)
+        raw = grid_p0(256, circuit.depth, circuit.phase, 1.0, 0, 256)
         k = int(np.argmin(raw))
         assert raw[k] < 0.0
         w = np.zeros(256)
