@@ -232,6 +232,7 @@ def run_qpea(
     The draw takes one ``rng.random()`` and gives the readout
     ``rng.choice(M, p=qpea_outcome_distribution(...))`` would give for it.
     """
+    total_resources = _integer_budget(total_resources)
     if total_resources < 1:
         raise InsufficientResourcesError(f"budget {total_resources} cannot pay one register application")
     check_true_phase(theta_true)
@@ -256,9 +257,19 @@ def _largest_power_of_two_at_most(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def _check_probe_budget(total_resources: int) -> None:
+def _integer_budget(total_resources) -> int:
+    """``total_resources`` as an int; a bool or a non-integer raises ValueError, as ``AlgorithmConfig`` does."""
+    if not isinstance(total_resources, (int, np.integer)) or isinstance(total_resources, bool):
+        raise ValueError(f"total_resources must be an integer, got {total_resources!r}")
+    return int(total_resources)
+
+
+def _check_probe_budget(total_resources) -> int:
+    """``total_resources`` as an int, if it pays one shot at each probe phase."""
+    total_resources = _integer_budget(total_resources)
     if total_resources < 2:
         raise InsufficientResourcesError(f"budget {total_resources} cannot pay one shot at each probe phase")
+    return total_resources
 
 
 def _probe_pair(depth: int, shots: int) -> Schedule:
@@ -293,7 +304,7 @@ def doubling_schedule(total_resources: int, settings: RunSettings, shots_per_dep
     doubling depth and never past those caps, split between the same two
     phases.
     """
-    _check_probe_budget(total_resources)
+    total_resources = _check_probe_budget(total_resources)
     check_integer("shots_per_depth", shots_per_depth, 1)
     top = _largest_power_of_two_at_most(min(settings.depth_limit, MAX_DEPTH))
     blocks = []
@@ -328,7 +339,7 @@ def run_classical(
     total_resources: int, theta_true: float, settings: RunSettings, rng: np.random.Generator
 ) -> BaselineResult:
     """Unit-depth strategy: split the budget between phases 0 and pi/2."""
-    _check_probe_budget(total_resources)
+    total_resources = _check_probe_budget(total_resources)
     return _run_schedule(_probe_pair(1, total_resources), theta_true, settings, rng)
 
 

@@ -79,9 +79,11 @@ lookup, as ``predict_loss`` makes right after ``predict_outcome``.  The
 log cache keeps no entry larger than its budget: a batch record on a grid
 that large is a doubling block that does not come back, and keeping it
 would hold up to 64 MiB at the grid cap long after the run.  Memory thus
-follows the live window, not the largest grid the process has seen.  The window's angles are rebuilt on each read, in a few
-microseconds at 4096 cells: only trig misses and the loss reads need them,
-and a cache of them held one more window-sized array per grid.
+follows the live window, not the largest grid the process has seen.
+
+The window's angles are rebuilt on each read, in a few microseconds at
+4096 cells: only trig misses and the loss reads need them, and a cache of
+them held one more window-sized array per grid.
 
 Two small caches hold arc geometry, no arrays.  ``_arc_spans`` keeps the
 spans of the last interval a mass was read over, since a gated rung reads
@@ -339,8 +341,10 @@ class GridPosterior:
     ``offset + weights.size - 1`` (mod ``grid_size``); every other cell has
     weight 0.  ``total`` is the sum of the weights, and ``discarded`` the
     share of the mass cut from the window so far.  The density and the
-    interval masses are read from the weights and their total.  A posterior whose total is 0 carries no
-    probability and raises ImpossibleObservationError when either is read.
+    interval masses are read from the weights and their total.
+
+    A posterior whose total is 0 carries no probability and raises
+    ImpossibleObservationError when either is read.
     """
 
     weights: np.ndarray

@@ -377,6 +377,32 @@ def test_every_runner_rejects_a_non_finite_true_phase(runner, theta):
         RUNNERS[runner](theta)
 
 
+BUDGET_RUNNERS = {
+    "classical": lambda n: run_classical(n, 1.7, SETTINGS, np.random.default_rng(0)),
+    "nonadaptive-doubling": lambda n: run_nonadaptive_doubling(n, 1.7, SETTINGS, 4, np.random.default_rng(0)),
+    "qpea": lambda n: run_qpea(n, 1.7, SETTINGS, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(BUDGET_RUNNERS))
+def test_every_baseline_takes_a_numpy_integer_budget_as_its_int(runner):
+    assert BUDGET_RUNNERS[runner](np.int64(100)) == BUDGET_RUNNERS[runner](100)
+
+
+def test_doubling_schedule_takes_a_numpy_integer_budget_as_its_int():
+    assert doubling_schedule(np.int64(1000), SETTINGS, 4) == doubling_schedule(1000, SETTINGS, 4)
+
+
+@pytest.mark.parametrize("budget", [100.0, 0.5, np.float64(64.0), True, False, np.bool_(True)])
+@pytest.mark.parametrize("runner", sorted(BUDGET_RUNNERS))
+def test_every_baseline_rejects_a_float_or_bool_budget(runner, budget):
+    # The type check comes before the budget checks: 0.5 and False are not reported as too small.
+    message = f"total_resources must be an integer, got {budget!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        BUDGET_RUNNERS[runner](budget)
+    assert not isinstance(info.value, InsufficientResourcesError)
+
+
 class TestLimitCurves:
     def test_noiseless_curves(self):
         curves = limit_curves(400, NOISELESS)

@@ -4,11 +4,15 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import shutil
-from functools import partial
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import qpe_lab
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -20,85 +24,116 @@ def load_script(name: str):
     return module
 
 
-def test_bench_layers_times_every_operation(monkeypatch):
-    # bench_grid and bench_qpea, not main, so that no BENCH_*.json is written.
-    bench = load_script("bench_layers")
-    monkeypatch.setattr(bench, "CALLS", {256: (20, 3)})
-    report = bench.bench_grid(256)
-    assert report["depth"] == 8
-    assert report["gate_half_width"] == pytest.approx(3.141592653589793 / 32)
-    timings = {op: stats for op, stats in report.items() if isinstance(stats, dict)}
-    assert set(timings) == {
-        "update_cached", "update_fresh", "update_fresh_noisy", "mass_outside_after_update", "map_estimate_within",
-        "predict_loss",
-    }
-    for op, stats in timings.items():
-        assert stats["median_us"] > 0.0, op
-        assert stats["calls"] == (3 if op == "predict_loss" else 20)
-    monkeypatch.setattr(bench, "QPEA_CALLS", {12: 2, 16: 2, 20: 2})
-    for m in (12, 16, 20):
-        stats = bench.bench_qpea(m)
-        assert stats["median_us"] > 0.0, m
-        assert stats["calls"] == 2
-    monkeypatch.setattr(bench, "DOUBLING_CALLS", {16: 2})
-    stats = bench.bench_doubling(16)
-    assert stats["median_us"] > 0.0
-    assert stats["calls"] == 2
-    monkeypatch.setattr(bench, "REFINED_CALLS", 5)
-    refined = bench.bench_refined_update()
-    assert (refined["grid_size"], refined["depth"]) == (262144, 8192)
-    assert refined["update_cached"]["median_us"] > 0.0
-    assert refined["update_cached"]["calls"] == 5
-    monkeypatch.setattr(bench, "CLASSICAL_CALLS", 2)
-    stats = bench.bench_classical_cell()
-    assert stats["median_us"] > 0.0
-    assert stats["calls"] == 2
-    monkeypatch.setattr(bench, "RUN_CALLS", 2)
-    stats = bench.bench_runs(0.9, 256)
-    assert stats["median_us"] > 0.0
-    assert stats["calls"] == 2
-    monkeypatch.setattr(bench, "MEMORY_BUDGET", 1 << 12)
-    monkeypatch.setattr(bench, "MEMORY_REGISTER", 12)
-    memory = bench.bench_memory()
-    assert set(memory) == {"doubling_peak_bytes", "doubling_cache_bytes_after", "qpea_past_window_peak_bytes"}
-    assert 0 < memory["doubling_cache_bytes_after"] < memory["doubling_peak_bytes"]
-    assert memory["qpea_past_window_peak_bytes"] > 0
+def load_ab_runs(monkeypatch):
+    # Loading the script pins the BLAS variables; monkeypatch restores them after the test.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    return load_script("ab_runs")
+
+
+# Every size that sets a row of ab_runs, shrunk so that each shipped row runs in about a second.
+TINY_AB_SIZES = {
+    "ROUNDS": 2,
+    "SEEDS": 2,
+    "NOISY_BUDGETS": (64, 128),
+    "NOISELESS_BUDGET": 256,
+    "BASELINE_LADDER": (64, 256),
+    "NOISY_LADDER": (32, 64),
+    "GRID_CALLS": {256: (6, 2), 512: (4, 2)},
+    "QPEA_CALLS": {8: 3, 10: 2, 12: 2},
+    "DOUBLING_CALLS": {8: 3, 10: 2},
+    "REFINED_GRID": 256,
+    "REFINED_DEPTH": 64,
+    "REFINED_CALLS": 3,
+    "CLASSICAL_BUDGET": 256,
+    "CLASSICAL_CALLS": 2,
+    "MEMORY_BUDGET": 1 << 12,
+    "MEMORY_REGISTER": 12,
+}
 
 
 def test_ab_runs_against_its_own_tree(monkeypatch, tmp_path):
-    script = load_script("ab_runs")
-    monkeypatch.setattr(script, "ROUNDS", 2)
-    monkeypatch.setattr(script, "SEEDS", 2)
+    script = load_ab_runs(monkeypatch)
+    shipped = script.build_rows()
+    for name, value in TINY_AB_SIZES.items():
+        monkeypatch.setattr(script, name, value)
     monkeypatch.setattr(script, "ROOT", str(tmp_path))
-    labels = ("beta=0.9 N=64", "noiseless N=256", "baselines 2^6..2^8")
-    monkeypatch.setattr(script, "ROWS", (
-        (labels[0], partial(script.time_runs, 0.9, 64)),
-        (labels[1], partial(script.time_runs, 1.0, 256)),
-        (labels[2], partial(script.time_sweeps, (64, 256))),
-    ))
+    rows = script.build_rows()
+    assert len(rows) == len(shipped) == 24
+    assert [row.per_call for row in rows] == [row.per_call for row in shipped]
+    labels = [row.label for row in rows]
+    assert labels[:5] == [
+        "beta=0.9 N=64", "beta=0.9 N=128", "noiseless N=2^8", "baselines 2^6..2^8", "noisy sweep 32..64",
+    ]
     # The change side loads from ROOT, here a copy of this tree's package.
     shutil.copytree(SCRIPTS.parent / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert script.main([str(SCRIPTS.parent), "t"]) == 0
     lines = stdout.getvalue().splitlines()
-    assert lines[0] == "2 rounds, 2 seeds per row, process CPU time in ms"
-    assert len(lines) == 1 + 3 * len(labels) + 2
-    for i, label in enumerate(labels):
+    assert lines[0] == "2 rounds; ms: process CPU time summed over 2 seeds; us: wall time, median per call"
+    assert len(lines) == 1 + 3 * len(rows) + 2 * 3 + 2
+    for i, row in enumerate(rows):
         parent, change, wins = lines[1 + 3 * i:4 + 3 * i]
-        assert parent.startswith(f"{label:<20} parent min-sum ")
-        assert change.startswith(f"{label:<20} change min-sum ")
-        assert wins.startswith(f"{label:<20} change faster in ") and wins.endswith(" of 2 rounds")
+        assert parent.startswith(f"{row.label:<30} parent best ") and parent.endswith(f" {row.unit}")
+        assert change.startswith(f"{row.label:<30} change best ")
+        assert wins.startswith(f"{row.label:<30} change faster in ") and wins.endswith(" of 2 rounds")
     reports = {side: json.loads((tmp_path / name).read_text())
                for side, name in (("parent", "BENCH_t_parent.json"), ("change", "BENCH_t.json"))}
     assert (reports["parent"]["label"], reports["change"]["label"]) == ("t_parent", "t")
     for side, report in reports.items():
         assert report["side"] == side
-        assert list(report["rows"]) == list(labels)
-        for row in report["rows"].values():
-            assert len(row["round_totals_ms"]) == 2
-            assert 0.0 < row["min_sum_ms"] <= min(row["round_totals_ms"])
-    assert set(reports["change"]["change_faster_rounds"]) == set(labels)
+        assert report["openblas_num_threads"] == "1"
+        assert list(report["rows"]) == labels
+        for row in rows:
+            figures = report["rows"][row.label]
+            assert figures["unit"] == ("us" if row.per_call else "ms")
+            assert len(figures["rounds"]) == 2
+            assert 0.0 < figures["best"] <= min(figures["rounds"])
+        memory = report["memory"]
+        assert set(memory) == {"doubling_peak_bytes", "doubling_cache_bytes_after", "qpea_past_window_peak_bytes"}
+        assert 0 < memory["doubling_cache_bytes_after"] < memory["doubling_peak_bytes"]
+        assert memory["qpea_past_window_peak_bytes"] > 0
+    assert list(reports["change"]["change_faster_rounds"]) == labels
+
+
+def test_ab_runs_per_call_rows_time_what_they_name(monkeypatch):
+    script = load_ab_runs(monkeypatch)
+    for name, value in TINY_AB_SIZES.items():
+        monkeypatch.setattr(script, name, value)
+    post, circuit, interval = script.grid_case(256, qpe_lab)
+    assert circuit.depth == 8
+    assert interval.half_width == pytest.approx(3.141592653589793 / 32)
+    times, masses = script.time_gate_checks(256, qpe_lab)
+    assert len(times) == len(masses) == 6
+    times, losses = script.time_predictions(256, qpe_lab)
+    assert len(times) == len(losses) == 2
+    times, results = script.time_baseline("qpea", 8, 3, qpe_lab)
+    assert [result[1] for result in results] == [255] * 3
+    times, (grid_size, _, _) = script.time_refined_update(qpe_lab)
+    assert (len(times), grid_size) == (3, 32 * 64)
+
+
+def test_ab_runs_rejects_a_tree_without_the_package(monkeypatch, tmp_path):
+    script = load_ab_runs(monkeypatch)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert script.main([str(tmp_path)]) == 2
+    assert "Usage, from the repository root:" in stderr.getvalue()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_ab_runs_pins_the_blas_before_numpy_loads():
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    code = (
+        "import importlib.util, os\n"
+        f"spec = importlib.util.spec_from_file_location('ab_runs', {str(SCRIPTS / 'ab_runs.py')!r})\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["1", "1"]
 
 
 def test_reproduce_error_scaling_quick_run(tmp_path):
