@@ -13,7 +13,7 @@ a round's figure is their sum in ms.  Run s has seed s and true phase
 theta = 2*pi*frac(0.618034*s); sweep pass s has master seed s.
 
 - 8 runs at decay beta = 0.9 and N = 4096, and the same at N = 512;
-- 8 noiseless runs at N = 2^16;
+- 8 noiseless runs at N = 2^16, and the same at N = 2^18;
 - 8 baseline sweep passes: the classical, nonadaptive-doubling and qpea
   strategies over the budgets 2^12, 2^14, ..., 2^20, 6 phases and 32 shots
   per depth, one process (``workers=1``), as the ``baseline-sweep``
@@ -94,7 +94,7 @@ ROUNDS = 15
 SEEDS = 8
 # Whole-run rows: the budgets of the runs at beta = 0.9, and of the noiseless runs.
 NOISY_BUDGETS = (1 << 12, 1 << 9)
-NOISELESS_BUDGET = 1 << 16
+NOISELESS_BUDGETS = (1 << 16, 1 << 18)
 # Sweep rows: the baselines' budget ladder, and the noisy adaptive sweep's.
 BASELINE_LADDER = tuple(1 << m for m in range(12, 21, 2))
 NOISY_LADDER = tuple(1 << m for m in range(5, 13))
@@ -302,8 +302,9 @@ class Row:
 def build_rows() -> tuple[Row, ...]:
     """Every timed row, from the size constants above."""
     rows = [Row(f"beta=0.9 N={n_tot}", partial(time_runs, 0.9, n_tot)) for n_tot in NOISY_BUDGETS]
+    rows += [Row(f"noiseless N=2^{n_tot.bit_length() - 1}", partial(time_runs, 1.0, n_tot))
+             for n_tot in NOISELESS_BUDGETS]
     rows += [
-        Row(f"noiseless N=2^{NOISELESS_BUDGET.bit_length() - 1}", partial(time_runs, 1.0, NOISELESS_BUDGET)),
         Row(
             f"baselines 2^{BASELINE_LADDER[0].bit_length() - 1}..2^{BASELINE_LADDER[-1].bit_length() - 1}",
             partial(time_sweeps, BASELINE_LADDER),

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import check_true_phase, signed_gap, wrapped_distance
+from .angles import TWO_PI, check_true_phase, signed_gap, wrapped_distance
 from .model import (
     Circuit,
     NoiseModel,
@@ -56,10 +56,12 @@ from .posterior import (
     expected_loss,
     map_estimate,
     mass_outside,
+    nodes_beyond_arc,
     normalize,
     predict_loss,
     retuned_factor,
     shot_likelihood,
+    tail_exceeds,
     uniform_prior,
     update_shot,
     window_trig,
@@ -267,11 +269,13 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         firing order.  A stay never repeats a phase, so it binds the depth's
         cos/sin on the window and one p0 buffer that every shot refills.
 
-        Without a gate nothing reads the posterior's total between shots, so
-        a shot skips its sum while the weight at the mode, the stay's retuned
-        one or the given ``mode`` (for a call without a gate only), stays at
-        or above the rescale floor, and ``normalize`` sums the total once
-        before the call returns.
+        A gate reads the total before every shot: its bound, ``tail_exceeds``,
+        weighs single nodes against it, and its tail sum divides by it, so
+        every gated shot sums.  Without a gate nothing reads the total
+        between shots, so a shot skips its sum while the weight at the mode,
+        the stay's retuned one or the given ``mode`` (for a call without a
+        gate only), stays at or above the rescale floor, and ``normalize``
+        sums the total once before the call returns.
         """
         nonlocal budget
         retuned = isinstance(phases, CircularInterval)
@@ -375,19 +379,36 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     probes = (0.0, np.pi / 4.0)
     n2 = next_depth(2, config)
     eps1 = required_confidence(next_depth(1, config), config)
-    interval = None
+
+    def beyond(center: float, half: float, allowance: float) -> bool:
+        """``tail_exceeds`` on the current window's nodes beyond the arc center +- half, in cells."""
+        nodes = nodes_beyond_arc(posterior.grid_size, posterior.offset, posterior.weights.size, center, half)
+        return tail_exceeds(posterior, nodes, allowance)
+
+    # Step 1's interval, of half-width pi / (2 n2), is g / (4 n2) cells wide
+    # on each side of the mode, which lies within half a cell of its peak cell.
+    half1 = posterior.grid_size / (4.0 * n2) + 0.5
 
     def step_one_gate(shots: int) -> bool:
-        # Checked only after a probe has fired, on an interval recentred on the global mode.
-        nonlocal interval
-        if shots == 0:
+        """Whether at most eps1 of the mass lies outside the interval recentred on the global mode.
+
+        Checked only after a probe has fired.  Depth 1 never refines, so the
+        window is the whole grid at offset 0, and the peak cell that
+        ``map_estimate`` picks is the weights' argmax.  The check fails
+        first if a node beyond the arc of half1 cells around that cell
+        weighs more than 2 eps1 of the total; only a check this bound cannot
+        settle finds the mode, builds the interval and sums its tail.
+        """
+        if shots == 0 or beyond(int(posterior.weights.argmax()), half1, eps1):
             return False
-        interval = choose_center(map_estimate(posterior), None, n2, 1)
-        return mass_outside(posterior, interval) <= eps1
+        return mass_outside(posterior, choose_center(map_estimate(posterior), None, n2, 1)) <= eps1
 
     # Step 1: alternate the two probes until only eps1 of the mass is left
-    # outside.  Ties deepen; a stay leaves the rest to the closer below.
+    # outside.  Ties deepen; a stay leaves the rest to the closer below.  No
+    # shot follows the last check, so the interval it read is rebuilt from
+    # the posterior as sample leaves it.
     _, _, gate_passed, _ = sample(1, probes, step_one_gate)
+    interval = choose_center(map_estimate(posterior), None, n2, 1)
     conf1 = confidence(posterior, interval)
     decision, loss_stay, loss_deepen = decide(1, n2, interval, "deepen", gate_passed, horizon=horizon(1, n2))
     for probe in probes:
@@ -414,12 +435,16 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         phase = tuned_phase(depth, current.center)
         eps = required_confidence(depth, config)
         cap = max_shots_for_step(step_index, config)
-        shots, successes, gate_passed, cap_hit = sample(
-            depth,
-            (phase,),
-            lambda shots: mass_outside(posterior, current) <= eps,
-            2 * cap if cap > 0 else None,
-        )
+
+        def rung_gate(shots: int) -> bool:
+            # gate(0) runs before the first shot's fetch, which may refine the
+            # grid, so the interval is put in cells on every check.
+            cells = posterior.grid_size / TWO_PI
+            if beyond(current.center * cells, current.half_width * cells, eps):
+                return False
+            return mass_outside(posterior, current) <= eps
+
+        shots, successes, gate_passed, cap_hit = sample(depth, (phase,), rung_gate, 2 * cap if cap > 0 else None)
         decision, loss_stay, loss_deepen = decide(
             depth, deeper, current, "stay", gate_passed or cap_hit, deeper > depth or shots > 0, ahead
         )

@@ -149,9 +149,8 @@ def sample_outcome(
     noise: NoiseModel,
     rng: np.random.Generator,
 ) -> int:
-    """Draw the number of bright outcomes in ``shots`` executions."""
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    """Draw the number of bright outcomes in ``shots`` executions, an integer >= 0."""
+    check_integer("shots", shots, 0)
     if shots == 0:
         return 0
     depth = circuit.depth
@@ -199,10 +198,10 @@ def optimal_depth(noise: NoiseModel, depth_limit: int) -> int:
 
     The continuous optimum sits at -1 / (2 ln beta); it is rounded to the
     nearest integer and floored at 1.  Without decay the variance improves
-    monotonically with depth, so the limit itself is returned.
+    monotonically with depth, so the limit itself is returned.  The limit
+    is an integer >= 1.
     """
-    if depth_limit < 1:
-        raise ValueError(f"depth_limit must be >= 1, got {depth_limit}")
+    check_integer("depth_limit", depth_limit, 1)
     if noise.beta == 1.0:
         return depth_limit
     continuous = -1.0 / (2.0 * math.log(noise.beta))
@@ -227,10 +226,11 @@ def optimal_circuit(noise: NoiseModel, theta_guess: float, depth_limit: int) -> 
 def minimum_achievable_variance(noise: NoiseModel, total_resources: float) -> float:
     """Variance floor -2 e ln(beta) / (alpha**2 * N) at the optimal depth.
 
-    Only meaningful for beta < 1; beta = 1 has no floor.
+    Only meaningful for beta < 1; beta = 1 has no floor.  The budget may
+    be fractional but must be finite and > 0.
     """
     if noise.beta == 1.0:
         raise ValueError("no variance floor without decay (beta = 1)")
-    if total_resources <= 0:
-        raise ValueError(f"total_resources must be > 0, got {total_resources}")
+    if not 0 < total_resources < math.inf:
+        raise ValueError(f"total_resources must be finite and > 0, got {total_resources}")
     return -2.0 * math.e * math.log(noise.beta) / (noise.alpha**2 * total_resources)

@@ -85,11 +85,22 @@ The window's angles are rebuilt on each read, in a few microseconds at
 4096 cells: only trig misses and the loss reads need them, and a cache of
 them held one more window-sized array per grid.
 
-Two small caches hold arc geometry, no arrays.  ``_arc_spans`` keeps the
+Most gate checks fail, by orders of magnitude, so a check is first
+tried against a bound: ``nodes_beyond_arc`` names the nodes at least 3
+cells beyond each end of an arc around the interval, and
+``tail_exceeds`` reports whether one of them alone holds more than twice
+the allowance.  Such a node is a whole term of the tail integral, so
+True proves ``mass_outside`` above the allowance; only a check the bound
+cannot settle sums the tail, so every check that could pass is still
+decided by the direct sum.
+
+Three small caches hold arc geometry, no arrays.  ``_arc_spans`` keeps the
 spans of the last interval a mass was read over, since a gated rung reads
-one interval after every shot; step 1's interval moves every shot and
-simply replaces it.  ``_arc_runs`` keeps the slices of the last 16
-intervals the mode was searched within, which a stay reads every shot.
+one interval after every shot; step 1's interval moves with the mode and
+replaces it, now only on the checks the bound cannot settle.
+``_arc_runs`` keeps the slices of the last 16 intervals the mode was
+searched within, which a stay reads every shot, and ``nodes_beyond_arc``
+the bound's nodes of the last 16 arcs and windows.
 """
 
 from __future__ import annotations
@@ -165,6 +176,8 @@ class CircularInterval:
     def __post_init__(self):
         if not 0.0 < self.half_width <= np.pi:
             raise ValueError(f"half_width must be in (0, pi], got {self.half_width}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         object.__setattr__(self, "center", wrap_float(self.center))
         object.__setattr__(self, "half_width", float(self.half_width))
 
@@ -683,17 +696,23 @@ def _arc_spans(grid_size: int, offset: int, length: int, center: float, half_wid
 
     One entry is kept: a gated rung reads one interval after every shot, and
     nothing reads an interval between two of its gate checks.  Step 1's
-    interval is recentred on every shot and never repeats, so it replaces
-    the entry at the cost of one ``_window_spans`` call.  The key holds the
-    interval's two floats, which hash faster than the dataclass.  None when
-    the interval covers the whole circle: at half_width = pi, or when its
-    two ends round to one angle, which covers the circle but a rounding
-    error.
+    interval is recentred on every check the bound of ``nodes_beyond_arc``
+    cannot settle and never repeats, so it replaces the entry at the cost of
+    one ``_window_spans`` call.  The key holds the interval's two floats,
+    which hash faster than the dataclass.  None when the interval covers the
+    whole circle: at half_width = pi, or when its two ends round to one
+    angle on an arc wider than pi / 2, which covers the circle but a
+    rounding error.  Ends that round to one angle on a narrower arc, one
+    far below a cell, hold nothing: no spans inside, the whole window
+    outside.
     """
     # The interval's lower and upper ends, without building the interval.
     lower, upper = wrap_float(center - half_width), wrap_float(center + half_width)
     if half_width >= np.pi or lower == upper:
-        return None
+        if half_width > 0.5 * np.pi:
+            return None
+        periodic = length == grid_size
+        return ((0 if periodic else -1, 0.0, length - 1, 1.0, periodic),) if outside else ()
     start, end = (upper, lower) if outside else (lower, upper)
     cell_width = TWO_PI / grid_size
     return _window_spans(grid_size, offset, length, start / cell_width, end / cell_width)
@@ -718,8 +737,9 @@ def _arc_mass(posterior: GridPosterior, spans: tuple) -> float:
 def confidence(posterior: GridPosterior, interval: CircularInterval) -> float:
     """Posterior mass inside the interval, by trapezoid integration over the window.
 
-    An interval whose two ends round to one angle covers the whole circle
-    but a rounding error, so it holds all the mass, as at half_width = pi.
+    An interval wider than pi / 2 whose two ends round to one angle covers
+    the whole circle but a rounding error, so it holds all the mass, as at
+    half_width = pi; a narrower one holds none.
     """
     spans = _arc_spans(
         posterior.grid_size, posterior.offset, posterior.weights.size, interval.center, interval.half_width, False
@@ -737,12 +757,74 @@ def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
     window instead, so the cost is one pass over those cells, with no
     prefix array and no density.  Adding ``discarded`` means a trimmed
     window can only pass the gate later, never earlier.  Ends that round
-    to one angle leave no mass outside, as in ``confidence``.
+    to one angle leave no mass outside a wide interval and all of it
+    outside a narrow one, as in ``confidence``.  A check that fails by a
+    wide margin is settled more cheaply by ``nodes_beyond_arc`` and
+    ``tail_exceeds``.
     """
     spans = _arc_spans(
         posterior.grid_size, posterior.offset, posterior.weights.size, interval.center, interval.half_width, True
     )
     return 0.0 if spans is None else _arc_mass(posterior, spans) + posterior.discarded
+
+
+@lru_cache(maxsize=16)
+def nodes_beyond_arc(grid_size: int, offset: int, length: int, center: float, half: float) -> tuple:
+    """Window indices of the nodes at least 3 whole cells beyond each end of the arc center +- half.
+
+    ``center`` and ``half`` are in grid cell units.  Each end contributes the
+    first node 3 cells or more past it, ceil(center + half) + 3 and
+    floor(center - half) - 3 (mod grid_size).  There are none when the
+    complement is too short to hold both, 2 half + 8 >= grid_size, and a
+    node is dropped when it is not in the window, or is one of its first
+    two cells or its last.  Cached, keyed by the window as well as the arc,
+    so a window that changes gets its own nodes.
+
+    ``tail_exceeds`` reads these nodes to prove that a gate check fails on
+    any interval inside the arc, up to the rounding of its ends, far below
+    a cell.  Such a node k is an interior term of a slice sum of
+    ``_integrate`` over the complement spans of ``_window_spans``: it lies
+    2 cells or more from the span's end nodes ka and kb, so it is neither
+    the span's lo node ka + 1 nor its hi node kb, and it is not a window
+    end, where the complement may be cut in two.  (Past the cut, a whole
+    window's span restarts at cell 0, whose lo node is cell 1, and a
+    shorter window's at -1, whose lo node is cell 0.)  A float sum of
+    nonnegative terms is at least each term, up to a relative rounding of
+    about 1e-13, and taking back the halves of lo and hi leaves at least
+    half the sum to the same precision.  The partial cells and any other
+    span add nonnegative terms, and the rescale of ``_arc_mass`` below
+    TINY_MASS is exact.  So the integral over the total exceeds
+    w_k / total (1 - 1e-13), the clamp at 1 never bites (w_k <= total, so
+    the bound holds only below allowance 1/2), and ``discarded`` is >= 0:
+    w_k > 2 allowance total implies ``mass_outside(...) > allowance``, and
+    the check fails.
+    """
+    if 2.0 * half + 8.0 >= grid_size:
+        return ()
+    nodes = []
+    for cell in (math.ceil(center + half) + 3, math.floor(center - half) - 3):
+        k = (cell - offset) % grid_size
+        if 2 <= k < length - 1:
+            nodes.append(k)
+    return tuple(nodes)
+
+
+def tail_exceeds(posterior: GridPosterior, nodes: tuple, allowance: float) -> bool:
+    """Whether one of ``nodes``, from ``nodes_beyond_arc``, has weight above 2 allowance times the total.
+
+    True proves that ``mass_outside`` of an interval within that arc is
+    above ``allowance``, so the gate check fails without the tail sum.
+    False proves nothing.  ``total`` must be current, as it is after every
+    gated shot, since gated shots always sum.  A product 2 allowance total
+    that rounds, or underflows, still compares as the exact one: rounding
+    is monotone and the weight is a float.
+    """
+    limit = 2.0 * allowance * posterior.total
+    w = posterior.weights
+    for k in nodes:
+        if w.item(k) > limit:
+            return True
+    return False
 
 
 @lru_cache(maxsize=16)

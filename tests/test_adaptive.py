@@ -661,3 +661,46 @@ class TestBenchmarkTracer:
         assert tracer.stats["adaptive.run"].calls == 1
         for name in ("posterior.mass_outside", "posterior.confidence", "posterior.predict_loss"):
             assert tracer.stats[name].calls > 0, name
+
+
+class TestGateBound:
+    @staticmethod
+    def runs():
+        """About 200 seeded runs: beta in {1, 0.99, 0.9}, budgets 8 .. 2^14, fewer seeds at larger budgets."""
+        for beta in (1.0, 0.99, 0.9):
+            for exponent in range(3, 15):
+                for seed in range(8 if exponent <= 8 else 3):
+                    yield AlgorithmConfig(total_resources=1 << exponent, seed=seed, noise=NoiseModel(1.0, beta))
+
+    def test_the_bound_leaves_every_trace_as_the_direct_sum_gives_it(self, monkeypatch):
+        # The bound only skips tail sums it proves would fail the gate, so a
+        # loop whose bound never fires must give the same traces, field by field.
+        configs = list(self.runs())
+        assert 180 <= len(configs) <= 220
+        bounded = [run(config, golden_phase(config.seed)) for config in configs]
+        monkeypatch.setattr(adaptive, "tail_exceeds", lambda posterior, nodes, allowance: False)
+        died_in_step_one = 0
+        for config, fast in zip(configs, bounded):
+            slow = run(config, golden_phase(config.seed))
+            for field in dataclasses.fields(slow):
+                assert getattr(fast, field.name) == getattr(slow, field.name), (config, field.name)
+            assert list(fast.wall_outcome_counts) == list(slow.wall_outcome_counts)
+            died_in_step_one += slow.steps[0].decision == "exhaust" and slow.steps[0].predicted_loss_stay is None
+        assert died_in_step_one > 0, "some budgets die mid-gate at step 1"
+
+    def test_the_bound_settles_most_of_step_ones_checks(self, monkeypatch):
+        # Step 1's interval has half-width pi / (2 n2); the rungs' are narrower.
+        config = AlgorithmConfig(total_resources=4096, seed=3, noise=NoiseModel(1.0, 0.9))
+        step_one = math.pi / (2 * next_depth(2, config))
+        sums = []
+        real = adaptive.mass_outside
+
+        def counting(posterior, interval):
+            sums.append(interval.half_width == step_one)
+            return real(posterior, interval)
+
+        monkeypatch.setattr(adaptive, "mass_outside", counting)
+        trace = run(config, golden_phase(3))
+        checks = sum(step.shots_used for step in trace.steps if step.step_index == 1)
+        assert checks > 20
+        assert 0 < sum(sums) < checks / 2

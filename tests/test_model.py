@@ -195,6 +195,15 @@ class TestSampleOutcome:
         sample_outcome(circuit, 3, theta, noise, RecordingRng())
         assert seen == [min(max(float(success_probability(theta, circuit, noise)), 0.0), 1.0)]
 
+    @pytest.mark.parametrize("shots", [2.5, 3.0, True, -1])
+    def test_shots_must_be_a_whole_count(self, shots):
+        with pytest.raises(ValueError, match="shots"):
+            sample_outcome(Circuit(1, 0.0), shots, 1.0, NoiseModel(), np.random.default_rng(0))
+
+    def test_shots_may_be_a_numpy_integer(self):
+        rng = np.random.default_rng(0)
+        assert sample_outcome(Circuit(1, 0.0), np.int64(20), 0.0, NoiseModel(), rng) == 20
+
     def test_empirical_mean_tracks_probability(self):
         circ = Circuit(2, 0.9)
         noise = NoiseModel(0.95, 0.9)
@@ -251,6 +260,12 @@ class TestOptimalDepth:
 
     def test_heavy_decay_floors_at_one(self):
         assert optimal_depth(NoiseModel(1.0, 0.05), 100) == 1
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(1.0, 0.9)])
+    @pytest.mark.parametrize("depth_limit", [2.5, 8.0, True, 0])
+    def test_the_limit_must_be_a_whole_depth(self, noise, depth_limit):
+        with pytest.raises(ValueError, match="depth_limit"):
+            optimal_depth(noise, depth_limit)
 
     @given(beta=st.floats(0.02, 0.9999))
     @settings(max_examples=60)
@@ -311,3 +326,13 @@ class TestMinimumAchievableVariance:
     def test_undefined_without_decay(self):
         with pytest.raises(ValueError):
             minimum_achievable_variance(NoiseModel(), 1000)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -5.0])
+    def test_the_budget_must_be_finite_and_positive(self, budget):
+        with pytest.raises(ValueError, match="total_resources"):
+            minimum_achievable_variance(NoiseModel(1.0, 0.9), budget)
+
+    def test_a_fractional_budget_is_allowed(self):
+        assert minimum_achievable_variance(NoiseModel(1.0, 0.9), 2.5) == pytest.approx(
+            2 * math.e * (-math.log(0.9)) / 2.5, rel=1e-15
+        )

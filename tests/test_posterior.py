@@ -42,12 +42,14 @@ from qpe_lab.posterior import (
     expected_loss,
     map_estimate,
     mass_outside,
+    nodes_beyond_arc,
     normalize,
     predict_loss,
     predict_outcome,
     required_grid_size,
     retuned_factor,
     shot_likelihood,
+    tail_exceeds,
     uniform_prior,
     update,
     update_shot,
@@ -120,6 +122,11 @@ class TestCircularInterval:
     def test_half_width_range(self, hw):
         with pytest.raises(ValueError):
             CircularInterval(0.0, hw)
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_center_is_rejected(self, center):
+        with pytest.raises(ValueError, match="center"):
+            CircularInterval(center, 0.5)
 
     def test_bounds(self):
         iv = CircularInterval(0.2, 0.5)
@@ -316,6 +323,20 @@ class TestConfidenceAndMass:
             assert mass_outside(post, iv) == pytest.approx(0.0, abs=1e-12)
         assert merged > 0
 
+    @pytest.mark.parametrize("grid_size", [64, 4096])
+    @pytest.mark.parametrize("half_width", [1e-300, 1e-17])
+    def test_ends_that_round_to_one_angle_on_a_narrow_arc_hold_nothing(self, grid_size, half_width):
+        # Far below a cell the two ends round to the centre: the arc holds
+        # no mass, and the complement is the whole window, trimmed or not.
+        iv = CircularInterval(1.0, half_width)
+        assert iv.lower == iv.upper
+        post = uniform_prior(grid_size)
+        assert (confidence(post, iv), mass_outside(post, iv)) == (0.0, 1.0)
+        peaked = von_mises_posterior(1.0, 50.0, grid_size)
+        assert (confidence(peaked, iv), mass_outside(peaked, iv)) == (0.0, pytest.approx(1.0, rel=1e-14))
+        window, _ = window_of(peaked, grid_size - 5, grid_size // 2)
+        assert (confidence(window, iv), mass_outside(window, iv)) == (0.0, pytest.approx(1.0, rel=1e-14))
+
     def test_seam_crossing_interval(self):
         post = von_mises_posterior(0.0, 5.0)
         # the interval straddles the 0/2pi seam; both halves must count
@@ -502,6 +523,80 @@ class TestArcMassesMatchTheInterpolant:
         assert (iv.lower, iv.upper) == (0.0, 2 * post.cell_width)
         assert confidence(post, iv) == arc_mass_reference(w, iv.lower, iv.upper) == 10 / 28
         assert mass_outside(post, iv) == arc_mass_reference(w, iv.upper, iv.lower) == 18 / 28
+
+
+@st.composite
+def bounded_gates(draw):
+    """A posterior on a whole or trimmed window, an arc in cells, an interval inside it, and an allowance."""
+    grid_size = draw(st.sampled_from([64, 4096, 65536]))
+    cell = TWO_PI / grid_size
+    # The arc: a centre anywhere, a half-width from a few cells to nearly pi.
+    center = draw(st.integers(0, grid_size - 1)) + draw(st.floats(0.0, 1.0, exclude_max=True))
+    half = draw(st.one_of(st.floats(2.0, 16.0), st.floats(2.0, grid_size / 2 - 4.0)))
+    # The interval: the arc itself (a rung), or one up to half a cell narrower
+    # and moved by as much (step 1's interval around its peak cell).
+    shrink = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    shift = draw(st.floats(-1.0, 1.0)) * shrink
+    interval = CircularInterval((center + shift) * cell, (half - shrink) * cell)
+    kappa = 10.0 ** draw(st.floats(-1.0, math.log10((grid_size / 4) ** 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = TWO_PI * np.arange(grid_size) / grid_size
+    mu = interval.center + draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+    post = posterior_from_log_weights(kappa * np.cos(angles - mu) + 2.0 * rng.normal(size=grid_size))
+    if draw(st.booleans()):
+        # A trimmed window at a nonzero offset, across the seam when it reaches past the last cell.
+        post, _ = window_of(post, draw(st.integers(1, grid_size - 1)), draw(st.integers(8, grid_size - 1)))
+    post.discarded = draw(st.sampled_from([0.0, 2.0**-101]))
+    # An allowance anywhere from 1e-300 to 1, or a multiple of the heaviest
+    # node's share, on a complement emptied but for the nodes or not.
+    allowance = 10.0 ** draw(st.floats(-300.0, 0.0))
+    multiple = draw(st.one_of(st.none(), st.sampled_from([0.25, math.nextafter(0.5, 0.0), 0.5, 1.0, 3.0])))
+    return post, center, half, interval, allowance, multiple, draw(st.booleans())
+
+
+class TestGateBound:
+    @given(case=bounded_gates())
+    @settings(max_examples=400, deadline=None)
+    def test_a_node_beyond_the_arc_proves_the_gate_fails(self, case):
+        post, center, half, interval, allowance, multiple, isolate = case
+        nodes = nodes_beyond_arc(post.grid_size, post.offset, post.weights.size, center, half)
+        if isolate and nodes:
+            # Only the arc, a cell either side of it, and the nodes keep their weight.
+            cells = (post.offset + np.arange(post.weights.size)) % post.grid_size
+            gap = np.abs((cells - center + post.grid_size / 2) % post.grid_size - post.grid_size / 2)
+            keep = gap <= half + 1.0
+            keep[list(nodes)] = True
+            post.weights[~keep] = 0.0
+            post.total = float(post.weights.sum())
+        if not post.total > 0.0:
+            return
+        if multiple is not None and nodes:
+            heaviest = max(post.weights[list(nodes)])
+            allowance = min(max(heaviest / post.total * multiple, 1e-300), 1.0)
+        if tail_exceeds(post, nodes, allowance):
+            assert mass_outside(post, interval) > allowance
+
+    @pytest.mark.parametrize("offset, length", [(0, 4096), (4000, 4096), (4000, 300), (100, 50)])
+    def test_the_nodes_lie_three_cells_beyond_the_arc_in_the_window(self, offset, length):
+        center, half = 10.25, 20.5
+        nodes = nodes_beyond_arc(4096, offset, length, center, half)
+        cells = {(offset + k) % 4096 for k in nodes}
+        assert cells <= {math.ceil(center + half) + 3, (math.floor(center - half) - 3) % 4096}
+        assert all(2 <= k < length - 1 for k in nodes)
+        # Whole windows keep both; the others keep the ones they hold away from their ends.
+        assert len(nodes) == {(0, 4096): 2, (4000, 4096): 2, (4000, 300): 2, (100, 50): 0}[offset, length]
+
+    def test_no_nodes_when_the_complement_is_too_short(self):
+        assert nodes_beyond_arc(64, 0, 64, 30.0, 27.9) != ()
+        assert nodes_beyond_arc(64, 0, 64, 30.0, 28.0) == ()
+
+    def test_the_bound_compares_with_twice_the_allowance(self):
+        post = uniform_prior(64)
+        nodes = nodes_beyond_arc(64, 0, 64, 10.0, 4.0)
+        assert nodes == (17, 3)
+        assert tail_exceeds(post, nodes, math.nextafter(1 / 128, 0.0))
+        assert not tail_exceeds(post, nodes, 1 / 128)
+        assert not tail_exceeds(post, (), 0.0)
 
 
 class TestMapEstimate:

@@ -36,7 +36,7 @@ TINY_AB_SIZES = {
     "ROUNDS": 2,
     "SEEDS": 2,
     "NOISY_BUDGETS": (64, 128),
-    "NOISELESS_BUDGET": 256,
+    "NOISELESS_BUDGETS": (256, 512),
     "BASELINE_LADDER": (64, 256),
     "NOISY_LADDER": (32, 64),
     "GRID_CALLS": {256: (6, 2), 512: (4, 2)},
@@ -59,11 +59,12 @@ def test_ab_runs_against_its_own_tree(monkeypatch, tmp_path):
         monkeypatch.setattr(script, name, value)
     monkeypatch.setattr(script, "ROOT", str(tmp_path))
     rows = script.build_rows()
-    assert len(rows) == len(shipped) == 24
+    assert len(rows) == len(shipped) == 25
     assert [row.per_call for row in rows] == [row.per_call for row in shipped]
     labels = [row.label for row in rows]
-    assert labels[:5] == [
-        "beta=0.9 N=64", "beta=0.9 N=128", "noiseless N=2^8", "baselines 2^6..2^8", "noisy sweep 32..64",
+    assert labels[:6] == [
+        "beta=0.9 N=64", "beta=0.9 N=128", "noiseless N=2^8", "noiseless N=2^9", "baselines 2^6..2^8",
+        "noisy sweep 32..64",
     ]
     # The change side loads from ROOT, here a copy of this tree's package.
     shutil.copytree(SCRIPTS.parent / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
