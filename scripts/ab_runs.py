@@ -48,14 +48,16 @@ over each seed's or call's minimum over the rounds), the median and the
 quartiles of the rounds' figures, and the number of rounds in which the
 change's figure was lower.
 
-After the rounds, once per side, three memory rows give the bytes that
+After the rounds, once per side, four memory rows give the bytes that
 ``tracemalloc`` traces, numpy's arrays included, with that side's posterior
 caches cleared before and after: the peak during one
 ``run_nonadaptive_doubling`` at N = 2^20 with one shot per depth, whose
 posterior is too broad to trim and refines whole to 2^22 cells; the bytes
-its caches still hold once it returns; and the peak of one ``run_qpea``
-draw of 2^20 outcomes forced past its window, to the cell HALF_WINDOW + 2
-above the peak.
+its caches still hold once it returns; the peak during the same run with
+32 shots per depth on one cell of a baseline sweep (master seed 9000021,
+theta index 1 of 6, the cell's own seed), whose window refines whole to
+2^18 cells; and the peak of one ``run_qpea`` draw of 2^20 outcomes forced
+past its window, to the cell HALF_WINDOW + 2 above the peak.
 
 Usage, from the repository root:
 
@@ -107,8 +109,10 @@ DOUBLING_CALLS = {16: 100, 20: 20}
 REFINED_GRID, REFINED_DEPTH, REFINED_CALLS = 4096, 8192, 500
 # The classical-cell row: its budget and the cells timed.
 CLASSICAL_BUDGET, CLASSICAL_CALLS = 1 << 20, 200
-# The memory rows: the doubling run's budget and its theta, and the qpea register size.
+# The memory rows: the doubling runs' budget, the one-shot-per-depth run's theta, and the qpea register size.
 MEMORY_BUDGET, MEMORY_THETA, MEMORY_REGISTER = 1 << 20, 1.3, 20
+# The 32-shot doubling run's sweep cell: master seed, theta index, and the sweep's phase count.
+MEMORY_CELL = (9_000_021, 1, 6)
 THETA = 2.2
 LABEL_WIDTH = 30
 
@@ -362,11 +366,22 @@ def clear_caches(package) -> None:
 
 
 def memory_bytes(package) -> dict:
-    """The three memory rows of one side, each started from empty posterior caches."""
+    """The four memory rows of one side, each started from empty posterior caches."""
     clear_caches(package)
     doubling_peak, cache_bytes = traced_bytes(
         package.run_nonadaptive_doubling, MEMORY_BUDGET, MEMORY_THETA, package.RunSettings(), 1,
         np.random.default_rng(1),
+    )
+    clear_caches(package)
+    master_seed, theta_index, theta_count = MEMORY_CELL
+    config = package.SweepConfig(
+        strategies=("nonadaptive-doubling",), resource_ladder=(MEMORY_BUDGET,), theta_count=theta_count,
+        master_seed=master_seed,
+    )
+    seed = package.derive_cell_seed(master_seed, "nonadaptive-doubling", MEMORY_BUDGET, theta_index, 0)
+    whole_window_peak, _ = traced_bytes(
+        package.run_nonadaptive_doubling, MEMORY_BUDGET, config.theta_of(theta_index), package.RunSettings(),
+        config.shots_per_depth, np.random.default_rng(seed),
     )
     clear_caches(package)
     m_size = 1 << MEMORY_REGISTER
@@ -380,6 +395,7 @@ def memory_bytes(package) -> dict:
     return {
         "doubling_peak_bytes": doubling_peak,
         "doubling_cache_bytes_after": cache_bytes,
+        "doubling_32_shots_peak_bytes": whole_window_peak,
         "qpea_past_window_peak_bytes": qpea_peak,
     }
 

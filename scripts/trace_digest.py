@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Two sha256 digests over a fixed grid of seeded traces, to show that a change leaves every run as it was.
+"""Three sha256 digests over a fixed grid of seeded traces, to show that a change leaves every run as it was.
 
 The path digest covers what the adaptive loop did: for each ``run()`` trace,
 every step's index, decision, shots, successes, cap hit and circuit depth,
 the shots and successes of every circuit fired, in firing order, and the
 resources spent; for each doubling-baseline run, its deepest depth and the
-resources spent.  The bits digest covers the same data and, as
-``float.hex``, the phase of every circuit fired, each step's interval,
-confidence and predicted losses, each run's final estimate and expected
-loss, and each doubling run's estimate and expected loss.  A refactor keeps
-both digests; a change that only rounds differently keeps the path digest.
+resources spent.  Two bits digests cover the same data and, as
+``float.hex``, the floats: the run bits digest, over the ``run()`` traces,
+adds the phase of every circuit fired, each step's interval, confidence
+and predicted losses, and each run's final estimate and expected loss; the
+doubling bits digest, over the doubling runs, adds each run's estimate and
+expected loss.  A refactor keeps every digest; a change that only rounds
+differently keeps the path digest, and one that rounds only the baselines'
+posterior also keeps the run bits digest.
 
 The default grid holds 3040 ``run()`` traces: budgets 2^6 .. 2^16 (32
 seeds per budget up to 2^10, 8 up to 2^13, 2 above), decay beta in
@@ -92,11 +95,11 @@ def doubling_lines(n_tot: int, shots_per_depth: int, seed: int):
 
 
 def digests(run_budgets, betas, doubling, doubling_seeds):
-    """(path digest, bits digest, run count, doubling count) over the given grid."""
-    path, bits = hashlib.sha256(), hashlib.sha256()
+    """(path digest, run bits digest, doubling bits digest, run count, doubling count) over the given grid."""
+    path, run_bits, doubling_bits = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     runs = doublings = 0
 
-    def feed(lines):
+    def feed(lines, bits):
         path_lines, bits_lines = lines
         path.update("\n".join(path_lines + [""]).encode())
         bits.update("\n".join(bits_lines + [""]).encode())
@@ -110,14 +113,14 @@ def digests(run_budgets, betas, doubling, doubling_seeds):
                             feed(run_lines(AlgorithmConfig(
                                 total_resources=1 << m, seed=seed, noise=NoiseModel(1.0, beta),
                                 estimator=estimator, grid_size=grid_size,
-                            )))
+                            )), run_bits)
                             runs += 1
     for exponents, shots_per_depth in doubling:
         for m in exponents:
             for seed in range(doubling_seeds):
-                feed(doubling_lines(1 << m, shots_per_depth, seed))
+                feed(doubling_lines(1 << m, shots_per_depth, seed), doubling_bits)
                 doublings += 1
-    return path.hexdigest(), bits.hexdigest(), runs, doublings
+    return path.hexdigest(), run_bits.hexdigest(), doubling_bits.hexdigest(), runs, doublings
 
 
 def main(argv=None) -> int:
@@ -129,10 +132,11 @@ def main(argv=None) -> int:
     else:
         grid = (RUN_BUDGETS, BETAS, DOUBLING, DOUBLING_SEEDS)
     start = time.perf_counter()
-    path, bits, runs, doublings = digests(*grid)
+    path, run_bits, doubling_bits, runs, doublings = digests(*grid)
     print(f"{runs} run() traces, {doublings} doubling runs, {time.perf_counter() - start:.1f}s")
     print(f"path {path}")
-    print(f"bits {bits}")
+    print(f"bits run() {run_bits}")
+    print(f"bits doubling {doubling_bits}")
     return 0
 
 

@@ -36,9 +36,10 @@ from .posterior import (
     InsufficientResourcesError,
     LossKind,
     expected_loss,
+    fold,
     map_estimate,
     uniform_prior,
-    update,
+    update,  # noqa: F401  kept importable here: perfbench/layers.py traces ``baselines.update``
 )
 from .adaptive import RunSettings, chernoff_shot_budget
 
@@ -278,14 +279,18 @@ def _probe_pair(depth: int, shots: int) -> Schedule:
 
 
 def _run_schedule(blocks: Schedule, theta_true, settings: RunSettings, rng) -> BaselineResult:
-    """Fold each block's sample into a flat prior and score the mode."""
+    """Sample every block, fold the records into a flat prior at once, and score the mode.
+
+    Sampling never reads the posterior, so drawing every block before the
+    fold calls ``rng`` in the order block-by-block updates would.
+    """
     check_true_phase(theta_true)
     noise = settings.noise
-    posterior = uniform_prior(settings.grid_size)
+    records = []
     for depth, phase, shots in blocks:
         circuit = Circuit(depth, phase)
-        outcome = sample_outcome(circuit, shots, theta_true, noise, rng)
-        update(posterior, MeasurementRecord(circuit, shots, outcome), noise)
+        records.append(MeasurementRecord(circuit, shots, sample_outcome(circuit, shots, theta_true, noise, rng)))
+    posterior = fold(uniform_prior(settings.grid_size), records, noise)
     estimate = map_estimate(posterior)
     return BaselineResult(
         estimate=estimate,
@@ -343,15 +348,25 @@ def run_classical(
     return _run_schedule(_probe_pair(1, total_resources), theta_true, settings, rng)
 
 
-def limit_curves(total_resources: int, noise: NoiseModel) -> dict[str, float]:
+def _check_real_budget(total_resources) -> None:
+    """Raise ValueError naming ``total_resources`` unless it is a finite number >= 1, not a bool.
+
+    The curves and the bound take fractional budgets, as the plots pass them.
+    """
+    if isinstance(total_resources, (bool, np.bool_)) or not math.isfinite(total_resources):
+        raise ValueError(f"total_resources must be a finite number, got {total_resources!r}")
+    if total_resources < 1:
+        raise ValueError(f"total_resources must be >= 1, got {total_resources}")
+
+
+def limit_curves(total_resources: float, noise: NoiseModel) -> dict[str, float]:
     """Mean-absolute-error envelopes at this budget.
 
     Keys: 'sql' (one resource, one bit), 'hl' (coherent use of the whole
     budget), and 'noisy_floor' (decoherence-limited optimum; present only
     when beta < 1).  Each converts a variance to an MAE via sqrt(2/pi).
     """
-    if total_resources < 1:
-        raise ValueError(f"total_resources must be >= 1, got {total_resources}")
+    _check_real_budget(total_resources)
     n = float(total_resources)
     curves = {
         "sql": MAE_OF_STD * math.sqrt(1.0 / n),
@@ -364,7 +379,7 @@ def limit_curves(total_resources: int, noise: NoiseModel) -> dict[str, float]:
     return curves
 
 
-def _chernoff_chain(total_resources: int, settings: RunSettings, step_count: int):
+def _chernoff_chain(total_resources: float, settings: RunSettings, step_count: int):
     """Depths, confidence allowances, and shot counts for the bound chain.
 
     The chain uses pure depth doubling n_i = 2**(i-1) for i = 1..step_count
@@ -374,8 +389,7 @@ def _chernoff_chain(total_resources: int, settings: RunSettings, step_count: int
     """
     if step_count < 2:
         raise ValueError(f"step_count must be >= 2, got {step_count}")
-    if total_resources < 1:
-        raise ValueError(f"total_resources must be >= 1, got {total_resources}")
+    _check_real_budget(total_resources)
     depths = [1 << (i - 1) for i in range(1, step_count + 1)]
     top = depths[-1]
     eps = [settings.epsilon_scale * (d / top) ** settings.epsilon_exponent for d in depths]
@@ -395,7 +409,7 @@ def _chernoff_chain(total_resources: int, settings: RunSettings, step_count: int
 
 
 def appendix_loss_bound(
-    total_resources: int, settings: RunSettings, kind: LossKind, step_count: int | None = None
+    total_resources: float, settings: RunSettings, kind: LossKind, step_count: int | None = None
 ) -> float:
     """Worst-case expected loss of the gated ladder over ``step_count`` rungs.
 
@@ -427,8 +441,9 @@ def appendix_loss_bound(
     return min(value, math.pi**2)
 
 
-def default_step_count(total_resources: int, settings: RunSettings) -> int:
+def default_step_count(total_resources: float, settings: RunSettings) -> int:
     """Deepest feasible chain length whose top depth respects the caps."""
+    _check_real_budget(total_resources)
     best = 0
     m = 2
     while (1 << (m - 1)) <= settings.depth_cap:

@@ -227,10 +227,10 @@ def minimum_achievable_variance(noise: NoiseModel, total_resources: float) -> fl
     """Variance floor -2 e ln(beta) / (alpha**2 * N) at the optimal depth.
 
     Only meaningful for beta < 1; beta = 1 has no floor.  The budget may
-    be fractional but must be finite and > 0.
+    be fractional but must be finite and > 0, and not a bool.
     """
     if noise.beta == 1.0:
         raise ValueError("no variance floor without decay (beta = 1)")
-    if not 0 < total_resources < math.inf:
+    if isinstance(total_resources, (bool, np.bool_)) or not 0 < total_resources < math.inf:
         raise ValueError(f"total_resources must be finite and > 0, got {total_resources}")
     return -2.0 * math.e * math.log(noise.beta) / (noise.alpha**2 * total_resources)

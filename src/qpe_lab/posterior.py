@@ -69,7 +69,13 @@ from the depth's cached cos and sin and into a buffer the caller reuses,
 and turns it into q0 in place only for a dark outcome.  The log cache
 serves the baselines, whose runs fold in the same whole-grid circuits
 (depths up to 128 at phases 0 and pi/2 on 4096 cells) run after run, so a
-repeated batch record takes the log of the weights alone.  Each cache is
+repeated batch record takes no log of its own.  ``fold`` takes each run of
+consecutive batch records that one grid resolves through one log and one
+exp of the weights, each record adding its cached x log p0 +
+(shots - x) log q0 to that one log: a doubling run's 16 records on the
+4096-cell grid take one log and one exp, not 16 of each.  A run of one
+record, as ``update`` and ``predict_loss`` fold, is the batch update
+operation for operation.  Each cache is
 bounded by a number of entries and by the bytes it holds
 (TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES, LOG_LIKELIHOOD_CACHE_BYTES),
 and a miss evicts the least recently used entries until both bounds hold
@@ -110,6 +116,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, update_wrapper
+from itertools import islice
 
 import numpy as np
 
@@ -498,9 +505,14 @@ def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
     return posterior
 
 
+def _resolves(posterior: GridPosterior, depth: int) -> bool:
+    """Whether the grid resolves circuits of ``depth`` with no refining: the rule ``_resolve`` and ``fold`` read."""
+    return posterior.grid_size >= required_grid_size(depth) and depth <= MAX_DEPTH
+
+
 def _resolve(posterior: GridPosterior, depth: int) -> None:
     """Refine the grid in place, if it must, to resolve circuits of ``depth``."""
-    if posterior.grid_size < required_grid_size(depth) or depth > MAX_DEPTH:
+    if not _resolves(posterior, depth):
         ensure_resolution(posterior, depth)
 
 
@@ -572,7 +584,7 @@ def update_shot(posterior: GridPosterior, factor: np.ndarray, mode: float | None
 
 
 def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel) -> GridPosterior:
-    """Multiply in the likelihood of ``record`` and renormalize, in place.
+    """Multiply in the likelihood of ``record`` and renormalize, in place: ``fold`` of that one record.
 
     A single shot with a whole outcome is ``update_shot`` of its circuit's
     cached p0 or q0.  Any other record is added to the log-weights as
@@ -583,39 +595,83 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     everywhere on the grid, ImpossibleObservationError is raised; discard
     the posterior.
     """
-    return _update(posterior, record, noise, _log_likelihood)
+    return fold(posterior, (record,), noise)
 
 
-def _update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseModel, logs) -> GridPosterior:
-    """``update``, with a batch record's (log p0, log q0) from ``logs`` called on its circuit's window key."""
-    shots, x = record.shots, record.successes
-    depth = record.circuit.depth
-    if shots == 0:
-        return posterior
-    key = _window_key(posterior, depth, record.circuit.phase, noise.contrast(depth))
-    single = shots == 1 and (x == 1.0 or x == 0.0)
-    if single:
-        p0, q0 = _log_prob_components(*key)
-    else:
-        log_p0, log_q0 = logs(*key)
-        misses = shots - x
-        with np.errstate(divide="ignore"):
-            lw = np.log(posterior.weights)
-        term = np.empty_like(lw)
+def _single_shot(record: MeasurementRecord) -> bool:
+    """Whether ``record`` is one shot with a whole outcome, which ``update_shot`` folds."""
+    return record.shots == 1 and (record.successes == 1.0 or record.successes == 0.0)
+
+
+def fold(posterior: GridPosterior, records, noise: NoiseModel, logs=None) -> GridPosterior:
+    """Multiply in the likelihoods of the sequence ``records``, in order, and renormalize, in place.
+
+    A single shot with a whole outcome is ``update_shot`` of its circuit's
+    cached p0 or q0.  The other records are folded in runs.  A run starts
+    at such a batch record, for which the grid is refined first, and takes
+    every batch record right after it that the grid then resolves
+    (``_resolves``).  The run takes the log of the weights once, adds
+    x * log p0 + (shots - x) * log q0 of each of its records, with the
+    logs from ``logs`` called on the circuit's window key (the cached
+    ``_log_likelihood`` if None), then shifts by the largest log,
+    exponentiates and normalizes once.  A run of one record is thus the
+    batch update of ``update``, operation for operation; a longer run
+    differs from folding its records one at a time by rounding alone.  The
+    log is taken in place of the weights, and each record's logs are let
+    go before the next record's are built, so a run holds no more window
+    arrays at once than one record does.  Zero-shot records leave the
+    posterior untouched.  If the records are impossible everywhere on the
+    grid, ImpossibleObservationError is raised; discard the posterior.
+    """
+    logs = _log_likelihood if logs is None else logs
+    start, count = 0, len(records)
+    while start < count:
+        first = records[start]
+        stop = start + 1
+        if first.shots == 0:
+            start = stop
+            continue
+        _resolve(posterior, first.circuit.depth)
+        single = _single_shot(first)
+        while (not single and stop < count and not _single_shot(records[stop])
+               and _resolves(posterior, records[stop].circuit.depth)):
+            stop += 1
+        try:
+            if single:
+                depth = first.circuit.depth
+                p0, q0 = shot_likelihood(posterior, depth, first.circuit.phase, noise.contrast(depth))
+                update_shot(posterior, p0 if first.successes == 1.0 else q0)
+            else:
+                _fold_run(posterior, islice(records, start, stop), noise, logs)
+        except ImpossibleObservationError:
+            which = f"record {first} has" if stop == start + 1 else f"records {list(records[start:stop])} have"
+            raise ImpossibleObservationError(f"{which} zero likelihood at every grid cell") from None
+        start = stop
+    return posterior
+
+
+def _fold_run(posterior: GridPosterior, run, noise: NoiseModel, logs) -> None:
+    """Fold a run of batch records, all resolved by the grid as it is, through one log and one exp of the weights."""
+    with np.errstate(divide="ignore"):
+        lw = np.log(posterior.weights, out=posterior.weights)
+    term = np.empty_like(lw)
+    for record in run:
+        if record.shots == 0:
+            continue
+        depth = record.circuit.depth
+        log_p0, log_q0 = logs(*_window_key(posterior, depth, record.circuit.phase, noise.contrast(depth)))
+        x = record.successes
+        misses = record.shots - x
         if x > 0:
             lw += np.multiply(log_p0, x, out=term)
         if misses > 0:
             lw += np.multiply(log_q0, misses, out=term)
-        shift = lw.max()
-        if math.isfinite(shift):
-            lw -= shift
-        posterior.weights = np.exp(lw, out=lw)
-    try:
-        return update_shot(posterior, p0 if x == 1.0 else q0) if single else normalize(posterior)
-    except ImpossibleObservationError:
-        raise ImpossibleObservationError(
-            f"record {record} has zero likelihood at every grid cell"
-        ) from None
+        del log_p0, log_q0
+    shift = lw.max()
+    if math.isfinite(shift):
+        lw -= shift
+    np.exp(lw, out=lw)
+    normalize(posterior)
 
 
 def _logs_taken_once(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
@@ -978,5 +1034,5 @@ def predict_loss(
         )
     expected_count = predict_outcome(posterior, circuit, shots, noise)
     record = MeasurementRecord(circuit, shots, expected_count)
-    hypothetical = _update(posterior.clone(), record, noise, _logs_taken_once)
+    hypothetical = fold(posterior.clone(), (record,), noise, _logs_taken_once)
     return expected_loss(hypothetical, map_estimate(hypothetical), kind)

@@ -21,8 +21,8 @@ from qpe_lab.baselines import (
     run_nonadaptive_doubling,
     run_qpea,
 )
-from qpe_lab.model import NoiseModel
-from qpe_lab.posterior import InsufficientResourcesError, LossKind
+from qpe_lab.model import Circuit, NoiseModel, sample_outcome
+from qpe_lab.posterior import InsufficientResourcesError, LossKind, fold
 
 NOISELESS = NoiseModel()
 SETTINGS = RunSettings()
@@ -333,6 +333,32 @@ class TestRunNonadaptiveDoubling:
         assert res.posterior_expected_loss >= 0.0
 
 
+@pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.9)], ids=["noiseless", "beta-0.9"])
+@pytest.mark.parametrize("runner, blocks", [
+    (lambda settings, rng: run_nonadaptive_doubling(1 << 14, 2.2, settings, 8, rng),
+     lambda settings: doubling_schedule(1 << 14, settings, 8)),
+    (lambda settings, rng: run_nonadaptive_doubling(300, 2.2, settings, 1, rng),
+     lambda settings: doubling_schedule(300, settings, 1)),
+    (lambda settings, rng: run_classical(1001, 2.2, settings, rng), lambda settings: [(1, 0.0, 501), (1, np.pi / 2, 500)]),
+], ids=["doubling", "doubling-single-shots", "classical"])
+def test_a_schedule_folds_what_per_block_draws_give(monkeypatch, noise, runner, blocks):
+    settings = RunSettings(noise=noise)
+    folded = []
+
+    def recording(post, records, noise_model, *rest):
+        folded.append([(r.circuit.depth, r.circuit.phase, r.shots, r.successes) for r in records])
+        return fold(post, records, noise_model, *rest)
+
+    monkeypatch.setattr(baselines, "fold", recording)
+    runner(settings, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    drawn = []
+    for depth, phase, shots in blocks(settings):
+        circuit = Circuit(depth, phase)
+        drawn.append((circuit.depth, circuit.phase, shots, float(sample_outcome(circuit, shots, 2.2, noise, rng))))
+    assert folded == [drawn]
+
+
 class TestRunClassical:
     def test_spends_everything_at_depth_one(self):
         for n_tot in (2, 3, 101, 1024):
@@ -434,6 +460,28 @@ class TestBoundArguments:
     def test_validation(self, total_resources, step_count, message):
         with pytest.raises(ValueError, match=message):
             appendix_loss_bound(total_resources, SETTINGS, LossKind.ABSOLUTE, step_count)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, True, np.True_], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda n: limit_curves(n, NOISELESS),
+        lambda n: limit_curves(n, NoiseModel(1.0, 0.9)),
+        lambda n: appendix_loss_bound(n, SETTINGS, LossKind.ABSOLUTE),
+        lambda n: appendix_loss_bound(n, SETTINGS, LossKind.SQUARED, 4),
+        lambda n: default_step_count(n, SETTINGS),
+    ], ids=["curves", "curves-beta-0.9", "bound", "bound-4-steps", "step-count"])
+    def test_a_non_finite_or_bool_budget_is_rejected(self, call, budget):
+        message = f"total_resources must be a finite number, got {budget!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            call(budget)
+        assert not isinstance(info.value, InfeasibleBoundError)
+
+    def test_a_fractional_budget_is_allowed(self):
+        # The plots evaluate the curves and the bound between ladder budgets.
+        assert limit_curves(1024.5, NOISELESS)["hl"] == pytest.approx(math.sqrt(2 / math.pi) / 1024.5, rel=1e-15)
+        assert default_step_count(4096.5, SETTINGS) == default_step_count(4096, SETTINGS)
+        assert appendix_loss_bound(4096.5, SETTINGS, LossKind.ABSOLUTE) <= appendix_loss_bound(
+            4096, SETTINGS, LossKind.ABSOLUTE
+        )
 
 
 class TestAppendixLossBound:

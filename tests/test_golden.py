@@ -42,18 +42,18 @@ from qpe_lab.model import NoiseModel
 
 SWEEP_DIGESTS = {
     "noiseless": {
-        "results.csv": "82d019828f0f1767d2b048bed7e2dd88ef54a1ce15244728ad4e78309d8f3845",
-        "aggregate.csv": "5e602af61e42a06070ecc079e4b37c275535a18ec2b320454e4bb180a7b6fe75",
+        "results.csv": "e172e35176d91c99a3b7a00caf7658d521dc2ab7ce6e241d6b8fd7dbb5afa2f2",
+        "aggregate.csv": "15212116f4b7b43b39201b6a34c86646d3da5d54a568d6f92b2f3daf44e65f11",
         "manifest.json": "375faf8cd5b66dbfaf38080a17f5286c0d7692d5d321e84b3b42ee6f1a7ce53c",
     },
     "beta-0.9": {
-        "results.csv": "bd3cb9bf9fcd03263f9ad87bc60261b1cdc891603d4fa224d1feb78fb934f51c",
-        "aggregate.csv": "2609145e5e998c59143093ff1cd9c2843deef6e419918cd22e812047ae63e4af",
+        "results.csv": "8a7264dff54d473bd482be650f3ca18e0f75b829f3daa0676f0a9ffeb91c0a9a",
+        "aggregate.csv": "97d6c1ec88cd934bd9497d83d6aef630418b839dd8ae3bdde3615eb80f8f6609",
         "manifest.json": "82ffe83b9043a216373fa12e0e7c6f74736f55ff52469dd11d799817ff415ed6",
     },
     "capped": {
-        "results.csv": "7ee6b52f34a168c5661cc2d01123c55ec1c9af3fe48c47eeedc93ab4e54e424b",
-        "aggregate.csv": "c57c6a44851904de0bcdb9aa67013a7a45f50cb63018ed83a2f81dc0bddbd873",
+        "results.csv": "c6d4a4572eaa2fccc0361ad8249960646bc3a7c627601b6b5192dead7496e59a",
+        "aggregate.csv": "65ce2158f2f613529cc069b49de684320697e45050b45f5add7c100b8698b77c",
         "manifest.json": "840e5414f4e1eb370822627ae1f90a037144d1d5cda467bfd9cf4db40a3d5188",
     },
     "qpea-large": {

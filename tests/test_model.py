@@ -327,7 +327,7 @@ class TestMinimumAchievableVariance:
         with pytest.raises(ValueError):
             minimum_achievable_variance(NoiseModel(), 1000)
 
-    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -5.0])
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -5.0, True, np.True_])
     def test_the_budget_must_be_finite_and_positive(self, budget):
         with pytest.raises(ValueError, match="total_resources"):
             minimum_achievable_variance(NoiseModel(1.0, 0.9), budget)

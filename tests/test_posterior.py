@@ -20,6 +20,7 @@ from qpe_lab import adaptive
 from qpe_lab.adaptive import AlgorithmConfig, RunSettings
 from qpe_lab.angles import TWO_PI, wrap, wrap_float, wrapped_distance
 from qpe_lab.baselines import doubling_schedule, run_nonadaptive_doubling
+from qpe_lab.harness import SweepConfig, derive_cell_seed
 from qpe_lab.model import Circuit, MeasurementRecord, NoiseModel, sample_outcome, success_probability, tuned_phase
 from qpe_lab.posterior import (
     CLAMP_FREE_ENVELOPE,
@@ -40,6 +41,7 @@ from qpe_lab.posterior import (
     confidence,
     ensure_resolution,
     expected_loss,
+    fold,
     map_estimate,
     mass_outside,
     nodes_beyond_arc,
@@ -57,7 +59,7 @@ from qpe_lab.posterior import (
 )
 from qpe_lab.posterior import (
     CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _grid_trig, _integrate,
-    _log_likelihood, _log_prob_components, _logs_taken_once, _nbytes, _refine_once, _trim, _unit_p0, _update,
+    _log_likelihood, _log_prob_components, _logs_taken_once, _nbytes, _refine_once, _trim, _unit_p0,
     _window_spans,
 )
 
@@ -1164,6 +1166,114 @@ class TestBatchLogCache:
             assert (info.hits, info.misses, info.currsize, info.currbytes) == (0, misses, 0, 0)
 
 
+class TestFold:
+    @pytest.mark.parametrize("case", [*BATCH_WINDOWS, "refine"])
+    @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.9)], ids=["noiseless", "beta-0.9"])
+    @pytest.mark.parametrize("x", [0.0, 5.0, 2.3], ids=["none-bright", "all-bright", "fractional"])
+    def test_a_one_record_fold_is_the_batch_update_bit_for_bit(self, case, noise, x):
+        make, depth, phase = SINGLE_SHOTS[case]
+        base = make()
+        record = MeasurementRecord(Circuit(depth, phase), 5, x)
+        want = batch_reference(base, record, noise)
+        assert (want.grid_size > base.grid_size) == (case == "refine")
+        got = fold(base.clone(), [record], noise)
+        np.testing.assert_array_equal(got.weights, want.weights)
+        assert (got.total, got.grid_size, got.offset, got.discarded) == (
+            want.total, want.grid_size, want.offset, want.discarded
+        )
+
+    @pytest.mark.parametrize("n_tot, shots_per_depth", [(1 << 12, 8), (1 << 16, 32), (1 << 20, 32), (1 << 20, 8)])
+    @pytest.mark.parametrize("seed, theta", [(0, 1.3), (1, 5.02), (2, 0.0)])
+    def test_a_grouped_doubling_schedule_matches_record_by_record_folding(
+        self, monkeypatch, n_tot, shots_per_depth, seed, theta
+    ):
+        records = doubling_records(n_tot, seed, theta, shots_per_depth)
+        one_by_one, _ = replay_doubling(n_tot, seed, theta, shots_per_depth)
+        runs = []
+        fold_run = posterior_module._fold_run
+
+        def counted(post, run, noise, logs):
+            runs.append(list(run))
+            fold_run(post, runs[-1], noise, logs)
+
+        monkeypatch.setattr(posterior_module, "_fold_run", counted)
+        grouped = fold(uniform_prior(RunSettings().grid_size), records, NOISELESS)
+        assert [record for run in runs for record in run] == [record for record in records if record.shots > 1]
+        assert [record.circuit.depth for record in runs[0]] == [1 << (k // 2) for k in range(16)], (
+            "the blocks at depths 1 to 128 fold in one run on the first 4096-cell grid"
+        )
+        assert len(runs) < len(records), "some runs fold several records"
+        assert (grouped.grid_size, grouped.offset, grouped.weights.size) == (
+            one_by_one.grid_size, one_by_one.offset, one_by_one.weights.size
+        )
+        # The trimmed tail weights carry the rounding of the log domain, so the cut share agrees to 1e-12.
+        assert grouped.discarded == pytest.approx(one_by_one.discarded, rel=1e-12, abs=0)
+        assert wrapped_distance(map_estimate(grouped), map_estimate(one_by_one)) <= 1e-12
+
+    def test_a_run_stops_at_a_single_shot_and_at_a_depth_that_refines(self, monkeypatch):
+        records = [MeasurementRecord(Circuit(depth, phase), shots, x) for depth, phase, shots, x in (
+            (1, 0.0, 4, 3), (2, 0.3, 6, 2), (2, 0.3, 0, 0), (4, 1.0, 1, 1),
+            (8, 0.2, 3, 1), (16, 0.5, 5, 4), (8, 0.1, 2, 1),
+        )]
+        runs = []
+        fold_run = posterior_module._fold_run
+
+        def counted(post, run, noise, logs):
+            runs.append([(record.circuit.depth, record.shots) for record in run])
+            fold_run(post, run, noise, logs)
+
+        monkeypatch.setattr(posterior_module, "_fold_run", counted)
+        post = fold(uniform_prior(256), records, NOISELESS)
+        # 256 cells resolve depth 8; depth 16 refines the grid, and depth 8 then joins its run.
+        assert runs == [[(1, 4), (2, 6), (2, 0)], [(8, 3)], [(16, 5), (8, 2)]]
+        assert post.grid_size == 512
+        want = uniform_prior(256)
+        for record in records:
+            update(want, record, NOISELESS)
+        assert wrapped_distance(map_estimate(post), map_estimate(want)) <= 1e-12
+
+    def test_an_impossible_run_names_its_records(self):
+        # All the mass sits at theta = 0, where a noiseless unit-depth circuit at phase pi is never bright.
+        records = [MeasurementRecord(Circuit(1, 0.0), 2, 2.0), MeasurementRecord(Circuit(1, math.pi), 2, 2.0)]
+        post = uniform_prior(64)
+        post.weights[:] = 0.0
+        post.weights[0] = 1.0
+        with pytest.raises(ImpossibleObservationError, match=r"^records \[.*\] have zero likelihood"):
+            fold(post, records, NOISELESS)
+        assert post.total == 0.0
+
+    def test_folding_a_deep_doubling_cell_at_once_peaks_no_higher_than_record_by_record(self):
+        # A 2**20 doubling cell of the baseline sweep, 32 shots per depth,
+        # whose window refines whole to 262144 cells: the fold takes its log
+        # in place of the weights and lets each record's logs go before the
+        # next record's are built.
+        config = SweepConfig(
+            strategies=("nonadaptive-doubling",), resource_ladder=(1 << 20,), theta_count=6, master_seed=9_000_021
+        )
+        seed = derive_cell_seed(config.master_seed, "nonadaptive-doubling", 1 << 20, 1, 0)
+        records = doubling_records(1 << 20, seed, config.theta_of(1))
+
+        def one_by_one():
+            post = uniform_prior(4096)
+            for record in records:
+                update(post, record, NOISELESS)
+            return post
+
+        peaks = []
+        for fold_them in (one_by_one, lambda: fold(uniform_prior(4096), records, NOISELESS)):
+            for name in ARRAY_CACHES:
+                getattr(posterior_module, name).cache_clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                post = fold_them()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert post.weights.size == post.grid_size == 1 << 18, "the window refined whole"
+        assert peaks[1] <= peaks[0]
+
+
 class TestCircularMean:
     def test_concentrated_posterior(self):
         post = von_mises_posterior(5.5, 8.0)
@@ -1319,7 +1429,7 @@ class TestPredictOutcome:
         assert expected == trapezoid_count(np.clip(raw, 0.0, 1.0))
         assert expected != trapezoid_count(raw)
         # the hypothetical update of predict_loss then finds the circuit cached
-        _update(post.clone(), MeasurementRecord(circuit, 1000, expected), NOISELESS, _logs_taken_once)
+        fold(post.clone(), [MeasurementRecord(circuit, 1000, expected)], NOISELESS, _logs_taken_once)
         info = _log_prob_components.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
@@ -1381,16 +1491,24 @@ def window_of(post, offset, length):
     return GridPosterior(w, float(w.sum()), g, offset), GridPosterior(full, float(full.sum()), g)
 
 
-def replay_doubling(n_tot, seed, theta, shots_per_depth=32):
-    """The posterior ``run_nonadaptive_doubling`` scores, and its window length after each update."""
+def doubling_records(n_tot, seed, theta, shots_per_depth=32):
+    """The records ``run_nonadaptive_doubling`` folds, each block sampled in turn from ``default_rng(seed)``."""
     settings = RunSettings()
     rng = np.random.default_rng(seed)
-    post = uniform_prior(settings.grid_size)
-    lengths = []
+    records = []
     for depth, phase, shots in doubling_schedule(n_tot, settings, shots_per_depth):
         circuit = Circuit(depth, phase)
-        outcome = sample_outcome(circuit, shots, theta, settings.noise, rng)
-        update(post, MeasurementRecord(circuit, shots, outcome), settings.noise)
+        records.append(MeasurementRecord(circuit, shots, sample_outcome(circuit, shots, theta, settings.noise, rng)))
+    return records
+
+
+def replay_doubling(n_tot, seed, theta, shots_per_depth=32):
+    """The posterior of ``doubling_records`` updated one record at a time, and its window length after each update."""
+    settings = RunSettings()
+    post = uniform_prior(settings.grid_size)
+    lengths = []
+    for record in doubling_records(n_tot, seed, theta, shots_per_depth):
+        update(post, record, settings.noise)
         lengths.append(post.weights.size)
     return post, lengths
 

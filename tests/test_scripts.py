@@ -73,7 +73,7 @@ def test_ab_runs_against_its_own_tree(monkeypatch, tmp_path):
         assert script.main([str(SCRIPTS.parent), "t"]) == 0
     lines = stdout.getvalue().splitlines()
     assert lines[0] == "2 rounds; ms: process CPU time summed over 2 seeds; us: wall time, median per call"
-    assert len(lines) == 1 + 3 * len(rows) + 2 * 3 + 2
+    assert len(lines) == 1 + 3 * len(rows) + 2 * 4 + 2
     for i, row in enumerate(rows):
         parent, change, wins = lines[1 + 3 * i:4 + 3 * i]
         assert parent.startswith(f"{row.label:<30} parent best ") and parent.endswith(f" {row.unit}")
@@ -92,8 +92,12 @@ def test_ab_runs_against_its_own_tree(monkeypatch, tmp_path):
             assert len(figures["rounds"]) == 2
             assert 0.0 < figures["best"] <= min(figures["rounds"])
         memory = report["memory"]
-        assert set(memory) == {"doubling_peak_bytes", "doubling_cache_bytes_after", "qpea_past_window_peak_bytes"}
+        assert set(memory) == {
+            "doubling_peak_bytes", "doubling_cache_bytes_after", "doubling_32_shots_peak_bytes",
+            "qpea_past_window_peak_bytes",
+        }
         assert 0 < memory["doubling_cache_bytes_after"] < memory["doubling_peak_bytes"]
+        assert memory["doubling_32_shots_peak_bytes"] > 0
         assert memory["qpea_past_window_peak_bytes"] > 0
     assert list(reports["change"]["change_faster_rounds"]) == labels
 
@@ -158,11 +162,13 @@ def test_trace_digest_quick_run():
         with contextlib.redirect_stdout(stdout):
             assert script.main(["--quick"]) == 0
         outputs.append(stdout.getvalue().splitlines())
-    counts, path, bits = outputs[0]
+    counts, path, run_bits, doubling_bits = outputs[0]
     assert counts.startswith("32 run() traces, 2 doubling runs, ")
     # The quick grid's decisions, shots and tallies, as the loop makes them today.
     assert path == "path b3fc555c47ed3b36a10e849143f3d424c133b8d834649208bb3324008e0b7808"
-    # The same grid's phases, intervals, confidences, losses and estimates, to the bit.
-    assert bits == "bits 9021cb1ad31470125da2e28c2b873f36458001c7e52480cf960b24861e038d65"
-    assert outputs[1][1:] == [path, bits]
+    # The same grid's phases, intervals, confidences, losses and estimates, to the bit: the run() traces'
+    # and the doubling runs'.
+    assert run_bits == "bits run() 1c3cc8df5828081049289fc6896cc7dd560234d1110c643ff0494b831e30a1cb"
+    assert doubling_bits == "bits doubling c1da2838bc6fd6cfbee18a218bce3e803c8ef9c06a5e731d5cf10fb7b7b1f9c8"
+    assert outputs[1][1:] == [path, run_bits, doubling_bits]
 
