@@ -14,14 +14,13 @@ expected loss.  A refactor keeps every digest; a change that only rounds
 differently keeps the path digest, and one that rounds only the baselines'
 posterior also keeps the run bits digest.
 
-The default grid holds 3040 ``run()`` traces: budgets 2^6 .. 2^16 (32
+The default grid holds 1520 ``run()`` traces: budgets 2^6 .. 2^16 (32
 seeds per budget up to 2^10, 8 up to 2^13, 2 above), decay beta in
-{1, 0.99, 0.9, 0.6}, both estimators and initial grids of 64 and 4096
-cells.  It adds 220 noiseless doubling runs: 20 seeds at each budget 2^12,
-2^14, 2^16, 2^18 and 2^20 with 8 and 32 shots per depth, and at 2^12 with
-one shot per depth.  Seed s runs at theta_s = 2*pi*frac(0.618034*s).  The
-grid takes a few minutes on one core; ``--quick`` runs a small grid in
-about a second.
+{1, 0.99, 0.9, 0.6} and both estimators.  It adds 220 noiseless doubling
+runs: 20 seeds at each budget 2^12, 2^14, 2^16, 2^18 and 2^20 with 8 and 32
+shots per depth, and at 2^12 with one shot per depth.  Seed s runs at
+theta_s = 2*pi*frac(0.618034*s).  The grid takes about 30 s on one core of
+a 2-vCPU machine; ``--quick`` runs a small grid in about a second.
 
 Usage, from the repository root:
 
@@ -45,7 +44,6 @@ from qpe_lab import AlgorithmConfig, NoiseModel, RunSettings, run, run_nonadapti
 RUN_BUDGETS = (((6, 7, 8, 9, 10), 32), ((11, 12, 13), 8), ((14, 15, 16), 2))
 BETAS = (1.0, 0.99, 0.9, 0.6)
 ESTIMATORS = ("map", "circular-mean")
-GRID_SIZES = (64, 4096)
 # (budget exponents, shots per depth) for the doubling grid, DOUBLING_SEEDS seeds each.
 DOUBLING = (((12, 14, 16, 18, 20), 8), ((12, 14, 16, 18, 20), 32), ((12,), 1))
 DOUBLING_SEEDS = 20
@@ -68,7 +66,7 @@ def run_lines(config: AlgorithmConfig):
     """The (path, bits) lines of one run() trace."""
     trace = run(config, theta_of(config.seed))
     head = (f"run {config.total_resources} {config.noise.beta!r} {config.estimator} "
-            f"{config.grid_size} {config.seed} spent {trace.resources_spent}")
+            f"{config.seed} spent {trace.resources_spent}")
     path, bits = [head], [head]
     for s in trace.steps:
         step = f"step {s.step_index} {s.decision} {s.shots_used} {s.successes} {s.cap_hit} {s.circuit.depth}"
@@ -108,13 +106,11 @@ def digests(run_budgets, betas, doubling, doubling_seeds):
         for m in exponents:
             for beta in betas:
                 for estimator in ESTIMATORS:
-                    for grid_size in GRID_SIZES:
-                        for seed in range(seeds):
-                            feed(run_lines(AlgorithmConfig(
-                                total_resources=1 << m, seed=seed, noise=NoiseModel(1.0, beta),
-                                estimator=estimator, grid_size=grid_size,
-                            )), run_bits)
-                            runs += 1
+                    for seed in range(seeds):
+                        feed(run_lines(AlgorithmConfig(
+                            total_resources=1 << m, seed=seed, noise=NoiseModel(1.0, beta), estimator=estimator,
+                        )), run_bits)
+                        runs += 1
     for exponents, shots_per_depth in doubling:
         for m in exponents:
             for seed in range(doubling_seeds):

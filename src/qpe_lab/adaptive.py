@@ -1,13 +1,13 @@
 """Adaptive phase-estimation loop with doubling depths and confidence gates.
 
-The estimator interleaves sampling and planning.  It starts with unit-depth
-circuits at two phase offsets to break the mirror degeneracy of a single
-fringe, then walks up a depth ladder (1, 2, 4, ...) capped by the
-noise-optimal depth and a hard depth limit.  At each rung it samples until
-the posterior concentrates inside a shrinking circular interval, compares
-the predicted loss of staying at the current depth against deepening, and
-finally spends any leftover budget on one unit-depth circuit tuned to the
-running estimate.
+The estimator interleaves sampling and planning.  From a flat prior on
+``posterior.PRIOR_GRID_SIZE`` cells it starts with unit-depth circuits at
+two phase offsets to break the mirror degeneracy of a single fringe, then
+walks up a depth ladder (1, 2, 4, ...) capped by the noise-optimal depth
+and a hard depth limit.  At each rung it samples until the posterior
+concentrates inside a shrinking circular interval, compares the predicted
+loss of staying at the current depth against deepening, and finally spends
+any leftover budget on one unit-depth circuit tuned to the running estimate.
 
 Without decay (beta = 1) both predictions look ahead over a bounded
 horizon, the most the next rung's gate may spend, rather than the whole
@@ -46,11 +46,11 @@ from .model import (
     tuned_phase,
 )
 from .posterior import (
+    PRIOR_GRID_SIZE,
     CircularInterval,
     GridPosterior,
     LossKind,
     UndefinedMeanError,
-    check_grid_size,
     circular_mean_estimate,
     confidence,
     expected_loss,
@@ -86,7 +86,6 @@ class RunSettings:
     epsilon_scale: float = 1.0
     loss_kind: LossKind = LossKind.ABSOLUTE
     estimator: str = "map"
-    grid_size: int = 4096
 
     def __post_init__(self):
         check_integer("depth_limit", self.depth_limit, 1)
@@ -96,7 +95,6 @@ class RunSettings:
             raise ValueError(f"epsilon_scale must be in (0, 1], got {self.epsilon_scale}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        check_grid_size(self.grid_size)
 
     @property
     def depth_cap(self) -> int:
@@ -238,7 +236,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     """Execute one adaptive estimation and return its full trace."""
     check_true_phase(theta_true)
     rng = np.random.default_rng(config.seed)
-    posterior = uniform_prior(config.grid_size)
+    posterior = uniform_prior(PRIOR_GRID_SIZE)
     noise = config.noise
     kind = config.loss_kind
     budget = config.total_resources

@@ -10,9 +10,9 @@ them sit closed-form envelopes (standard quantum limit, Heisenberg limit,
 decoherence floor) and an evaluator for the Chernoff-chain loss bound that
 motivates the confidence schedule.
 
-The baselines and the bound read the noise, grid size, loss, depth limit
-and confidence schedule from the ``RunSettings`` an adaptive run uses, so
-every strategy in a comparison runs with one set of settings.
+The baselines and the bound read the noise, loss, depth limit and confidence
+schedule from the ``RunSettings`` an adaptive run uses, and start on its prior
+grid, so every strategy in a comparison runs with one set of settings.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .model import (
 )
 from .posterior import (
     MAX_DEPTH,
+    PRIOR_GRID_SIZE,
     InsufficientResourcesError,
     LossKind,
     expected_loss,
@@ -290,7 +291,7 @@ def _run_schedule(blocks: Schedule, theta_true, settings: RunSettings, rng) -> B
     for depth, phase, shots in blocks:
         circuit = Circuit(depth, phase)
         records.append(MeasurementRecord(circuit, shots, sample_outcome(circuit, shots, theta_true, noise, rng)))
-    posterior = fold(uniform_prior(settings.grid_size), records, noise)
+    posterior = fold(uniform_prior(PRIOR_GRID_SIZE), records, noise)
     estimate = map_estimate(posterior)
     return BaselineResult(
         estimate=estimate,

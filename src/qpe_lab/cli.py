@@ -79,7 +79,6 @@ def _add_algorithm_arguments(parser: argparse.ArgumentParser) -> None:
         help="loss function minimised by the estimator",
     )
     parser.add_argument("--estimator", choices=ESTIMATORS, default=RunSettings.estimator)
-    parser.add_argument("--grid-size", type=int, default=RunSettings.grid_size, help="initial posterior grid size")
 
 
 def _run_settings(args) -> dict:

@@ -3,7 +3,8 @@
 Every cell of the sweep derives its own seed by hashing (master seed,
 strategy, budget, phase index, repetition), so any cell can be reproduced
 in isolation and removing cells never perturbs the others.  Failures are
-captured per cell rather than aborting the sweep.
+captured per cell rather than aborting the sweep.  Every cell's posterior
+starts on the one prior grid of ``posterior.PRIOR_GRID_SIZE`` cells.
 
 Persisted CSVs take their columns from the fields of ``SweepCellResult``
 and ``AggregateRow``, render floats with 17 significant digits, and are fully

@@ -127,6 +127,7 @@ MIN_GRID_SIZE = 64
 POINTS_PER_PERIOD = 32
 MAX_GRID_SIZE = 1 << 22
 MAX_DEPTH = MAX_GRID_SIZE // POINTS_PER_PERIOD  # the deepest circuit a capped grid resolves
+PRIOR_GRID_SIZE = 4096  # the grid every run and baseline starts on
 # Weights summing to less than this are divided by their sum, which happens
 # every few hundred shots and long before the largest weight nears underflow.
 RESCALE_FLOOR = 2.0**-256
@@ -398,8 +399,8 @@ def _live_total(posterior: GridPosterior) -> float:
     return posterior.total
 
 
-def check_grid_size(grid_size: int) -> None:
-    """Raise ValueError unless grid_size is an integer power of two from MIN_GRID_SIZE to MAX_GRID_SIZE.
+def uniform_prior(grid_size: int) -> GridPosterior:
+    """Flat prior 1/(2*pi) on a grid of ``grid_size`` cells, a power of two from MIN_GRID_SIZE to MAX_GRID_SIZE.
 
     Doubling a power of two never steps over MAX_GRID_SIZE, so every grid stays within the cap.
     """
@@ -408,11 +409,6 @@ def check_grid_size(grid_size: int) -> None:
         raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
     if grid_size & (grid_size - 1):
         raise ValueError(f"grid_size must be a power of two, got {grid_size}")
-
-
-def uniform_prior(grid_size: int) -> GridPosterior:
-    """Flat prior 1/(2*pi) on a grid of ``grid_size`` cells, as ``check_grid_size`` allows."""
-    check_grid_size(grid_size)
     return GridPosterior(np.ones(grid_size), float(grid_size), grid_size)
 
 

@@ -51,7 +51,6 @@ class TestAlgorithmConfig:
             {"total_resources": 100.5},
             {"depth_limit": 8.5},
             {"depth_limit": 8.0},
-            {"grid_size": 4096.0},
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -63,7 +62,6 @@ class TestAlgorithmConfig:
         [
             ({"total_resources": 100.5}, "total_resources must be an integer, got 100.5"),
             ({"depth_limit": 8.5}, "depth_limit must be an integer, got 8.5"),
-            ({"grid_size": 4096.0}, "grid_size must be an integer, got 4096.0"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
@@ -575,12 +573,10 @@ class TestLargeBudgets:
 
 
 class TestStepOneDeepens:
-    """Step 1 predicts over a bounded horizon, so it deepens however large the budget or coarse the grid.
+    """Step 1 predicts over a bounded horizon, so it deepens however large the budget.
 
-    Predicting with the whole budget let step 1 stay at N >= 2^22 on the
-    default grid, and on a 64-cell grid already at N = 4096, where both
-    predictions floor at the grid's cell width.  A step-1 stay leaves the
-    whole budget to one unit-depth circuit.
+    Predicting with the whole budget let step 1 stay at N >= 2^22.  A
+    step-1 stay leaves the whole budget to one unit-depth circuit.
     """
 
     class StepOneChosen(Exception):
@@ -603,13 +599,11 @@ class TestStepOneDeepens:
             run(config, golden_phase(config.seed))
         return losses
 
-    @pytest.mark.parametrize(
-        "n_tot,seeds,grid_size", [(1 << 22, 8, 4096), (1 << 24, 8, 4096), (1 << 26, 8, 4096), (4096, 64, 64)]
-    )
-    def test_step_one_deepens(self, monkeypatch, n_tot, seeds, grid_size):
+    @pytest.mark.parametrize("n_tot", [1 << 22, 1 << 24, 1 << 26])
+    def test_step_one_deepens(self, monkeypatch, n_tot):
         stays = []
-        for seed in range(seeds):
-            config = AlgorithmConfig(total_resources=n_tot, seed=seed, grid_size=grid_size)
+        for seed in range(8):
+            config = AlgorithmConfig(total_resources=n_tot, seed=seed)
             loss_stay, loss_deepen = self.step_one_losses(monkeypatch, config)
             if loss_deepen > loss_stay:
                 stays.append(seed)

@@ -144,8 +144,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "command, flag, value",
-        [pytest.param("sweep", f, v, id=f"{f}-{v}")
-         for f, v in SCHEDULE_FLAGS + [("--grid-size", "16"), ("--grid-size", "3072")]]
+        [pytest.param("sweep", f, v, id=f"{f}-{v}") for f, v in SCHEDULE_FLAGS]
         + [pytest.param("bounds", f, v, id=f"bounds{f}-{v}") for f, v in SCHEDULE_FLAGS],
     )
     def test_invalid_run_setting_fails_as_run_does(self, tmp_path, capsys, command, flag, value):
@@ -160,6 +159,17 @@ class TestSweepCommand:
         code = run_cli(*argv, str(out), flag, value)
         assert (run_code, code) == (1, 1)
         assert capsys.readouterr().err == run_err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_the_prior_grid_is_not_a_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        argv = {
+            "run": ["run", "--n-tot", "64", "--theta", "1.0", "--out"],
+            "sweep": ["sweep", "--ladder", "8,16", "--workers", "1", "--out-dir"],
+        }[command]
+        assert run_cli(*argv, str(out), "--grid-size", "64") == 2
+        assert "unrecognized arguments: --grid-size 64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_shots_per_depth_fails_before_any_cell(self, tmp_path, capsys):

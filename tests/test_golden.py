@@ -44,29 +44,29 @@ SWEEP_DIGESTS = {
     "noiseless": {
         "results.csv": "e172e35176d91c99a3b7a00caf7658d521dc2ab7ce6e241d6b8fd7dbb5afa2f2",
         "aggregate.csv": "15212116f4b7b43b39201b6a34c86646d3da5d54a568d6f92b2f3daf44e65f11",
-        "manifest.json": "375faf8cd5b66dbfaf38080a17f5286c0d7692d5d321e84b3b42ee6f1a7ce53c",
+        "manifest.json": "e22c9a925b89ba18d5157219f6f547e8fbe22a76653d49f2f91b3d980df42459",
     },
     "beta-0.9": {
         "results.csv": "8a7264dff54d473bd482be650f3ca18e0f75b829f3daa0676f0a9ffeb91c0a9a",
         "aggregate.csv": "97d6c1ec88cd934bd9497d83d6aef630418b839dd8ae3bdde3615eb80f8f6609",
-        "manifest.json": "82ffe83b9043a216373fa12e0e7c6f74736f55ff52469dd11d799817ff415ed6",
+        "manifest.json": "9db33756d2cebcb3589160b92399ff376f5dfb035bf0592efce2157ffcde410f",
     },
     "capped": {
         "results.csv": "c6d4a4572eaa2fccc0361ad8249960646bc3a7c627601b6b5192dead7496e59a",
         "aggregate.csv": "65ce2158f2f613529cc069b49de684320697e45050b45f5add7c100b8698b77c",
-        "manifest.json": "840e5414f4e1eb370822627ae1f90a037144d1d5cda467bfd9cf4db40a3d5188",
+        "manifest.json": "c877303c8e733a2bbd479aa5d25dd953510bb643d3f8067091413469572ad274",
     },
     "qpea-large": {
         "results.csv": "b561f2b62f0c8b81da55d0a8c6f2e173438be3900fcd17c1e90a99c15a4eeb55",
         "aggregate.csv": "1c013cb13421c4a0f4471d801e4737ba88f2b0649b505411df11e625ee2bf9ea",
-        "manifest.json": "af1fcd28feae60e3665315f4c6cd192f4c2391700a77fff7f8582bd28ada9f17",
+        "manifest.json": "a90b702d069ce9461ea96309332603401fd33d0a225e2a58c1c554aeca5c4e0c",
     },
 }
 
 RUN_DIGESTS = {
-    "noiseless": "28c34b9c59fdee1c8ceb221dd7727c2d7f5fb380e0b44d8135c87e59b81ed9f8",
-    "beta-0.9": "9673c189103856b699c9a4ccf2de4495bdb71f7e18517695b662a9b826dbed68",
-    "squared-circular-mean": "f4563cdf59bf8acce82f0b4a4f3a9d46e6eba3fb48b8701b8ec00fb8aeb50b25",
+    "noiseless": "af2b97bd47589e06b16dc265738dd484bb91fe2967468e0cf7f2fe8d2f51cca7",
+    "beta-0.9": "a137142d239e07113cb98e9fc1dba563a34f3d0ddf64fb55f152aece1890efc0",
+    "squared-circular-mean": "a7e1a4cf803ddee23fb1492ba0eb57ad0b60c0894711175e34402f7ca6a4a8dc",
 }
 
 # sha256 of the decision columns of results.csv, one line per row.
@@ -98,7 +98,7 @@ RUN_GRID = (
     ((1.0, 3.0), (1.0, 0.0), (0.01, 0.0)),
     (1, 2, 1 << 20),
 )
-RUN_GRID_DIGEST = "3bacfdd7c7d2f1dcefc2e1c9d9548e122eb9a4a7b3e310134b41ef63f5a93bef"
+RUN_GRID_DIGEST = "0fa0523656324c8fcc5b44b3d1c34729e03b9bf8d6f30166ec64072fb0937831"
 
 NOISE_ARGS = {
     "noiseless": (),

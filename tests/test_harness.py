@@ -30,7 +30,6 @@ from qpe_lab.harness import (
     write_results_csv,
 )
 from qpe_lab.model import NoiseModel
-from qpe_lab.posterior import MAX_GRID_SIZE
 
 
 def small_config(**overrides):
@@ -102,10 +101,6 @@ class TestSweepConfig:
             {"epsilon_exponent": -1.0},
             {"depth_limit": 0},
             {"estimator": "median"},
-            {"grid_size": 16},
-            {"grid_size": 2 * MAX_GRID_SIZE},
-            {"grid_size": 3072},
-            {"grid_size": 4096.0},
             {"depth_limit": 8.5},
         ],
     )

@@ -28,6 +28,7 @@ from qpe_lab.posterior import (
     MAX_GRID_SIZE,
     MIN_GRID_SIZE,
     POINTS_PER_PERIOD,
+    PRIOR_GRID_SIZE,
     RESCALE_FLOOR,
     TRIM_MASS,
     CircularInterval,
@@ -1135,7 +1136,7 @@ class TestBatchLogCache:
         settings = RunSettings()
         batch = [block for block in doubling_schedule(4096, settings, 32) if block[2] > 1]
         # At N = 4096 no depth passes 64, so every record folds into the whole 4096-cell grid.
-        assert max(depth for depth, _, _ in batch) * POINTS_PER_PERIOD <= settings.grid_size
+        assert max(depth for depth, _, _ in batch) * POINTS_PER_PERIOD <= PRIOR_GRID_SIZE
         _log_likelihood.cache_clear()
         run_nonadaptive_doubling(4096, 1.0, settings, 32, np.random.default_rng(0))
         first = _log_likelihood.cache_info()
@@ -1197,7 +1198,7 @@ class TestFold:
             fold_run(post, runs[-1], noise, logs)
 
         monkeypatch.setattr(posterior_module, "_fold_run", counted)
-        grouped = fold(uniform_prior(RunSettings().grid_size), records, NOISELESS)
+        grouped = fold(uniform_prior(PRIOR_GRID_SIZE), records, NOISELESS)
         assert [record for run in runs for record in run] == [record for record in records if record.shots > 1]
         assert [record.circuit.depth for record in runs[0]] == [1 << (k // 2) for k in range(16)], (
             "the blocks at depths 1 to 128 fold in one run on the first 4096-cell grid"
@@ -1505,7 +1506,7 @@ def doubling_records(n_tot, seed, theta, shots_per_depth=32):
 def replay_doubling(n_tot, seed, theta, shots_per_depth=32):
     """The posterior of ``doubling_records`` updated one record at a time, and its window length after each update."""
     settings = RunSettings()
-    post = uniform_prior(settings.grid_size)
+    post = uniform_prior(PRIOR_GRID_SIZE)
     lengths = []
     for record in doubling_records(n_tot, seed, theta, shots_per_depth):
         update(post, record, settings.noise)
@@ -1652,7 +1653,7 @@ class TestWindow:
         for name in ARRAY_CACHES:
             monkeypatch.setattr(posterior_module, name, recording(getattr(posterior_module, name)))
         post, lengths = replay_doubling(1 << 20, seed, 2.0 + seed)
-        assert max(built) <= max(RunSettings().grid_size, *lengths)
+        assert max(built) <= max(PRIOR_GRID_SIZE, *lengths)
         assert max(lengths) < post.grid_size // 32
 
 

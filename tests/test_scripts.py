@@ -163,12 +163,12 @@ def test_trace_digest_quick_run():
             assert script.main(["--quick"]) == 0
         outputs.append(stdout.getvalue().splitlines())
     counts, path, run_bits, doubling_bits = outputs[0]
-    assert counts.startswith("32 run() traces, 2 doubling runs, ")
+    assert counts.startswith("16 run() traces, 2 doubling runs, ")
     # The quick grid's decisions, shots and tallies, as the loop makes them today.
-    assert path == "path b3fc555c47ed3b36a10e849143f3d424c133b8d834649208bb3324008e0b7808"
+    assert path == "path a24046ef59737d14e10e7016aa179076090f91571f3c9e1c6236df4cefab49e2"
     # The same grid's phases, intervals, confidences, losses and estimates, to the bit: the run() traces'
     # and the doubling runs'.
-    assert run_bits == "bits run() 1c3cc8df5828081049289fc6896cc7dd560234d1110c643ff0494b831e30a1cb"
+    assert run_bits == "bits run() 46a04e6874598bdae1fa90d5ff076f8a3cfbf06a92a42011f345819f8a73deb4"
     assert doubling_bits == "bits doubling c1da2838bc6fd6cfbee18a218bce3e803c8ef9c06a5e731d5cf10fb7b7b1f9c8"
     assert outputs[1][1:] == [path, run_bits, doubling_bits]
 
