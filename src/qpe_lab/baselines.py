@@ -231,6 +231,7 @@ def run_qpea(
 ) -> BaselineResult:
     """Draw one readout of the largest register whose 2**m - 1 applications fit the budget.
 
+    Its deepest controlled power, 2**(m - 1), is at most ``settings.depth_limit``.
     The draw takes one ``rng.random()`` and gives the readout
     ``rng.choice(M, p=qpea_outcome_distribution(...))`` would give for it.
     """
@@ -244,7 +245,7 @@ def run_qpea(
             "the textbook outcome law holds only without noise; "
             f"got alpha={noise.alpha}, beta={noise.beta}"
         )
-    register_size = min(MAX_REGISTER_SIZE, (total_resources + 1).bit_length() - 1)
+    register_size = min(MAX_REGISTER_SIZE, (total_resources + 1).bit_length() - 1, settings.depth_limit.bit_length())
     m_size = 1 << register_size
     k = _readout(theta_true, register_size, rng.random())
     return BaselineResult(
