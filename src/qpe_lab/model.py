@@ -67,6 +67,8 @@ class Circuit:
 
     def __post_init__(self):
         check_integer("depth", self.depth, 1)
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "depth", int(self.depth))
         object.__setattr__(self, "phase", wrap_float(self.phase))
 

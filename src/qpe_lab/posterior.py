@@ -998,8 +998,7 @@ def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, nois
 
     Refines the caller's posterior in place to resolve ``circuit``, and reads the clamped, cached p0 of update.
     """
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    check_integer("shots", shots, 0)
     depth = circuit.depth
     p0, _ = shot_likelihood(posterior, depth, circuit.phase, noise.contrast(depth))
     mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
@@ -1023,6 +1022,7 @@ def predict_loss(
     reported.  The caller's posterior is refined in place first, as in
     ``predict_outcome``.
     """
+    check_integer("resources_left", resources_left, 0)
     shots = int(resources_left // circuit.depth)
     if shots < 1:
         raise InsufficientResourcesError(

@@ -57,6 +57,13 @@ class TestCircuit:
         with pytest.raises(ValueError):
             Circuit(depth, 0.0)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_phase_is_named(self, phase):
+        with pytest.raises(ValueError, match=f"^phase must be finite, got {phase}$"):
+            Circuit(1, phase)
+        with pytest.raises(ValueError, match="^phase must be finite, got "):
+            optimal_circuit(NoiseModel(1.0, 0.9), phase, 100)
+
 
 class TestMeasurementRecord:
     def test_fractional_successes_allowed(self):

@@ -2,6 +2,7 @@ import gc
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1411,6 +1412,15 @@ class TestPredictOutcome:
         x = predict_outcome(post, Circuit(1, 0.0), 10, NOISELESS)
         assert 0.0 <= x <= 10.0
 
+    @pytest.mark.parametrize("shots, message", [
+        (2.5, "shots must be an integer, got 2.5"),
+        (True, "shots must be an integer, got True"),
+        (-1, "shots must be >= 0, got -1"),
+    ])
+    def test_a_bad_shot_count_is_named(self, shots, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            predict_outcome(uniform_prior(256), Circuit(1, 0.0), shots, NOISELESS)
+
     def test_dark_fringe_reads_the_clamped_cached_p0(self):
         # The angle-addition p0 of this circuit dips to -1.1e-16 at one node.
         circuit = Circuit(7, 15 * math.pi / 16)
@@ -1440,6 +1450,15 @@ class TestPredictLoss:
         post = uniform_prior(256)
         with pytest.raises(InsufficientResourcesError):
             predict_loss(post, Circuit(8, 0.0), 7, NOISELESS, LossKind.ABSOLUTE)
+
+    @pytest.mark.parametrize("resources_left, message", [
+        (math.inf, "resources_left must be an integer, got inf"),
+        (800.0, "resources_left must be an integer, got 800.0"),
+        (-8, "resources_left must be >= 0, got -8"),
+    ])
+    def test_a_bad_budget_is_named(self, resources_left, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            predict_loss(uniform_prior(256), Circuit(8, 0.0), resources_left, NOISELESS, LossKind.ABSOLUTE)
 
     def test_a_deeper_circuit_refines_the_callers_posterior(self):
         # Later updates and gate checks run on the refined grid, so the
