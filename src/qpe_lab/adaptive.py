@@ -89,6 +89,7 @@ class RunSettings:
 
     def __post_init__(self):
         check_integer("depth_limit", self.depth_limit, 1)
+        object.__setattr__(self, "depth_limit", int(self.depth_limit))
         if not 0.0 <= self.epsilon_exponent < math.inf:
             raise ValueError(f"epsilon_exponent must be finite and >= 0, got {self.epsilon_exponent}")
         if not 0.0 < self.epsilon_scale <= 1.0:

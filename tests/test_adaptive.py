@@ -70,6 +70,11 @@ class TestAlgorithmConfig:
             AlgorithmConfig(**{"total_resources": 100, **kwargs})
         assert str(raised.value) == message
 
+    def test_a_numpy_integer_depth_limit_is_its_int(self):
+        # The baselines take the bit length of the limit, which numpy integers lack.
+        settings = RunSettings(depth_limit=np.int64(16))
+        assert type(settings.depth_limit) is int and settings == RunSettings(depth_limit=16)
+
 
 class TestRequiredConfidence:
     def test_cubic_schedule_value(self):

@@ -78,7 +78,7 @@ class TestRunQpea:
         res = run_qpea(1000, 0.4, SETTINGS, np.random.default_rng(0))
         assert (res.resources_spent, res.max_depth) == (15, 8)
 
-    @pytest.mark.parametrize("depth_limit,deepest", [(1, 1), (16, 16), (24, 16), (1 << 20, 2048)])
+    @pytest.mark.parametrize("depth_limit,deepest", [(1, 1), (16, 16), (np.int64(16), 16), (24, 16), (1 << 20, 2048)])
     def test_depth_limit_caps_the_register(self, depth_limit, deepest):
         res = run_qpea(4096, 1.0, RunSettings(depth_limit=depth_limit), np.random.default_rng(0))
         assert (res.max_depth, res.resources_spent) == (deepest, 2 * deepest - 1)
