@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, check_true_phase, signed_gap, wrapped_distance
+from .angles import check_finite, signed_gap, wrapped_distance
 from .model import (
     Circuit,
     NoiseModel,
@@ -48,7 +48,6 @@ from .model import (
 from .posterior import (
     PRIOR_GRID_SIZE,
     CircularInterval,
-    GridPosterior,
     LossKind,
     UndefinedMeanError,
     circular_mean_estimate,
@@ -56,8 +55,8 @@ from .posterior import (
     expected_loss,
     map_estimate,
     mass_outside,
-    nodes_beyond_arc,
     normalize,
+    peak_cell_angle,
     predict_loss,
     retuned_factor,
     shot_likelihood,
@@ -88,8 +87,7 @@ class RunSettings:
     estimator: str = "map"
 
     def __post_init__(self):
-        check_integer("depth_limit", self.depth_limit, 1)
-        object.__setattr__(self, "depth_limit", int(self.depth_limit))
+        object.__setattr__(self, "depth_limit", check_integer("depth_limit", self.depth_limit, 1))
         if not 0.0 <= self.epsilon_exponent < math.inf:
             raise ValueError(f"epsilon_exponent must be finite and >= 0, got {self.epsilon_exponent}")
         if not 0.0 < self.epsilon_scale <= 1.0:
@@ -111,8 +109,8 @@ class AlgorithmConfig(RunSettings):
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("total_resources", self.total_resources, 2)
-        check_integer("seed", self.seed, 0)
+        object.__setattr__(self, "total_resources", check_integer("total_resources", self.total_resources, 2))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         super().__post_init__()
         # The allowance grows with depth, so depth 1 holds the smallest.
         if not required_confidence(1, self) > 0.0:
@@ -235,7 +233,7 @@ def max_shots_for_step(step_index: int, config: AlgorithmConfig) -> int:
 
 def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     """Execute one adaptive estimation and return its full trace."""
-    check_true_phase(theta_true)
+    check_finite("theta_true", theta_true)
     rng = np.random.default_rng(config.seed)
     posterior = uniform_prior(PRIOR_GRID_SIZE)
     noise = config.noise
@@ -295,7 +293,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
                 phase = tuned_phase(depth, mode)
                 if not shots:
                     trig = window_trig(posterior, depth)
-                    buffer = np.empty(posterior.weights.size)
+                    buffer = np.empty_like(trig[0])
                 outcome = int(binomial(1, draw_probability(depth, phase, envelope, theta_true)))
                 update_shot(posterior, retuned_factor(trig, phase, envelope, outcome, buffer), mode)
                 tally = tallies.setdefault((depth, phase), [0, 0])
@@ -378,27 +376,22 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
     probes = (0.0, np.pi / 4.0)
     n2 = next_depth(2, config)
     eps1 = required_confidence(next_depth(1, config), config)
-
-    def beyond(center: float, half: float, allowance: float) -> bool:
-        """``tail_exceeds`` on the current window's nodes beyond the arc center +- half, in cells."""
-        nodes = nodes_beyond_arc(posterior.grid_size, posterior.offset, posterior.weights.size, center, half)
-        return tail_exceeds(posterior, nodes, allowance)
-
-    # Step 1's interval, of half-width pi / (2 n2), is g / (4 n2) cells wide
-    # on each side of the mode, which lies within half a cell of its peak cell.
-    half1 = posterior.grid_size / (4.0 * n2) + 0.5
+    # Step 1's interval, of half-width pi / (2 n2) around the mode, lies within
+    # the arc of half-width half1 around the mode's peak cell, since the mode
+    # lies within half a cell, pi / PRIOR_GRID_SIZE, of it.
+    half1 = np.pi / (2.0 * n2) + np.pi / PRIOR_GRID_SIZE
 
     def step_one_gate(shots: int) -> bool:
         """Whether at most eps1 of the mass lies outside the interval recentred on the global mode.
 
         Checked only after a probe has fired.  Depth 1 never refines, so the
-        window is the whole grid at offset 0, and the peak cell that
-        ``map_estimate`` picks is the weights' argmax.  The check fails
-        first if a node beyond the arc of half1 cells around that cell
-        weighs more than 2 eps1 of the total; only a check this bound cannot
-        settle finds the mode, builds the interval and sums its tail.
+        grid is the prior's whole grid, and the peak cell that
+        ``map_estimate`` picks is the one of ``peak_cell_angle``.  The check
+        fails first if ``tail_exceeds`` holds on the arc of half-width half1
+        around that cell; only a check this bound cannot settle finds the
+        mode, builds the interval and sums its tail.
         """
-        if shots == 0 or beyond(int(posterior.weights.argmax()), half1, eps1):
+        if shots == 0 or tail_exceeds(posterior, peak_cell_angle(posterior), half1, eps1):
             return False
         return mass_outside(posterior, choose_center(map_estimate(posterior), None, n2, 1)) <= eps1
 
@@ -436,10 +429,7 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
         cap = max_shots_for_step(step_index, config)
 
         def rung_gate(shots: int) -> bool:
-            # gate(0) runs before the first shot's fetch, which may refine the
-            # grid, so the interval is put in cells on every check.
-            cells = posterior.grid_size / TWO_PI
-            if beyond(current.center * cells, current.half_width * cells, eps):
+            if tail_exceeds(posterior, current.center, current.half_width, eps):
                 return False
             return mass_outside(posterior, current) <= eps
 

@@ -28,10 +28,10 @@ def wrap_float(theta) -> float:
     return (theta % TWO_PI) % TWO_PI
 
 
-def check_true_phase(theta_true: float) -> None:
-    """Raise ValueError unless the true phase a runner simulates is a finite number."""
-    if not math.isfinite(theta_true):
-        raise ValueError(f"theta_true must be finite, got {theta_true}")
+def check_finite(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless the angle ``value`` is a finite number."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def signed_gap(a, b):

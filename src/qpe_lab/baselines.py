@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, check_true_phase
+from .angles import TWO_PI, check_finite
 from .model import (
     Circuit,
     MeasurementRecord,
@@ -235,10 +235,10 @@ def run_qpea(
     The draw takes one ``rng.random()`` and gives the readout
     ``rng.choice(M, p=qpea_outcome_distribution(...))`` would give for it.
     """
-    total_resources = _integer_budget(total_resources)
+    total_resources = check_integer("total_resources", total_resources)
     if total_resources < 1:
         raise InsufficientResourcesError(f"budget {total_resources} cannot pay one register application")
-    check_true_phase(theta_true)
+    check_finite("theta_true", theta_true)
     noise = settings.noise
     if not noise.noiseless:
         raise ValueError(
@@ -260,16 +260,9 @@ def _largest_power_of_two_at_most(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def _integer_budget(total_resources) -> int:
-    """``total_resources`` as an int; a bool or a non-integer raises ValueError, as ``AlgorithmConfig`` does."""
-    if not isinstance(total_resources, (int, np.integer)) or isinstance(total_resources, bool):
-        raise ValueError(f"total_resources must be an integer, got {total_resources!r}")
-    return int(total_resources)
-
-
 def _check_probe_budget(total_resources) -> int:
     """``total_resources`` as an int, if it pays one shot at each probe phase."""
-    total_resources = _integer_budget(total_resources)
+    total_resources = check_integer("total_resources", total_resources)
     if total_resources < 2:
         raise InsufficientResourcesError(f"budget {total_resources} cannot pay one shot at each probe phase")
     return total_resources
@@ -286,7 +279,7 @@ def _run_schedule(blocks: Schedule, theta_true, settings: RunSettings, rng) -> B
     Sampling never reads the posterior, so drawing every block before the
     fold calls ``rng`` in the order block-by-block updates would.
     """
-    check_true_phase(theta_true)
+    check_finite("theta_true", theta_true)
     noise = settings.noise
     records = []
     for depth, phase, shots in blocks:
@@ -312,7 +305,7 @@ def doubling_schedule(total_resources: int, settings: RunSettings, shots_per_dep
     phases.
     """
     total_resources = _check_probe_budget(total_resources)
-    check_integer("shots_per_depth", shots_per_depth, 1)
+    shots_per_depth = check_integer("shots_per_depth", shots_per_depth, 1)
     top = _largest_power_of_two_at_most(min(settings.depth_limit, MAX_DEPTH))
     blocks = []
     budget = total_resources

@@ -95,8 +95,8 @@ def trace_to_payload(trace: AlgorithmTrace, theta_true: float) -> dict:
         "theta_true": float(theta_true),
         "final_estimate": float(trace.final_estimate),
         "final_expected_loss": float(trace.final_expected_loss),
-        "resources_spent": int(trace.resources_spent),
-        "max_depth_used": int(trace.max_depth_used),
+        "resources_spent": trace.resources_spent,
+        "max_depth_used": trace.max_depth_used,
         "steps": [
             {
                 "step_index": s.step_index,

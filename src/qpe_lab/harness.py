@@ -54,10 +54,8 @@ class SweepConfig(RunSettings):
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        ladder = tuple(self.resource_ladder)
-        for i, n_tot in enumerate(ladder):
-            check_integer(f"resource_ladder[{i}]", n_tot, 2)
-        object.__setattr__(self, "resource_ladder", tuple(int(n) for n in ladder))
+        ladder = tuple(check_integer(f"resource_ladder[{i}]", n, 2) for i, n in enumerate(self.resource_ladder))
+        object.__setattr__(self, "resource_ladder", ladder)
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         unknown = set(self.strategies) - set(STRATEGIES)
@@ -69,10 +67,11 @@ class SweepConfig(RunSettings):
             raise ValueError("resource ladder must not be empty")
         if any(b <= a for a, b in zip(self.resource_ladder, self.resource_ladder[1:])):
             raise ValueError(f"resource ladder must increase strictly: {self.resource_ladder}")
-        check_integer("theta_count", self.theta_count, 1)
-        check_integer("repetitions", self.repetitions, 1)
+        object.__setattr__(self, "theta_count", check_integer("theta_count", self.theta_count, 1))
+        object.__setattr__(self, "repetitions", check_integer("repetitions", self.repetitions, 1))
         super().__post_init__()
-        check_integer("shots_per_depth", self.shots_per_depth, 1)
+        object.__setattr__(self, "shots_per_depth", check_integer("shots_per_depth", self.shots_per_depth, 1))
+        object.__setattr__(self, "master_seed", check_integer("master_seed", self.master_seed))
 
     def theta_of(self, theta_index: int) -> float:
         return TWO_PI * theta_index / self.theta_count
@@ -192,9 +191,9 @@ def _cell_args(config: SweepConfig):
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: the explicit value, where 0 or None means all cores."""
-    if explicit is not None and explicit < 0:
-        raise ValueError(f"worker count must be >= 0, got {explicit}")
+    """Worker count: the explicit value, an integer >= 0, where 0 or None means all cores."""
+    if explicit is not None:
+        explicit = check_integer("workers", explicit, 0)
     return explicit or os.cpu_count() or 1
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import wrap_float
+from .angles import check_finite, wrap_float
 
 
 class DivergenceError(ValueError):
@@ -50,12 +50,13 @@ class NoiseModel:
         return self.alpha * self.beta**depth
 
 
-def check_integer(name: str, value, minimum: int) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer, not a bool, of at least ``minimum``."""
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer, not a bool, of at least ``minimum``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,8 @@ class Circuit:
     phase: float
 
     def __post_init__(self):
-        check_integer("depth", self.depth, 1)
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        object.__setattr__(self, "depth", int(self.depth))
+        object.__setattr__(self, "depth", check_integer("depth", self.depth, 1))
+        check_finite("phase", self.phase)
         object.__setattr__(self, "phase", wrap_float(self.phase))
 
     @classmethod
@@ -98,12 +97,11 @@ class MeasurementRecord:
     successes: float
 
     def __post_init__(self):
-        check_integer("shots", self.shots, 0)
+        object.__setattr__(self, "shots", check_integer("shots", self.shots, 0))
         if not 0.0 <= self.successes <= self.shots:
             raise ValueError(
                 f"successes must lie in [0, shots], got {self.successes} with shots={self.shots}"
             )
-        object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "successes", float(self.successes))
 
 
@@ -152,7 +150,7 @@ def sample_outcome(
     rng: np.random.Generator,
 ) -> int:
     """Draw the number of bright outcomes in ``shots`` executions, an integer >= 0."""
-    check_integer("shots", shots, 0)
+    shots = check_integer("shots", shots, 0)
     if shots == 0:
         return 0
     depth = circuit.depth
@@ -180,10 +178,9 @@ def sigma_squared(
     """Phase variance of the maximum-likelihood estimate from one circuit.
 
     Valid to leading order in 1/shots; diverges where the oscillation is
-    stationary, i.e. sin(depth * theta + phase) = 0.
+    stationary, i.e. sin(depth * theta + phase) = 0.  ``shots`` is an integer >= 1.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = check_integer("shots", shots, 1)
     arg = circuit.depth * theta + circuit.phase
     s = math.sin(arg)
     if abs(s) < singular_tol:
@@ -203,7 +200,7 @@ def optimal_depth(noise: NoiseModel, depth_limit: int) -> int:
     monotonically with depth, so the limit itself is returned.  The limit
     is an integer >= 1.
     """
-    check_integer("depth_limit", depth_limit, 1)
+    depth_limit = check_integer("depth_limit", depth_limit, 1)
     if noise.beta == 1.0:
         return depth_limit
     continuous = -1.0 / (2.0 * math.log(noise.beta))
@@ -216,7 +213,8 @@ def tuned_phase(depth: int, target: float) -> float:
 
 
 def tuned_circuit(depth: int, target: float) -> Circuit:
-    """The depth-n circuit of ``tuned_phase``."""
+    """The depth-n circuit of ``tuned_phase``; ``target`` must be finite."""
+    check_finite("target", target)
     return Circuit(depth, tuned_phase(depth, target))
 
 

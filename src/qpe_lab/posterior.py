@@ -92,20 +92,20 @@ The window's angles are rebuilt on each read, in a few microseconds at
 them held one more window-sized array per grid.
 
 Most gate checks fail, by orders of magnitude, so a check is first
-tried against a bound: ``nodes_beyond_arc`` names the nodes at least 3
-cells beyond each end of an arc around the interval, and
-``tail_exceeds`` reports whether one of them alone holds more than twice
-the allowance.  Such a node is a whole term of the tail integral, so
-True proves ``mass_outside`` above the allowance; only a check the bound
-cannot settle sums the tail, so every check that could pass is still
-decided by the direct sum.
+tried against a bound: ``tail_exceeds`` takes an arc around the interval,
+in radians, puts it in cells, and reports whether one of the nodes at
+least 3 cells beyond either end of it (``_nodes_beyond_arc``) alone holds
+more than twice the allowance.  Such a node is a whole term of the tail
+integral, so True proves ``mass_outside`` above the allowance; only a
+check the bound cannot settle sums the tail, so every check that could
+pass is still decided by the direct sum.
 
 Three small caches hold arc geometry, no arrays.  ``_arc_spans`` keeps the
 spans of the last interval a mass was read over, since a gated rung reads
 one interval after every shot; step 1's interval moves with the mode and
 replaces it, now only on the checks the bound cannot settle.
 ``_arc_runs`` keeps the slices of the last 16 intervals the mode was
-searched within, which a stay reads every shot, and ``nodes_beyond_arc``
+searched within, which a stay reads every shot, and ``_nodes_beyond_arc``
 the bound's nodes of the last 16 arcs and windows.
 """
 
@@ -120,7 +120,7 @@ from itertools import islice
 
 import numpy as np
 
-from .angles import TWO_PI, wrap, wrap_float, wrapped_distance
+from .angles import TWO_PI, check_finite, wrap, wrap_float, wrapped_distance
 from .model import Circuit, MeasurementRecord, NoiseModel, check_integer
 
 MIN_GRID_SIZE = 64
@@ -184,8 +184,7 @@ class CircularInterval:
     def __post_init__(self):
         if not 0.0 < self.half_width <= np.pi:
             raise ValueError(f"half_width must be in (0, pi], got {self.half_width}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center}")
+        check_finite("center", self.center)
         object.__setattr__(self, "center", wrap_float(self.center))
         object.__setattr__(self, "half_width", float(self.half_width))
 
@@ -283,15 +282,18 @@ def _grid_angles(grid_size: int, offset: int, length: int) -> np.ndarray:
     return angles
 
 
+def _read_only(pair: tuple) -> tuple:
+    """The pair of arrays, each made read-only, as a cache hands them out."""
+    for array in pair:
+        array.setflags(write=False)
+    return pair
+
+
 @_bounded_cache(maxsize=64, maxbytes=TRIG_CACHE_BYTES)
 def _grid_trig(grid_size: int, depth: int, offset: int, length: int):
     arg = _grid_angles(grid_size, offset, length)
     arg *= depth
-    cos_n = np.cos(arg)
-    sin_n = np.sin(arg)
-    cos_n.setflags(write=False)
-    sin_n.setflags(write=False)
-    return cos_n, sin_n
+    return _read_only((np.cos(arg), np.sin(arg)))
 
 
 def _grid_p0(trig: tuple, phase: float, envelope: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -320,38 +322,37 @@ def _unit_p0(trig: tuple, phase: float, envelope: float, out: np.ndarray | None 
     return p0
 
 
+def _window_p0_q0(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int) -> tuple:
+    """Per-cell outcome probabilities (p0, q0 = 1 - p0) of one circuit on a window, from ``_unit_p0``, built anew."""
+    p0 = _unit_p0(_grid_trig(grid_size, depth, offset, length), phase, envelope)
+    return p0, 1.0 - p0
+
+
 @_bounded_cache(maxsize=8, maxbytes=LIKELIHOOD_CACHE_BYTES)
 def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
-    """Per-cell outcome probabilities (p0, q0 = 1 - p0) of one circuit on a window, from ``_unit_p0``, cached.
+    """``_window_p0_q0`` of one circuit, cached.
 
     Gated sampling phases hammer the same circuit for tens of shots; caching
     p0 and q0 makes each such update one multiply and one sum.  The
     key holds the circuit's envelope, ``NoiseModel.contrast``, so noise
     models of one envelope share an entry.
     """
-    p0 = _unit_p0(_grid_trig(grid_size, depth, offset, length), phase, envelope)
-    q0 = 1.0 - p0
-    p0.setflags(write=False)
-    q0.setflags(write=False)
-    return p0, q0
+    return _read_only(_window_p0_q0(grid_size, depth, phase, envelope, offset, length))
 
 
 @_bounded_cache(maxsize=64, maxbytes=LOG_LIKELIHOOD_CACHE_BYTES, keep_newest=False)
 def _log_likelihood(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
-    """(log p0, log q0) of one circuit on a window, from ``_unit_p0``, cached for batch records.
+    """(log p0, log q0) of one circuit's ``_window_p0_q0``, cached for batch records.
 
     The baselines fold in the same few whole-grid circuits run after run, so
     a repeated batch record takes no log but that of the weights.  The logs
-    are those of ``_log_prob_components``' p0 and 1 - p0, bit for bit.
+    are those of ``_log_prob_components``' p0 and q0, bit for bit.
     """
-    p0 = _unit_p0(_grid_trig(grid_size, depth, offset, length), phase, envelope)
-    q0 = 1.0 - p0
+    p0, q0 = _window_p0_q0(grid_size, depth, phase, envelope, offset, length)
     with np.errstate(divide="ignore"):
         np.log(p0, out=p0)
         np.log(q0, out=q0)
-    p0.setflags(write=False)
-    q0.setflags(write=False)
-    return p0, q0
+    return _read_only((p0, q0))
 
 
 @dataclass(eq=False)
@@ -404,7 +405,7 @@ def uniform_prior(grid_size: int) -> GridPosterior:
 
     Doubling a power of two never steps over MAX_GRID_SIZE, so every grid stays within the cap.
     """
-    check_integer("grid_size", grid_size, MIN_GRID_SIZE)
+    grid_size = check_integer("grid_size", grid_size, MIN_GRID_SIZE)
     if grid_size > MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
     if grid_size & (grid_size - 1):
@@ -484,37 +485,32 @@ def required_grid_size(depth: int) -> int:
     return max(MIN_GRID_SIZE, POINTS_PER_PERIOD * depth)
 
 
+def _resolves(posterior: GridPosterior, depth: int) -> bool:
+    """Whether the grid resolves circuits of ``depth`` as it is: the rule ``ensure_resolution`` and ``fold`` read."""
+    return posterior.grid_size >= required_grid_size(depth) and depth <= MAX_DEPTH
+
+
 def ensure_resolution(posterior: GridPosterior, depth: int) -> GridPosterior:
-    """Grow the grid until it resolves oscillations of the given depth, trimming the window before each doubling."""
+    """Grow the grid until it resolves oscillations of the given depth, trimming the window before each doubling.
+
+    A grid that ``_resolves`` the depth is returned at once.
+    """
+    if _resolves(posterior, depth):
+        return posterior
     required = required_grid_size(depth)
     if depth > MAX_DEPTH:
         raise GridTooCoarseError(
             f"depth {depth} needs {required} cells, above the cap {MAX_GRID_SIZE}"
         )
-    refined = False
     while posterior.grid_size < required:
         _trim(posterior)
         _refine_once(posterior)
-        refined = True
-    if refined:
-        normalize(posterior)
-    return posterior
-
-
-def _resolves(posterior: GridPosterior, depth: int) -> bool:
-    """Whether the grid resolves circuits of ``depth`` with no refining: the rule ``_resolve`` and ``fold`` read."""
-    return posterior.grid_size >= required_grid_size(depth) and depth <= MAX_DEPTH
-
-
-def _resolve(posterior: GridPosterior, depth: int) -> None:
-    """Refine the grid in place, if it must, to resolve circuits of ``depth``."""
-    if not _resolves(posterior, depth):
-        ensure_resolution(posterior, depth)
+    return normalize(posterior)
 
 
 def _window_key(posterior: GridPosterior, depth: int, phase: float, envelope: float) -> tuple:
     """Refine the grid in place to resolve ``depth``, then return the circuit's p0 arguments on the window."""
-    _resolve(posterior, depth)
+    ensure_resolution(posterior, depth)
     return posterior.grid_size, depth, phase, envelope, posterior.offset, posterior.weights.size
 
 
@@ -532,7 +528,7 @@ def window_trig(posterior: GridPosterior, depth: int) -> tuple:
 
     For circuits of this depth that ``retuned_factor`` builds shot by shot.
     """
-    _resolve(posterior, depth)
+    ensure_resolution(posterior, depth)
     return _grid_trig(posterior.grid_size, depth, posterior.offset, posterior.weights.size)
 
 
@@ -627,7 +623,7 @@ def fold(posterior: GridPosterior, records, noise: NoiseModel, logs=None) -> Gri
         if first.shots == 0:
             start = stop
             continue
-        _resolve(posterior, first.circuit.depth)
+        ensure_resolution(posterior, first.circuit.depth)
         single = _single_shot(first)
         while (not single and stop < count and not _single_shot(records[stop])
                and _resolves(posterior, records[stop].circuit.depth)):
@@ -748,7 +744,7 @@ def _arc_spans(grid_size: int, offset: int, length: int, center: float, half_wid
 
     One entry is kept: a gated rung reads one interval after every shot, and
     nothing reads an interval between two of its gate checks.  Step 1's
-    interval is recentred on every check the bound of ``nodes_beyond_arc``
+    interval is recentred on every check the bound of ``tail_exceeds``
     cannot settle and never repeats, so it replaces the entry at the cost of
     one ``_window_spans`` call.  The key holds the interval's two floats,
     which hash faster than the dataclass.  None when the interval covers the
@@ -811,8 +807,7 @@ def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
     window can only pass the gate later, never earlier.  Ends that round
     to one angle leave no mass outside a wide interval and all of it
     outside a narrow one, as in ``confidence``.  A check that fails by a
-    wide margin is settled more cheaply by ``nodes_beyond_arc`` and
-    ``tail_exceeds``.
+    wide margin is settled more cheaply by ``tail_exceeds``.
     """
     spans = _arc_spans(
         posterior.grid_size, posterior.offset, posterior.weights.size, interval.center, interval.half_width, True
@@ -821,7 +816,7 @@ def mass_outside(posterior: GridPosterior, interval: CircularInterval) -> float:
 
 
 @lru_cache(maxsize=16)
-def nodes_beyond_arc(grid_size: int, offset: int, length: int, center: float, half: float) -> tuple:
+def _nodes_beyond_arc(grid_size: int, offset: int, length: int, center: float, half: float) -> tuple:
     """Window indices of the nodes at least 3 whole cells beyond each end of the arc center +- half.
 
     ``center`` and ``half`` are in grid cell units.  Each end contributes the
@@ -861,22 +856,30 @@ def nodes_beyond_arc(grid_size: int, offset: int, length: int, center: float, ha
     return tuple(nodes)
 
 
-def tail_exceeds(posterior: GridPosterior, nodes: tuple, allowance: float) -> bool:
-    """Whether one of ``nodes``, from ``nodes_beyond_arc``, has weight above 2 allowance times the total.
+def tail_exceeds(posterior: GridPosterior, center: float, half_width: float, allowance: float) -> bool:
+    """Whether a node beyond the arc center +- half_width, in radians, has weight above 2 allowance times the total.
 
-    True proves that ``mass_outside`` of an interval within that arc is
-    above ``allowance``, so the gate check fails without the tail sum.
-    False proves nothing.  ``total`` must be current, as it is after every
-    gated shot, since gated shots always sum.  A product 2 allowance total
-    that rounds, or underflows, still compares as the exact one: rounding
-    is monotone and the weight is a float.
+    The arc is put in cells of the current grid, and its nodes are those of
+    ``_nodes_beyond_arc``.  True proves that ``mass_outside`` of an interval
+    within that arc is above ``allowance``, so the gate check fails without
+    the tail sum.  False proves nothing.  ``total`` must be current, as it
+    is after every gated shot, since gated shots always sum.  A product
+    2 allowance total that rounds, or underflows, still compares as the
+    exact one: rounding is monotone and the weight is a float.
     """
-    limit = 2.0 * allowance * posterior.total
+    g = posterior.grid_size
+    cells = g / TWO_PI
     w = posterior.weights
-    for k in nodes:
+    limit = 2.0 * allowance * posterior.total
+    for k in _nodes_beyond_arc(g, posterior.offset, w.size, center * cells, half_width * cells):
         if w.item(k) > limit:
             return True
     return False
+
+
+def peak_cell_angle(posterior: GridPosterior) -> float:
+    """Angle of the window's cell of largest weight, the first of equal ones."""
+    return (posterior.offset + int(posterior.weights.argmax())) % posterior.grid_size * posterior.cell_width
 
 
 @lru_cache(maxsize=16)
@@ -998,7 +1001,7 @@ def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, nois
 
     Refines the caller's posterior in place to resolve ``circuit``, and reads the clamped, cached p0 of update.
     """
-    check_integer("shots", shots, 0)
+    shots = check_integer("shots", shots, 0)
     depth = circuit.depth
     p0, _ = shot_likelihood(posterior, depth, circuit.phase, noise.contrast(depth))
     mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
@@ -1022,8 +1025,7 @@ def predict_loss(
     reported.  The caller's posterior is refined in place first, as in
     ``predict_outcome``.
     """
-    check_integer("resources_left", resources_left, 0)
-    shots = int(resources_left // circuit.depth)
+    shots = check_integer("resources_left", resources_left, 0) // circuit.depth
     if shots < 1:
         raise InsufficientResourcesError(
             f"budget {resources_left} cannot pay for one shot at depth {circuit.depth}"

@@ -677,7 +677,7 @@ class TestGateBound:
         configs = list(self.runs())
         assert 180 <= len(configs) <= 220
         bounded = [run(config, golden_phase(config.seed)) for config in configs]
-        monkeypatch.setattr(adaptive, "tail_exceeds", lambda posterior, nodes, allowance: False)
+        monkeypatch.setattr(adaptive, "tail_exceeds", lambda posterior, center, half_width, allowance: False)
         died_in_step_one = 0
         for config, fast in zip(configs, bounded):
             slow = run(config, golden_phase(config.seed))

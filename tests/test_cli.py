@@ -2,12 +2,13 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import qpe_lab.cli as cli
 from qpe_lab import __version__
 from qpe_lab.baselines import appendix_loss_bound, default_step_count
-from qpe_lab.adaptive import AlgorithmConfig, RunSettings
+from qpe_lab.adaptive import AlgorithmConfig, RunSettings, run
 from qpe_lab.harness import AGGREGATE_HEADER, RESULTS_HEADER, STRATEGIES, SweepConfig
 from qpe_lab.posterior import LossKind
 
@@ -96,6 +97,12 @@ class TestRunCommand:
         assert run_cli("run", "--n-tot", "4096", "--theta", "1", "--seed", "-1", "--out", str(out)) == 1
         assert capsys.readouterr().err == "qpe-lab: error: seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_a_config_of_numpy_integers_dumps_as_its_ints(self):
+        config = AlgorithmConfig(total_resources=np.int64(64), seed=np.int64(3), depth_limit=np.int32(16))
+        payload = json.dumps(cli.trace_to_payload(run(config, 1.0), 1.0))
+        plain = AlgorithmConfig(total_resources=64, seed=3, depth_limit=16)
+        assert payload == json.dumps(cli.trace_to_payload(run(plain, 1.0), 1.0))
 
     def test_a_non_finite_true_phase_is_a_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "t.json"

@@ -5,8 +5,10 @@ run files, the ``bounds`` tables, the plots with reference curves and the
 bound-regimes script's table and figure.  Besides the two noise models, a
 run under squared loss with the circular-mean estimate, a ``bounds`` table
 whose depth limit sits below the noise optimum, a sweep whose capped
-doubling blocks leave budget over, and a qpea-only sweep over registers
-of 2^12, 2^16 and 2^20 outcomes (theta = 0 among its phases) are pinned.
+doubling blocks leave budget over, a qpea-only sweep over registers
+of 2^12, 2^16 and 2^20 outcomes (theta = 0 among its phases), and a
+qpea-only sweep whose depth limit of 16 caps every register at 2^5
+outcomes are pinned.
 So is the JSON trace payload of 108 seeded ``run()`` calls over a grid of
 budgets, noise, confidence schedules and depth limits, which reaches the
 loop's edge paths: tiny budgets, gates that pass before any rung shot, and
@@ -61,6 +63,11 @@ SWEEP_DIGESTS = {
         "aggregate.csv": "1c013cb13421c4a0f4471d801e4737ba88f2b0649b505411df11e625ee2bf9ea",
         "manifest.json": "a90b702d069ce9461ea96309332603401fd33d0a225e2a58c1c554aeca5c4e0c",
     },
+    "qpea-capped": {
+        "results.csv": "f0309f1edafb98ada11d495fe5e705dcf79c284ca43cc915924112c71af38e78",
+        "aggregate.csv": "bfaef7129e3cd59eb564aca7e79a06b38407c029ae3ff76c12a0d78a215c441a",
+        "manifest.json": "103dc555b2862f0ab4a57902babe0ab185e97b2331f6f514ff42e6f60cd39ffe",
+    },
 }
 
 RUN_DIGESTS = {
@@ -80,6 +87,7 @@ PATH_DIGESTS = {
         "beta-0.9": "e289ef26028f41b7b79082b0405d724996b94b3c1ba46712d38773c6cf05e74c",
         "capped": "ab21bfe6cd759cca37064ba3282494f669660c75302356055393ccbaa7baa233",
         "qpea-large": "bb5a45fd2f641525727df4e6f029be4897e6fb777bd62e3855a3e22f7154011e",
+        "qpea-capped": "a0cdcf7d714e4f17ae59b781c24da0a00f4c306234beb580597af897e5adbe71",
     },
     "run": {
         "noiseless": "871147f5dcbe73668d511108b8c6da3c39a5834ccec144ac7868f2b1c672a688",
@@ -115,6 +123,7 @@ SWEEP_ARGS = {
     "beta-0.9": ("beta-0.9", SMALL_LADDER),
     "capped": ("noiseless", (*SMALL_LADDER, "--shots-per-depth", "4", "--depth-limit", "16")),
     "qpea-large": ("noiseless", ("--ladder", "4095,65535,1048575", "--thetas", "5", "--reps", "2")),
+    "qpea-capped": ("noiseless", (*SMALL_LADDER, "--depth-limit", "16")),
 }
 
 # sha256 of the stdout of `bounds --ladder 1024,4096,65536` in the three
@@ -139,6 +148,7 @@ PLOT_DIGESTS = {
     "beta-0.9": "7ec3011d875a1586915df0a42f46b9d83a90f5e904efcf109450fb5c12cfa069",
     "capped": "eb9b2147e1028e739ae85bb281a5fb1a44bc7954cb19ee4d3bcf9cad36123c97",
     "qpea-large": "8d6ac4997582b683b38847ea1b558bc8d5ca8152d21e93f1cd1c91775808dab5",
+    "qpea-capped": "597260708b4cdc8b676dd0b01c65f9484aa15d79897d734a7a47661f03ea5a5b",
 }
 
 # sha256 of the table scripts/plot_bound_regimes.py prints for budgets
@@ -155,6 +165,7 @@ SWEEP_STRATEGIES = {
     "beta-0.9": "adaptive,classical,nonadaptive-doubling",
     "capped": "adaptive,classical,nonadaptive-doubling",
     "qpea-large": "qpea",
+    "qpea-capped": "qpea",
 }
 
 

@@ -25,6 +25,7 @@ from qpe_lab.harness import (
     read_results_csv,
     resolve_workers,
     run_cell,
+    run_sweep,
     write_aggregate_csv,
     write_manifest,
     write_results_csv,
@@ -81,6 +82,7 @@ class TestSweepConfig:
             ({"resource_ladder": (16, 64.7)}, "resource_ladder[1] must be an integer, got 64.7"),
             ({"resource_ladder": (1, 16)}, "resource_ladder[0] must be >= 2, got 1"),
             ({"shots_per_depth": 2.5}, "shots_per_depth must be an integer, got 2.5"),
+            ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
         ],
     )
     def test_a_malformed_count_is_named(self, overrides, message):
@@ -92,6 +94,14 @@ class TestSweepConfig:
         config = small_config(resource_ladder=(np.int64(16), 64), theta_count=np.int32(3))
         assert config.resource_ladder == (16, 64)
         assert all(type(n_tot) is int for n_tot in config.resource_ladder)
+
+    def test_numpy_integer_counts_are_stored_as_ints(self, tmp_path):
+        counts = {"theta_count": 2, "repetitions": 2, "shots_per_depth": 8, "master_seed": 5}
+        config = small_config(**{name: np.int64(value) for name, value in counts.items()})
+        assert {name: type(getattr(config, name)) for name in counts} == dict.fromkeys(counts, int)
+        path = tmp_path / "manifest.json"
+        write_manifest(config, path, "0.1.0")
+        assert json.loads(path.read_text()) == manifest_payload(small_config(**counts), "0.1.0")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -223,6 +233,7 @@ class TestIterSweep:
 class TestResolveWorkers:
     def test_explicit_wins(self):
         assert resolve_workers(3) == 3
+        assert type(resolve_workers(np.int64(3))) is int
 
     def test_default_uses_all_cores(self):
         assert resolve_workers(None) == os.cpu_count()
@@ -231,6 +242,10 @@ class TestResolveWorkers:
     def test_negative_explicit_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(-1)
+
+    def test_a_fractional_count_is_named_before_any_cell(self):
+        with pytest.raises(ValueError, match=r"^workers must be an integer, got 2\.5$"):
+            run_sweep(small_config(), workers=2.5)
 
 
 def make_cell(strategy, n_tot, theta_index, rep, abs_error, **overrides):

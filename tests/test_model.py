@@ -61,7 +61,10 @@ class TestCircuit:
     def test_a_non_finite_phase_is_named(self, phase):
         with pytest.raises(ValueError, match=f"^phase must be finite, got {phase}$"):
             Circuit(1, phase)
-        with pytest.raises(ValueError, match="^phase must be finite, got "):
+        # A tuned circuit names the caller's target, not the nan phase it would wrap to.
+        with pytest.raises(ValueError, match=f"^target must be finite, got {phase}$"):
+            tuned_circuit(4, phase)
+        with pytest.raises(ValueError, match=f"^target must be finite, got {phase}$"):
             optimal_circuit(NoiseModel(1.0, 0.9), phase, 100)
 
 
@@ -244,6 +247,20 @@ class TestSigmaSquared:
     def test_divergence_at_fringe_extremum(self):
         with pytest.raises(DivergenceError):
             sigma_squared(0.0, Circuit(1, 0.0), 100, NoiseModel())
+
+    @pytest.mark.parametrize(
+        "shots, message",
+        [
+            (2.5, "shots must be an integer, got 2.5"),
+            (1.0, "shots must be an integer, got 1.0"),
+            (True, "shots must be an integer, got True"),
+            (0, "shots must be >= 1, got 0"),
+        ],
+    )
+    def test_a_fractional_bool_or_zero_shot_count_is_named(self, shots, message):
+        with pytest.raises(ValueError) as raised:
+            sigma_squared(0.3, Circuit(2, 0.1), shots, NoiseModel())
+        assert str(raised.value) == message
 
     def test_noise_inflates_variance(self):
         theta = 1.9

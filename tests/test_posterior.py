@@ -46,7 +46,6 @@ from qpe_lab.posterior import (
     fold,
     map_estimate,
     mass_outside,
-    nodes_beyond_arc,
     normalize,
     predict_loss,
     predict_outcome,
@@ -61,8 +60,8 @@ from qpe_lab.posterior import (
 )
 from qpe_lab.posterior import (
     CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _grid_trig, _integrate,
-    _log_likelihood, _log_prob_components, _logs_taken_once, _nbytes, _refine_once, _trim, _unit_p0,
-    _window_spans,
+    _log_likelihood, _log_prob_components, _logs_taken_once, _nbytes, _nodes_beyond_arc, _refine_once, _trim,
+    _unit_p0, _window_spans,
 )
 
 NOISELESS = NoiseModel()
@@ -563,7 +562,12 @@ class TestGateBound:
     @settings(max_examples=400, deadline=None)
     def test_a_node_beyond_the_arc_proves_the_gate_fails(self, case):
         post, center, half, interval, allowance, multiple, isolate = case
-        nodes = nodes_beyond_arc(post.grid_size, post.offset, post.weights.size, center, half)
+        # The arc in radians, as the gates pass it, and the nodes the bound reads for it.
+        arc = (center * post.cell_width, half * post.cell_width)
+        per_radian = post.grid_size / TWO_PI
+        nodes = _nodes_beyond_arc(
+            post.grid_size, post.offset, post.weights.size, arc[0] * per_radian, arc[1] * per_radian
+        )
         if isolate and nodes:
             # Only the arc, a cell either side of it, and the nodes keep their weight.
             cells = (post.offset + np.arange(post.weights.size)) % post.grid_size
@@ -577,13 +581,13 @@ class TestGateBound:
         if multiple is not None and nodes:
             heaviest = max(post.weights[list(nodes)])
             allowance = min(max(heaviest / post.total * multiple, 1e-300), 1.0)
-        if tail_exceeds(post, nodes, allowance):
+        if tail_exceeds(post, *arc, allowance):
             assert mass_outside(post, interval) > allowance
 
     @pytest.mark.parametrize("offset, length", [(0, 4096), (4000, 4096), (4000, 300), (100, 50)])
     def test_the_nodes_lie_three_cells_beyond_the_arc_in_the_window(self, offset, length):
         center, half = 10.25, 20.5
-        nodes = nodes_beyond_arc(4096, offset, length, center, half)
+        nodes = _nodes_beyond_arc(4096, offset, length, center, half)
         cells = {(offset + k) % 4096 for k in nodes}
         assert cells <= {math.ceil(center + half) + 3, (math.floor(center - half) - 3) % 4096}
         assert all(2 <= k < length - 1 for k in nodes)
@@ -591,16 +595,18 @@ class TestGateBound:
         assert len(nodes) == {(0, 4096): 2, (4000, 4096): 2, (4000, 300): 2, (100, 50): 0}[offset, length]
 
     def test_no_nodes_when_the_complement_is_too_short(self):
-        assert nodes_beyond_arc(64, 0, 64, 30.0, 27.9) != ()
-        assert nodes_beyond_arc(64, 0, 64, 30.0, 28.0) == ()
+        assert _nodes_beyond_arc(64, 0, 64, 30.0, 27.9) != ()
+        assert _nodes_beyond_arc(64, 0, 64, 30.0, 28.0) == ()
 
     def test_the_bound_compares_with_twice_the_allowance(self):
         post = uniform_prior(64)
-        nodes = nodes_beyond_arc(64, 0, 64, 10.0, 4.0)
-        assert nodes == (17, 3)
-        assert tail_exceeds(post, nodes, math.nextafter(1 / 128, 0.0))
-        assert not tail_exceeds(post, nodes, 1 / 128)
-        assert not tail_exceeds(post, (), 0.0)
+        # The arc of 4 cells around cell 10, in radians, reads the nodes 17 and 3.
+        center, half = 10 * post.cell_width, 4 * post.cell_width
+        assert _nodes_beyond_arc(64, 0, 64, 10.0, 4.0) == (17, 3)
+        assert tail_exceeds(post, center, half, math.nextafter(1 / 128, 0.0))
+        assert not tail_exceeds(post, center, half, 1 / 128)
+        # An arc of the whole circle leaves no node beyond it, so even allowance 0 proves nothing.
+        assert not tail_exceeds(post, center, math.pi, 0.0)
 
 
 class TestMapEstimate:
