@@ -27,18 +27,19 @@ median over its calls in us:
 
 - at grid sizes G = 4096 and 65536, with depth G // 32, the deepest circuit
   the grid resolves, each starting from a von Mises bump of width
-  1 / (2 * depth) around a fixed phase: ``update`` with a cached circuit
+  1 / (2 * depth) around a fixed phase: ``update`` with a repeated circuit
   (the same tuned circuit every call) and with a fresh one (its phase moved
-  every call, so its likelihood is computed anew), noiseless and at
-  beta = 0.9; ``mass_outside`` (the gate check) right after each cached
-  update, on the gate's interval of half-width pi / (4 * depth);
-  ``map_estimate(within=...)`` on that interval; and ``predict_loss`` of
-  64 shots' worth of budget at that depth;
+  every call), noiseless and at beta = 0.9, each building its circuit's
+  likelihood anew from the depth's cached cos and sin; ``mass_outside``
+  (the gate check) right after each repeated update, on the gate's
+  interval of half-width pi / (4 * depth); ``map_estimate(within=...)`` on
+  that interval; and ``predict_loss`` of 64 shots' worth of budget at that
+  depth;
 - ``run_qpea`` at registers of 2^12, 2^16 and 2^20 outcomes, one readout
   per call from one seeded generator;
 - ``run_nonadaptive_doubling`` at budgets 2^16 and 2^20 with 32 shots per
   depth, its grid refining from 4096 up to 2^18 and 2^20 cells;
-- ``update`` with a cached circuit of depth 8192 on a posterior that one
+- ``update`` with a repeated circuit of depth 8192 on a posterior that one
   depth-8192 record has refined from the 4096-cell bump to 262144 cells;
 - ``harness.run_cell`` of a classical cell at N = 2^20, the cell that sets
   ``baseline-sweep``'s ``run_s_p50``, a new true phase and seed per call.
@@ -208,7 +209,7 @@ def time_updates(grid_size: int, fresh: bool, beta: float, package) -> tuple[lis
     post, circuit, interval = grid_case(grid_size, package)
     outcomes = outcomes_of(grid_size, GRID_CALLS[grid_size][0])
     noise = package.NoiseModel(1.0, beta)
-    # An untimed update of each outcome on a copy puts the tuned circuit's likelihood in the cache.
+    # An untimed update of each outcome on a copy puts the depth's cos and sin on the window in the cache.
     for x in (1, 0):
         package.posterior.update(post.clone(), package.MeasurementRecord(circuit, 1, x), noise)
     circuits = (
@@ -222,7 +223,7 @@ def time_updates(grid_size: int, fresh: bool, beta: float, package) -> tuple[lis
 
 
 def time_gate_checks(grid_size: int, package) -> tuple[list[int], list]:
-    """``mass_outside`` on the gate's interval, each call right after an untimed cached update."""
+    """``mass_outside`` on the gate's interval, each call right after an untimed repeated update."""
     post, circuit, interval = grid_case(grid_size, package)
 
     def after_each_update():
@@ -261,7 +262,7 @@ def time_baseline(runner: str, m: int, calls: int, package) -> tuple[list[int], 
 
 
 def time_refined_update(package) -> tuple[list[int], tuple]:
-    """Cached ``update`` of depth REFINED_DEPTH on the bump that one record of that depth has refined."""
+    """``update`` of one repeated circuit of depth REFINED_DEPTH on the bump that a record of it has refined."""
     post, _, interval = grid_case(REFINED_GRID, package)
     circuit = package.model.tuned_circuit(REFINED_DEPTH, THETA)
     noise = package.NoiseModel()
@@ -319,7 +320,7 @@ def build_rows() -> tuple[Row, ...]:
     ]
     for g in GRID_CALLS:
         rows += [
-            Row(f"update cached G={g}", partial(time_updates, g, False, 1.0), True),
+            Row(f"update repeated G={g}", partial(time_updates, g, False, 1.0), True),
             Row(f"update fresh G={g}", partial(time_updates, g, True, 1.0), True),
             Row(f"update fresh beta=0.9 G={g}", partial(time_updates, g, True, 0.9), True),
             Row(f"mass_outside G={g}", partial(time_gate_checks, g), True),

@@ -40,6 +40,7 @@ from .model import (
     Circuit,
     NoiseModel,
     check_integer,
+    check_real,
     draw_probability,
     optimal_depth,
     tuned_circuit,
@@ -92,6 +93,8 @@ class RunSettings:
             raise ValueError(f"epsilon_exponent must be finite and >= 0, got {self.epsilon_exponent}")
         if not 0.0 < self.epsilon_scale <= 1.0:
             raise ValueError(f"epsilon_scale must be in (0, 1], got {self.epsilon_scale}")
+        object.__setattr__(self, "epsilon_exponent", check_real("epsilon_exponent", self.epsilon_exponent))
+        object.__setattr__(self, "epsilon_scale", check_real("epsilon_scale", self.epsilon_scale))
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
 
@@ -261,10 +264,11 @@ def run(config: AlgorithmConfig, theta_true: float) -> AlgorithmTrace:
 
         What cannot change between shots is bound at the first one, whose
         update refines the grid if depth needs it; no later shot moves the
-        window.  A fixed phase binds its cached (p0, q0) and its draw
-        probability, and its tally is added up over the call and written in
-        firing order.  A stay never repeats a phase, so it binds the depth's
-        cos/sin on the window and one p0 buffer that every shot refills.
+        window.  A fixed phase binds its (p0, q0), built once for the call,
+        and its draw probability, and its tally is added up over the call and
+        written in firing order.  A stay never repeats a phase, so it binds
+        the depth's cos/sin on the window and one p0 buffer that every shot
+        refills.
 
         A gate reads the total before every shot: its bound, ``tail_exceeds``,
         weighs single nodes against it, and its tail sum divides by it, so

@@ -28,6 +28,7 @@ from .model import (
     MeasurementRecord,
     NoiseModel,
     check_integer,
+    check_real,
     minimum_achievable_variance,
     sample_outcome,
 )
@@ -344,13 +345,11 @@ def run_classical(
 
 
 def _check_real_budget(total_resources) -> None:
-    """Raise ValueError naming ``total_resources`` unless it is a finite number >= 1, not a bool.
+    """Raise ValueError naming ``total_resources`` unless it passes ``check_real`` and is >= 1.
 
     The curves and the bound take fractional budgets, as the plots pass them.
     """
-    if isinstance(total_resources, (bool, np.bool_)) or not math.isfinite(total_resources):
-        raise ValueError(f"total_resources must be a finite number, got {total_resources!r}")
-    if total_resources < 1:
+    if check_real("total_resources", total_resources) < 1:
         raise ValueError(f"total_resources must be >= 1, got {total_resources}")
 
 

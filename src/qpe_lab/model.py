@@ -36,10 +36,11 @@ class NoiseModel:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"visibility alpha must be in (0, 1], got {self.alpha}")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"decay beta must be in (0, 1], got {self.beta}")
+        for name, role in (("alpha", "visibility"), ("beta", "decay")):
+            value = getattr(self, name)
+            if not (0.0 < value <= 1.0):
+                raise ValueError(f"{role} {name} must be in (0, 1], got {value}")
+            object.__setattr__(self, name, check_real(name, value))
 
     @property
     def noiseless(self) -> bool:
@@ -57,6 +58,13 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite number, not a bool (numpy's included)."""
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -227,10 +235,10 @@ def minimum_achievable_variance(noise: NoiseModel, total_resources: float) -> fl
     """Variance floor -2 e ln(beta) / (alpha**2 * N) at the optimal depth.
 
     Only meaningful for beta < 1; beta = 1 has no floor.  The budget may
-    be fractional but must be finite and > 0, and not a bool.
+    be fractional but must pass ``check_real`` and be > 0.
     """
     if noise.beta == 1.0:
         raise ValueError("no variance floor without decay (beta = 1)")
-    if isinstance(total_resources, (bool, np.bool_)) or not 0 < total_resources < math.inf:
-        raise ValueError(f"total_resources must be finite and > 0, got {total_resources}")
+    if check_real("total_resources", total_resources) <= 0:
+        raise ValueError(f"total_resources must be > 0, got {total_resources}")
     return -2.0 * math.e * math.log(noise.beta) / (noise.alpha**2 * total_resources)

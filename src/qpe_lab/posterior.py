@@ -54,38 +54,32 @@ neighbours (the midpoint of the log-weights), up to a hard memory cap.
 Restricting the work to the arc that holds the mass follows the nested
 intervals of Kimmel, Low & Yoder (PRA 92, 062315, 2015).
 
-Three caches hold window arrays, each value a pair of read-only arrays
-as long as the window: ``_grid_trig`` keeps cos(n theta) and sin(n theta)
-per depth, ``_log_prob_components`` the p0 and q0 = 1 - p0 of circuits
-that single shots and predictions repeat, and ``_log_likelihood`` the
-log p0 and log q0 of circuits that batch records repeat.  The p0 cache
-serves the adaptive loop's two unit-depth probes, each gated rung's
-circuit and the closing circuit, each looked up once per sampling phase,
-and ``predict_outcome``; the hypothetical update of ``predict_loss`` takes
-its logs from that same p0 and keeps them nowhere, since its circuit is
-folded in once.  A circuit retuned for every shot, as a rung's stay is,
-never repeats, so ``retuned_factor`` builds its p0 anew outside the cache,
-from the depth's cached cos and sin and into a buffer the caller reuses,
-and turns it into q0 in place only for a dark outcome.  The log cache
-serves the baselines, whose runs fold in the same whole-grid circuits
-(depths up to 128 at phases 0 and pi/2 on 4096 cells) run after run, so a
-repeated batch record takes no log of its own.  ``fold`` takes each run of
-consecutive batch records that one grid resolves through one log and one
-exp of the weights, each record adding its cached x log p0 +
-(shots - x) log q0 to that one log: a doubling run's 16 records on the
-4096-cell grid take one log and one exp, not 16 of each.  A run of one
-record, as ``update`` and ``predict_loss`` fold, is the batch update
-operation for operation.  Each cache is
-bounded by a number of entries and by the bytes it holds
-(TRIG_CACHE_BYTES, LIKELIHOOD_CACHE_BYTES, LOG_LIKELIHOOD_CACHE_BYTES),
-and a miss evicts the least recently used entries until both bounds hold
-again.  The trig and p0 caches never evict the entry a miss just built, so
-a window too large for the budget still finds its arrays on the next
-lookup, as ``predict_loss`` makes right after ``predict_outcome``.  The
-log cache keeps no entry larger than its budget: a batch record on a grid
-that large is a doubling block that does not come back, and keeping it
-would hold up to 64 MiB at the grid cap long after the run.  Memory thus
-follows the live window, not the largest grid the process has seen.
+Two caches hold window arrays, each value a pair of read-only arrays as
+long as the window: ``_grid_trig`` keeps cos(n theta) and sin(n theta) per
+depth, and ``_log_likelihood`` the log p0 and log q0 of circuits that batch
+records repeat.  Both follow one rule: a miss evicts the least recently used
+entries until at most their number of entries and their byte budget
+(TRIG_CACHE_BYTES, LOG_LIKELIHOOD_CACHE_BYTES) are left, and an entry
+larger than the budget is returned and not kept.  Memory thus follows the
+live window, not the largest grid the process has seen.
+
+A circuit's p0 and q0 = 1 - p0 are built anew from its depth's cos and sin
+(``_window_p0_q0``) wherever they are read.  The adaptive loop fetches the
+pair of each circuit it fires for a whole sampling phase once per phase,
+through ``shot_likelihood``; ``predict_loss`` builds its circuit's pair
+once, reads the expected count from its p0 and takes the logs of its
+hypothetical update in place of the pair.  A circuit retuned for every
+shot, as a rung's stay is, builds only its shot's factor, with
+``retuned_factor``, into a buffer the caller reuses, and turns it into q0
+in place only for a dark outcome.  The log cache serves the baselines,
+whose runs fold in the same whole-grid circuits (depths up to 128 at phases
+0 and pi/2 on 4096 cells) run after run, so a repeated batch record takes
+no log of its own.  ``fold`` takes each run of consecutive batch records
+that one grid resolves through one log and one exp of the weights, each
+record adding its cached x log p0 + (shots - x) log q0 to that one log: a
+doubling run's 16 records on the 4096-cell grid take one log and one exp,
+not 16 of each.  A run of one record, as ``update`` and ``predict_loss``
+fold, is the batch update operation for operation.
 
 The window's angles are rebuilt on each read, in a few microseconds at
 4096 cells: only trig misses and the loss reads need them, and a cache of
@@ -144,12 +138,11 @@ GUARD_CELLS = 2
 # clamp.  The margin 2**-32 is 2**15 times the error bound.  Only a larger
 # envelope (in practice e = 1, a noiseless circuit) can round p0 past 0 or 1.
 CLAMP_FREE_ENVELOPE = 1.0 - 2.0**-32
-# Bytes of arrays each per-grid cache may hold beside its entry count.  The
-# trig and p0 caches keep the entry built last even when it alone is larger;
-# the log cache keeps no such entry.  1.25 MiB holds the 16 whole-grid
-# circuits of a doubling run on 4096 cells and the small windows after them.
+# Bytes of arrays each array cache may hold beside its entry count; neither
+# keeps an entry larger.  4 MiB holds the trig of a 2**18-cell window, and
+# 1.25 MiB the logs of the 16 whole-grid circuits of a doubling run on 4096
+# cells and the small windows after them.
 TRIG_CACHE_BYTES = 4 << 20
-LIKELIHOOD_CACHE_BYTES = 2 << 20
 LOG_LIKELIHOOD_CACHE_BYTES = 5 << 18
 
 
@@ -211,44 +204,37 @@ _add_reduce = np.add.reduce
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize", "maxbytes", "currbytes"])
 
 
-def _nbytes(pair) -> int:
-    """Bytes of the two arrays a cached value holds."""
-    return sum(array.nbytes for array in pair)
-
-
-def _bounded_cache(maxsize: int, maxbytes: int, keep_newest: bool = True):
+def _bounded_cache(maxsize: int, maxbytes: int):
     """Least-recently-used memo of a function that returns a pair of arrays, bounded by entries and by bytes.
 
     After a miss, the oldest entries go until at most ``maxsize`` entries
-    of at most ``maxbytes`` bytes (``_nbytes``) are left.  With
-    ``keep_newest`` the entry the miss built always stays, even when it
-    alone is larger than ``maxbytes``; without it such an entry is returned
-    and not kept.  Arguments are positional and hashable.  As with
-    ``functools.lru_cache``, the wrapper has ``cache_info()``,
-    ``cache_clear()``, ``cache_parameters()`` and ``__wrapped__``.
+    of at most ``maxbytes`` bytes, those of each value's two arrays, are left.  An entry alone
+    larger than ``maxbytes`` is returned and not kept.  Arguments are
+    positional and hashable.  As with ``functools.lru_cache``, the wrapper
+    has ``cache_info()``, ``cache_clear()``, ``cache_parameters()`` and
+    ``__wrapped__``.
     """
 
     def decorate(build):
         entries = {}  # key -> (value, bytes), least recently used first
-        pop = entries.pop
         hits = misses = held = 0
 
         def cached(*key):
             nonlocal hits, misses, held
-            entry = pop(key, None)
+            entry = entries.pop(key, None)
             if entry is not None:
                 entries[key] = entry
                 hits += 1
                 return entry[0]
             misses += 1
             value = build(*key)
-            size = _nbytes(value)
-            if size > maxbytes and not keep_newest:
+            size = value[0].nbytes + value[1].nbytes
+            if size > maxbytes:
                 return value
             entries[key] = value, size
             held += size
-            while len(entries) > maxsize or (held > maxbytes and len(entries) > 1):
-                held -= pop(next(iter(entries)))[1]
+            while len(entries) > maxsize or held > maxbytes:
+                held -= entries.pop(next(iter(entries)))[1]
             return value
 
         def cache_info() -> CacheInfo:
@@ -260,7 +246,7 @@ def _bounded_cache(maxsize: int, maxbytes: int, keep_newest: bool = True):
             hits = misses = held = 0
 
         def cache_parameters() -> dict:
-            return {"maxsize": maxsize, "maxbytes": maxbytes, "keep_newest": keep_newest}
+            return {"maxsize": maxsize, "maxbytes": maxbytes}
 
         cached.cache_info = cache_info
         cached.cache_clear = cache_clear
@@ -328,25 +314,13 @@ def _window_p0_q0(grid_size: int, depth: int, phase: float, envelope: float, off
     return p0, 1.0 - p0
 
 
-@_bounded_cache(maxsize=8, maxbytes=LIKELIHOOD_CACHE_BYTES)
-def _log_prob_components(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
-    """``_window_p0_q0`` of one circuit, cached.
-
-    Gated sampling phases hammer the same circuit for tens of shots; caching
-    p0 and q0 makes each such update one multiply and one sum.  The
-    key holds the circuit's envelope, ``NoiseModel.contrast``, so noise
-    models of one envelope share an entry.
-    """
-    return _read_only(_window_p0_q0(grid_size, depth, phase, envelope, offset, length))
-
-
-@_bounded_cache(maxsize=64, maxbytes=LOG_LIKELIHOOD_CACHE_BYTES, keep_newest=False)
+@_bounded_cache(maxsize=64, maxbytes=LOG_LIKELIHOOD_CACHE_BYTES)
 def _log_likelihood(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
     """(log p0, log q0) of one circuit's ``_window_p0_q0``, cached for batch records.
 
     The baselines fold in the same few whole-grid circuits run after run, so
     a repeated batch record takes no log but that of the weights.  The logs
-    are those of ``_log_prob_components``' p0 and q0, bit for bit.
+    are those of ``_window_p0_q0``'s p0 and q0, bit for bit.
     """
     p0, q0 = _window_p0_q0(grid_size, depth, phase, envelope, offset, length)
     with np.errstate(divide="ignore"):
@@ -515,16 +489,17 @@ def _window_key(posterior: GridPosterior, depth: int, phase: float, envelope: fl
 
 
 def shot_likelihood(posterior: GridPosterior, depth: int, phase: float, envelope: float) -> tuple:
-    """Refine the grid in place to resolve ``depth``, then look up the circuit's cached (p0, q0) on the window.
+    """Refine the grid in place to resolve ``depth``, then build the circuit's (p0, q0) on the window anew.
 
     ``envelope`` is the circuit's ``NoiseModel.contrast``.  A bright shot
-    multiplies the weights by p0, a dark one by q0 = 1 - p0.
+    multiplies the weights by p0, a dark one by q0 = 1 - p0; a caller that
+    fires the circuit for many shots fetches the pair once.
     """
-    return _log_prob_components(*_window_key(posterior, depth, phase, envelope))
+    return _window_p0_q0(*_window_key(posterior, depth, phase, envelope))
 
 
 def window_trig(posterior: GridPosterior, depth: int) -> tuple:
-    """Refine the grid in place to resolve ``depth``, then return the window's cached (cos n theta, sin n theta).
+    """Refine the grid in place to resolve ``depth``, then return the window's (cos n theta, sin n theta) from ``_grid_trig``.
 
     For circuits of this depth that ``retuned_factor`` builds shot by shot.
     """
@@ -536,8 +511,8 @@ def retuned_factor(trig: tuple, phase: float, envelope: float, bright: bool, out
     """The factor p0, or q0 = 1 - p0 for a dark shot, of one shot of a circuit that will not repeat.
 
     ``trig`` is the window's from ``window_trig``.  The factor is built anew
-    from ``_unit_p0``, into ``out`` if given, and never cached; q0 is made
-    from p0 in place, with the bits of the cached q0.
+    from ``_unit_p0``, into ``out`` if given; q0 is made from p0 in place,
+    with the bits of the q0 of ``shot_likelihood``.
     """
     factor = _unit_p0(trig, phase, envelope, out)
     if not bright:
@@ -579,7 +554,7 @@ def update(posterior: GridPosterior, record: MeasurementRecord, noise: NoiseMode
     """Multiply in the likelihood of ``record`` and renormalize, in place: ``fold`` of that one record.
 
     A single shot with a whole outcome is ``update_shot`` of its circuit's
-    cached p0 or q0.  Any other record is added to the log-weights as
+    p0 or q0.  Any other record is added to the log-weights as
     x * log p0 + (shots - x) * log q0, with the logs cached by
     ``_log_likelihood``; the binomial coefficient is constant in theta, so
     normalisation removes it and it is never added.  Zero-shot records
@@ -599,7 +574,7 @@ def fold(posterior: GridPosterior, records, noise: NoiseModel, logs=None) -> Gri
     """Multiply in the likelihoods of the sequence ``records``, in order, and renormalize, in place.
 
     A single shot with a whole outcome is ``update_shot`` of its circuit's
-    cached p0 or q0.  The other records are folded in runs.  A run starts
+    p0 or q0.  The other records are folded in runs.  A run starts
     at such a batch record, for which the grid is refined first, and takes
     every batch record right after it that the grid then resolves
     (``_resolves``).  The run takes the log of the weights once, adds
@@ -664,18 +639,6 @@ def _fold_run(posterior: GridPosterior, run, noise: NoiseModel, logs) -> None:
         lw -= shift
     np.exp(lw, out=lw)
     normalize(posterior)
-
-
-def _logs_taken_once(grid_size: int, depth: int, phase: float, envelope: float, offset: int, length: int):
-    """(log p0, log q0) of the p0 cache's entry, taken anew and not kept.
-
-    For a circuit folded in once, as the hypothetical update of
-    ``predict_loss`` is: the log cache keeps only circuits that batch
-    records repeat, and the p0 is the one ``predict_outcome`` just read.
-    """
-    p0, q0 = _log_prob_components(grid_size, depth, phase, envelope, offset, length)
-    with np.errstate(divide="ignore"):
-        return np.log(p0), np.log(q0)
 
 
 def _integrate(w: np.ndarray, spans: tuple) -> float:
@@ -996,16 +959,25 @@ def expected_loss(posterior: GridPosterior, estimate: float, kind: LossKind) -> 
     return float(max((posterior.density * d).sum() * posterior.cell_width, 0.0))
 
 
+def _predicted_count(posterior: GridPosterior, circuit: Circuit, shots: int, noise: NoiseModel) -> tuple:
+    """(expected bright count, p0, q0) of ``shots`` of ``circuit``, the grid refined in place first.
+
+    The count is shots times the posterior mean of the circuit's clamped p0,
+    clamped to [0, shots]; p0 and q0 are ``shot_likelihood``'s, built anew.
+    """
+    depth = circuit.depth
+    p0, q0 = shot_likelihood(posterior, depth, circuit.phase, noise.contrast(depth))
+    mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
+    return min(max(shots * mean_p, 0.0), float(shots)), p0, q0
+
+
 def predict_outcome(posterior: GridPosterior, circuit: Circuit, shots: int, noise: NoiseModel) -> float:
     """Expected bright-outcome count: shots times the posterior mean of p0.
 
-    Refines the caller's posterior in place to resolve ``circuit``, and reads the clamped, cached p0 of update.
+    Refines the caller's posterior in place to resolve ``circuit``, and reads
+    the clamped p0 of ``update``, built anew.
     """
-    shots = check_integer("shots", shots, 0)
-    depth = circuit.depth
-    p0, _ = shot_likelihood(posterior, depth, circuit.phase, noise.contrast(depth))
-    mean_p = float((posterior.density * p0).sum()) * posterior.cell_width
-    return min(max(shots * mean_p, 0.0), float(shots))
+    return _predicted_count(posterior, circuit, check_integer("shots", shots, 0), noise)[0]
 
 
 def predict_loss(
@@ -1018,19 +990,22 @@ def predict_loss(
     """Expected loss after hypothetically spending ``resources_left`` on ``circuit``.
 
     The given resources are converted into shots at this depth (the whole
-    remaining budget, or a noiseless run's horizon), the
-    expected (generally fractional) outcome is folded into a cloned
-    posterior as ``update`` folds a record, with logs taken once from the
-    cached p0 (``_logs_taken_once``), and the loss of the updated mode is
-    reported.  The caller's posterior is refined in place first, as in
-    ``predict_outcome``.
+    remaining budget, or a noiseless run's horizon).  The caller's
+    posterior is refined in place to resolve ``circuit`` and the circuit's
+    (p0, q0) built once: the expected (generally fractional) outcome is
+    read from that p0, as ``predict_outcome`` reads it, and folded into a
+    cloned posterior as ``update`` folds a record, with its logs taken in
+    place of the same pair, which is then let go.  The loss of the updated
+    mode is reported.
     """
     shots = check_integer("resources_left", resources_left, 0) // circuit.depth
     if shots < 1:
         raise InsufficientResourcesError(
             f"budget {resources_left} cannot pay for one shot at depth {circuit.depth}"
         )
-    expected_count = predict_outcome(posterior, circuit, shots, noise)
+    expected_count, p0, q0 = _predicted_count(posterior, circuit, shots, noise)
+    with np.errstate(divide="ignore"):
+        logs = np.log(p0, out=p0), np.log(q0, out=q0)
     record = MeasurementRecord(circuit, shots, expected_count)
-    hypothetical = fold(posterior.clone(), (record,), noise, _logs_taken_once)
+    hypothetical = fold(posterior.clone(), (record,), noise, lambda *key: logs)
     return expected_loss(hypothetical, map_estimate(hypothetical), kind)

@@ -51,6 +51,8 @@ class TestAlgorithmConfig:
             {"total_resources": 100.5},
             {"depth_limit": 8.5},
             {"depth_limit": 8.0},
+            {"epsilon_scale": True},
+            {"epsilon_exponent": np.True_},
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -69,6 +71,11 @@ class TestAlgorithmConfig:
         with pytest.raises(ValueError) as raised:
             AlgorithmConfig(**{"total_resources": 100, **kwargs})
         assert str(raised.value) == message
+
+    def test_numpy_float_schedule_knobs_are_their_floats(self):
+        settings = RunSettings(epsilon_exponent=np.float32(2.0), epsilon_scale=np.float64(0.5))
+        assert type(settings.epsilon_exponent) is float and type(settings.epsilon_scale) is float
+        assert settings == RunSettings(epsilon_exponent=2.0, epsilon_scale=0.5)
 
     def test_a_numpy_integer_depth_limit_is_its_int(self):
         # The baselines take the bit length of the limit, which numpy integers lack.

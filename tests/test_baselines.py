@@ -315,13 +315,7 @@ class TestRunNonadaptiveDoubling:
     def test_grid_cap_stops_the_doubling(self):
         # With one shot per depth the doubling alone would reach 2**18,
         # which the posterior grid cap cannot resolve.
-        try:
-            res = run_nonadaptive_doubling(1 << 20, 1.3, SETTINGS, 1, np.random.default_rng(0))
-        finally:
-            # Past their byte budgets the per-grid caches keep only their newest
-            # entries, here about 130 MB of 2**22-cell arrays; free those too.
-            for cache in (posterior._grid_trig, posterior._log_prob_components):
-                cache.cache_clear()
+        res = run_nonadaptive_doubling(1 << 20, 1.3, SETTINGS, 1, np.random.default_rng(0))
         assert res.resources_spent == 1 << 20
         assert res.max_depth == posterior.MAX_DEPTH == 1 << 17
 

@@ -10,6 +10,7 @@ from qpe_lab import __version__
 from qpe_lab.baselines import appendix_loss_bound, default_step_count
 from qpe_lab.adaptive import AlgorithmConfig, RunSettings, run
 from qpe_lab.harness import AGGREGATE_HEADER, RESULTS_HEADER, STRATEGIES, SweepConfig
+from qpe_lab.model import NoiseModel
 from qpe_lab.posterior import LossKind
 
 
@@ -103,6 +104,15 @@ class TestRunCommand:
         payload = json.dumps(cli.trace_to_payload(run(config, 1.0), 1.0))
         plain = AlgorithmConfig(total_resources=64, seed=3, depth_limit=16)
         assert payload == json.dumps(cli.trace_to_payload(run(plain, 1.0), 1.0))
+
+    def test_a_config_of_numpy_floats_dumps_as_its_floats(self):
+        config = AlgorithmConfig(
+            total_resources=64, noise=NoiseModel(beta=np.float32(0.9)), epsilon_exponent=np.float32(2.0)
+        )
+        payload = json.loads(json.dumps(cli.trace_to_payload(run(config, 1.0), 1.0)))
+        assert payload["config"]["noise"]["beta"] == float(np.float32(0.9))
+        assert payload["config"]["epsilon_exponent"] == 2.0
+        assert type(config.noise.beta) is float and type(config.epsilon_exponent) is float
 
     def test_a_non_finite_true_phase_is_a_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "t.json"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qpe_lab.model import (
     DivergenceError,
     MeasurementRecord,
     NoiseModel,
+    check_real,
     log_likelihood,
     minimum_achievable_variance,
     optimal_circuit,
@@ -21,6 +23,7 @@ from qpe_lab.model import (
     tuned_circuit,
 )
 from qpe_lab.angles import TWO_PI, wrap
+from qpe_lab.baselines import limit_curves
 
 
 class TestNoiseModel:
@@ -30,21 +33,39 @@ class TestNoiseModel:
         assert noise.beta == 1.0
         assert noise.noiseless
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0001])
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0001, True, np.True_])
     def test_alpha_out_of_range(self, alpha):
         with pytest.raises(ValueError):
             NoiseModel(alpha=alpha)
 
-    @pytest.mark.parametrize("beta", [0.0, -1.0, 1.5])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, 1.5, True, np.True_])
     def test_beta_out_of_range(self, beta):
         with pytest.raises(ValueError):
             NoiseModel(beta=beta)
+
+    def test_numpy_floats_are_stored_as_floats(self):
+        noise = NoiseModel(np.float64(0.8), np.float32(0.9))
+        assert type(noise.alpha) is float and type(noise.beta) is float
+        assert noise == NoiseModel(0.8, float(np.float32(0.9)))
 
     def test_contrast_decays_with_depth(self):
         noise = NoiseModel(alpha=0.8, beta=0.9)
         assert noise.contrast(1) == pytest.approx(0.72)
         assert noise.contrast(3) == pytest.approx(0.8 * 0.9**3)
         assert noise.contrast(10) < noise.contrast(2)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [2, 2.5, np.int64(2), np.float32(2.5), np.float64(-1e300)], ids=repr)
+    def test_a_finite_number_is_its_float(self, value):
+        got = check_real("x", value)
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32("nan"), True, False, np.True_],
+                             ids=repr)
+    def test_a_non_finite_number_or_a_bool_is_named(self, value):
+        with pytest.raises(ValueError, match=f"^x must be a finite number, got {re.escape(repr(value))}$"):
+            check_real("x", value)
 
 
 class TestCircuit:
@@ -355,6 +376,13 @@ class TestMinimumAchievableVariance:
     def test_the_budget_must_be_finite_and_positive(self, budget):
         with pytest.raises(ValueError, match="total_resources"):
             minimum_achievable_variance(NoiseModel(1.0, 0.9), budget)
+
+    def test_a_nan_budget_gets_the_message_of_the_baselines(self):
+        with pytest.raises(ValueError) as floor:
+            minimum_achievable_variance(NoiseModel(1.0, 0.9), math.nan)
+        with pytest.raises(ValueError) as curves:
+            limit_curves(math.nan, NoiseModel(1.0, 0.9))
+        assert str(floor.value) == str(curves.value) == "total_resources must be a finite number, got nan"
 
     def test_a_fractional_budget_is_allowed(self):
         assert minimum_achievable_variance(NoiseModel(1.0, 0.9), 2.5) == pytest.approx(

@@ -60,8 +60,7 @@ from qpe_lab.posterior import (
 )
 from qpe_lab.posterior import (
     CacheInfo, _arc_runs, _arc_spans, _bounded_cache, _grid_angles, _grid_p0, _grid_trig, _integrate,
-    _log_likelihood, _log_prob_components, _logs_taken_once, _nbytes, _nodes_beyond_arc, _refine_once, _trim,
-    _unit_p0, _window_spans,
+    _log_likelihood, _nodes_beyond_arc, _refine_once, _trim, _unit_p0, _window_p0_q0, _window_spans,
 )
 
 NOISELESS = NoiseModel()
@@ -867,40 +866,21 @@ class TestUpdatePaths:
     def test_fresh_circuit_matches_the_cached_branches(self, record):
         noise = NoiseModel(0.95, 0.9)
         base = von_mises_posterior(0.7, 3.0, 4096)
-        _log_prob_components.cache_clear()
         _log_likelihood.cache_clear()
         fresh = update(base.clone(), record, noise)
-        # Another posterior sees the opposite outcome, so both branches of
-        # this circuit are cached before the same update runs again.
+        # Another posterior sees the opposite outcome before the same update runs again.
         opposite = MeasurementRecord(record.circuit, 1, 1.0 - min(record.successes, 1.0))
         update(base.clone(), opposite, noise)
         cached = update(base.clone(), record, noise)
-        if record.shots == 1:
-            assert _log_prob_components.cache_info().hits >= 2
-        else:
-            # A batch record reads its logs from the log cache, not p0 from the p0 cache.
-            assert _log_likelihood.cache_info()[:2] == (1, 1)
+        # A batch record reads its logs from the log cache; a single shot builds its p0 anew.
+        assert _log_likelihood.cache_info()[:2] == ((0, 0) if record.shots == 1 else (1, 1))
         np.testing.assert_array_equal(fresh.weights, cached.weights)
         np.testing.assert_array_equal(fresh.density, cached.density)
-
-    def test_noise_models_of_one_envelope_share_a_cached_p0(self):
-        # alpha * beta**1 is 0.9 for both, so the second finds the first's p0.
-        circuit = Circuit(1, 0.77)
-        _log_prob_components.cache_clear()
-        p0 = [
-            shot_likelihood(uniform_prior(256), circuit.depth, circuit.phase, noise.contrast(circuit.depth))[0]
-            for noise in (NoiseModel(0.9, 1.0), NoiseModel(1.0, 0.9))
-        ]
-        info = _log_prob_components.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        np.testing.assert_array_equal(p0[0], p0[1])
-        np.testing.assert_array_equal(p0[0], grid_p0(256, 1, circuit.phase, 0.9, 0, 256))
 
     def test_fractional_single_shot_uses_both_branches(self):
         noise = NoiseModel(0.9, 0.95)
         circuit = Circuit(4, 1.1)
         record = MeasurementRecord(circuit, 1, 0.3)
-        _log_prob_components.cache_clear()
         post = update(uniform_prior(4096), record, noise)
         p0 = success_probability(post.angles, circuit, noise)
         ref = np.exp(0.3 * np.log(p0) + 0.7 * np.log1p(-p0))
@@ -976,9 +956,9 @@ def single_shot_reference(post, depth, phase, bright, noise):
     return post, rescaled
 
 
-def fold_one_shot(post, depth, phase, envelope, bright, cached):
-    """``update_shot`` of one shot's factor: the cached p0 or q0, or one built anew as a stay builds it."""
-    if cached:
+def fold_one_shot(post, depth, phase, envelope, bright, pair):
+    """``update_shot`` of one shot's factor: p0 or q0 of the circuit's pair, or one built as a stay builds it."""
+    if pair:
         factor = shot_likelihood(post, depth, phase, envelope)[0 if bright else 1]
     else:
         factor = retuned_factor(window_trig(post, depth), phase, envelope, bright)
@@ -1007,8 +987,8 @@ class TestSingleShotCall:
     @pytest.mark.parametrize("case", SINGLE_SHOTS)
     @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.9)], ids=["noiseless", "beta-0.9"])
     @pytest.mark.parametrize("bright", [True, False], ids=["bright", "dark"])
-    @pytest.mark.parametrize("cache", [True, False], ids=["cached", "built-anew"])
-    def test_matches_update_of_a_one_shot_record(self, case, noise, bright, cache):
+    @pytest.mark.parametrize("pair", [True, False], ids=["pair", "retuned"])
+    def test_matches_update_of_a_one_shot_record(self, case, noise, bright, pair):
         make, depth, phase = SINGLE_SHOTS[case]
         base = make()
         want, rescaled = single_shot_reference(base, depth, phase, bright, noise)
@@ -1018,16 +998,13 @@ class TestSingleShotCall:
             assert base.offset + base.weights.size > base.grid_size
         if case == "refine":
             assert want.weights.size < want.grid_size
-        _log_prob_components.cache_clear()
         by_record = update(base.clone(), MeasurementRecord(Circuit(depth, phase), 1, float(bright)), noise)
-        shot = fold_one_shot(base.clone(), depth, phase, noise.contrast(depth), bright, cache)
+        shot = fold_one_shot(base.clone(), depth, phase, noise.contrast(depth), bright, pair)
         for got in (by_record, shot):
             np.testing.assert_array_equal(got.weights, want.weights)
             assert (got.total, got.grid_size, got.offset, got.discarded) == (
                 want.total, want.grid_size, want.offset, want.discarded
             )
-        if not cache:
-            assert _log_prob_components.cache_info().currsize == 1, "only the record's update fills the cache"
 
     @given(case=st.tuples(
         st.sampled_from([64, 256, 4096]),
@@ -1039,17 +1016,17 @@ class TestSingleShotCall:
     ), depth_share=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     @example(case=(256, 0.0, 1.0, 15 * math.pi / 16, 1.0, True), depth_share=6 / 7)  # clamped at a dark fringe
-    def test_a_factor_built_anew_equals_the_cached_p0_or_q0(self, case, depth_share):
+    def test_a_retuned_factor_equals_the_pairs_p0_or_q0(self, case, depth_share):
         # On weights of 1 the update leaves the factor itself in the weights.
         grid_size, start, share, phase, envelope, bright = case
         depth = 1 + int(depth_share * (grid_size // POINTS_PER_PERIOD - 1))
         offset, length = int(start * grid_size), 1 + int(share * (grid_size - 1))
-        p0, q0 = _log_prob_components(grid_size, depth, phase, envelope, offset, length)
+        p0, q0 = _window_p0_q0(grid_size, depth, phase, envelope, offset, length)
         want = p0 if bright else q0
         if not want.sum() >= RESCALE_FLOOR:
             return
         post = GridPosterior(np.ones(length), float(length), grid_size, offset)
-        fold_one_shot(post, depth, phase, envelope, bright, cached=False)
+        fold_one_shot(post, depth, phase, envelope, bright, pair=False)
         np.testing.assert_array_equal(post.weights, want)
 
     @pytest.mark.parametrize("noise", [NOISELESS, NoiseModel(1.0, 0.9)], ids=["noiseless", "beta-0.9"])
@@ -1129,10 +1106,10 @@ class TestBatchLogCache:
                 want.total, want.grid_size, want.offset, want.discarded
             )
 
-    def test_the_cached_logs_are_those_of_the_p0_cache(self):
+    def test_the_cached_logs_are_those_of_the_window_p0_q0(self):
         key = (256, 7, 15 * math.pi / 16, 1.0, 0, 256)
         log_p0, log_q0 = _log_likelihood(*key)
-        p0, q0 = _log_prob_components(*key)
+        p0, q0 = _window_p0_q0(*key)
         with np.errstate(divide="ignore"):
             assert log_p0.tobytes() == np.log(p0).tobytes()
             assert log_q0.tobytes() == np.log(q0).tobytes()
@@ -1397,8 +1374,8 @@ class TestClampFreeEnvelope:
         raw = grid_p0(grid_size, depth, phase, envelope, offset, length)
         assert 0.0 <= raw.min() and raw.max() <= 1.0
         np.testing.assert_array_equal(np.clip(raw, 0.0, 1.0), raw)
-        cached, _ = _log_prob_components(grid_size, depth, phase, envelope, offset, length)
-        np.testing.assert_array_equal(cached, raw)
+        built, _ = _window_p0_q0(grid_size, depth, phase, envelope, offset, length)
+        np.testing.assert_array_equal(built, raw)
 
 
 class TestPredictOutcome:
@@ -1427,7 +1404,7 @@ class TestPredictOutcome:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             predict_outcome(uniform_prior(256), Circuit(1, 0.0), shots, NOISELESS)
 
-    def test_dark_fringe_reads_the_clamped_cached_p0(self):
+    def test_dark_fringe_reads_the_clamped_p0(self):
         # The angle-addition p0 of this circuit dips to -1.1e-16 at one node.
         circuit = Circuit(7, 15 * math.pi / 16)
         raw = grid_p0(256, circuit.depth, circuit.phase, 1.0, 0, 256)
@@ -1441,14 +1418,13 @@ class TestPredictOutcome:
         def trapezoid_count(p0):
             return 1000 * (float((post.density * p0).sum()) * post.cell_width)
 
-        _log_prob_components.cache_clear()
         expected = predict_outcome(post, circuit, 1000, NOISELESS)
         assert expected == trapezoid_count(np.clip(raw, 0.0, 1.0))
         assert expected != trapezoid_count(raw)
-        # the hypothetical update of predict_loss then finds the circuit cached
-        fold(post.clone(), [MeasurementRecord(circuit, 1000, expected)], NOISELESS, _logs_taken_once)
-        info = _log_prob_components.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        # predict_loss reads the same count and folds it with the logs of the same clamped pair
+        hypothetical = update(post.clone(), MeasurementRecord(circuit, 1000, expected), NOISELESS)
+        want = expected_loss(hypothetical, map_estimate(hypothetical), LossKind.ABSOLUTE)
+        assert predict_loss(post, circuit, 1000 * circuit.depth, NOISELESS, LossKind.ABSOLUTE) == want
 
 
 class TestPredictLoss:
@@ -1682,11 +1658,11 @@ class TestWindow:
         assert max(lengths) < post.grid_size // 32
 
 
-ARRAY_CACHES = ("_grid_trig", "_log_prob_components", "_log_likelihood")
+ARRAY_CACHES = ("_grid_trig", "_log_likelihood")
 
 
 class TestByteBoundedCaches:
-    def array_cache(self, maxsize, maxbytes, keep_newest=True):
+    def array_cache(self, maxsize, maxbytes):
         calls = []
 
         def build(n):
@@ -1694,7 +1670,7 @@ class TestByteBoundedCaches:
             calls.append(n)
             return np.zeros(n), np.zeros(0)
 
-        return _bounded_cache(maxsize, maxbytes, keep_newest)(build), calls
+        return _bounded_cache(maxsize, maxbytes)(build), calls
 
     def test_the_oldest_entries_go_first_once_the_bytes_run_over(self):
         cached, calls = self.array_cache(8, 100 * 8)
@@ -1713,18 +1689,8 @@ class TestByteBoundedCaches:
         assert calls == [1, 2, 3, 1]
         assert cached.cache_info().currsize == 2
 
-    def test_an_entry_larger_than_the_budget_stays_until_the_next_miss(self):
+    def test_an_entry_larger_than_the_budget_is_returned_and_not_kept(self):
         cached, calls = self.array_cache(8, 100 * 8)
-        cached(10)
-        big = cached(1000)
-        assert cached.cache_info()[3:] == (1, 800, 8000)
-        assert cached(1000) is big
-        cached(10)
-        assert calls == [10, 1000, 10]
-        assert cached.cache_info()[3:] == (1, 800, 80)
-
-    def test_without_keep_newest_an_entry_larger_than_the_budget_is_returned_and_not_kept(self):
-        cached, calls = self.array_cache(8, 100 * 8, keep_newest=False)
         cached(10)
         big = cached(1000)
         assert big[0].size == 1000
@@ -1738,9 +1704,7 @@ class TestByteBoundedCaches:
     def test_the_parameters_rebuild_the_cache(self):
         for name in ARRAY_CACHES:
             parameters = getattr(posterior_module, name).cache_parameters()
-            assert set(parameters) == {"maxsize", "maxbytes", "keep_newest"}
-        assert _log_likelihood.cache_parameters()["keep_newest"] is False
-        assert _log_prob_components.cache_parameters()["keep_newest"] is True
+            assert set(parameters) == {"maxsize", "maxbytes"}
 
     def test_clear_empties_the_cache_and_its_counts(self):
         cached, calls = self.array_cache(8, 800)
@@ -1751,36 +1715,23 @@ class TestByteBoundedCaches:
         cached(10)
         assert calls == [10, 10]
 
-    def test_a_likelihood_is_charged_for_p0_and_q0(self):
-        _log_prob_components.cache_clear()
-        p0, q0 = _log_prob_components(256, 3, 0.4, 1.0, 0, 256)
-        assert _log_prob_components.cache_info().currbytes == p0.nbytes + q0.nbytes == 2 * 256 * 8
-        assert not p0.flags.writeable and not q0.flags.writeable
-        assert q0.tobytes() == (1.0 - p0).tobytes()
-
     def test_the_benchmark_reads_the_likelihood_cache_counts(self, monkeypatch):
-        # perfbench/layers.py derives the traced logprob-cache hit ratio from
-        # these two counts, and reads None, so a ratio of 0, if they go.
+        # perfbench/layers.py derived the traced logprob-cache hit ratio from
+        # the p0 cache's two counts; with the cache gone it reads None, so a ratio of 0.
         monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
         layers = importlib.import_module("layers")
-        _log_prob_components.cache_clear()
-        post = uniform_prior(256)
-        for outcome in (1.0, 0.0, 1.0):
-            update(post, MeasurementRecord(Circuit(2, 0.3), 1, outcome), NOISELESS)
-        info = _log_prob_components.cache_info()
-        assert (info.hits, info.misses) == (2, 1)
-        assert layers.logprob_cache_info() == (2, 1)
+        assert layers.logprob_cache_info() is None
 
-    def test_a_whole_grid_doubling_run_leaves_the_budgets_and_the_newest_entries(self, monkeypatch):
+    def test_a_whole_grid_doubling_run_leaves_at_most_the_budgets(self, monkeypatch):
         # One shot per depth leaves the posterior too broad to trim, so the
         # grid refines whole to 2**22 cells; every array still held after the
-        # run is in the three caches.
+        # run is in the two caches, and neither keeps an entry above its budget.
         newest = {}
 
         def recording(name, cached):
             def build(*args):
                 value = cached.__wrapped__(*args)
-                newest[name] = _nbytes(value)
+                newest[name] = sum(array.nbytes for array in value)
                 return value
             info = cached.cache_info()
             assert isinstance(info.maxsize, int) and isinstance(info.maxbytes, int)
@@ -1800,15 +1751,9 @@ class TestByteBoundedCaches:
         # The leftover budget buys two-shot blocks at the deepest depth, batch records on the capped grid.
         assert newest["_log_likelihood"] == 2 * MAX_GRID_SIZE * 8
         assert sum(info.maxbytes for info in infos.values()) < MAX_GRID_SIZE * 8, "budgets below one capped array"
-        # Only a cache that keeps its newest entry may hold more than its budget.
-        kept = {
-            name: newest[name] if getattr(posterior_module, name).cache_parameters()["keep_newest"] else 0
-            for name in ARRAY_CACHES
-        }
-        assert kept["_log_likelihood"] == 0
-        for name, info in infos.items():
-            assert info.currbytes <= info.maxbytes + kept[name]
-        assert held <= sum(info.maxbytes + kept[name] for name, info in infos.items())
+        for info in infos.values():
+            assert info.currbytes <= info.maxbytes
+        assert held <= sum(info.maxbytes for info in infos.values())
 
 
 class TestRebuiltAngles:
